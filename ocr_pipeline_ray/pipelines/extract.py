@@ -116,7 +116,18 @@ class _ExtractPackAll(MediaExtractActor):
     the shuffle-based :func:`~ocr_pipeline_ray.stages.reassemble.reassemble`
     instead. Measured: removes the reassembly sort barrier that
     dominated the post-extract tail (~23 s of a 57 s run at 16 cores).
+
+    A ``path`` input column (``read_parquet(include_paths=True)``)
+    rides along: each call packs one whole input block, so a doc's
+    source file is found by its ``doc_id`` in this same batch.
+    ``writer`` (optional) receives the packed block and its return
+    value is emitted instead — the partitioned job writes each block
+    under its partition from here and emits only a small summary.
     """
+
+    def __init__(self, media_object_ref, writer=None, **engine_kwargs):
+        super().__init__(media_object_ref, **engine_kwargs)
+        self.writer = writer
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ocr_pipeline_ray.stages.reassemble import pack_bucket
@@ -124,7 +135,13 @@ class _ExtractPackAll(MediaExtractActor):
         spans = explode_batch(batch)
         spans = strip_html_batch(spans)
         spans = super().__call__(spans)
-        return pack_bucket(spans.select(SPAN_COLS))
+        packed = pack_bucket(spans.select(SPAN_COLS))
+        if "path" in batch.column_names:
+            idx = pc.index_in(
+                packed.column("doc_id"), value_set=batch.column("doc_id").combine_chunks()
+            )
+            packed = packed.append_column("path", batch.column("path").take(idx))
+        return packed if self.writer is None else self.writer(packed)
 
 
 def _select(ds, cols=SPAN_COLS):
@@ -148,6 +165,7 @@ def build_extraction_pipeline(
     media_remote_args: dict | None = None,
     local_reassembly: bool = True,
     heavy_page_threshold: int = 5,
+    block_writer=None,
 ) -> "ray.data.Dataset":
     """Assemble the lazy extraction Dataset; caller consumes it.
 
@@ -184,7 +202,13 @@ def build_extraction_pipeline(
     and media-join topologies always use the shuffle-based
     reassembly, as do callers that re-partition between explode and
     pack (pass ``local_reassembly=False``).
+
+    ``block_writer`` (fused topology only) is handed to each
+    :class:`_ExtractPackAll` actor, which writes every packed block
+    through it and emits its return value instead.
     """
+    if block_writer is not None and (media_mode == "join" or split_kinds or not local_reassembly):
+        raise ValueError("block_writer needs the fused local-pack topology")
     fault_args = {}
     if max_restarts is not None:
         fault_args["max_restarts"] = max_restarts
@@ -243,7 +267,11 @@ def build_extraction_pipeline(
             fused_batch = text_batch_size if "num_gpus" in fault_args else None
             return docs_ds.map_batches(
                 _ExtractPackAll,
-                fn_constructor_kwargs={"media_object_ref": media_ref, **engine_kwargs},
+                fn_constructor_kwargs={
+                    "media_object_ref": media_ref,
+                    "writer": block_writer,
+                    **engine_kwargs,
+                },
                 batch_format="pyarrow",
                 batch_size=fused_batch,
                 concurrency=extract_concurrency,
@@ -432,7 +460,8 @@ def join_media_spans(
 
     def tag_spans(t: pa.Table) -> pa.Table:
         ref_hash = hash_string_column(t.column("media_ref"))
-        off = t.column("offset").combine_chunks().to_numpy(zero_copy_only=False)
+        # a zero-span doc's placeholder row has a null offset
+        off = t.column("offset").combine_chunks().fill_null(0).to_numpy(zero_copy_only=False)
         spread = hash_string_column(t.column("doc_id")) + off.astype(np.uint64)
         empty = pc.equal(t.column("media_ref"), "").combine_chunks().to_numpy(
             zero_copy_only=False

@@ -16,9 +16,16 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ocr_pipeline_ray.schema import SPAN_ROWS_SCHEMA
+
 
 def explode_batch(batch: pa.Table) -> pa.Table:
-    """docs batch -> span-rows batch (pure Arrow kernels, no Python loop)."""
+    """docs batch -> span-rows batch (pure Arrow kernels, no Python loop).
+
+    A doc with no spans becomes one placeholder row with a null
+    ``offset`` (an empty text span otherwise), so every stage carries
+    it like a text span and the pack emits the doc with ``n_spans = 0``
+    instead of dropping it."""
     spans = batch.column("spans").combine_chunks()
     flat = pc.list_flatten(spans)
     parents = pc.list_parent_indices(spans)
@@ -31,10 +38,20 @@ def explode_batch(batch: pa.Table) -> pa.Table:
     # resolved at the media stage (n_pages drives the heavy route).
     size_hint = pc.cast(pc.utf8_length(pc.fill_null(text, "")), pa.int32())
     error = pa.nulls(len(flat), pa.string()).fill_null("")
-    return pa.Table.from_arrays(
-        [doc_id, offset, kind, text, media_ref, error, size_hint],
-        names=["doc_id", "offset", "kind", "text", "media_ref", "error", "size_hint"],
+    out = pa.Table.from_arrays(
+        [doc_id, offset, kind, text, media_ref, error, size_hint], names=SPAN_ROWS_SCHEMA.names
     )
+    empty = pc.equal(pc.fill_null(pc.list_value_length(spans), 0), 0)
+    if not pc.any(empty).as_py():
+        return out
+    ids = batch.column("doc_id").combine_chunks().filter(empty).to_pylist()
+    n = len(ids)
+    placeholders = pa.Table.from_pydict(
+        {"doc_id": ids, "offset": [None] * n, "kind": ["text"] * n, "text": [""] * n,
+         "media_ref": [""] * n, "error": [""] * n, "size_hint": [0] * n},
+        schema=SPAN_ROWS_SCHEMA,
+    )
+    return pa.concat_tables([out, placeholders.cast(out.schema)])
 
 
 def filter_kind(kinds: tuple[str, ...]):

@@ -85,10 +85,17 @@ def pack_bucket(group: pa.Table) -> pa.Table:
         ],
         fields=list(SPAN_STRUCT),
     )
-    spans = pa.ListArray.from_arrays(pa.array(bounds, pa.int32()), struct)
+    list_bounds = bounds
+    if g.column("offset").null_count:
+        # null offset = the placeholder row of a doc with no spans
+        # (explode_batch): the doc keeps its row, its span list is empty
+        real = g.column("offset").is_valid().to_numpy(zero_copy_only=False)
+        struct = struct.filter(pa.array(real))
+        list_bounds = np.concatenate(([0], np.cumsum(real)))[bounds]
+    spans = pa.ListArray.from_arrays(pa.array(list_bounds, pa.int32()), struct)
     err = (np.asarray(g.column("error").to_pandas(), dtype=object) != "").astype(np.int64)
     n_errors = np.add.reduceat(err, bounds[:-1]) if n else np.empty(0, np.int64)
-    n_spans = np.diff(bounds)
+    n_spans = np.diff(list_bounds)
     return pa.Table.from_arrays(
         [
             pa.array(ids[bounds[:-1]], pa.string()),

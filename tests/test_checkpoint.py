@@ -4,7 +4,9 @@ the final output equals a single-run output."""
 
 import json
 import os
+import time
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -13,7 +15,9 @@ from ocr_pipeline_ray.pipelines.checkpoint import (
     read_output,
     run_partitioned_extraction,
 )
+from ocr_pipeline_ray.pipelines.extract import SPAN_COLS
 from ocr_pipeline_ray.sources.gen import write_corpus
+from ocr_pipeline_ray.stages.explode import explode_batch
 
 
 class _Kill(Exception):
@@ -132,3 +136,132 @@ def test_lineage_records(corpus, tmp_path):
         rec = json.load(open(os.path.join(out, "_lineage", f"part-{i}.json")))
         assert rec["n_docs"] > 0 and rec["n_spans"] >= rec["n_docs"]
         assert rec["input_files"] and rec["duration_sec"] > 0
+
+
+def _alive_extract_workers() -> list[str]:
+    # GCS actor table: the state API needs the dashboard, which the
+    # test session does not start
+    import ray._private.state
+
+    return [
+        a["ActorClassName"]
+        for a in ray._private.state.actors().values()
+        if a["State"] == "ALIVE" and "_ExtractPackAll" in a["ActorClassName"]
+    ]
+
+
+def test_kill_mid_stream_leaves_no_pool_actor(corpus, tmp_path):
+    """A hook that raises mid-stream shuts the execution down before the
+    error propagates: no extract pool actor outlives the killed run, and
+    the resumed output equals a single run's."""
+    paths, media = corpus
+    out = str(tmp_path / "killed")
+
+    def killer(part):
+        if part == 0:
+            raise _Kill()
+
+    with pytest.raises(_Kill):
+        run_partitioned_extraction(paths["docs"], media, out, n_parts=4, on_part_done=killer)
+    deadline = time.time() + 10
+    while _alive_extract_workers() and time.time() < deadline:
+        time.sleep(0.2)
+    assert _alive_extract_workers() == []
+
+    summary = run_partitioned_extraction(paths["docs"], media, out, n_parts=4)
+    assert summary["skipped_committed"] == [0] and summary["ran"] == [1, 2, 3]
+    single = str(tmp_path / "single")
+    run_partitioned_extraction(paths["docs"], media, single, n_parts=4)
+    assert _spans_key(read_output(out)) == _spans_key(read_output(single))
+
+
+def test_partitions_commit_in_index_order(corpus, tmp_path):
+    paths, media = corpus
+    out = str(tmp_path / "order")
+    seen = []
+    summary = run_partitioned_extraction(
+        paths["docs"], media, out, n_parts=4, on_part_done=seen.append
+    )
+    assert seen == summary["ran"] == [0, 1, 2, 3]
+    durations = [
+        json.load(open(os.path.join(out, "_lineage", f"part-{i}.json")))["duration_sec"]
+        for i in seen
+    ]
+    assert durations == sorted(durations)  # time from execution start to each commit
+    assert summary["duration_sec"] >= durations[-1]
+
+
+def test_rewritten_block_leaves_one_copy(corpus, tmp_path):
+    """A block written twice (an actor restart re-runs it) overwrites its
+    own file: block files are named from their content."""
+    from ocr_pipeline_ray.pipelines.checkpoint import _PartitionWriter
+    from ocr_pipeline_ray.stages.reassemble import pack_bucket
+
+    paths, _ = corpus
+    out = str(tmp_path / "w")
+    os.makedirs(os.path.join(out, "part-0.tmp"))
+    f = sorted(os.path.join(paths["docs"], n) for n in os.listdir(paths["docs"]))[0]
+    docs = pq.read_table(f)
+    packed = pack_bucket(explode_batch(docs).select(SPAN_COLS))
+    packed = packed.append_column("path", pa.array([f] * len(packed)))
+    writer = _PartitionWriter(out, {f: 0})
+    first = writer(packed)
+    assert writer(packed) == first
+    written = os.listdir(os.path.join(out, "part-0.tmp"))
+    assert len(written) == 1
+    assert pq.read_table(os.path.join(out, "part-0.tmp")).num_rows == docs.num_rows
+
+
+def test_extra_rows_on_disk_fail_the_commit(corpus, tmp_path):
+    """A partition whose on-disk row count differs from its input row
+    count is never committed."""
+    import shutil
+
+    paths, media = corpus
+    out = str(tmp_path / "planted")
+
+    def plant(part):
+        if part == 0:
+            src = os.path.join(out, "part-0")
+            shutil.copy(os.path.join(src, sorted(os.listdir(src))[0]),
+                        os.path.join(out, "part-1.tmp", "extra.parquet"))
+
+    with pytest.raises(RuntimeError, match="partition 1"):
+        run_partitioned_extraction(paths["docs"], media, out, n_parts=2, on_part_done=plant)
+    assert committed_partitions(out) == {0}
+
+
+def test_zero_span_doc_is_committed(tmp_path):
+    """Commit-by-count is exact with docs that have no spans."""
+    from ocr_pipeline_ray.schema import DOCS_SCHEMA
+    from ocr_pipeline_ray.sources.gen import generate_corpus
+
+    docs, media, _ = generate_corpus(40, seed=3)
+    rows = docs.to_pylist()
+    rows[5]["spans"] = []
+    docs = pa.Table.from_pylist(rows, schema=DOCS_SCHEMA)
+    d = tmp_path / "docs"
+    d.mkdir()
+    pq.write_table(docs.slice(0, 20), str(d / "a.parquet"))
+    pq.write_table(docs.slice(20), str(d / "b.parquet"))
+    out = str(tmp_path / "out")
+    summary = run_partitioned_extraction(str(d), media, out, n_parts=2)
+    assert summary["n_docs"] == 40
+    got = {r["doc_id"]: r for r in read_output(out).to_pylist()}
+    assert got["doc-00000005"]["n_spans"] == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, reason",
+    [
+        ({"split_kinds": True, "stage_dir": "/nonexistent"}, "split_kinds"),
+        ({"media_mode": "join"}, "media_mode"),
+        ({"local_reassembly": False}, "local_reassembly"),
+    ],
+)
+def test_options_that_break_doc_locality_fail_fast(corpus, tmp_path, kwargs, reason):
+    paths, media = corpus
+    out = str(tmp_path / "opts")
+    with pytest.raises(ValueError, match=reason):
+        run_partitioned_extraction(paths["docs"], media, out, n_parts=2, **kwargs)
+    assert not os.path.exists(out)

@@ -1,6 +1,7 @@
 """Distributed pipeline vs golden: span-sequence equality (kind, text,
 media_ref, order) per document — the BASELINE.json per-row invariant."""
 
+import pytest
 import ray
 import ray.data
 
@@ -157,3 +158,35 @@ def test_incremental_hourly_equals_batch():
     for frac in (0.3, 0.6, 0.95):
         inc = events_hourly_incremental(sf, cutoff_frac=frac)
         pd.testing.assert_frame_equal(inc, batch)
+
+
+def _oracle_map(docs, media) -> dict[str, list[tuple]]:
+    from ocr_pipeline_ray.oracle import extract_docs
+
+    return _golden_map(extract_docs(docs, media))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"local_reassembly": False}, {"media_mode": "join"}, {"split_kinds": True}],
+    ids=["fused", "shuffle", "join", "split_kinds"],
+)
+def test_zero_span_doc_kept(kwargs, tmp_path):
+    """A doc whose span list is empty stays in the output with
+    ``n_spans = 0`` on every topology, as the oracle keeps it."""
+    import pyarrow as pa
+
+    from ocr_pipeline_ray.schema import DOCS_SCHEMA
+    from ocr_pipeline_ray.sources.gen import generate_corpus
+
+    docs, media, _ = generate_corpus(20, seed=1)
+    rows = docs.to_pylist()
+    rows[3]["spans"] = []
+    docs = pa.Table.from_pylist(rows, schema=DOCS_SCHEMA)
+    if kwargs.get("split_kinds"):
+        kwargs = {**kwargs, "stage_dir": str(tmp_path / "stage")}
+    out = build_extraction_pipeline(ray.data.from_arrow(docs).repartition(3), media, **kwargs)
+    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+    assert _golden_map(got) == _oracle_map(docs, media)
+    row = {r["doc_id"]: r for r in got.to_pylist()}["doc-00000003"]
+    assert row["n_spans"] == 0 and row["spans"] == []

@@ -7,15 +7,21 @@ Submit to a Ray cluster exactly as the north rule prescribes::
         --docs /data/corpus_docs --media /data/corpus_media.parquet \
         --out /data/extracted --n-parts 256
 
-The job streams each partition through the extraction pipeline
-(read -> fused extract actor pool -> write), commits partitions
-atomically with per-partition lineage + metrics, and RESUMES from the
-last committed partition if resubmitted after a failure (see
-pipelines/checkpoint.py). ``--no-resume`` forces a clean re-run.
+The job streams every uncommitted partition through ONE Ray Data
+execution (read -> fused extract actor pool, which writes each block
+under its partition), commits each partition atomically with
+per-partition lineage + metrics as soon as all of its docs are written,
+and RESUMES from the committed partitions if resubmitted after a
+failure (see pipelines/checkpoint.py). ``--no-resume`` forces a clean
+re-run. It prints the run summary as one JSON line.
 
-In this sandbox the same entrypoint runs against the local session
-(`RAY_ADDRESS=local`); on a cluster, `ray job submit` routes it to the
+Locally the same entrypoint runs against its own session
+(``--num-cpus N``); on a cluster, ``ray job submit`` routes it to the
 head node unchanged — the script owns its Ray session either way.
+Before any work it checks that a Ray worker can import the package
+(workers inherit ``PYTHONPATH`` pointing at this checkout) and exits
+with status 2 and a message if not, instead of letting the actor pool
+crash-loop.
 """
 
 from __future__ import annotations
@@ -27,21 +33,32 @@ import sys
 
 # self-locating: `ray job submit --working-dir .` (or a bare python
 # invocation from anywhere) must find the package without PYTHONPATH
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+IMPORT_PROBE_TIMEOUT_S = 60.0
+
+
+def _import_probe() -> str:
+    import ocr_pipeline_ray
+
+    return ocr_pipeline_ray.__file__
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--docs", required=True, help="docs table: parquet file/dir or lance dir")
+    ap.add_argument("--docs", required=True, help="docs table: parquet file or dir")
     ap.add_argument("--media", required=True, help="media side table (parquet)")
     ap.add_argument("--out", required=True, help="output root (part-{i}/ + _lineage/)")
     ap.add_argument("--n-parts", type=int, default=64)
     ap.add_argument("--no-resume", action="store_true")
-    ap.add_argument("--split-kinds", action="store_true", help="kind+size-aware routing topology")
-    ap.add_argument("--stage-dir", default=None, help="staging dir for --split-kinds")
     ap.add_argument("--num-cpus", type=int, default=None, help="local-mode CPU override")
     args = ap.parse_args(argv)
 
+    # the raylet, and through it every worker, inherits this variable
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [ROOT] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    )
     import ray
 
     if not ray.is_initialized():
@@ -49,25 +66,28 @@ def main(argv=None) -> int:
         if args.num_cpus:
             init_kwargs.update(address="local", num_cpus=args.num_cpus)
         ray.init(**init_kwargs)
+    try:
+        probe = ray.remote(num_cpus=0, max_retries=0)(_import_probe)
+        ray.get(probe.remote(), timeout=IMPORT_PROBE_TIMEOUT_S)
+    except Exception as e:
+        print(
+            f"a Ray worker cannot import ocr_pipeline_ray from {ROOT} "
+            f"within {IMPORT_PROBE_TIMEOUT_S:.0f} s: {type(e).__name__}: {e}",
+            file=sys.stderr,
+        )
+        ray.shutdown()
+        return 2
 
     import pyarrow.parquet as pq
 
     from ocr_pipeline_ray.pipelines.checkpoint import run_partitioned_extraction
 
-    media = pq.read_table(args.media)
-    pipeline_kwargs = {}
-    if args.split_kinds:
-        if not args.stage_dir:
-            ap.error("--split-kinds requires --stage-dir")
-        pipeline_kwargs = {"split_kinds": True, "stage_dir": args.stage_dir}
-
     summary = run_partitioned_extraction(
         args.docs,
-        media,
+        pq.read_table(args.media),
         args.out,
         n_parts=args.n_parts,
         resume=not args.no_resume,
-        **pipeline_kwargs,
     )
     print(json.dumps(summary))
     ray.shutdown()
