@@ -10,7 +10,8 @@ once per process (reference str-recognition/api.py:97-124) — and whose
 :class:`~ocr_pipeline_ray.stages.extract.SyntheticEngine`, so it drops
 into ``build_extraction_pipeline(..., engine_factory=...)`` (add
 ``media_remote_args={"num_gpus": ...}`` to size the pool for a GPU
-model).
+model). Every topology calls it from the one engine loop,
+:class:`~ocr_pipeline_ray.stages.extract.MediaExtractActor`.
 
 Import-guarded: this container ships none of paddleocr / pytesseract /
 pypdfium2, so constructing an adapter without its library raises

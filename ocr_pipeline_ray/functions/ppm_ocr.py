@@ -14,7 +14,8 @@ str-recognition/api.py:97-124) is proven here with real compute:
   decode -> segment -> classify OCR pipeline, deterministic and
   dependency-free.
 * ``PpmOcrEngine`` is a drop-in ``engine_factory`` for
-  :class:`~ocr_pipeline_ray.stages.extract.MediaExtractActor`: image
+  :class:`~ocr_pipeline_ray.stages.extract.MediaExtractActor` (the one
+  engine loop of both the broadcast and the join topology): image
   payloads are single PPMs; pdf payloads are multi-block containers
   whose blocks carry (y, x) layout coordinates and must be re-sorted
   into reading order (same layout contract as the synthetic pdf

@@ -48,6 +48,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ocr_pipeline_ray.pipelines.extract import build_extraction_pipeline
+from ocr_pipeline_ray.state.media_store import broadcast_media
 
 _SUMMARY_COLS = ("part", "n_docs", "n_spans", "n_errors")
 
@@ -111,8 +112,6 @@ def _doc_locality_error(pipeline_kwargs: dict) -> str | None:
         return "split_kinds/stage_dir re-partition span rows across kind branches"
     if pipeline_kwargs.get("media_mode", "broadcast") == "join":
         return 'media_mode="join" shuffles span rows by media_ref'
-    if not pipeline_kwargs.get("local_reassembly", True):
-        return "local_reassembly=False reassembles docs through a shuffle"
     return None
 
 
@@ -294,7 +293,7 @@ def _block_summaries(out_dir, file_part, media, pipeline_kwargs):
     the caller's frame alive."""
     ds = ray.data.read_parquet(list(file_part), include_paths=True)
     writer = _PartitionWriter(out_dir, file_part)
-    out = build_extraction_pipeline(ds, ray.put(media), block_writer=writer, **pipeline_kwargs)
+    out = build_extraction_pipeline(ds, broadcast_media(media), block_writer=writer, **pipeline_kwargs)
     yield from out.iter_batches(batch_format="pyarrow", batch_size=None, prefetch_batches=0)
 
 

@@ -3,10 +3,10 @@
 Ray-Data-first shape (SURVEY.md §7)::
 
     read_parquet(docs)
-      -> map_batches(explode)                       # doc rows -> span rows
-      -> map_batches(strip_html)                    # stateless tasks
-      -> map_batches(MediaExtractActor, pool)       # warm engines
-      -> groupby(doc_id).map_groups(pack)           # THE shuffle
+      -> explode                                    # doc rows -> span rows
+      -> strip_html                                 # vectorized text spans
+      -> MediaExtractActor (pool)                   # warm engines
+      -> pack                                       # ordered reassembly
       [-> write_parquet(out, partitioned)]
 
 Replaces the reference's HTTP microservice chain (pipeline/app.py:157-212)
@@ -15,18 +15,30 @@ monitor.py:15-93): ``map_batches(batch_size=B)`` + the streaming
 executor provide cross-document batch formation and backpressure
 natively (SURVEY.md §2.4 G1).
 
-Two stage topologies:
+Every topology runs the same extract kernel,
+:class:`~ocr_pipeline_ray.stages.extract.MediaExtractActor`, which
+reads each media span's bytes from a ``payload`` column. Two
+topologies:
 
-* ``split_kinds=False`` (default): one pass; a single extract pool
-  handles text inline-vectorized and media via the store. No branch,
-  no input re-read — right when engine cost per span is uniform.
-* ``split_kinds=True``: size/kind-aware routing (north-rule skew
-  requirement). The exploded span rows are staged to disk partitioned
-  by kind ONCE (so the three branches do not re-execute the read), then
-  light HTML rows flow through cheap stateless tasks while image/pdf
-  rows get dedicated actor pools — the pdf pool with a smaller
-  ``batch_size`` (the analog of the reference's 350-crop GPU batch cap,
-  reference README.md:84-88).
+* ``media_mode="broadcast"`` (default): the media table is put into
+  the object store once and ONE fused actor stage
+  (:class:`_ExtractPackAll`) explodes a block of doc rows, strips
+  HTML, fills ``payload`` from the store, extracts and packs the docs
+  locally — zero shuffle.
+* ``media_mode="join"``: media too large to broadcast. A bucketed hash
+  join on ``media_ref`` (:func:`join_media_spans`) attaches
+  ``payload`` to the span rows, an
+  :class:`~ocr_pipeline_ray.stages.extract.InlineMediaExtract` pool
+  extracts, and a ``doc_id`` shuffle reassembles.
+
+One documented exception, ``split_kinds=True`` (broadcast only):
+size/kind-aware routing (north-rule skew requirement). The exploded
+span rows are staged to disk partitioned by route ONCE (so the
+branches do not re-execute the read), then light HTML rows flow
+through cheap stateless tasks while image/pdf rows get dedicated
+actor pools — pdf with a small batch cap and heavy pdfs with a
+smaller one (the analog of the reference's 350-crop GPU batch cap,
+reference README.md:84-88) — and a ``doc_id`` shuffle reassembles.
 """
 
 from __future__ import annotations
@@ -38,16 +50,27 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ocr_pipeline_ray.schema import DOCS_SCHEMA, SPAN_ROWS_SCHEMA
 from ocr_pipeline_ray.stages.explode import explode_batch
 from ocr_pipeline_ray.stages.extract import (
     InlineMediaExtract,
     MediaExtractActor,
     strip_html_batch,
 )
-from ocr_pipeline_ray.stages.reassemble import reassemble
-from ocr_pipeline_ray.state.media_store import broadcast_media
+from ocr_pipeline_ray.stages.reassemble import detect_hot_keys, pack_bucket, reassemble
+from ocr_pipeline_ray.state.media_store import broadcast_media, check_unique_refs
 
-SPAN_COLS = ["doc_id", "offset", "kind", "text", "media_ref", "error", "size_hint"]
+SPAN_COLS = SPAN_ROWS_SCHEMA.names
+
+# span rows per batch on the shuffle-reassembled topologies (and on the
+# fused one under a GPU request); the pdf caps are the analog of the
+# reference's 350-crop GPU batch cap (reference README.md:84-88)
+TEXT_BATCH_SIZE = 2048
+IMAGE_BATCH_SIZE = 1024
+PDF_BATCH_SIZE = 64
+HEAVY_PDF_BATCH_SIZE = 16
+# split_kinds: a pdf of at least this many pages takes the heavy route
+HEAVY_PAGE_THRESHOLD = 5
 
 
 def read_docs(path: str) -> "ray.data.Dataset":
@@ -66,8 +89,6 @@ def read_docs(path: str) -> "ray.data.Dataset":
         and any(f.endswith((".jsonl", ".json")) for f in os.listdir(path))
     )
     if is_jsonl:
-        from ocr_pipeline_ray.schema import DOCS_SCHEMA
-
         def _canon(t: pa.Table) -> pa.Table:
             # JSON inference widens ints (offset -> int64) and may
             # order struct fields differently; pin the wire schema
@@ -82,8 +103,6 @@ def read_docs(path: str) -> "ray.data.Dataset":
         # (the common CSV-with-JSON-payload shape); parse + pin schema
         import json as _json
 
-        from ocr_pipeline_ray.schema import DOCS_SCHEMA
-
         def _parse(t: pa.Table) -> pa.Table:
             spans = [_json.loads(s) for s in t["spans"].to_pylist()]
             cols = {n: t[n] for n in DOCS_SCHEMA.names if n != "spans"}
@@ -92,14 +111,6 @@ def read_docs(path: str) -> "ray.data.Dataset":
 
         return ray.data.read_csv(path).map_batches(_parse, batch_format="pyarrow")
     return ray.data.read_parquet(path)
-
-
-class _ExtractAll(MediaExtractActor):
-    """Single-pass extract: text spans vectorized inline, media via store."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        batch = strip_html_batch(batch)
-        return super().__call__(batch)
 
 
 class _ExtractPackAll(MediaExtractActor):
@@ -130,8 +141,6 @@ class _ExtractPackAll(MediaExtractActor):
         self.writer = writer
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ocr_pipeline_ray.stages.reassemble import pack_bucket
-
         spans = explode_batch(batch)
         spans = strip_html_batch(spans)
         spans = super().__call__(spans)
@@ -144,10 +153,6 @@ class _ExtractPackAll(MediaExtractActor):
         return packed if self.writer is None else self.writer(packed)
 
 
-def _select(ds, cols=SPAN_COLS):
-    return ds.select_columns(cols)
-
-
 def build_extraction_pipeline(
     docs_ds: "ray.data.Dataset",
     media: pa.Table | "ray.ObjectRef",
@@ -156,18 +161,17 @@ def build_extraction_pipeline(
     split_kinds: bool = False,
     stage_dir: str | None = None,
     extract_concurrency=None,
-    text_batch_size: int = 2048,
-    image_batch_size: int = 1024,
-    pdf_batch_size: int = 64,
     engine_factory=None,
-    max_restarts: int | None = None,
-    max_task_retries: int | None = None,
     media_remote_args: dict | None = None,
-    local_reassembly: bool = True,
-    heavy_page_threshold: int = 5,
     block_writer=None,
 ) -> "ray.data.Dataset":
     """Assemble the lazy extraction Dataset; caller consumes it.
+
+    ``media`` is a ``pa.Table`` (broadcast through
+    :func:`~ocr_pipeline_ray.state.media_store.broadcast_media`, which
+    rejects anything else and duplicate ``media_ref``), an ObjectRef
+    the caller already broadcast, or — with ``media_mode="join"`` — a
+    Dataset.
 
     ``extract_concurrency=None`` sizes the extract actor pool to the
     cluster: all but 2 CPUs (read/write/reassembly stages are I/O-light
@@ -177,50 +181,45 @@ def build_extraction_pipeline(
     run and startup is amortized; at test scale it avoids the
     autoscaler's slow ramp dominating wall time.
 
-    Fault tolerance: Ray Data's actor pools already restart dead
-    actors and re-submit their in-flight batches (the default
-    ``max_restarts``/``max_task_retries`` policy — a killed worker
-    recovers with golden output, proven by
-    tests/test_fault_tolerance.py's hard-kill test; the reference
-    DECLARES ``retries: 5`` in configs/config.yml:24-25 but never
-    wires it). Explicit ``max_restarts``/``max_task_retries``
-    overrides are OPT-IN only: benchmarked on this host, passing them
-    as ray_remote_args disables an actor-task submission fast path
-    and costs ~1.8x wall time on the headline — leave them None
-    unless a deployment needs a bounded retry budget.
+    ``media_remote_args`` go to the media/extract actor pools only:
+    resources (``num_gpus=0.5``, ``resources={"accel": 1}``) for a real
+    GPU engine behind the ``engine_factory`` seam, or a bounded retry
+    budget (``max_restarts`` / ``max_task_retries``). Without them Ray
+    Data's actor pools already restart dead actors and re-submit their
+    in-flight batches (a killed worker recovers with golden output,
+    proven by tests/test_fault_tolerance.py's hard-kill test; the
+    reference DECLARES ``retries: 5`` in configs/config.yml:24-25 but
+    never wires it). They are OPT-IN only: benchmarked on this host,
+    any explicit ray_remote_args disable an actor-task submission fast
+    path and cost ~1.8x wall time on the headline (BASELINE.md).
 
     ``engine_factory`` overrides the media engine (default
     :class:`SyntheticEngine`); it must be picklable (a top-level
     class), e.g. the real stdlib PPM/BMP decoder engine or a
     PaddleOCR/pdfium wrapper.
 
-    ``local_reassembly=True`` (default, single-pass broadcast path
-    only): explode -> extract -> pack fuse into ONE actor stage and
-    reassembly is a local sort per block — zero shuffle — because doc
-    locality is preserved by construction there (see
-    :class:`_ExtractPackAll` for the exact assumption). The kind-split
-    and media-join topologies always use the shuffle-based
-    reassembly, as do callers that re-partition between explode and
-    pack (pass ``local_reassembly=False``).
+    The broadcast topology fuses explode -> extract -> pack into ONE
+    actor stage and reassembly is a local sort per block — zero
+    shuffle — because doc locality is preserved by construction there
+    (see :class:`_ExtractPackAll` for the exact assumption). The
+    kind-split and media-join topologies reassemble through the
+    ``doc_id`` shuffle. ``split_kinds=True`` needs ``stage_dir`` and
+    the broadcast store (it routes on page counts), so it raises with
+    ``media_mode="join"``.
 
     ``block_writer`` (fused topology only) is handed to each
     :class:`_ExtractPackAll` actor, which writes every packed block
     through it and emits its return value instead.
     """
-    if block_writer is not None and (media_mode == "join" or split_kinds or not local_reassembly):
+    if split_kinds and media_mode == "join":
+        raise ValueError(
+            'split_kinds=True routes on the broadcast media store; it cannot run with media_mode="join"'
+        )
+    if block_writer is not None and (media_mode == "join" or split_kinds):
         raise ValueError("block_writer needs the fused local-pack topology")
-    fault_args = {}
-    if max_restarts is not None:
-        fault_args["max_restarts"] = max_restarts
-    if max_task_retries is not None:
-        fault_args["max_task_retries"] = max_task_retries
-    # resources for the MEDIA/extract actor pools only (num_gpus=0.5,
-    # resources={"accel": 1}, ...) — a real GPU engine behind the
-    # engine_factory seam sizes its pool with these; the default {}
-    # keeps Ray Data's actor-task submission fast path (any explicit
-    # ray_remote_args on this host costs ~1.8x wall, see BASELINE.md),
-    # and GPU batch sizing guidance lives in stages/multimodal.py.
-    fault_args.update(media_remote_args or {})
+    # the default {} keeps Ray Data's actor-task submission fast path;
+    # GPU batch sizing guidance lives in stages/multimodal.py
+    remote_args = media_remote_args or {}
     engine_kwargs = {} if engine_factory is None else {"engine_factory": engine_factory}
     if media_mode == "join":
         # media too large to broadcast: bucketed hash join attaches
@@ -231,17 +230,17 @@ def build_extraction_pipeline(
         joined = join_media_spans(spans, media_ds)
 
         done = (
-            joined.map_batches(strip_html_batch, batch_format="pyarrow", batch_size=text_batch_size)
+            joined.map_batches(strip_html_batch, batch_format="pyarrow", batch_size=TEXT_BATCH_SIZE)
             .map_batches(
                 InlineMediaExtract,
                 fn_constructor_kwargs=engine_kwargs,
                 batch_format="pyarrow",
-                batch_size=image_batch_size,
+                batch_size=IMAGE_BATCH_SIZE,
                 concurrency=(1, 8),
-                **fault_args,
+                **remote_args,
             )
         )
-        return reassemble(_select(done))
+        return reassemble(done.select_columns(SPAN_COLS))
 
     media_ref = media if isinstance(media, ray.ObjectRef) else broadcast_media(media)
     if extract_concurrency is None:
@@ -255,38 +254,24 @@ def build_extraction_pipeline(
         # the co-resident stages.
         extract_concurrency = min(max(2, int(n_cpus * 0.75)), max(1, n_cpus - 1))
     if not split_kinds:
-        if local_reassembly:
-            # doc locality is preserved by construction in this path
-            # (see _ExtractPackAll) -> fused single stage, ZERO shuffle
-            # whole blocks = whole documents (zero-shuffle local pack)
-            # — except under a GPU request, where Ray Data requires an
-            # explicit batch size (GPU memory is sized per batch, the
-            # reference's 350-crop cap analog, reference README.md:84-88);
-            # doc locality still holds: batches are formed from whole
-            # input rows, never split mid-document.
-            fused_batch = text_batch_size if "num_gpus" in fault_args else None
-            return docs_ds.map_batches(
-                _ExtractPackAll,
-                fn_constructor_kwargs={
-                    "media_object_ref": media_ref,
-                    "writer": block_writer,
-                    **engine_kwargs,
-                },
-                batch_format="pyarrow",
-                batch_size=fused_batch,
-                concurrency=extract_concurrency,
-                **fault_args,
-            )
-        spans = docs_ds.map_batches(explode_batch, batch_format="pyarrow")
-        done = spans.map_batches(
-            _ExtractAll,
-            fn_constructor_kwargs={"media_object_ref": media_ref, **engine_kwargs},
+        # whole blocks = whole documents (zero-shuffle local pack) —
+        # except under a GPU request, where Ray Data requires an
+        # explicit batch size (GPU memory is sized per batch); doc
+        # locality still holds: batches are formed from whole input
+        # rows, never split mid-document.
+        fused_batch = TEXT_BATCH_SIZE if "num_gpus" in remote_args else None
+        return docs_ds.map_batches(
+            _ExtractPackAll,
+            fn_constructor_kwargs={
+                "media_object_ref": media_ref,
+                "writer": block_writer,
+                **engine_kwargs,
+            },
             batch_format="pyarrow",
-            batch_size=text_batch_size,
+            batch_size=fused_batch,
             concurrency=extract_concurrency,
-            **fault_args,
+            **remote_args,
         )
-        return reassemble(_select(done))
     spans = docs_ds.map_batches(explode_batch, batch_format="pyarrow")
 
     if stage_dir is None:
@@ -297,15 +282,12 @@ def build_extraction_pipeline(
     # SIZE-AWARE routing (north rule: heavy multi-page PDFs must not
     # ride in the same batches as tiny HTML rows): the route column is
     # kind, except pdf spans whose page count (from the broadcast
-    # media store) reaches ``heavy_page_threshold`` — those go to a
+    # media store) reaches HEAVY_PAGE_THRESHOLD — those go to a
     # dedicated heavy pool with 4x smaller batches, so one heavy batch
     # can't head-of-line-block a worker for minutes at cluster scale.
     spans = spans.map_batches(
         _SizeRouter,
-        fn_constructor_kwargs={
-            "media_object_ref": media_ref,
-            "heavy_page_threshold": heavy_page_threshold,
-        },
+        fn_constructor_kwargs={"media_object_ref": media_ref},
         batch_format="pyarrow",
         concurrency=(1, 4),
     )
@@ -315,19 +297,18 @@ def build_extraction_pipeline(
     spans.write_parquet(stage_dir, partition_cols=["route"])
 
     branches = []
-    for route, kind, batch_size, use_actor in (
-        ("text", "text", text_batch_size, False),
-        ("image", "image", image_batch_size, True),
-        ("pdf", "pdf", pdf_batch_size, True),
-        ("pdf_heavy", "pdf", max(8, pdf_batch_size // 4), True),
+    for route, batch_size, use_actor in (
+        ("text", TEXT_BATCH_SIZE, False),
+        ("image", IMAGE_BATCH_SIZE, True),
+        ("pdf", PDF_BATCH_SIZE, True),
+        ("pdf_heavy", HEAVY_PDF_BATCH_SIZE, True),
     ):
         part = os.path.join(stage_dir, f"route={route}")
         if not os.path.isdir(part):
             continue
-        branch = ray.data.read_parquet(part)
-        branch = branch.map_batches(
-            _restore_kind(kind), batch_format="pyarrow", batch_size=batch_size
-        )
+        # the files keep their kind column; partitioning=None leaves
+        # the route out of the rows
+        branch = ray.data.read_parquet(part, partitioning=None)
         if use_actor:
             branch = branch.map_batches(
                 MediaExtractActor,
@@ -335,13 +316,13 @@ def build_extraction_pipeline(
                 batch_format="pyarrow",
                 batch_size=batch_size,
                 concurrency=pool,
-                **fault_args,
+                **remote_args,
             )
         else:
             branch = branch.map_batches(
                 strip_html_batch, batch_format="pyarrow", batch_size=batch_size
             )
-        branches.append(_select(branch))
+        branches.append(branch.select_columns(SPAN_COLS))
     head, *rest = branches
     merged = head.union(*rest) if rest else head
     return reassemble(merged)
@@ -362,11 +343,9 @@ def detect_hot_refs(
     and the fraction denominator — it has its own deterministic
     spread in the join and must never salt. Thin wrapper over the
     repo's single hot-detection implementation
-    (:func:`~ocr_pipeline_ray.pipelines.relational.detect_hot_keys`)
+    (:func:`~ocr_pipeline_ray.stages.reassemble.detect_hot_keys`)
     so sampling policy can never diverge between the analytics and
     media joins."""
-    from ocr_pipeline_ray.pipelines.relational import detect_hot_keys
-
     return detect_hot_keys(
         spans_ds,
         "media_ref",
@@ -496,7 +475,6 @@ def join_media_spans(
                 pa.nulls(n, pa.string()),
                 t.column("media_ref").combine_chunks(),
                 pa.nulls(n, pa.string()),
-                pa.nulls(n, pa.int32()),
                 t.column("payload").combine_chunks().cast(pa.binary()),
                 pa.array(bucket, pa.int64()),
                 pa.array(np.zeros(n, np.int8), pa.int8()),
@@ -536,14 +514,16 @@ def join_media_spans(
         return st.union(mt)
 
     def join_bucket(g: pa.Table) -> pa.Table:
-        # media_ref is UNIQUE on the media side (payload store; hot-ref
-        # replicas land in distinct sub-buckets), so the left join is a
+        # media_ref must be UNIQUE on the media side (payload store;
+        # hot-ref replicas land in distinct sub-buckets, so a duplicate
+        # here is one in the media table), so the left join is a
         # vectorized index_in + take — null index -> null payload —
         # measured ~25% faster than the general pa.Table.join per
         # bucket (BASELINE.md round-5 A/B) with identical semantics
         smask = pc.equal(g.column("__side"), 1)
         s = g.filter(smask).drop_columns(["payload", "__bucket", "__side"])
         m = g.filter(pc.invert(smask))
+        check_unique_refs(m.column("media_ref"))
         idx = pc.index_in(
             s.column("media_ref").combine_chunks(),
             value_set=m.column("media_ref").combine_chunks(),
@@ -556,39 +536,18 @@ def join_media_spans(
 
 class _SizeRouter:
     """Actor stage appending the size-aware ``route`` column: kind,
-    except pdf spans with ``n_pages >= heavy_page_threshold`` (looked
+    except pdf spans with ``n_pages >= HEAVY_PAGE_THRESHOLD`` (looked
     up in the broadcast media store — resolved ONCE per actor in
     ``__init__``, zero-copy) which route to the dedicated heavy pool."""
 
-    def __init__(self, media_object_ref, heavy_page_threshold: int):
+    def __init__(self, media_object_ref):
         from ocr_pipeline_ray.state.media_store import BroadcastMediaStore
 
         self.store = BroadcastMediaStore(media_object_ref)
-        self.threshold = heavy_page_threshold
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
+        kind = batch.column("kind")
+        pages = pc.fill_null(self.store.n_pages(batch.column("media_ref")), 0)
+        heavy = pc.and_(pc.equal(kind, "pdf"), pc.greater_equal(pages, HEAVY_PAGE_THRESHOLD))
+        return batch.append_column("route", pc.if_else(heavy, "pdf_heavy", kind))
 
-        kinds = np.asarray(batch.column("kind").to_pylist(), dtype=object)
-        routes = kinds.copy()
-        # only pdf rows need the per-ref page lookup; text/image rows
-        # route vectorized by kind alone
-        pdf_idx = np.flatnonzero(kinds == "pdf")
-        if pdf_idx.size:
-            refs = batch.column("media_ref").take(pa.array(pdf_idx)).to_pylist()
-            heavy = [self.store.n_pages(r) >= self.threshold for r in refs]
-            routes[pdf_idx[np.asarray(heavy, dtype=bool)]] = "pdf_heavy"
-        return batch.append_column("route", pa.array(routes, pa.string()))
-
-
-def _restore_kind(kind: str):
-    """Hive partitioning strips/dictionary-encodes the partition column;
-    restore a plain string ``kind`` column in schema position."""
-
-    def _f(batch: pa.Table) -> pa.Table:
-        drop = [c for c in ("kind", "route") if c in batch.column_names]
-        if drop:
-            batch = batch.drop_columns(drop)
-        return batch.append_column("kind", pa.array([kind] * len(batch), pa.string()))
-
-    return _f

@@ -21,7 +21,8 @@ the docs view and the media side-table are lazy Datasets over the
 same pruned parquet read), media attaches via the bucketed hash join
 (``media_mode='join'`` — no driver-side media table), and the per-doc
 unwrap is another batch stage; the driver only ever holds the final
-query result.
+query result. The one exception is :func:`extract_split_kinds`, whose
+routing needs the broadcast store and so collects the media table.
 
 ``codec='ppm'`` swaps the synthetic payloads for REAL rasters
 (functions/ppm_ocr.py): media spans round-trip through an actual
@@ -30,6 +31,8 @@ P6-PPM decode -> glyph segmentation -> template-match OCR kernel
 """
 
 from __future__ import annotations
+
+import shutil
 
 import pandas as pd
 import pyarrow as pa
@@ -49,25 +52,18 @@ from ocr_pipeline_ray.functions.textstats import TOKEN_RE
 from ocr_pipeline_ray.pipelines.extract import build_extraction_pipeline
 from ocr_pipeline_ray.schema import DOCS_SCHEMA, MEDIA_SCHEMA
 
+# where extract_split_kinds stages its route partitions
+SPLIT_STAGE_DIR = "/tmp/ocr_ray_split_stage"
+
 _NAV = '<a href="/">home</a> | <a href="/a">about</a> | <a href="/c">contact</a>'
 
 
-def _wrap_row(doc_id_int: int, text: str, codec: str = "synthetic") -> tuple[str, list[dict], list[tuple]]:
-    """Full wrap (spans + media) — used by the inline fused topology,
-    which genuinely needs both halves in one pass. Pdf blocks are
-    stored out of reading order -> the decoder must re-sort; the text
-    span's expected extraction matches
-    trim(regexp_replace(text,'\\s+',' ','g'))."""
-    doc_id, spans = _wrap_spans_only(doc_id_int, text)
-    media = _wrap_media_only(doc_id_int, text, codec)
-    return doc_id, spans, media
-
-
 def _wrap_spans_only(doc_id_int: int, text: str) -> tuple[str, list[dict]]:
-    """The docs-side half of :func:`_wrap_row`: builds the HTML wrap
-    and span skeleton WITHOUT encoding any media payloads (the media
-    dataset does the complementary half — neither side pays for the
-    other's work)."""
+    """The docs-side half of the wrap: builds the HTML wrap and span
+    skeleton WITHOUT encoding any media payloads (the media dataset
+    does the complementary half — neither side pays for the other's
+    work). The text span's expected extraction matches
+    trim(regexp_replace(text,'\\s+',' ','g'))."""
     doc_id = f"doc-{doc_id_int:08d}"
     html = (
         f"<html><body><nav>{_NAV}</nav>"
@@ -115,8 +111,9 @@ def _wrap_media_batch(codec: str):
 
 
 def _wrap_media_only(doc_id_int: int, text: str, codec: str) -> list[tuple]:
-    """The media-side half of :func:`_wrap_row`: payload encoding
-    without rebuilding the HTML wrap."""
+    """The media-side half of the wrap: payload encoding without
+    rebuilding the HTML wrap. Pdf blocks are stored out of reading
+    order -> the decoder must re-sort."""
     doc_id = f"doc-{doc_id_int:08d}"
     toks = TOKEN_RE.findall(text)
     img_ref = f"mem://{doc_id}/1"
@@ -184,65 +181,6 @@ def _extract_interleaved(sf_dir: str, codec: str, engine_factory=None) -> "ray.d
     return out.map_batches(_unwrap_batch, batch_format="pyarrow")
 
 
-class _InlineFusedExtract:
-    """Payload-INLINE fused topology: documents batch -> wrapped span
-    rows with the media payload riding the row -> HTML strip ->
-    warm-engine media extract -> per-doc wide rows, all inside ONE
-    actor stage. Zero shuffle — the same doc-locality-by-construction
-    argument as extract.py's _ExtractPackAll (spans are created in
-    this batch and never leave it). This is the third media topology
-    next to broadcast (bench headline) and the bucketed join
-    (extract_interleaved): payloads that already live in the row
-    (inlined at ingest) need neither a store nor a shuffle.
-    """
-
-    def __init__(self, codec: str, engine_factory):
-        from ocr_pipeline_ray.stages.extract import InlineMediaExtract
-
-        self.codec = codec
-        self.inner = InlineMediaExtract(engine_factory)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        from ocr_pipeline_ray.stages.extract import strip_html_batch
-
-        ids, offs, kinds, texts, refs, payloads = [], [], [], [], [], []
-        doc_ints = []
-        for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-            doc_id, spans, media = _wrap_row(did, text, self.codec)
-            pay = {m[0]: m[2] for m in media}
-            doc_ints.append(did)
-            for s in spans:  # exactly 3 spans per doc, offsets 0,1,2
-                ids.append(doc_id)
-                offs.append(s["offset"])
-                kinds.append(s["kind"])
-                texts.append(s["text"])
-                refs.append(s["media_ref"])
-                payloads.append(pay.get(s["media_ref"]))
-        spans_t = pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(ids, pa.string()),
-                "offset": pa.array(offs, pa.int32()),
-                "kind": pa.array(kinds, pa.string()),
-                "text": pa.array(texts, pa.string()),
-                "media_ref": pa.array(refs, pa.string()),
-                "error": pa.array([""] * len(ids), pa.string()),
-                "size_hint": pa.array([1] * len(ids), pa.int32()),
-                "payload": pa.array(payloads, pa.binary()),
-            }
-        )
-        out = self.inner(strip_html_batch(spans_t))
-        # rows stay in emit order: 3 consecutive rows per doc
-        ex = out["text"].to_pylist()
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(doc_ints, pa.int64()),
-                "text_extracted": pa.array(ex[0::3], pa.string()),
-                "image_extracted": pa.array(ex[1::3], pa.string()),
-                "pdf_extracted": pa.array(ex[2::3], pa.string()),
-            }
-        )
-
-
 def extract_interleaved(sf_dir: str) -> pd.DataFrame:
     """Run the full extraction engine; return per-doc extracted texts.
 
@@ -254,22 +192,14 @@ def extract_interleaved(sf_dir: str) -> pd.DataFrame:
 
 
 def extract_interleaved_ppm(sf_dir: str) -> pd.DataFrame:
-    """Flagship variant on the REAL raster kernel AND the inline
-    topology: media payloads are P6 PPM images / block containers
-    riding the row, and the warm-engine actor pool actually decodes
-    pixels (functions/ppm_ocr.py) — fused, zero shuffle. The raster
+    """Flagship variant on the REAL raster kernel: media payloads are
+    P6 PPM images / block containers, joined to their spans like
+    :func:`extract_interleaved`, and the warm-engine actor pool
+    actually decodes pixels (functions/ppm_ocr.py). The raster
     alphabet uppercases text, so the oracle applies upper() to the
     media spans."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(
-        _InlineFusedExtract,
-        fn_constructor_kwargs={"codec": "ppm", "engine_factory": PpmOcrEngine},
-        batch_format="pyarrow",
-        batch_size=None,
-        concurrency=(1, 8),
-    )
-    return ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
+    df = _extract_interleaved(sf_dir, "ppm", PpmOcrEngine).to_pandas()
+    return df.sort_values("doc_id").reset_index(drop=True)
 
 
 def extract_span_stats(sf_dir: str) -> pd.DataFrame:
@@ -411,23 +341,24 @@ FROM documents ORDER BY doc_id
 
 def extract_split_kinds(sf_dir: str) -> pd.DataFrame:
     """The SKEW-ROUTED extraction topology under the oracle gate:
-    ``split_kinds=True`` stages exploded span rows to disk partitioned
-    by kind, routes light HTML rows through stateless tasks and
-    image/pdf rows through dedicated actor pools (pdf with the small
-    batch cap — the north rule's heavy-row requirement), then
-    reassembles through the bucketized doc_id shuffle. The output
-    must be IDENTICAL to the fused single-pass topology — same oracle
-    as `extract_interleaved`, so topology choice provably never
-    changes results.
+    ``split_kinds=True`` stages exploded span rows under
+    :data:`SPLIT_STAGE_DIR` partitioned by route, routes light HTML
+    rows through stateless tasks and image/pdf rows through dedicated
+    actor pools (pdf with the small batch cap — the north rule's
+    heavy-row requirement), then reassembles through the bucketized
+    doc_id shuffle. Routing reads page counts from the broadcast
+    store, so the media Dataset is collected into one Arrow table
+    (broadcast is the small-media regime by definition). The output
+    must be IDENTICAL to the join topology — same oracle as
+    `extract_interleaved`, so topology choice provably never changes
+    results.
     """
-    import shutil as _shutil
-
-    stage = "/tmp/ocr_ray_split_stage"
-    _shutil.rmtree(stage, ignore_errors=True)
+    shutil.rmtree(SPLIT_STAGE_DIR, ignore_errors=True)
 
     docs, media = interleaved_datasets(sf_dir, "synthetic")
+    media_table = pa.concat_tables(ray.get(media.to_arrow_refs()))
     out = build_extraction_pipeline(
-        docs, media, media_mode="join", split_kinds=True, stage_dir=stage
+        docs, media_table, split_kinds=True, stage_dir=SPLIT_STAGE_DIR
     )
 
     df = out.map_batches(_unwrap_batch, batch_format="pyarrow").to_pandas()

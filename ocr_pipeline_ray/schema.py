@@ -55,6 +55,5 @@ SPAN_ROWS_SCHEMA = pa.schema(
         pa.field("text", pa.string()),
         pa.field("media_ref", pa.string()),
         pa.field("error", pa.string()),
-        pa.field("size_hint", pa.int32()),
     ]
 )

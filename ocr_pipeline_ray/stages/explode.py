@@ -1,7 +1,7 @@
 """Explode doc rows into span rows — vectorized, zero-copy Arrow.
 
 One doc row ``(doc_id, spans: list<struct>)`` becomes N span rows
-``(doc_id, offset, kind, text, media_ref, error, size_hint)``. This
+``(doc_id, offset, kind, text, media_ref, error)``. This
 replaces the reference's per-region fan-out where region identity is
 packed into a composite string key (reference std-detection/api.py:108,
 parsed back at pipeline/file_utils.py:17-22) with explicit columns.
@@ -34,12 +34,9 @@ def explode_batch(batch: pa.Table) -> pa.Table:
     text = pc.struct_field(flat, "text")
     media_ref = pc.struct_field(flat, "media_ref")
     offset = pc.struct_field(flat, "offset")
-    # size_hint: chars of inline payload (text spans); media size is
-    # resolved at the media stage (n_pages drives the heavy route).
-    size_hint = pc.cast(pc.utf8_length(pc.fill_null(text, "")), pa.int32())
     error = pa.nulls(len(flat), pa.string()).fill_null("")
     out = pa.Table.from_arrays(
-        [doc_id, offset, kind, text, media_ref, error, size_hint], names=SPAN_ROWS_SCHEMA.names
+        [doc_id, offset, kind, text, media_ref, error], names=SPAN_ROWS_SCHEMA.names
     )
     empty = pc.equal(pc.fill_null(pc.list_value_length(spans), 0), 0)
     if not pc.any(empty).as_py():
@@ -48,16 +45,8 @@ def explode_batch(batch: pa.Table) -> pa.Table:
     n = len(ids)
     placeholders = pa.Table.from_pydict(
         {"doc_id": ids, "offset": [None] * n, "kind": ["text"] * n, "text": [""] * n,
-         "media_ref": [""] * n, "error": [""] * n, "size_hint": [0] * n},
+         "media_ref": [""] * n, "error": [""] * n},
         schema=SPAN_ROWS_SCHEMA,
     )
     return pa.concat_tables([out, placeholders.cast(out.schema)])
 
-
-def filter_kind(kinds: tuple[str, ...]):
-    """Vectorized kind-predicate for use inside ``map_batches``."""
-
-    def _f(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch.column("kind"), value_set=pa.array(kinds)))
-
-    return _f

@@ -10,6 +10,8 @@ re-expressed as Ray Data ``map_batches`` stages:
   broadcast media store; ``__init__`` once per actor, ``__call__`` per
   batch. Swap ``SyntheticEngine`` for a PaddleOCR/Tesseract/pdfium
   wrapper to run real models behind the identical plumbing.
+* :class:`InlineMediaExtract` — the same loop over rows whose
+  ``payload`` the media join already attached (no store).
 
 Error semantics: every input span row stays in the output; failures set
 ``text=""`` and put the message in the ``error`` column
@@ -60,7 +62,8 @@ class SyntheticEngine:
 
 
 class MediaExtractActor:
-    """Actor-pool stage for media spans (image and/or pdf).
+    """Actor-pool stage for media spans (image and/or pdf): the
+    package's one per-span engine loop, which every topology runs.
 
     Use via::
 
@@ -70,7 +73,10 @@ class MediaExtractActor:
                        batch_format="pyarrow")
 
     ``__init__`` runs once per actor: resolve the broadcast media store
-    and warm the engine. ``__call__`` runs per batch.
+    and warm the engine. ``__call__`` runs per batch: a batch without a
+    ``payload`` column gets one from the store (one vectorized lookup
+    per batch), the engine extracts every media span, and ``payload``
+    is dropped from the output.
     """
 
     def __init__(self, media_object_ref, engine_factory=SyntheticEngine):
@@ -78,47 +84,8 @@ class MediaExtractActor:
         self.engine = engine_factory()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        kinds = batch.column("kind").to_pylist()
-        refs = batch.column("media_ref").to_pylist()
-        texts = batch.column("text").to_pylist()
-        errors = batch.column("error").to_pylist()
-        sizes = batch.column("size_hint").to_pylist()
-        for j, (k, ref) in enumerate(zip(kinds, refs)):
-            if k == "text":
-                continue
-            payload = self.store.get(ref)
-            if payload is None:
-                texts[j], errors[j] = "", "media_ref not found"
-                continue
-            try:
-                texts[j] = self.engine.extract(k, ref, payload)
-                sizes[j] = self.store.n_pages(ref)
-            except Exception as e:  # keep the span, carry the error in-band
-                texts[j], errors[j] = "", f"extract failed: {e}"
-        out = batch.set_column(
-            batch.schema.get_field_index("text"), "text", pa.array(texts, pa.string())
-        )
-        out = out.set_column(
-            out.schema.get_field_index("error"), "error", pa.array(errors, pa.string())
-        )
-        out = out.set_column(
-            out.schema.get_field_index("size_hint"), "size_hint", pa.array(sizes, pa.int32())
-        )
-        return out
-
-
-class InlineMediaExtract:
-    """Media extraction over rows that already carry ``payload`` inline
-    (the bucketed-join media path for media too large to broadcast).
-
-    Stateless w.r.t. media (the payload is in the row); still an actor
-    pool so a real engine stays warm across batches.
-    """
-
-    def __init__(self, engine_factory=SyntheticEngine):
-        self.engine = engine_factory()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
+        if "payload" not in batch.column_names:
+            batch = batch.append_column("payload", self.store.payloads(batch.column("media_ref")))
         kinds = batch.column("kind").to_pylist()
         refs = batch.column("media_ref").to_pylist()
         payloads = batch.column("payload").to_pylist()
@@ -132,7 +99,7 @@ class InlineMediaExtract:
                 continue
             try:
                 texts[j] = self.engine.extract(k, ref, payload)
-            except Exception as e:
+            except Exception as e:  # keep the span, carry the error in-band
                 texts[j], errors[j] = "", f"extract failed: {e}"
         out = batch.set_column(
             batch.schema.get_field_index("text"), "text", pa.array(texts, pa.string())
@@ -141,3 +108,14 @@ class InlineMediaExtract:
             out.schema.get_field_index("error"), "error", pa.array(errors, pa.string())
         )
         return out.drop_columns(["payload"])
+
+
+class InlineMediaExtract(MediaExtractActor):
+    """:class:`MediaExtractActor` over rows that already carry
+    ``payload`` inline (the bucketed-join media path for media too
+    large to broadcast): no store; still an actor pool so a real
+    engine stays warm across batches.
+    """
+
+    def __init__(self, engine_factory=SyntheticEngine):
+        self.engine = engine_factory()

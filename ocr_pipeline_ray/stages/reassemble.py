@@ -19,63 +19,27 @@ import pyarrow.compute as pc
 from ocr_pipeline_ray.schema import SPAN_STRUCT
 
 
-def pack_group(group: pa.Table) -> pa.Table:
-    """One doc's span rows -> one doc row with spans sorted by offset."""
-    order = pc.sort_indices(group.column("offset"))
-    g = group.take(order)
-    struct = pa.StructArray.from_arrays(
-        [
-            g.column("kind").combine_chunks(),
-            g.column("text").combine_chunks(),
-            g.column("media_ref").combine_chunks(),
-            g.column("offset").combine_chunks(),
-        ],
-        fields=list(SPAN_STRUCT),
-    )
-    spans = pa.ListArray.from_arrays(pa.array([0, len(g)], pa.int32()), struct)
-    n_errors = int(pc.sum(pc.not_equal(g.column("error"), "")).as_py() or 0)
-    return pa.Table.from_arrays(
-        [
-            g.column("doc_id").slice(0, 1),
-            spans,
-            pa.array([len(g)], pa.int32()),
-            pa.array([n_errors], pa.int32()),
-        ],
-        names=["doc_id", "spans", "n_spans", "n_errors"],
-    )
-
-
 def pack_bucket(group: pa.Table) -> pa.Table:
     """Vectorized pack of ONE HASH BUCKET of doc_ids (many docs per
     UDF call): sort by (doc_id, offset) once, find doc boundaries with
     numpy, build the list<struct> column with Arrow offset arithmetic.
 
-    Replaces per-doc ``pack_group`` calls (~0.1-0.5 ms Python overhead
-    each — at 10^12 docs that is pure overhead) with one Arrow kernel
-    pass per bucket.
+    One Arrow kernel pass per bucket instead of a pack call per doc
+    (~0.1-0.5 ms Python overhead each — at 10^12 docs that is pure
+    overhead).
     """
     import numpy as np
 
-    if len(group) == 0:
-        # empty block (e.g. an empty input shard through the fused
-        # local-pack path) -> typed empty doc table, not an IndexError
-        return pa.Table.from_arrays(
-            [
-                pa.array([], pa.string()),
-                pa.array([], pa.list_(SPAN_STRUCT)),
-                pa.array([], pa.int32()),
-                pa.array([], pa.int32()),
-            ],
-            names=["doc_id", "spans", "n_spans", "n_errors"],
-        )
     order = pc.sort_indices(
         group, sort_keys=[("doc_id", "ascending"), ("offset", "ascending")]
     )
     g = group.take(order)
     ids = np.asarray(g.column("doc_id").to_pandas(), dtype=object)
     n = len(ids)
-    change = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-    bounds = np.concatenate(([0], change, [n]))
+    # first row of each doc; none for an empty block (e.g. an empty
+    # input shard through the fused local-pack path)
+    starts = np.flatnonzero(np.concatenate(([n > 0], ids[1:] != ids[:-1])))
+    bounds = np.append(starts, n)
     struct = pa.StructArray.from_arrays(
         [
             g.column("kind").combine_chunks(),
@@ -94,11 +58,11 @@ def pack_bucket(group: pa.Table) -> pa.Table:
         list_bounds = np.concatenate(([0], np.cumsum(real)))[bounds]
     spans = pa.ListArray.from_arrays(pa.array(list_bounds, pa.int32()), struct)
     err = (np.asarray(g.column("error").to_pandas(), dtype=object) != "").astype(np.int64)
-    n_errors = np.add.reduceat(err, bounds[:-1]) if n else np.empty(0, np.int64)
+    n_errors = np.add.reduceat(err, starts)
     n_spans = np.diff(list_bounds)
     return pa.Table.from_arrays(
         [
-            pa.array(ids[bounds[:-1]], pa.string()),
+            pa.array(ids[starts], pa.string()),
             spans,
             pa.array(n_spans, pa.int32()),
             pa.array(n_errors, pa.int32()),
@@ -189,6 +153,42 @@ def default_num_buckets(
     if size is None:
         return floor
     return max(floor, -(-int(size) // target_bucket_bytes))
+
+
+def detect_hot_keys(
+    ds: "ray.data.Dataset",
+    col: str,
+    hot_fraction: float = 0.05,
+    sample_batches: int = 8,
+    exclude=None,
+) -> list:
+    """Sampled hot-key detection for shuffle salting: per-batch value
+    counts over the first ``sample_batches`` batches (streaming take —
+    the dataset is not fully executed), combined on the driver; keys
+    holding more than ``hot_fraction`` of sampled rows are hot.
+    Deterministic for a deterministic input order. ``exclude`` drops
+    one sentinel value BEFORE counting (it neither qualifies as hot nor
+    dilutes the fraction denominator) — the media join uses this for
+    the empty-ref text rows, which have their own deterministic spread.
+    This is the ONE hot-detection implementation in the repo: the media
+    join (``detect_hot_refs``) and the analytics joins
+    (``relational.shuffle_hash_join``) both call it."""
+    import itertools
+
+    counts: dict = {}
+    total = 0
+    it = ds.iter_batches(batch_size=4096, batch_format="pandas")
+    for df in itertools.islice(it, sample_batches):
+        s = df[col]
+        if exclude is not None:
+            s = s[s != exclude]
+        vc = s.value_counts()
+        total += int(vc.sum())
+        for k, n in vc.items():
+            counts[k] = counts.get(k, 0) + int(n)
+    if not total:
+        return []
+    return sorted(k for k, n in counts.items() if n / total > hot_fraction)
 
 
 def reassemble(span_rows_ds, num_buckets: int | None = None):

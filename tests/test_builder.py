@@ -1,48 +1,4 @@
-import pytest
 import pyarrow.parquet as pq
-
-from ocr_pipeline_ray.pipelines.builder import build_from_config, register_stage
-
-
-def test_config_pipeline_matches_golden(small_corpus, tmp_path):
-    docs, media, golden = small_corpus
-    cfg = {
-        "source": {"table": docs},
-        "stages": [
-            {"stage": "explode"},
-            {"stage": "extract", "batch_size": 512},
-            {"stage": "reassemble"},
-        ],
-        "sink": {"path": str(tmp_path / "out")},
-    }
-    build_from_config(cfg, media=media)
-    out = pq.read_table(str(tmp_path / "out"))
-    got = {
-        r["doc_id"]: [(s["kind"], s["text"], s["media_ref"], s["offset"]) for s in r["spans"]]
-        for r in out.to_pylist()
-    }
-    want = {
-        r["doc_id"]: [(s["kind"], s["text"], s["media_ref"], s["offset"]) for s in r["spans"]]
-        for r in golden.to_pylist()
-    }
-    assert got == want
-
-
-def test_unknown_stage_raises(small_corpus):
-    docs, media, _ = small_corpus
-    with pytest.raises(KeyError, match="unknown stage"):
-        build_from_config({"source": {"table": docs}, "stages": [{"stage": "nope"}]})
-
-
-def test_custom_stage_registration(small_corpus):
-    docs, media, _ = small_corpus
-
-    @register_stage("head1000")
-    def _head(ds, ctx, **kw):
-        return ds.limit(50)
-
-    cfg = {"source": {"table": docs}, "stages": [{"stage": "head1000"}]}
-    assert build_from_config(cfg).count() == 50
 
 
 def test_auto_join_routes_and_matches_pandas():

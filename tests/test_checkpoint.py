@@ -256,7 +256,6 @@ def test_zero_span_doc_is_committed(tmp_path):
     [
         ({"split_kinds": True, "stage_dir": "/nonexistent"}, "split_kinds"),
         ({"media_mode": "join"}, "media_mode"),
-        ({"local_reassembly": False}, "local_reassembly"),
     ],
 )
 def test_options_that_break_doc_locality_fail_fast(corpus, tmp_path, kwargs, reason):
@@ -265,3 +264,14 @@ def test_options_that_break_doc_locality_fail_fast(corpus, tmp_path, kwargs, rea
     with pytest.raises(ValueError, match=reason):
         run_partitioned_extraction(paths["docs"], media, out, n_parts=2, **kwargs)
     assert not os.path.exists(out)
+
+
+def test_duplicate_media_ref_fails_the_job(corpus, tmp_path):
+    """The job broadcasts its media through the same checked entry as
+    the pipeline: a duplicated ref fails before any partition commits."""
+    paths, media = corpus
+    media = pa.concat_tables([media, media.slice(0, 1)])
+    out = str(tmp_path / "dup")
+    with pytest.raises(ValueError, match="duplicate media_ref"):
+        run_partitioned_extraction(paths["docs"], media, out, n_parts=2)
+    assert committed_partitions(out) == set()

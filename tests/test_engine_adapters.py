@@ -89,7 +89,7 @@ def test_paddle_adapter_wiring_with_stubbed_library(monkeypatch):
 def test_paddle_adapter_through_actor_plumbing(monkeypatch):
     """The adapter behind the SAME MediaExtractActor plumbing the
     pipeline uses (in-process: module stubs don't cross Ray workers) —
-    store lookup, engine call, size_hint, and the in-band error
+    store lookup, engine call, and the in-band error
     channel for a missing media_ref."""
     _install_fake_paddleocr(
         monkeypatch, [[[[0, 0], [9, 0], [9, 9], [0, 9]], ("ok", 1.0)]]
@@ -116,7 +116,6 @@ def test_paddle_adapter_through_actor_plumbing(monkeypatch):
             "text": ["", ""],
             "media_ref": ["m-1", "m-MISSING"],
             "error": ["", ""],
-            "size_hint": pa.array([0, 0], pa.int32()),
         }
     )
     out = actor(batch)

@@ -3,8 +3,8 @@ process exit, not a Python exception) must restart and its in-flight
 batch must be retried, with the final output still golden-equal.
 
 Formalizes the reference's declared-but-unwired retry policy
-(reference configs/config.yml:24-25 ``retries: 5``) as explicit
-``max_restarts`` / ``max_task_retries`` on the extract actor pool.
+(reference configs/config.yml:24-25 ``retries: 5``): Ray Data's
+actor pools restart the dead actor and re-submit its batch.
 """
 
 import pyarrow.parquet as pq
@@ -35,7 +35,6 @@ def test_actor_killed_mid_run_still_golden(tmp_path):
             media,
             engine_factory=chaos.KillOnceEngine,
             extract_concurrency=2,
-            text_batch_size=64,  # many tasks -> the crash lands mid-run
         )
         out_dir = str(tmp_path / "out")
         out.write_parquet(out_dir)
@@ -67,7 +66,6 @@ def test_actor_killed_mid_run_join_topology_still_golden(tmp_path):
             media,
             media_mode="join",
             engine_factory=chaos.KillOnceEngine,
-            image_batch_size=64,
         )
         out_dir = str(tmp_path / "out")
         out.write_parquet(out_dir)

@@ -44,7 +44,6 @@ def _planted(n_hot=2000, n_cold=1500, n_text=500):
             "text": pa.array(["x"] * n, pa.string()),
             "media_ref": pa.array(refs, pa.string()),
             "error": pa.array([""] * n, pa.string()),
-            "size_hint": pa.array([0] * n, pa.int32()),
         }
     )
     media_refs = ["hot-logo"] + [f"m{i:05d}" for i in range(n_cold)]
@@ -124,3 +123,32 @@ def test_pinned_hot_refs_and_disabled_agree(ray_session):
         for r in df[["doc_id", "offset", "media_ref", "payload"]].itertuples(index=False)
     )
     assert key(a) == key(b)
+
+
+def test_extraction_path_imports_no_analytics_module(ray_session):
+    """The extraction modules, and the media join's hot-ref detection,
+    import nothing from the analytics collection: a cold
+    ``pipelines.relational`` import costs about half a second, which
+    the join's warm-up pass would pay."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys, pyarrow as pa, ray, ray.data\n"
+        "import ocr_pipeline_ray.pipelines.checkpoint\n"
+        "import ocr_pipeline_ray.pipelines.interleave\n"
+        "from ocr_pipeline_ray.pipelines.extract import detect_hot_refs\n"
+        "ray.init(logging_level='ERROR')\n"
+        "spans = pa.table({'media_ref': ['a', 'a', 'a', 'b', '']})\n"
+        "assert detect_hot_refs(ray.data.from_arrow(spans), hot_fraction=0.5) == ['a']\n"
+        "ray.shutdown()\n"
+        "print('ocr_pipeline_ray.pipelines.relational' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": root,
+           "RAY_ADDRESS": ray.get_runtime_context().gcs_address}
+    r = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr[-3000:]
+    assert r.stdout.strip().splitlines()[-1] == "False"

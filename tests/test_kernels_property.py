@@ -129,7 +129,7 @@ def test_shuffle_hash_join_salted_hot_key_matches_pandas():
 
 
 def test_detect_hot_keys_finds_planted_skew():
-    from ocr_pipeline_ray.pipelines.relational import detect_hot_keys
+    from ocr_pipeline_ray.stages.reassemble import detect_hot_keys
 
     rng = np.random.default_rng(9)
     keys = np.where(rng.random(20_000) < 0.4, 7, rng.integers(100, 5000, 20_000))

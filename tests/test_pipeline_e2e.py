@@ -101,16 +101,68 @@ def test_wide_row_doc(small_corpus):
     assert got[4999]["text"].endswith("span 4999 text")
 
 
-def test_batch_size_invariance(small_corpus):
-    """Results identical for batch_size 1 vs 64 (the property the
-    reference asserts informally at str-recognition/processor.py:137)."""
-    docs, media, golden = small_corpus
+@pytest.mark.parametrize("topology", ["fused", "join", "split_kinds"])
+def test_partitioning_invariance(small_corpus, topology, tmp_path):
+    """The same docs as 1 input block and as 40 give equal output on
+    every topology (the property the reference asserts informally at
+    str-recognition/processor.py:137)."""
+    docs, media, _ = small_corpus
     small = docs.slice(0, 40)
-    ds1 = ray.data.from_arrow(small)
-    ds2 = ray.data.from_arrow(small)
-    out1 = build_extraction_pipeline(ds1, media, text_batch_size=1)
-    out2 = build_extraction_pipeline(ds2, media, text_batch_size=64)
-    assert _spans_map(out1) == _spans_map(out2)
+    kwargs = {"fused": {}, "join": {"media_mode": "join"}, "split_kinds": {"split_kinds": True}}
+    outs = []
+    for n_blocks in (1, 40):
+        if topology == "split_kinds":
+            kwargs["split_kinds"]["stage_dir"] = str(tmp_path / f"stage{n_blocks}")
+        ds = ray.data.from_arrow(small).repartition(n_blocks)
+        outs.append(_spans_map(build_extraction_pipeline(ds, media, **kwargs[topology])))
+    assert len(outs[0]) == 40
+    assert outs[0] == outs[1]
+
+
+def test_split_kinds_with_join_raises(small_corpus, tmp_path):
+    """The split topology routes on the broadcast store's page counts;
+    combined with the join it used to fall through to the join alone."""
+    docs, media, _ = small_corpus
+    with pytest.raises(ValueError, match="split_kinds"):
+        build_extraction_pipeline(
+            ray.data.from_arrow(docs), media, media_mode="join",
+            split_kinds=True, stage_dir=str(tmp_path / "stage"),
+        )
+
+
+def _with_duplicate_ref(media):
+    """The media table plus a second row for its first media_ref,
+    carrying a different payload."""
+    import pyarrow as pa
+
+    dup = media.slice(0, 1)
+    dup = dup.set_column(
+        dup.schema.get_field_index("payload"), "payload", pa.array([b"other"], pa.binary())
+    )
+    return pa.concat_tables([media, dup]), media.column("media_ref")[0].as_py()
+
+
+def test_duplicate_media_ref_fails_fused(small_corpus):
+    docs, media, _ = small_corpus
+    media, ref = _with_duplicate_ref(media)
+    with pytest.raises(ValueError, match=f"duplicate media_ref '{ref}'"):
+        build_extraction_pipeline(ray.data.from_arrow(docs), media)
+
+
+def test_duplicate_media_ref_fails_join(small_corpus):
+    docs, media, _ = small_corpus
+    media, ref = _with_duplicate_ref(media)
+    out = build_extraction_pipeline(ray.data.from_arrow(docs), media, media_mode="join")
+    with pytest.raises(Exception, match=f"duplicate media_ref '{ref}'"):
+        out.materialize()
+
+
+def test_dataset_in_broadcast_mode_fails_before_execution(small_corpus):
+    """Broadcast takes a pa.Table; a Dataset used to die in the pool
+    constructor seconds into the run."""
+    docs, media, _ = small_corpus
+    with pytest.raises(ValueError, match="media_mode=\"join\""):
+        build_extraction_pipeline(ray.data.from_arrow(docs), ray.data.from_arrow(media))
 
 
 def test_media_remote_args_reach_map_batches(small_corpus, monkeypatch):
@@ -168,8 +220,8 @@ def _oracle_map(docs, media) -> dict[str, list[tuple]]:
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{}, {"local_reassembly": False}, {"media_mode": "join"}, {"split_kinds": True}],
-    ids=["fused", "shuffle", "join", "split_kinds"],
+    [{}, {"media_mode": "join"}, {"split_kinds": True}],
+    ids=["fused", "join", "split_kinds"],
 )
 def test_zero_span_doc_kept(kwargs, tmp_path):
     """A doc whose span list is empty stays in the output with
@@ -190,3 +242,17 @@ def test_zero_span_doc_kept(kwargs, tmp_path):
     assert _golden_map(got) == _oracle_map(docs, media)
     row = {r["doc_id"]: r for r in got.to_pylist()}["doc-00000003"]
     assert row["n_spans"] == 0 and row["spans"] == []
+
+
+def test_empty_block_packs_to_typed_empty_table(small_corpus):
+    """An empty input block (e.g. an empty shard on the fused path)
+    packs to zero docs with the output schema."""
+    from ocr_pipeline_ray.pipelines.extract import SPAN_COLS
+    from ocr_pipeline_ray.stages.explode import explode_batch
+    from ocr_pipeline_ray.stages.reassemble import pack_bucket
+
+    docs, _, _ = small_corpus
+    full = pack_bucket(explode_batch(docs.slice(0, 3)).select(SPAN_COLS))
+    empty = pack_bucket(explode_batch(docs.slice(0, 0)).select(SPAN_COLS))
+    assert empty.num_rows == 0
+    assert empty.schema == full.schema
