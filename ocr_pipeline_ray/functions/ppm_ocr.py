@@ -10,9 +10,9 @@ str-recognition/api.py:97-124) is proven here with real compute:
   a fixed 5x7 bitmap font (the test-side "camera").
 * ``decode_text_ppm`` parses the P6 header/pixels into a numpy
   raster, segments fixed-pitch glyph cells, and template-matches each
-  cell against the font by Hamming distance — an actual
-  decode -> segment -> classify OCR pipeline, deterministic and
-  dependency-free.
+  cell against the font by Hamming distance (:func:`_match_cells`: one
+  float32 matmul per raster) — an actual decode -> segment -> classify
+  OCR pipeline, deterministic and dependency-free.
 * ``PpmOcrEngine`` is a drop-in ``engine_factory`` for
   :class:`~ocr_pipeline_ray.stages.extract.MediaExtractActor` (the one
   engine loop of both the broadcast and the join topology): image
@@ -24,6 +24,7 @@ str-recognition/api.py:97-124) is proven here with real compute:
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -84,6 +85,15 @@ def _font_tensor() -> tuple[str, np.ndarray]:
 
 _FONT_CHARS, _FONT = _font_tensor()
 
+# Hamming distance of a 0/1 cell a to glyph b is |a| + |b| - 2 a.b,
+# i.e. a.(1 - 2b) + |b|: one matmul against this (35 x n_glyphs) weight
+# matrix plus the glyph norms. Every term is an integer of magnitude at
+# most 35, so float32 computes it exactly.
+_GLYPH_BITS = _FONT.reshape(len(_FONT_CHARS), -1).T.astype(np.float32)
+_MATCH_WEIGHTS = 1.0 - 2.0 * _GLYPH_BITS
+_GLYPH_NORMS = _GLYPH_BITS.sum(axis=0)
+_CHAR_CODES = np.frombuffer(_FONT_CHARS.encode("ascii"), dtype=np.uint8)
+
 
 def _normalize_ocr_text(text: str) -> str:
     """The raster alphabet is A-Z 0-9 _ and space; lowercase maps up,
@@ -107,9 +117,14 @@ def render_text_ppm(text: str) -> bytes:
     return header + rgb.tobytes()
 
 
-def parse_ppm(payload: bytes) -> np.ndarray:
-    """Parse a binary P6 PPM into an (h, w, 3) uint8 array (stdlib
-    header scan + numpy frombuffer; whitespace/comment tolerant)."""
+# the header render_text_ppm writes: magic, width, height and maxval as
+# plain decimals separated by whitespace, then one whitespace byte
+_PPM_HEADER = re.compile(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def _scan_ppm_header(payload: bytes) -> tuple[int, int, int, int]:
+    """General P6 header scan (whitespace and ``#`` comment tolerant):
+    ``(width, height, maxval, raster offset)``."""
     if not payload.startswith(b"P6"):
         raise ValueError("not a P6 PPM")
     # header = magic, width, height, maxval — each token separated by
@@ -126,38 +141,71 @@ def parse_ppm(payload: bytes) -> np.ndarray:
         j = i
         while j < len(payload) and not payload[j : j + 1].isspace():
             j += 1
+        if j == i:
+            raise ValueError("truncated PPM header")
         tokens.append(payload[i:j])
         i = j
     i += 1  # single whitespace after maxval
-    w, h, maxval = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    if maxval > 255:
-        raise ValueError("16-bit PPM not supported")
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise ValueError(f"PPM header fields {tokens!r} are not integers") from None
+    return w, h, maxval, i
+
+
+def parse_ppm(payload: bytes | memoryview) -> np.ndarray:
+    """Parse a binary P6 PPM into an (h, w, 3) uint8 array (a view of
+    ``payload``, no copy).
+
+    A header of plain decimal fields takes one regex match; any other
+    header (comments, signs, garbage) goes through the general scanner.
+    Either way a negative size, a maxval outside 1..255 or a raster
+    shorter than ``w*h*3`` bytes raises ``ValueError``."""
+    m = _PPM_HEADER.match(payload)
+    if m:
+        w, h, maxval, offset = int(m[1]), int(m[2]), int(m[3]), m.end()
+    else:
+        w, h, maxval, offset = _scan_ppm_header(bytes(payload))
+    if w < 0 or h < 0:
+        raise ValueError(f"negative PPM size {w}x{h}")
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"PPM maxval {maxval} outside 1..255 (16-bit PPM not supported)")
     n = w * h * 3
-    raster = np.frombuffer(payload, dtype=np.uint8, count=n, offset=i)
+    if len(payload) - offset < n:
+        raise ValueError(f"PPM raster truncated: {max(0, len(payload) - offset)} of {n} bytes")
+    raster = np.frombuffer(payload, dtype=np.uint8, count=n, offset=offset)
     return raster.reshape(h, w, 3)
 
 
-def decode_text_ppm(payload: bytes) -> str:
-    """OCR a rendered PPM: binarize, segment fixed-pitch cells, and
-    classify each cell by minimum Hamming distance to the font — the
-    match is computed for ALL cells against ALL glyphs in one einsum
-    (vectorized template matching, no per-pixel Python)."""
-    img = parse_ppm(payload)
-    bits = (img[:, :, 0] > 127).astype(np.uint8)  # binarize the red channel
+def _glyph_cells(payload: bytes | memoryview) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a text raster, binarize its red channel and segment it into
+    fixed-pitch glyph cells: ``(bits (h, w) bool, cells (n_cells, 35))``."""
+    bits = parse_ppm(payload)[:, :, 0] > 127
     h, w = bits.shape
     if h != GLYPH_H:
         raise ValueError(f"unsupported raster height {h}")
     n_cells = w // PITCH
-    if n_cells == 0:
-        return ""
     usable = bits[:, : n_cells * PITCH].reshape(GLYPH_H, n_cells, PITCH)
-    cells = usable.transpose(1, 0, 2)[:, :, :GLYPH_W]
-    # Hamming distance cell x glyph: xor == (a + b - 2ab) for bits
-    a = cells.reshape(n_cells, -1).astype(np.int16)
-    b = _FONT.reshape(len(_FONT_CHARS), -1).astype(np.int16)
-    dist = (a[:, None, :] != b[None, :, :]).sum(axis=2)
-    best = dist.argmin(axis=1)
-    return "".join(_FONT_CHARS[k] for k in best).rstrip()
+    cells = usable[:, :, :GLYPH_W].transpose(1, 0, 2).reshape(n_cells, GLYPH_H * GLYPH_W)
+    return bits, cells
+
+
+def _match_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classify (n_cells, 35) 0/1 cells by minimum Hamming distance to
+    the font: ``(best glyph index per cell, (n_cells, n_glyphs) distance
+    matrix)``. A tie goes to the glyph that comes first in font order
+    (``argmin``)."""
+    dist = cells.astype(np.float32) @ _MATCH_WEIGHTS
+    dist += _GLYPH_NORMS
+    return dist.argmin(axis=1), dist
+
+
+def decode_text_ppm(payload: bytes | memoryview) -> str:
+    """OCR a rendered PPM: binarize, segment fixed-pitch cells, and
+    classify each cell by minimum Hamming distance to the font — one
+    matmul for all cells against all glyphs (:func:`_match_cells`)."""
+    best, _ = _match_cells(_glyph_cells(payload)[1])
+    return _CHAR_CODES[best].tobytes().decode("ascii").rstrip()
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +274,12 @@ def detect_boxes_ppm(
     """
     if link_refine:
         poly = True  # the reference forces poly under the refiner
-    img = parse_ppm(payload)
-    bits = (img[:, :, 0] > 127).astype(np.uint8)
-    h, w = bits.shape
-    if h != GLYPH_H:
-        raise ValueError(f"unsupported raster height {h}")
-    n_cells = w // PITCH
-    if n_cells == 0:
-        return []
-    usable = bits[:, : n_cells * PITCH].reshape(GLYPH_H, n_cells, PITCH)
-    cells = usable.transpose(1, 0, 2)[:, :, :GLYPH_W]
-    flat = cells.reshape(n_cells, -1)
-    lit = flat.sum(axis=1) > 0
-    a = flat.astype(np.int16)
-    b = _FONT.reshape(len(_FONT_CHARS), -1).astype(np.int16)
-    dist = (a[:, None, :] != b[None, :, :]).sum(axis=2)
-    best = dist.argmin(axis=1)
+    bits, cells = _glyph_cells(payload)
+    n_cells = len(cells)
+    lit = cells.any(axis=1)
+    best, dist = _match_cells(cells)
+    best_d = dist[np.arange(n_cells), best]
+    chars = _CHAR_CODES[best].tobytes().decode("ascii")
     # word runs of contiguous lit cells
     runs: list[tuple[int, int]] = []
     c = 0
@@ -268,8 +306,8 @@ def detect_boxes_ppm(
         for i, (c0, c1) in enumerate(grp):
             if i:
                 text += " " * (c0 - grp[i - 1][1])
-            text += "".join(_FONT_CHARS[k] for k in best[c0:c1])
-            tot_d += int(dist[np.arange(c0, c1), best[c0:c1]].sum())
+            text += chars[c0:c1]
+            tot_d += int(best_d[c0:c1].sum())
             tot_px += GLYPH_W * GLYPH_H * (c1 - c0)
         x0 = PITCH * grp[0][0]
         x1 = PITCH * (grp[-1][1] - 1) + GLYPH_W
@@ -310,17 +348,29 @@ def encode_pdf_ppm(blocks: list[tuple[int, int, str]]) -> bytes:
 def decode_pdf_ppm(payload: bytes) -> str:
     """Decode each block's raster, then join texts in READING ORDER
     (sort by (y, x)) — the layout-parse contract (reference pdf page
-    render -> block ordering -> OCR)."""
+    render -> block ordering -> OCR). Blocks decode in place (memoryview
+    slices); a truncated container or a block running past the payload
+    raises ``ValueError``."""
     if not payload.startswith(_PDF_MAGIC):
         raise ValueError("not a PPMPDF container")
+    view = memoryview(payload)
     i = len(_PDF_MAGIC)
+    if len(payload) < i + 4:
+        raise ValueError(f"truncated PPMPDF container: {len(payload)} bytes, no block count")
     (n,) = struct.unpack_from("<I", payload, i)
     i += 4
     blocks = []
-    for _ in range(n):
+    for k in range(n):
+        if len(payload) < i + 12:
+            raise ValueError(f"truncated PPMPDF container: block {k} of {n} has no header")
         y, x, ln = struct.unpack_from("<iiI", payload, i)
         i += 12
-        blocks.append((y, x, decode_text_ppm(payload[i : i + ln])))
+        if i + ln > len(payload):
+            raise ValueError(
+                f"PPMPDF block {k} runs past the payload "
+                f"({ln} bytes at offset {i} of {len(payload)})"
+            )
+        blocks.append((y, x, decode_text_ppm(view[i : i + ln])))
         i += ln
     blocks.sort(key=lambda b: (b[0], b[1]))
     return " ".join(b[2] for b in blocks if b[2])

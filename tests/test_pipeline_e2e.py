@@ -256,3 +256,78 @@ def test_empty_block_packs_to_typed_empty_table(small_corpus):
     empty = pack_bucket(explode_batch(docs.slice(0, 0)).select(SPAN_COLS))
     assert empty.num_rows == 0
     assert empty.schema == full.schema
+
+
+def test_fused_broadcast_runs_the_raster_engine():
+    """The fused broadcast topology with ``PpmOcrEngine``: real rasters
+    decode to their golden texts, and a corrupt image and a truncated
+    pdf stay in the output with empty text and one error each. The
+    packed rows carry only ``n_errors``, so the in-band error values
+    are read from the same extract stage run over the exploded spans."""
+    import pyarrow as pa
+
+    from ocr_pipeline_ray.functions.ppm_ocr import PpmOcrEngine, encode_pdf_ppm, render_text_ppm
+    from ocr_pipeline_ray.schema import DOCS_SCHEMA, MEDIA_SCHEMA
+    from ocr_pipeline_ray.stages.explode import explode_batch
+    from ocr_pipeline_ray.stages.extract import MediaExtractActor, strip_html_batch
+    from ocr_pipeline_ray.state.media_store import broadcast_media
+
+    pdf = encode_pdf_ppm([(5, 0, "second block"), (0, 9, "first 2"), (0, 0, "first 1")])
+    media = {
+        "mem://d0/1": ("image", render_text_ppm("Hello raster 42")),
+        "mem://d0/2": ("pdf", pdf),
+        "mem://d1/0": ("image", render_text_ppm("under_score OK")),
+        "mem://d2/0": ("image", b"P6\n-6 7 255\n" + bytes(126)),
+        "mem://d2/1": ("pdf", pdf[:-10]),
+        "mem://d2/2": ("image", render_text_ppm("after the bad ones")),
+    }
+    layout = {
+        "doc-0": [("text", "plain words"), ("image", "mem://d0/1"), ("pdf", "mem://d0/2")],
+        "doc-1": [("image", "mem://d1/0"), ("text", "tail text")],
+        "doc-2": [("image", "mem://d2/0"), ("pdf", "mem://d2/1"), ("image", "mem://d2/2")],
+    }
+    docs = pa.Table.from_pylist(
+        [
+            {
+                "doc_id": d,
+                "spans": [
+                    {"kind": k, "text": v, "media_ref": "", "offset": i}
+                    if k == "text"
+                    else {"kind": k, "text": "", "media_ref": v, "offset": i}
+                    for i, (k, v) in enumerate(spans)
+                ],
+            }
+            for d, spans in layout.items()
+        ],
+        schema=DOCS_SCHEMA,
+    )
+    media_t = pa.Table.from_pylist(
+        [{"media_ref": r, "kind": k, "payload": p, "n_pages": 1} for r, (k, p) in media.items()],
+        schema=MEDIA_SCHEMA,
+    )
+    golden = {
+        "doc-0": ["plain words", "HELLO RASTER 42", "FIRST 1 FIRST 2 SECOND BLOCK"],
+        "doc-1": ["UNDER_SCORE OK", "tail text"],
+        "doc-2": ["", "", "AFTER THE BAD ONES"],
+    }
+
+    out = build_extraction_pipeline(
+        ray.data.from_arrow(docs).repartition(2), media_t, engine_factory=PpmOcrEngine
+    )
+    rows = {r["doc_id"]: r for r in out.iter_rows()}
+    assert {d: [s["text"] for s in r["spans"]] for d, r in rows.items()} == golden
+    assert {d: r["n_spans"] for d, r in rows.items()} == {d: len(s) for d, s in layout.items()}
+    assert {d: r["n_errors"] for d, r in rows.items()} == {"doc-0": 0, "doc-1": 0, "doc-2": 2}
+
+    stage = MediaExtractActor(broadcast_media(media_t), engine_factory=PpmOcrEngine)
+    spans = stage(strip_html_batch(explode_batch(docs)))
+    errors = {
+        (d, o): e
+        for d, o, e in zip(*(spans.column(c).to_pylist() for c in ("doc_id", "offset", "error")))
+    }
+    assert len(errors) == 8
+    assert errors.pop(("doc-2", 0)) == "extract failed: negative PPM size -6x7"
+    assert errors.pop(("doc-2", 1)).startswith(
+        "extract failed: PPMPDF block 2 runs past the payload"
+    )
+    assert set(errors.values()) == {""}

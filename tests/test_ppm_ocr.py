@@ -158,3 +158,176 @@ def test_link_refiner_off_is_unchanged():
     p = render_text_ppm("HELLO WORLD X")
     assert detect_boxes_ppm(p) == detect_boxes_ppm(p, link_refine=False)
     assert [r["text"] for r in detect_boxes_ppm(p)] == ["HELLO", "WORLD", "X"]
+
+
+# ---------------------------------------------------------------------------
+# malformed input: headers and containers fail with a named ValueError
+# ---------------------------------------------------------------------------
+
+
+def _no_scanner(payload):
+    raise AssertionError("general header scanner called")
+
+
+@pytest.mark.parametrize(
+    "payload,via_scanner,match",
+    [
+        (b"P6\n-6 7 255\n" + bytes(126), True, "negative PPM size -6x7"),
+        (b"P6\n6 -7 255\n" + bytes(126), True, "negative PPM size 6x-7"),
+        (b"P6\n6 7 0\n" + bytes(126), False, "maxval 0 outside 1..255"),
+        (b"P6\n# c\n6 7 0\n" + bytes(126), True, "maxval 0 outside 1..255"),
+        (b"P6\n6 7 256\n" + bytes(252), False, "maxval 256 outside 1..255"),
+        (b"P6\n6 7 255\n" + bytes(125), False, "raster truncated: 125 of 126 bytes"),
+        (b"P6\n# c\n6 7 255\n" + bytes(10), True, "raster truncated: 10 of 126 bytes"),
+        (b"P6\n6 7", True, "truncated PPM header"),
+        (b"P6\n6 x 255\n", True, "are not integers"),
+        (b"P5\n6 7 255\n" + bytes(42), True, "not a P6 PPM"),
+    ],
+    ids=[
+        "negative-width", "negative-height", "maxval-0", "maxval-0-commented", "maxval-256",
+        "short-raster", "short-raster-commented", "cut-header", "non-integer", "not-p6",
+    ],
+)
+def test_parse_ppm_rejects_invalid_headers(monkeypatch, payload, via_scanner, match):
+    """Each problem raises a ValueError naming it, on the regex fast
+    path (scanner patched out) and on the general scanner alike."""
+    from ocr_pipeline_ray.functions import ppm_ocr
+
+    if not via_scanner:
+        monkeypatch.setattr(ppm_ocr, "_scan_ppm_header", _no_scanner)
+    with pytest.raises(ValueError, match=match):
+        parse_ppm(payload)
+
+
+def test_canonical_header_skips_the_general_scanner(monkeypatch):
+    from ocr_pipeline_ray.functions import ppm_ocr
+
+    monkeypatch.setattr(ppm_ocr, "_scan_ppm_header", _no_scanner)
+    assert decode_text_ppm(render_text_ppm("fast path 42")) == "FAST PATH 42"
+    assert decode_pdf_ppm(encode_pdf_ppm([(1, 0, "B"), (0, 0, "A")])) == "A B"
+    with pytest.raises(AssertionError, match="scanner called"):
+        parse_ppm(b"P6\n# a comment\n2 1\n255\n" + bytes(6))
+
+
+def test_decode_pdf_ppm_rejects_malformed_containers():
+    import struct
+
+    pdf = encode_pdf_ppm([(0, 0, "AB"), (1, 0, "CD")])
+    with pytest.raises(ValueError, match="truncated PPMPDF container: 10 bytes, no block count"):
+        decode_pdf_ppm(pdf[:10])
+    with pytest.raises(ValueError, match="truncated PPMPDF container: block 0 of 2 has no header"):
+        decode_pdf_ppm(pdf[:17])
+    with pytest.raises(ValueError, match="PPMPDF block 1 runs past the payload"):
+        decode_pdf_ppm(pdf[:-1])
+    # a length field past the end, with every raster byte still there
+    first_len = struct.unpack_from("<I", pdf, 12 + 8)[0]
+    second = 12 + 12 + first_len
+    y, x, ln = struct.unpack_from("<iiI", pdf, second)
+    longer = pdf[:second] + struct.pack("<iiI", y, x, ln + 100) + pdf[second + 12 :]
+    with pytest.raises(ValueError, match="PPMPDF block 1 runs past the payload"):
+        decode_pdf_ppm(longer)
+
+
+# ---------------------------------------------------------------------------
+# kernel equivalence: the vectorized matcher against a brute-force loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_classify(cells):
+    """Brute-force nearest glyph of each (7, 5) 0/1 cell: per-pixel
+    Hamming distance to every glyph; the first glyph in font order
+    wins a tie. Returns [(char, distance, n_tied_at_min)]."""
+    from ocr_pipeline_ray.functions.ppm_ocr import _FONT, _FONT_CHARS
+
+    out = []
+    for cell in cells.tolist():
+        dists = [
+            sum(cell[y][x] != int(glyph[y][x]) for y in range(7) for x in range(5))
+            for glyph in _FONT.tolist()
+        ]
+        best = min(range(len(dists)), key=lambda k: (dists[k], k))
+        out.append((_FONT_CHARS[best], dists[best], dists.count(dists[best])))
+    return out
+
+
+def _raster_of(cells, rng, tail=0):
+    """P6 payload whose red channel binarizes (> 127) to ``cells`` at
+    the 6 px pitch; green/blue, the gap column and ``tail`` trailing
+    columns (a partial cell) carry random bytes."""
+    import numpy as np
+
+    n = len(cells)
+    img = rng.integers(0, 256, size=(7, 6 * n + tail, 3), dtype=np.uint8)
+    for i, cell in enumerate(cells):
+        on = rng.integers(128, 256, size=(7, 5))
+        off = rng.integers(0, 128, size=(7, 5))
+        img[:, 6 * i : 6 * i + 5, 0] = np.where(cell == 1, on, off)
+    return f"P6\n{img.shape[1]} 7\n255\n".encode("ascii") + img.tobytes()
+
+
+def _reference_boxes(ref):
+    """Word regions of the reference classification: runs of lit cells
+    with their text and matched-pixel confidence."""
+    regions, c = [], 0
+    while c < len(ref):
+        if not ref[c][3]:
+            c += 1
+            continue
+        c0 = c
+        while c < len(ref) and ref[c][3]:
+            c += 1
+        run = ref[c0:c]
+        conf = 1.0 - sum(r[1] for r in run) / (35 * len(run))
+        regions.append(("".join(r[0] for r in run), round(conf, 4)))
+    return regions
+
+
+def _cell_sets():
+    """Random binary cells, noisy renders of every glyph, and cells
+    built halfway between two glyphs (a tie at equal distance)."""
+    import numpy as np
+
+    from ocr_pipeline_ray.functions.ppm_ocr import _FONT
+
+    rng = np.random.default_rng(5)
+    sets = []
+    for p in (0.05, 0.3, 0.5, 0.8):
+        sets.append((rng.random((40, 7, 5)) < p).astype(np.uint8))
+    for flips in (1, 3, 6):
+        noisy = _FONT.copy()
+        for cell in noisy:
+            idx = rng.choice(35, size=flips, replace=False)
+            cell.reshape(-1)[idx] ^= 1
+        sets.append(noisy[rng.permutation(len(noisy))])
+    ties = []
+    for _ in range(120):
+        a, b = rng.choice(len(_FONT), size=2, replace=False)
+        differ = np.flatnonzero(_FONT[a].reshape(-1) != _FONT[b].reshape(-1))
+        differ = differ[: len(differ) // 2 * 2]
+        cell = _FONT[a].reshape(-1).copy()
+        take_b = rng.choice(differ, size=len(differ) // 2, replace=False)
+        cell[take_b] = _FONT[b].reshape(-1)[take_b]
+        ties.append(cell.reshape(7, 5))
+    sets.append(np.stack(ties))
+    return sets
+
+
+def test_matcher_equals_brute_force_reference():
+    import numpy as np
+
+    from ocr_pipeline_ray.functions.ppm_ocr import detect_boxes_ppm
+
+    rng = np.random.default_rng(11)
+    tied = 0
+    for tail, cells in enumerate(_cell_sets()):
+        tail %= 6
+        payload = _raster_of(cells, rng, tail=tail)
+        ref = [(*r, bool(c.any())) for r, c in zip(_reference_classify(cells), cells)]
+        tied += sum(r[2] > 1 for r in ref)
+        assert decode_text_ppm(payload) == "".join(r[0] for r in ref).rstrip()
+        got = [(r["text"], r["confidence"]) for r in detect_boxes_ppm(payload)]
+        assert got == _reference_boxes(ref)
+    # the tie set really exercises the first-index tie-break
+    assert tied >= 50
+    # a raster narrower than one cell decodes to nothing
+    assert decode_text_ppm(_raster_of(np.zeros((0, 7, 5), np.uint8), rng, tail=5)) == ""
