@@ -16,7 +16,8 @@ Reference semantics preserved (see SURVEY.md):
   * every input span appears in the output; failures carry an in-band
     error channel (reference str-recognition/api.py:216-224).
   * stateful engines are loaded once per worker (reference
-    std-detection/api.py:40-60) — here: actor pools via ``map_batches``.
+    std-detection/api.py:40-60) — here: a per-process warm cache behind
+    stateless ``map_batches`` tasks.
 
 Nothing here calls ``ray.init()`` — sessions are owned by bench.py,
 CLI entry points, and the pytest fixture.

@@ -1,11 +1,11 @@
 """Chaos-testing engine: hard-kills its worker process once.
 
-Used by tests/test_fault_tolerance.py to prove the extract actor
-pool's ``max_restarts``/``max_task_retries`` policy recovers from a
-hard crash (OOM-kill / preemption analog) with golden output. Lives in
-the package (not the test module) so the RESTARTED actor can
-deserialize its constructor args — a worker restart re-imports the
-class by module path.
+Used by tests/test_fault_tolerance.py to prove that Ray's task retry
+(``max_retries``) recovers an extract task from a hard crash of its
+worker (OOM-kill / preemption analog) with golden output. Lives in the
+package (not the test module) so the worker that runs the RETRIED task
+can deserialize the engine factory — a fresh worker re-imports the
+class by module path and builds its own warm engine.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def disarm() -> None:
 
 
 class KillOnceEngine(SyntheticEngine):
-    """Kills the worker the first time any actor extracts while the
+    """Kills the worker the first time any process extracts while the
     kill-flag file exists; the flag is consumed atomically, so exactly
     one crash happens per armed run."""
 

@@ -2,15 +2,16 @@
 
 The flagship claim "real engines plug in" (SURVEY.md §2.7): each
 adapter is a picklable top-level class whose ``__init__`` loads the
-heavy library ONCE PER ACTOR — the warm-model pattern the reference
+heavy library ONCE PER WORKER PROCESS (the extract stages keep one
+warm engine per process) — the warm-model pattern the reference
 implements by loading ``craft_mlt_25k.pth`` once per process
 (reference std-detection/api.py:40-60) and the TPS-ResNet recognizer
 once per process (reference str-recognition/api.py:97-124) — and whose
 ``extract(kind, media_ref, payload) -> str`` matches
 :class:`~ocr_pipeline_ray.stages.extract.SyntheticEngine`, so it drops
 into ``build_extraction_pipeline(..., engine_factory=...)`` (add
-``media_remote_args={"num_gpus": ...}`` to size the pool for a GPU
-model). Every topology calls it from the one engine loop,
+``media_remote_args={"num_gpus": ...}`` to give each extract task a
+GPU share). Every topology calls it from the one engine loop,
 :class:`~ocr_pipeline_ray.stages.extract.MediaExtractActor`.
 
 Import-guarded: this container ships none of paddleocr / pytesseract /
@@ -60,12 +61,12 @@ def reading_order_join(lines: list[tuple[float, float, str]]) -> str:
 
 
 class PaddleOCREngine:
-    """PaddleOCR adapter (detector + recognizer, warm per actor).
+    """PaddleOCR adapter (detector + recognizer, warm per worker process).
 
     ``paddleocr.PaddleOCR`` bundles a DB-style detector and a CRNN
     recognizer — the same det->rec split the reference builds from
     CRAFT + TPS-ResNet (reference pipeline/app.py:157-212), here one
-    warm object per Ray actor instead of two HTTP services.
+    warm object per Ray worker process instead of two HTTP services.
     """
 
     def __init__(self, lang: str = "en", **ocr_kwargs):

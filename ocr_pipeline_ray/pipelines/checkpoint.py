@@ -12,8 +12,8 @@ per-partition lineage + metrics"):
   fragments; at cluster scale a partition is an input shard / key
   range).
 * Every uncommitted partition runs in **one** Ray Data execution
-  through one extract actor pool (one pool start-up and one plan build
-  per job, not per partition). The files are read partition-major with
+  (one plan build per job, not per partition) through the fused
+  extract task stage. The files are read partition-major with
   their paths; the fused extract stage writes each packed block under
   its partition's ``out/part-{i}.tmp/`` and emits only a per-partition
   summary row.
@@ -34,7 +34,6 @@ per-partition lineage + metrics"):
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
@@ -121,7 +120,7 @@ class _PartitionWriter:
     one summary row per input file slice.
 
     A file is named from its content (input file + first ``doc_id``),
-    so a block re-executed after an actor restart overwrites its file
+    so a block re-executed by a task retry overwrites its file
     instead of adding a duplicate; it is written under a hidden name
     and renamed, so a reader never sees half a file."""
 
@@ -278,19 +277,17 @@ def _run_todo(out_dir, parts, todo, media, on_part_done, pipeline_kwargs) -> Non
         for i in waiting:
             commit(i)
     finally:
-        # shut the execution down before returning or raising. The
-        # pool's last actor handles sit in reference cycles inside Ray
-        # Data, so collect them now: an actor lives (and holds its CPU)
-        # until then, and a traceback would keep it alive indefinitely
+        # shut the execution down (and cancel its running tasks) before
+        # returning or raising: a traceback would keep the generator,
+        # and with it the execution, alive indefinitely
         stream.close()
-        gc.collect()
 
 
 def _block_summaries(out_dir, file_part, media, pipeline_kwargs):
     """The job's one execution: yields the per-block summary batches.
     Every Dataset object lives in this generator's frame, so closing it
-    drops the pool's last actor handles even while a traceback keeps
-    the caller's frame alive."""
+    shuts the execution down even while a traceback keeps the caller's
+    frame alive."""
     ds = ray.data.read_parquet(list(file_part), include_paths=True)
     writer = _PartitionWriter(out_dir, file_part)
     out = build_extraction_pipeline(ds, broadcast_media(media), block_writer=writer, **pipeline_kwargs)

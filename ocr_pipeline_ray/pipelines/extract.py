@@ -5,7 +5,7 @@ Ray-Data-first shape (SURVEY.md §7)::
     read_parquet(docs)
       -> explode                                    # doc rows -> span rows
       -> strip_html                                 # vectorized text spans
-      -> MediaExtractActor (pool)                   # warm engines
+      -> MediaExtractActor (task)                   # warm engine per process
       -> pack                                       # ordered reassembly
       [-> write_parquet(out, partitioned)]
 
@@ -17,28 +17,33 @@ natively (SURVEY.md §2.4 G1).
 
 Every topology runs the same extract kernel,
 :class:`~ocr_pipeline_ray.stages.extract.MediaExtractActor`, which
-reads each media span's bytes from a ``payload`` column. Two
-topologies:
+reads each media span's bytes from a ``payload`` column. Every
+extraction stage is a stateless Ray Data task: ``map_batches`` gets a
+small picklable callable *instance* (media ref, engine factory), and
+the engine plus the resolved media store stay warm per worker process
+(:func:`~ocr_pipeline_ray.stages.extract.warm_state`), so no stage
+starts an actor pool and Ray Data may fuse the kernel with the read.
+Two topologies:
 
 * ``media_mode="broadcast"`` (default): the media table is put into
-  the object store once and ONE fused actor stage
+  the object store once and ONE fused task stage
   (:class:`_ExtractPackAll`) explodes a block of doc rows, strips
   HTML, fills ``payload`` from the store, extracts and packs the docs
   locally — zero shuffle.
 * ``media_mode="join"``: media too large to broadcast. A bucketed hash
   join on ``media_ref`` (:func:`join_media_spans`) attaches
-  ``payload`` to the span rows, an
-  :class:`~ocr_pipeline_ray.stages.extract.InlineMediaExtract` pool
-  extracts, and a ``doc_id`` shuffle reassembles.
+  ``payload`` to the span rows,
+  :class:`~ocr_pipeline_ray.stages.extract.InlineMediaExtract` tasks
+  extract, and a ``doc_id`` shuffle reassembles.
 
 One documented exception, ``split_kinds=True`` (broadcast only):
 size/kind-aware routing (north-rule skew requirement). The exploded
 span rows are staged to disk partitioned by route ONCE (so the
 branches do not re-execute the read), then light HTML rows flow
-through cheap stateless tasks while image/pdf rows get dedicated
-actor pools — pdf with a small batch cap and heavy pdfs with a
-smaller one (the analog of the reference's 350-crop GPU batch cap,
-reference README.md:84-88) — and a ``doc_id`` shuffle reassembles.
+through the strip task while image/pdf rows get their own extract
+branches — pdf with a small batch cap and heavy pdfs with a smaller
+one (the analog of the reference's 350-crop GPU batch cap, reference
+README.md:84-88) — and a ``doc_id`` shuffle reassembles.
 """
 
 from __future__ import annotations
@@ -55,7 +60,9 @@ from ocr_pipeline_ray.stages.explode import explode_batch
 from ocr_pipeline_ray.stages.extract import (
     InlineMediaExtract,
     MediaExtractActor,
+    SyntheticEngine,
     strip_html_batch,
+    warm_state,
 )
 from ocr_pipeline_ray.stages.reassemble import detect_hot_keys, pack_bucket, reassemble
 from ocr_pipeline_ray.state.media_store import broadcast_media, check_unique_refs
@@ -71,6 +78,8 @@ PDF_BATCH_SIZE = 64
 HEAVY_PDF_BATCH_SIZE = 16
 # split_kinds: a pdf of at least this many pages takes the heavy route
 HEAVY_PAGE_THRESHOLD = 5
+# valid only for actors; a task stage retries with ``max_retries``
+ACTOR_ONLY_REMOTE_ARGS = ("max_restarts", "max_task_retries", "concurrency")
 
 
 def read_docs(path: str) -> "ray.data.Dataset":
@@ -134,10 +143,13 @@ class _ExtractPackAll(MediaExtractActor):
     ``writer`` (optional) receives the packed block and its return
     value is emitted instead — the partitioned job writes each block
     under its partition from here and emits only a small summary.
+
+    Like its base class, an instance holds only what it was built
+    with; the engine and the store come from the worker's warm cache.
     """
 
-    def __init__(self, media_object_ref, writer=None, **engine_kwargs):
-        super().__init__(media_object_ref, **engine_kwargs)
+    def __init__(self, media_object_ref, writer=None, engine_factory=SyntheticEngine):
+        super().__init__(media_object_ref, engine_factory)
         self.writer = writer
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -160,7 +172,6 @@ def build_extraction_pipeline(
     media_mode: str = "broadcast",
     split_kinds: bool = False,
     stage_dir: str | None = None,
-    extract_concurrency=None,
     engine_factory=None,
     media_remote_args: dict | None = None,
     block_writer=None,
@@ -173,33 +184,28 @@ def build_extraction_pipeline(
     the caller already broadcast, or — with ``media_mode="join"`` — a
     Dataset.
 
-    ``extract_concurrency=None`` sizes the extract actor pool to the
-    cluster: all but 2 CPUs (read/write/reassembly stages are I/O-light
-    and interleave under streaming backpressure). A FIXED pool size is
-    used so all actors start in parallel up front instead of trickling
-    in via autoscaling — at 1000x data the pool is busy for the whole
-    run and startup is amortized; at test scale it avoids the
-    autoscaler's slow ramp dominating wall time.
+    Every extraction stage runs as Ray Data tasks, as many at a time
+    as the cluster's free CPUs allow; the engine and the media store
+    stay warm per worker process, keyed by the media ref and the
+    engine factory (:func:`~ocr_pipeline_ray.stages.extract.warm_state`).
 
-    ``media_remote_args`` go to the media/extract actor pools only:
+    ``media_remote_args`` go to the media/extract stages only:
     resources (``num_gpus=0.5``, ``resources={"accel": 1}``) for a real
-    GPU engine behind the ``engine_factory`` seam, or a bounded retry
-    budget (``max_restarts`` / ``max_task_retries``). Without them Ray
-    Data's actor pools already restart dead actors and re-submit their
-    in-flight batches (a killed worker recovers with golden output,
-    proven by tests/test_fault_tolerance.py's hard-kill test; the
-    reference DECLARES ``retries: 5`` in configs/config.yml:24-25 but
-    never wires it). They are OPT-IN only: benchmarked on this host,
-    any explicit ray_remote_args disable an actor-task submission fast
-    path and cost ~1.8x wall time on the headline (BASELINE.md).
+    GPU engine behind the ``engine_factory`` seam, or a retry budget
+    (``max_retries``). Without them Ray already re-runs a task whose
+    worker died (a killed worker recovers with golden output, proven by
+    tests/test_fault_tolerance.py's hard-kill tests; the reference
+    DECLARES ``retries: 5`` in configs/config.yml:24-25 but never wires
+    it). Options valid only for actors (``ACTOR_ONLY_REMOTE_ARGS``)
+    raise ``ValueError`` here, before anything runs.
 
     ``engine_factory`` overrides the media engine (default
     :class:`SyntheticEngine`); it must be picklable (a top-level
-    class), e.g. the real stdlib PPM/BMP decoder engine or a
-    PaddleOCR/pdfium wrapper.
+    class or a ``functools.partial`` of one), e.g. the real stdlib
+    PPM/BMP decoder engine or a PaddleOCR/pdfium wrapper.
 
     The broadcast topology fuses explode -> extract -> pack into ONE
-    actor stage and reassembly is a local sort per block — zero
+    task stage and reassembly is a local sort per block — zero
     shuffle — because doc locality is preserved by construction there
     (see :class:`_ExtractPackAll` for the exact assumption). The
     kind-split and media-join topologies reassemble through the
@@ -207,9 +213,9 @@ def build_extraction_pipeline(
     the broadcast store (it routes on page counts), so it raises with
     ``media_mode="join"``.
 
-    ``block_writer`` (fused topology only) is handed to each
-    :class:`_ExtractPackAll` actor, which writes every packed block
-    through it and emits its return value instead.
+    ``block_writer`` (fused topology only) is handed to
+    :class:`_ExtractPackAll`, which writes every packed block through
+    it and emits its return value instead.
     """
     if split_kinds and media_mode == "join":
         raise ValueError(
@@ -217,14 +223,18 @@ def build_extraction_pipeline(
         )
     if block_writer is not None and (media_mode == "join" or split_kinds):
         raise ValueError("block_writer needs the fused local-pack topology")
-    # the default {} keeps Ray Data's actor-task submission fast path;
-    # GPU batch sizing guidance lives in stages/multimodal.py
     remote_args = media_remote_args or {}
-    engine_kwargs = {} if engine_factory is None else {"engine_factory": engine_factory}
+    for key in ACTOR_ONLY_REMOTE_ARGS:
+        if key in remote_args:
+            raise ValueError(
+                f"media_remote_args[{key!r}] is valid only for actors; the extract "
+                "stages run as tasks (retry budget: max_retries)"
+            )
+    engine_factory = engine_factory or SyntheticEngine
     if media_mode == "join":
         # media too large to broadcast: bucketed hash join attaches
         # payloads inline (Arrow end-to-end, int32 offsets preserved
-        # through the shuffle), then a stateless-state actor pool extracts
+        # through the shuffle), then extract tasks run on the rows
         media_ds = media if isinstance(media, ray.data.Dataset) else ray.data.from_arrow(media)
         spans = docs_ds.map_batches(explode_batch, batch_format="pyarrow")
         joined = join_media_spans(spans, media_ds)
@@ -232,27 +242,15 @@ def build_extraction_pipeline(
         done = (
             joined.map_batches(strip_html_batch, batch_format="pyarrow", batch_size=TEXT_BATCH_SIZE)
             .map_batches(
-                InlineMediaExtract,
-                fn_constructor_kwargs=engine_kwargs,
+                InlineMediaExtract(engine_factory),
                 batch_format="pyarrow",
                 batch_size=IMAGE_BATCH_SIZE,
-                concurrency=(1, 8),
                 **remote_args,
             )
         )
         return reassemble(done.select_columns(SPAN_COLS))
 
     media_ref = media if isinstance(media, ray.ObjectRef) else broadcast_media(media)
-    if extract_concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 8))
-        # ~3/4 of the cluster for the extract pool, headroom for
-        # read/shuffle/write tasks; never take the last CPU (a pool
-        # owning every CPU starves the other stages and the pipeline
-        # serializes or deadlocks). Measured on the bench corpus:
-        # batch 2048 spans + fixed pool of 0.75*CPUs is the knee —
-        # smaller batches pay per-task dispatch, bigger pools starve
-        # the co-resident stages.
-        extract_concurrency = min(max(2, int(n_cpus * 0.75)), max(1, n_cpus - 1))
     if not split_kinds:
         # whole blocks = whole documents (zero-shuffle local pack) —
         # except under a GPU request, where Ray Data requires an
@@ -261,43 +259,30 @@ def build_extraction_pipeline(
         # rows, never split mid-document.
         fused_batch = TEXT_BATCH_SIZE if "num_gpus" in remote_args else None
         return docs_ds.map_batches(
-            _ExtractPackAll,
-            fn_constructor_kwargs={
-                "media_object_ref": media_ref,
-                "writer": block_writer,
-                **engine_kwargs,
-            },
+            _ExtractPackAll(media_ref, block_writer, engine_factory),
             batch_format="pyarrow",
             batch_size=fused_batch,
-            concurrency=extract_concurrency,
             **remote_args,
         )
     spans = docs_ds.map_batches(explode_batch, batch_format="pyarrow")
 
     if stage_dir is None:
         raise ValueError("split_kinds=True requires stage_dir (disk-staged routing)")
-    # two media pools must coexist with read/write tasks: autoscale
-    # from 1 so neither pool can deadlock the other on a small cluster
-    pool = (1, max(1, (int(extract_concurrency) if not isinstance(extract_concurrency, tuple) else extract_concurrency[1]) // 2))
     # SIZE-AWARE routing (north rule: heavy multi-page PDFs must not
     # ride in the same batches as tiny HTML rows): the route column is
     # kind, except pdf spans whose page count (from the broadcast
     # media store) reaches HEAVY_PAGE_THRESHOLD — those go to a
-    # dedicated heavy pool with 4x smaller batches, so one heavy batch
-    # can't head-of-line-block a worker for minutes at cluster scale.
-    spans = spans.map_batches(
-        _SizeRouter,
-        fn_constructor_kwargs={"media_object_ref": media_ref},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
-    )
+    # dedicated heavy branch with 4x smaller batches, so one heavy
+    # batch can't head-of-line-block a worker for minutes at cluster
+    # scale.
+    spans = spans.map_batches(_SizeRouter(media_ref), batch_format="pyarrow")
     # Stage the exploded rows partitioned by route in ONE pass so the
     # per-route branches read their slice instead of re-executing the
     # upstream read (a Dataset branch re-runs its lineage otherwise).
     spans.write_parquet(stage_dir, partition_cols=["route"])
 
     branches = []
-    for route, batch_size, use_actor in (
+    for route, batch_size, use_engine in (
         ("text", TEXT_BATCH_SIZE, False),
         ("image", IMAGE_BATCH_SIZE, True),
         ("pdf", PDF_BATCH_SIZE, True),
@@ -309,13 +294,11 @@ def build_extraction_pipeline(
         # the files keep their kind column; partitioning=None leaves
         # the route out of the rows
         branch = ray.data.read_parquet(part, partitioning=None)
-        if use_actor:
+        if use_engine:
             branch = branch.map_batches(
-                MediaExtractActor,
-                fn_constructor_kwargs={"media_object_ref": media_ref, **engine_kwargs},
+                MediaExtractActor(media_ref, engine_factory),
                 batch_format="pyarrow",
                 batch_size=batch_size,
-                concurrency=pool,
                 **remote_args,
             )
         else:
@@ -535,19 +518,19 @@ def join_media_spans(
 
 
 class _SizeRouter:
-    """Actor stage appending the size-aware ``route`` column: kind,
+    """Task stage appending the size-aware ``route`` column: kind,
     except pdf spans with ``n_pages >= HEAVY_PAGE_THRESHOLD`` (looked
-    up in the broadcast media store — resolved ONCE per actor in
-    ``__init__``, zero-copy) which route to the dedicated heavy pool."""
+    up in the broadcast media store, which the worker's warm cache
+    resolves once, zero-copy) which route to the dedicated heavy
+    branch."""
 
     def __init__(self, media_object_ref):
-        from ocr_pipeline_ray.state.media_store import BroadcastMediaStore
-
-        self.store = BroadcastMediaStore(media_object_ref)
+        self.media_object_ref = media_object_ref
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        store, _ = warm_state(self.media_object_ref, None)
         kind = batch.column("kind")
-        pages = pc.fill_null(self.store.n_pages(batch.column("media_ref")), 0)
+        pages = pc.fill_null(store.n_pages(batch.column("media_ref")), 0)
         heavy = pc.and_(pc.equal(kind, "pdf"), pc.greater_equal(pages, HEAVY_PAGE_THRESHOLD))
         return batch.append_column("route", pc.if_else(heavy, "pdf_heavy", kind))
 

@@ -1,6 +1,6 @@
 """Flagship pipeline over driver testdata: wrap ``documents`` rows into
 interleaved text+media docs deterministically, run the FULL extraction
-engine (explode -> HTML strip -> OCR/PDF actor pools -> ordered
+engine (explode -> HTML strip -> OCR/PDF extract tasks -> ordered
 reassembly), and emit per-doc extracted span texts.
 
 Because the wrapping is deterministic and invertible, the expected
@@ -194,8 +194,8 @@ def extract_interleaved(sf_dir: str) -> pd.DataFrame:
 def extract_interleaved_ppm(sf_dir: str) -> pd.DataFrame:
     """Flagship variant on the REAL raster kernel: media payloads are
     P6 PPM images / block containers, joined to their spans like
-    :func:`extract_interleaved`, and the warm-engine actor pool
-    actually decodes pixels (functions/ppm_ocr.py). The raster
+    :func:`extract_interleaved`, and the warm-engine extract tasks
+    actually decode pixels (functions/ppm_ocr.py). The raster
     alphabet uppercases text, so the oracle applies upper() to the
     media spans."""
     df = _extract_interleaved(sf_dir, "ppm", PpmOcrEngine).to_pandas()
@@ -343,8 +343,8 @@ def extract_split_kinds(sf_dir: str) -> pd.DataFrame:
     """The SKEW-ROUTED extraction topology under the oracle gate:
     ``split_kinds=True`` stages exploded span rows under
     :data:`SPLIT_STAGE_DIR` partitioned by route, routes light HTML
-    rows through stateless tasks and image/pdf rows through dedicated
-    actor pools (pdf with the small batch cap — the north rule's
+    rows through the strip task and image/pdf rows through their own
+    extract branches (pdf with the small batch cap — the north rule's
     heavy-row requirement), then reassembles through the bucketized
     doc_id shuffle. Routing reads page counts from the broadcast
     store, so the media Dataset is collected into one Arrow table

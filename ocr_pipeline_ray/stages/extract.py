@@ -1,15 +1,20 @@
-"""Extraction stages: text strip (stateless tasks) + media engines (actor pools).
+"""Extraction stages: text strip + media engines, all stateless Ray Data tasks.
 
 Mirrors the reference's stage split — cheap preprocessing as plain
-functions, warm-model work as load-once-per-worker state
+functions, warm-model work as load-once-per-process state
 (reference std-detection/api.py:40-60, str-recognition/api.py:97-124) —
-re-expressed as Ray Data ``map_batches`` stages:
+re-expressed as Ray Data ``map_batches`` task stages:
 
 * :func:`strip_html_batch` — stateless task stage (no state to warm).
-* :class:`MediaExtractActor` — actor pool holding a warm engine + the
-  broadcast media store; ``__init__`` once per actor, ``__call__`` per
-  batch. Swap ``SyntheticEngine`` for a PaddleOCR/Tesseract/pdfium
-  wrapper to run real models behind the identical plumbing.
+* :class:`MediaExtractActor` — a small picklable callable (a broadcast
+  media ref and an engine factory) that ``map_batches`` runs as a
+  task. Its engine and resolved media store live in a per-process warm
+  cache (:func:`warm_state`): built on the first batch a worker
+  process sees, reused by every later batch and Ray Data execution
+  that process runs. No actor pool, so no pool start-up per execution,
+  and a 1-CPU session schedules the stage like any other task. Swap
+  ``SyntheticEngine`` for a PaddleOCR/Tesseract/pdfium wrapper to run
+  real models behind the identical plumbing.
 * :class:`InlineMediaExtract` — the same loop over rows whose
   ``payload`` the media join already attached (no store).
 
@@ -21,7 +26,10 @@ error field — dropping rows would break span-sequence equality).
 
 from __future__ import annotations
 
+import threading
+
 import pyarrow as pa
+from ray import cloudpickle
 
 from ocr_pipeline_ray.functions.html import strip_boilerplate
 from ocr_pipeline_ray.functions.synthetic_media import (
@@ -61,31 +69,67 @@ class SyntheticEngine:
         raise ValueError(f"unsupported media kind: {kind}")
 
 
+# module level on purpose: Ray Data gives a task no per-process
+# setup hook, so this is the state a worker process keeps between tasks
+_warm_lock = threading.Lock()
+_warm_key = None
+_warm = None
+
+
+def warm_state(media_object_ref, engine_factory):
+    """This worker process's ``(store, engine)``: the resolved
+    :class:`BroadcastMediaStore` of ``media_object_ref`` (``None``: no
+    store) and ``engine_factory()`` (``None``: no engine), built on the
+    first call and reused by every later batch and Ray Data execution
+    the process runs.
+
+    One entry, keyed by value: the ref's hex and the pickled factory.
+    Each task unpickles its own copy of the stage callable, so a
+    ``functools.partial`` factory is a new object every time and an
+    identity key would never hit. A call with another key drops the
+    entry before building the new one, so an idle worker pins at most
+    one broadcast table.
+    """
+    global _warm_key, _warm
+    key = (
+        None if media_object_ref is None else media_object_ref.hex(),
+        cloudpickle.dumps(engine_factory),
+    )
+    with _warm_lock:
+        if key != _warm_key:
+            _warm_key = _warm = None
+            store = None if media_object_ref is None else BroadcastMediaStore(media_object_ref)
+            engine = None if engine_factory is None else engine_factory()
+            _warm_key, _warm = key, (store, engine)
+        return _warm
+
+
 class MediaExtractActor:
-    """Actor-pool stage for media spans (image and/or pdf): the
-    package's one per-span engine loop, which every topology runs.
+    """Task stage for media spans (image and/or pdf): the package's one
+    per-span engine loop, which every topology runs. (The name dates
+    from when this was an actor pool.)
 
     Use via::
 
-        ds.map_batches(MediaExtractActor,
-                       fn_constructor_kwargs={"media_object_ref": ref},
-                       concurrency=(2, 8), batch_size=256,
-                       batch_format="pyarrow")
+        ds.map_batches(MediaExtractActor(ref, engine_factory=...),
+                       batch_size=256, batch_format="pyarrow")
 
-    ``__init__`` runs once per actor: resolve the broadcast media store
-    and warm the engine. ``__call__`` runs per batch: a batch without a
-    ``payload`` column gets one from the store (one vectorized lookup
-    per batch), the engine extracts every media span, and ``payload``
-    is dropped from the output.
+    The instance holds only the media ref and the factory, so it is
+    cheap to pickle into every task. ``__call__`` takes the store and
+    the engine from :func:`warm_state` and runs per batch: a batch
+    without a ``payload`` column gets one from the store (one
+    vectorized lookup per batch), the engine extracts every media span,
+    and ``payload`` is dropped from the output.
     """
 
     def __init__(self, media_object_ref, engine_factory=SyntheticEngine):
-        self.store = BroadcastMediaStore(media_object_ref)
-        self.engine = engine_factory()
+        self.media_object_ref = media_object_ref
+        self.engine_factory = engine_factory
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        store, engine = warm_state(self.media_object_ref, self.engine_factory)
         if "payload" not in batch.column_names:
-            batch = batch.append_column("payload", self.store.payloads(batch.column("media_ref")))
+            batch = batch.append_column("payload", store.payloads(batch.column("media_ref")))
         kinds = batch.column("kind").to_pylist()
         refs = batch.column("media_ref").to_pylist()
         payloads = batch.column("payload").to_pylist()
@@ -98,7 +142,7 @@ class MediaExtractActor:
                 texts[j], errors[j] = "", "media_ref not found"
                 continue
             try:
-                texts[j] = self.engine.extract(k, ref, payload)
+                texts[j] = engine.extract(k, ref, payload)
             except Exception as e:  # keep the span, carry the error in-band
                 texts[j], errors[j] = "", f"extract failed: {e}"
         out = batch.set_column(
@@ -113,9 +157,9 @@ class MediaExtractActor:
 class InlineMediaExtract(MediaExtractActor):
     """:class:`MediaExtractActor` over rows that already carry
     ``payload`` inline (the bucketed-join media path for media too
-    large to broadcast): no store; still an actor pool so a real
-    engine stays warm across batches.
+    large to broadcast): no store, so the warm entry is keyed by the
+    engine factory only.
     """
 
     def __init__(self, engine_factory=SyntheticEngine):
-        self.engine = engine_factory()
+        super().__init__(None, engine_factory)

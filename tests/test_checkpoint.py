@@ -9,6 +9,7 @@ import time
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from ocr_pipeline_ray.pipelines.checkpoint import (
     committed_partitions,
@@ -150,10 +151,15 @@ def _alive_extract_workers() -> list[str]:
     ]
 
 
+def _busy_cpus() -> float:
+    return ray.cluster_resources()["CPU"] - ray.available_resources().get("CPU", 0.0)
+
+
 def test_kill_mid_stream_leaves_no_pool_actor(corpus, tmp_path):
     """A hook that raises mid-stream shuts the execution down before the
-    error propagates: no extract pool actor outlives the killed run, and
-    the resumed output equals a single run's."""
+    error propagates: no task or actor of the killed run keeps a CPU
+    (so no extract actor outlives it either), and the resumed output
+    equals a single run's."""
     paths, media = corpus
     out = str(tmp_path / "killed")
 
@@ -164,9 +170,10 @@ def test_kill_mid_stream_leaves_no_pool_actor(corpus, tmp_path):
     with pytest.raises(_Kill):
         run_partitioned_extraction(paths["docs"], media, out, n_parts=4, on_part_done=killer)
     deadline = time.time() + 10
-    while _alive_extract_workers() and time.time() < deadline:
+    while (_alive_extract_workers() or _busy_cpus()) and time.time() < deadline:
         time.sleep(0.2)
     assert _alive_extract_workers() == []
+    assert _busy_cpus() == 0
 
     summary = run_partitioned_extraction(paths["docs"], media, out, n_parts=4)
     assert summary["skipped_committed"] == [0] and summary["ran"] == [1, 2, 3]

@@ -1,10 +1,11 @@
-"""Actor-crash fault tolerance: an extract actor killed MID-RUN (hard
-process exit, not a Python exception) must restart and its in-flight
-batch must be retried, with the final output still golden-equal.
+"""Worker-crash fault tolerance: a worker process killed MID-RUN (hard
+process exit, not a Python exception) while it runs an extract task
+must not lose its batch: Ray re-runs the task on a live worker, which
+builds its own warm engine, and the final output stays golden-equal.
 
 Formalizes the reference's declared-but-unwired retry policy
-(reference configs/config.yml:24-25 ``retries: 5``): Ray Data's
-actor pools restart the dead actor and re-submit its batch.
+(reference configs/config.yml:24-25 ``retries: 5``): a task whose
+worker died is retried (``max_retries``).
 """
 
 import pyarrow.parquet as pq
@@ -20,7 +21,7 @@ def _spans_key(table):
     }
 
 
-def test_actor_killed_mid_run_still_golden(tmp_path):
+def test_worker_killed_mid_run_still_golden(tmp_path):
     from ocr_pipeline_ray.sources.gen import write_corpus
 
     d = str(tmp_path / "corpus")
@@ -34,7 +35,6 @@ def test_actor_killed_mid_run_still_golden(tmp_path):
             read_docs(paths["docs"]),
             media,
             engine_factory=chaos.KillOnceEngine,
-            extract_concurrency=2,
         )
         out_dir = str(tmp_path / "out")
         out.write_parquet(out_dir)
@@ -47,11 +47,11 @@ def test_actor_killed_mid_run_still_golden(tmp_path):
     assert _spans_key(res) == _spans_key(gold)
 
 
-def test_actor_killed_mid_run_join_topology_still_golden(tmp_path):
+def test_worker_killed_mid_run_join_topology_still_golden(tmp_path):
     """Same hard-kill chaos through the media_mode='join' topology: the
-    Arrow bucketed join feeds InlineMediaExtract actor pools, a killed
-    actor's in-flight joined batch must be retried and the output stay
-    golden — exercising restart recovery across the shuffle boundary."""
+    Arrow bucketed join feeds InlineMediaExtract tasks, a killed
+    worker's in-flight joined batch must be retried and the output stay
+    golden — exercising retry recovery across the shuffle boundary."""
     from ocr_pipeline_ray.sources.gen import write_corpus
 
     d = str(tmp_path / "corpus")

@@ -198,6 +198,39 @@ def test_media_remote_args_reach_map_batches(small_corpus, monkeypatch):
     assert "num_gpus" not in pool_calls[0] and "resources" not in pool_calls[0]
 
 
+@pytest.mark.parametrize("key", ["max_restarts", "max_task_retries", "concurrency"])
+@pytest.mark.parametrize("mode", ["broadcast", "join"])
+def test_actor_only_remote_args_fail_at_build(small_corpus, key, mode):
+    """The extract stages are tasks: an actor-only option in
+    media_remote_args raises at build time, naming the key, instead of
+    failing the submission mid-run."""
+    docs, media, _ = small_corpus
+    with pytest.raises(ValueError, match=key):
+        build_extraction_pipeline(
+            ray.data.from_arrow(docs), media, media_mode=mode, media_remote_args={key: 2}
+        )
+
+
+def test_gpu_request_reaches_the_fused_task_with_text_batches(small_corpus, monkeypatch):
+    """A GPU request makes the fused stage a GPU task: Ray Data needs an
+    explicit batch size then, and the stage gets TEXT_BATCH_SIZE."""
+    from ocr_pipeline_ray.pipelines.extract import TEXT_BATCH_SIZE
+
+    docs, media, _ = small_corpus
+    seen = []
+    orig = ray.data.Dataset.map_batches
+
+    def spy(self, fn, **kwargs):
+        seen.append((str(fn), kwargs))
+        return orig(self, fn, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", spy)
+    build_extraction_pipeline(ray.data.from_arrow(docs), media, media_remote_args={"num_gpus": 1})
+    (kwargs,) = [kw for name, kw in seen if "ExtractPackAll" in name]
+    assert kwargs["num_gpus"] == 1 and kwargs["batch_size"] == TEXT_BATCH_SIZE
+    assert "concurrency" not in kwargs
+
+
 def test_incremental_hourly_equals_batch():
     """Incremental maintenance contract: base run + delta merge ==
     one-shot batch aggregate, bit-for-bit (any cutoff)."""

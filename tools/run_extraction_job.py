@@ -8,7 +8,7 @@ Submit to a Ray cluster exactly as the north rule prescribes::
         --out /data/extracted --n-parts 256
 
 The job streams every uncommitted partition through ONE Ray Data
-execution (read -> fused extract actor pool, which writes each block
+execution (read -> fused extract task stage, which writes each block
 under its partition), commits each partition atomically with
 per-partition lineage + metrics as soon as all of its docs are written,
 and RESUMES from the committed partitions if resubmitted after a
@@ -20,8 +20,8 @@ Locally the same entrypoint runs against its own session
 head node unchanged — the script owns its Ray session either way.
 Before any work it checks that a Ray worker can import the package
 (workers inherit ``PYTHONPATH`` pointing at this checkout) and exits
-with status 2 and a message if not, instead of letting the actor pool
-crash-loop.
+with status 2 and a message if not, instead of failing the run on the
+first extract task.
 """
 
 from __future__ import annotations
