@@ -4,12 +4,14 @@ Ray is initialised by the caller BEFORE this module is imported —
 nothing here (or in ``ocr_pipeline_ray``) calls ``ray.init()`` /
 ``ray.shutdown()``.
 
-``queries()`` maps operator names -> callables over an sf_dir of the
-driver's parquet tables; ``oracle_sql()`` gives the DuckDB-equivalent
-SQL for every SQL-expressible operator (column names match exactly).
-Entries without SQL (heuristic scoring, sketches, ANN) get the
-driver's rows-only check and are additionally property-tested in
-``tests/``.
+``entry()`` runs the flagship extraction once over the sf0.001
+``documents`` table. ``queries()`` maps the five ``extract_*`` names to
+callables over an sf_dir of parquet tables; each wraps
+``documents`` into interleaved text+media docs and runs the full
+engine. ``oracle_sql()`` gives the DuckDB SQL over the same
+``documents`` view that every one of them must match (column names
+match exactly); ``extract_split_kinds`` shares the interleaved oracle
+because it runs another topology over the same contract.
 """
 
 from __future__ import annotations
@@ -30,1189 +32,19 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from ocr_pipeline_ray.pipelines import (
-        dedup,
-        events,
-        interleave,
-        media,
-        relational,
-        similarity,
-        text,
-    )
+    from ocr_pipeline_ray.pipelines import interleave
 
     return {
-        # flagship extraction engine (full pipeline, SQL oracle)
         "extract_interleaved": interleave.extract_interleaved,
         "extract_interleaved_ppm": interleave.extract_interleaved_ppm,
         "extract_span_stats": interleave.extract_span_stats,
         "extract_error_audit": interleave.extract_error_audit,
         "extract_split_kinds": interleave.extract_split_kinds,
-        "heaps_law_fit": text.heaps_law_fit,
-        # relational: scans, joins, aggregates, sort/top-k, distinct
-        "q1_pricing_summary": relational.q1_pricing_summary,
-        "q3_shipping_priority": relational.q3_shipping_priority,
-        "q5_nation_revenue": relational.q5_nation_revenue,
-        "q6_forecast_revenue": relational.q6_forecast_revenue,
-        "top_orders": relational.top_orders,
-        "distinct_segments": relational.distinct_segments,
-        "part_brand_stats": relational.part_brand_stats,
-        "supplier_balance_by_nation": relational.supplier_balance_by_nation,
-        "balance_rollup": relational.balance_rollup,
-        "fuzzy_name_pairs": relational.fuzzy_name_pairs,
-        "part_copurchase_pairs": relational.part_copurchase_pairs,
-        "part_triangle_counts": relational.part_triangle_counts,
-        "part_pagerank": relational.part_pagerank,
-        "weighted_sample_orders": relational.weighted_sample_orders,
-        "repeat_orders_within_week": relational.repeat_orders_within_week,
-        "profile_lineitem": relational.profile_lineitem,
-        "q10_returned_revenue": relational.q10_returned_revenue,
-        "q14_promo_revenue": relational.q14_promo_revenue,
-        "top3_orders_per_segment": relational.top3_orders_per_segment,
-        "q4_order_priority": relational.q4_order_priority,
-        "q12_priority_by_linestatus": relational.q12_priority_by_linestatus,
-        "q13_customer_distribution": relational.q13_customer_distribution,
-        "q18_large_volume_orders": relational.q18_large_volume_orders,
-        "q22_idle_high_balance": relational.q22_idle_high_balance,
-        "q20_surplus_suppliers": relational.q20_surplus_suppliers,
-        "q21_waiting_suppliers": relational.q21_waiting_suppliers,
-        "q2_min_cost_supplier": relational.q2_min_cost_supplier,
-        "q7_volume_shipping": relational.q7_volume_shipping,
-        "q8_market_share": relational.q8_market_share,
-        "q9_profit_by_nation_year": relational.q9_profit_by_nation_year,
-        "q11_important_parts": relational.q11_important_parts,
-        "q15_top_supplier": relational.q15_top_supplier,
-        "q16_supplier_counts": relational.q16_supplier_counts,
-        "q17_small_quantity_revenue": relational.q17_small_quantity_revenue,
-        "q19_disjunctive_revenue": relational.q19_disjunctive_revenue,
-        "order_rank_in_segment": relational.order_rank_in_segment,
-        "order_window_stats": relational.order_window_stats,
-        "user_order_full_outer": relational.user_order_full_outer,
-        "price_quantity_regression": relational.price_quantity_regression,
-        "order_price_cube": relational.order_price_cube,
-        "price_skew_kurtosis": relational.price_skew_kurtosis,
-        "winsorized_quantity_mean": relational.winsorized_quantity_mean,
-        "quantity_mad": relational.quantity_mad,
-        "nation_balance_share": relational.nation_balance_share,
-        "spearman_price_discount": relational.spearman_price_discount,
-        "intersect_all_keys": relational.intersect_all_keys,
-        "except_all_keys": relational.except_all_keys,
-        "table_diff": relational.table_diff,
-        "lineitem_corr_matrix": relational.lineitem_corr_matrix,
-        "copurchase_bfs_hops": relational.copurchase_bfs_hops,
-        "weighted_median_price": relational.weighted_median_price,
-        "part_skyline": relational.part_skyline,
-        "uniqueness_profile": relational.uniqueness_profile,
-        "referential_integrity": relational.referential_integrity,
-        "star_join_checksum": relational.star_join_checksum,
-        "median_price_by_flag": relational.median_price_by_flag,
-        "order_gap_by_segment": relational.order_gap_by_segment,
-        "geo_mean_price_by_flag": relational.geo_mean_price_by_flag,
-        "order_value_gini": relational.order_value_gini,
-        "top_orders_with_ties": relational.top_orders_with_ties,
-        "copurchase_lift": relational.copurchase_lift,
-        "top1pct_revenue_share": relational.top1pct_revenue_share,
-        "price_percentiles_exact": relational.price_percentiles_exact,
-        "systematic_sample_orders": relational.systematic_sample_orders,
-        "rfm_segment_cells": relational.rfm_segment_cells,
-        "frequent_part_triples": relational.frequent_part_triples,
-        "pareto_coverage_by_segment": relational.pareto_coverage_by_segment,
-        "copurchase_degree_hist": relational.copurchase_degree_hist,
-        "part_clustering_coefficient": relational.part_clustering_coefficient,
-        "price_deciles": relational.price_deciles,
-        "lineitem_unpivot_stats": relational.lineitem_unpivot_stats,
-        "multivar_ols_price": relational.multivar_ols_price,
-        "order_part_list": relational.order_part_list,
-        "customers_without_orders": relational.customers_without_orders,
-        "parts_with_lineitems": relational.parts_with_lineitems,
-        "parts_with_lineitems_bloom": relational.parts_with_lineitems_bloom,
-        "nations_without_suppliers": relational.nations_without_suppliers,
-        "union_all_keys": relational.union_all_keys,
-        # set ops + quantiles
-        "keys_in_both": relational.keys_in_both,
-        "custkeys_not_suppkeys": relational.custkeys_not_suppkeys,
-        "quantity_quantiles": relational.quantity_quantiles,
-        "median_extendedprice": relational.median_extendedprice,
-        "order_price_quantiles_sketch": relational.order_price_quantiles_sketch,
-        "order_price_quantiles_sketch_exactcap": relational.order_price_quantiles_sketch_exactcap,
-        "price_quantiles_by_flag_sketch_exactcap": relational.price_quantiles_by_flag_sketch_exactcap,
-        "price_quantiles_by_flag_sketch": relational.price_quantiles_by_flag_sketch,
-        "quantity_quantiles_by_flag": relational.quantity_quantiles_by_flag,
-        # stream-shaped
-        "events_hourly": events.events_hourly,
-        "sessionize": events.sessionize,
-        "events_hopping": events.events_hopping,
-        "events_hourly_incremental": events.events_hourly_incremental,
-        "asof_latest_order": events.asof_latest_order,
-        "rolling_user_value": events.rolling_user_value,
-        "cumulative_user_value": events.cumulative_user_value,
-        "distinct_users_per_type": events.distinct_users_per_type,
-        "distinct_users_hll": events.distinct_users_hll,
-        "props_k_by_type": events.props_k_by_type,
-        "event_value_moments": events.event_value_moments,
-        "funnel_signup_purchase": events.funnel_signup_purchase,
-        "events_hourly_delta": events.events_hourly_delta,
-        "user_value_anomalies": events.user_value_anomalies,
-        "pivot_user_event_values": events.pivot_user_event_values,
-        "events_hourly_filled": events.events_hourly_filled,
-        "user_behavior_profile": events.user_behavior_profile,
-        "cohort_retention": events.cohort_retention,
-        "session_concurrency": events.session_concurrency,
-        "event_transitions": events.event_transitions,
-        "latest_event_state": events.latest_event_state,
-        "scd2_state_dwell": events.scd2_state_dwell,
-        "events_dow_profile": events.events_dow_profile,
-        "state_as_of": events.state_as_of,
-        "interval_union_coverage": events.interval_union_coverage,
-        "events_time_rollup": events.events_time_rollup,
-        "chi2_type_dow": events.chi2_type_dow,
-        "decayed_user_value": events.decayed_user_value,
-        "rolling_median_value": events.rolling_median_value,
-        "type_cooccurrence_matrix": events.type_cooccurrence_matrix,
-        "hourly_value_bands": events.hourly_value_bands,
-        "dedup_events_window": events.dedup_events_window,
-        "time_weighted_avg_value": events.time_weighted_avg_value,
-        "cumulative_unique_users": events.cumulative_unique_users,
-        "transition_entropy": events.transition_entropy,
-        "bounce_rate": events.bounce_rate,
-        "asof_next_order": events.asof_next_order,
-        "centered_moving_avg": events.centered_moving_avg,
-        "user_type_bitmask": events.user_type_bitmask,
-        "top_session_paths": events.top_session_paths,
-        "rolling_distinct_types": events.rolling_distinct_types,
-        "event_pair_window_counts": events.event_pair_window_counts,
-        "mode_event_type": events.mode_event_type,
-        "session_busy_overlap": events.session_busy_overlap,
-        "mutual_info_type_dow": events.mutual_info_type_dow,
-        "events_hourly_interpolated": events.events_hourly_interpolated,
-        "user_max_drawdown": events.user_max_drawdown,
-        "time_to_convert_stats": events.time_to_convert_stats,
-        "abandoned_views": events.abandoned_views,
-        "hourly_autocorr_by_type": events.hourly_autocorr_by_type,
-        "user_activity_streaks": events.user_activity_streaks,
-        "interarrival_stats": events.interarrival_stats,
-        "orderkey_gaps": relational.orderkey_gaps,
-        "orders_wow_change": relational.orders_wow_change,
-        "welch_ttest_value": events.welch_ttest_value,
-        "rolling_corr_daily": events.rolling_corr_daily,
-        "time_to_nth_purchase": events.time_to_nth_purchase,
-        "revenue_increase_runs": relational.revenue_increase_runs,
-        "brand_target_encoding": relational.brand_target_encoding,
-        "changepoint_cusum": relational.changepoint_cusum,
-        "hhi_revenue_by_segment": relational.hhi_revenue_by_segment,
-        "dau_mau_stickiness": events.dau_mau_stickiness,
-        "grouped_regression_by_flag": relational.grouped_regression_by_flag,
-        "theil_sen_daily_slope": relational.theil_sen_daily_slope,
-        "neyman_allocation": relational.neyman_allocation,
-        "suspect_duplicate_orders": relational.suspect_duplicate_orders,
-        "priority_transition_counts": relational.priority_transition_counts,
-        "anova_price_by_segment": relational.anova_price_by_segment,
-        "customer_interpurchase_cv": relational.customer_interpurchase_cv,
-        "compact_small_files": relational.compact_small_files,
-        "zonemap_pruned_lookup": relational.zonemap_pruned_lookup,
-        "cdc_merge_apply": relational.cdc_merge_apply,
-        "zorder_box_query": relational.zorder_box_query,
-        "snapshot_time_travel": relational.snapshot_time_travel,
-        "k_anonymity_audit": relational.k_anonymity_audit,
-        "pseudonymize_roundtrip": relational.pseudonymize_roundtrip,
-        "histogram2d_price_quantity": relational.histogram2d_price_quantity,
-        "sorted_export_verify": relational.sorted_export_verify,
-        "cramers_v_lang_source": text.cramers_v_lang_source,
-        "mixed_format_union": text.mixed_format_union,
-        "supplier_part_breadth_hist": relational.supplier_part_breadth_hist,
-        "seasonal_index_monthly": relational.seasonal_index_monthly,
-        "mmr_diverse_selection": similarity.mmr_diverse_selection,
-        "mmr_relevance_anchor": similarity.mmr_relevance_anchor,
-        "constraint_check_report": relational.constraint_check_report,
-        "train_test_split_audit": text.train_test_split_audit,
-        "vocab_coverage_curve": text.vocab_coverage_curve,
-        "trailing_7d_active_users": events.trailing_7d_active_users,
-        "single_source_parts": relational.single_source_parts,
-        "seasonal_naive_backtest": relational.seasonal_naive_backtest,
-        "pii_redact_audit": text.pii_redact_audit,
-        "range_partition_plan": relational.range_partition_plan,
-        "kcore_copurchase": relational.kcore_copurchase,
-        "kcore_planted_clique": relational.kcore_planted_clique,
-        "kaplan_meier_repurchase": relational.kaplan_meier_repurchase,
-        "ewma_daily_revenue": relational.ewma_daily_revenue,
-        "item_item_cosine": relational.item_item_cosine,
-        "bootstrap_mean_ci": relational.bootstrap_mean_ci,
-        "permutation_test_price_by_segment": relational.permutation_test_price_by_segment,
-        "jackknife_mean_se": relational.jackknife_mean_se,
-        "dow_adjusted_revenue_anomalies": relational.dow_adjusted_revenue_anomalies,
-        "mann_whitney_price": relational.mann_whitney_price,
-        "holt_linear_daily": relational.holt_linear_daily,
-        "mixture_rebalance_plan": text.mixture_rebalance_plan,
-        "auc_length_english": text.auc_length_english,
-        "wilcoxon_signed_rank_prepost": events.wilcoxon_signed_rank_prepost,
-        "two_proportion_conversion": events.two_proportion_conversion,
-        "hard_negative_mining": similarity.hard_negative_mining,
-        "reciprocal_rank_fusion": text.reciprocal_rank_fusion,
-        "price_percentile_cont_by_flag": relational.price_percentile_cont_by_flag,
-        "part_name_clusters": relational.part_name_clusters,
-        "segment_influence": relational.segment_influence,
-        "view_then_purchase_days": events.view_then_purchase_days,
-        "cohens_kappa_labelers": text.cohens_kappa_labelers,
-        "score_decile_lift": events.score_decile_lift,
-        "ljung_box_daily": relational.ljung_box_daily,
-        "selfjoin_size_stats": relational.selfjoin_size_stats,
-        "binned_mutual_information": relational.binned_mutual_information,
-        "fano_factor_hourly_by_type": events.fano_factor_hourly_by_type,
-        "wasserstein_length_sources": text.wasserstein_length_sources,
-        "conformal_price_interval": relational.conformal_price_interval,
-        "fold_balance_audit": relational.fold_balance_audit,
-        "latency_sla_by_type": events.latency_sla_by_type,
-        "view_purchase_lag_xcorr": events.view_purchase_lag_xcorr,
-        "blocklist_filter_report": text.blocklist_filter_report,
-        "laspeyres_price_index": relational.laspeyres_price_index,
-        "simpsons_paradox_check": relational.simpsons_paradox_check,
-        "diff_in_diff_value": events.diff_in_diff_value,
-        "dedup_token_savings": text.dedup_token_savings,
-        "mahalanobis_outliers": relational.mahalanobis_outliers,
-        "ab_power_mde": events.ab_power_mde,
-        "yules_k_by_lang": text.yules_k_by_lang,
-        "copurchase_assortativity": relational.copurchase_assortativity,
-        "intrinsic_dimension_twonn": similarity.intrinsic_dimension_twonn,
-        "peak_user_rate": events.peak_user_rate,
-        "poisson_gof_linecount": relational.poisson_gof_linecount,
-        "contingency_residuals": text.contingency_residuals,
-        "routine_users_entropy": events.routine_users_entropy,
-        "revenue_decomposition_mom": relational.revenue_decomposition_mom,
-        "customer_value_migration": relational.customer_value_migration,
-        "negative_samples_cf": relational.negative_samples_cf,
-        "price_stickiness_monthly": relational.price_stickiness_monthly,
-        "erasure_audit": events.erasure_audit,
-        "fisher_ratio_labels": similarity.fisher_ratio_labels,
-        "copurchase_rich_club": relational.copurchase_rich_club,
-        "return_rate_wilson_by_brand": relational.return_rate_wilson_by_brand,
-        "markov_order_test": events.markov_order_test,
-        "term_dispersion_top": text.term_dispersion_top,
-        "embedding_clip_calibration": similarity.embedding_clip_calibration,
-        "purchase_attribution": events.purchase_attribution,
-        "reorder_gap_by_index": relational.reorder_gap_by_index,
-        "label_silhouette_centroid": similarity.label_silhouette_centroid,
-        "analyze_all_tables": relational.analyze_all_tables,
-        "seasonality_strength": relational.seasonality_strength,
-        "cohort_ltv_curve": relational.cohort_ltv_curve,
-        "customer_trend_slopes": relational.customer_trend_slopes,
-        "brand_attach_rates": relational.brand_attach_rates,
-        "two_way_anova_price": relational.two_way_anova_price,
-        "source_ngram_overlap": text.source_ngram_overlap,
-        "quantile_treatment_effect": events.quantile_treatment_effect,
-        "matched_att_value": events.matched_att_value,
-        "avg_neighbor_degree_curve": relational.avg_neighbor_degree_curve,
-        "rdd_discount_at_quantity": relational.rdd_discount_at_quantity,
-        "hill_tail_index": relational.hill_tail_index,
-        "burst_minutes": events.burst_minutes,
-        "term_keyness_g2": text.term_keyness_g2,
-        "eb_shrunk_return_rates": relational.eb_shrunk_return_rates,
-        "lorenz_curve_orders": relational.lorenz_curve_orders,
-        "msprt_crossing_day": events.msprt_crossing_day,
-        "price_cents_histogram": relational.price_cents_histogram,
-        "iqr_outlier_fences_by_segment": relational.iqr_outlier_fences_by_segment,
-        "brand_modularity": relational.brand_modularity,
-        "trade_flow_matrix": relational.trade_flow_matrix,
-        "partial_corr_price_qty_given_discount": relational.partial_corr_price_qty_given_discount,
-        "spectral_peaks_daily": relational.spectral_peaks_daily,
-        "decision_stump_returnflag": relational.decision_stump_returnflag,
-        "lognormal_fit_user_value": events.lognormal_fit_user_value,
-        "naive_bayes_lang": text.naive_bayes_lang,
-        "knn1_label_accuracy": similarity.knn1_label_accuracy,
-        "char_trigram_entropy_by_lang": text.char_trigram_entropy_by_lang,
-        "discount_waterfall": relational.discount_waterfall,
-        "popularity_hitrate_at10": relational.popularity_hitrate_at10,
-        "cvm_arm_event_counts": events.cvm_arm_event_counts,
-        "sort_key_advisor": relational.sort_key_advisor,
-        "part_active_months_hist": relational.part_active_months_hist,
-        "similar_docs_by_shingles": dedup.similar_docs_by_shingles,
-        "user_sequence_edit_distance": events.user_sequence_edit_distance,
-        "best_split_changepoint": relational.best_split_changepoint,
-        "top3_customer_share_by_nation": relational.top3_customer_share_by_nation,
-        "jl_projection_distortion": similarity.jl_projection_distortion,
-        "markov_heldout_perplexity": events.markov_heldout_perplexity,
-        "fixed_effects_elasticity": relational.fixed_effects_elasticity,
-        "triangle_excess_ratio": relational.triangle_excess_ratio,
-        "huber_one_step_price": relational.huber_one_step_price,
-        "user_day_surprise": events.user_day_surprise,
-        "capture_recapture_users": events.capture_recapture_users,
-        "retention_decay_fit": relational.retention_decay_fit,
-        "shift_share_decomposition": relational.shift_share_decomposition,
-        "feature_info_gain": relational.feature_info_gain,
-        "month_end_loading": relational.month_end_loading,
-        "order_gap_lognormal_by_segment": relational.order_gap_lognormal_by_segment,
-        "brand_repeat_rate": relational.brand_repeat_rate,
-        "order_brand_diversity": relational.order_brand_diversity,
-        "post_error_intensity": events.post_error_intensity,
-        "token_stutter_top": text.token_stutter_top,
-        "forecast_leaderboard": relational.forecast_leaderboard,
-        "gap_acceleration_sign_test": relational.gap_acceleration_sign_test,
-        "revenue_half_count": relational.revenue_half_count,
-        "mcnemar_labelers": text.mcnemar_labelers,
-        "topk_customer_stability": relational.topk_customer_stability,
-        "kruskal_wallis_quantity": relational.kruskal_wallis_quantity,
-        "kendall_tau_daily": relational.kendall_tau_daily,
-        "cochran_q_labelers": text.cochran_q_labelers,
-        "friedman_segment_monthly": relational.friedman_segment_monthly,
-        "logrank_repurchase_by_segment": relational.logrank_repurchase_by_segment,
-        "mantel_haenszel_urgent_status": relational.mantel_haenszel_urgent_status,
-        "gumbel_daily_max_fit": relational.gumbel_daily_max_fit,
-        "runs_test_daily_revenue": relational.runs_test_daily_revenue,
-        "durbin_watson_daily_trend": relational.durbin_watson_daily_trend,
-        "theil_index_customer_revenue": relational.theil_index_customer_revenue,
-        "burrows_delta_sources": text.burrows_delta_sources,
-        "hypergeom_enrichment_discount_returns": relational.hypergeom_enrichment_discount_returns,
-        "fleiss_kappa_labelers": text.fleiss_kappa_labelers,
-        "first_before_first_support": events.first_before_first_support,
-        "ordinal_assoc_quantity_discount": relational.ordinal_assoc_quantity_discount,
-        "cronbach_alpha_labelers": text.cronbach_alpha_labelers,
-        "average_precision_length_english": text.average_precision_length_english,
-        "brier_calibration_length_english": text.brier_calibration_length_english,
-        "rbo_topk_customers": relational.rbo_topk_customers,
-        "oaxaca_price_gap_returnflag": relational.oaxaca_price_gap_returnflag,
-        "bowker_transition_symmetry": events.bowker_transition_symmetry,
-        "ks_exponential_interarrival": events.ks_exponential_interarrival,
-        "granger_views_purchases": events.granger_views_purchases,
-        "pacf2_daily_revenue": relational.pacf2_daily_revenue,
-        "mann_kendall_daily_revenue": relational.mann_kendall_daily_revenue,
-        "pettitt_changepoint_daily_revenue": relational.pettitt_changepoint_daily_revenue,
-        "adjusted_rand_label_signs": similarity.adjusted_rand_label_signs,
-        "mood_scale_price": relational.mood_scale_price,
-        "l_diversity_audit": relational.l_diversity_audit,
-        "logodds_keyness_english": text.logodds_keyness_english,
-        "nmi_label_signs": similarity.nmi_label_signs,
-        "youden_threshold_length_english": text.youden_threshold_length_english,
-        "ndcg_popularity_at10": relational.ndcg_popularity_at10,
-        "hodges_lehmann_quantity": relational.hodges_lehmann_quantity,
-        "shamos_scale_quantity": relational.shamos_scale_quantity,
-        "rmst_repurchase": relational.rmst_repurchase,
-        "horvitz_thompson_revenue": relational.horvitz_thompson_revenue,
-        "fisher_price_index_yearly": relational.fisher_price_index_yearly,
-        "wald_iv_urgent_quantity": relational.wald_iv_urgent_quantity,
-        "taylor_law_slope": events.taylor_law_slope,
-        "gpd_pot_price_fit": relational.gpd_pot_price_fit,
-        "jarque_bera_daily_revenue": relational.jarque_bera_daily_revenue,
-        "leadtime_quartiles_by_priority": relational.leadtime_quartiles_by_priority,
-        "circular_time_of_day": events.circular_time_of_day,
-        "haar_energy_daily_revenue": relational.haar_energy_daily_revenue,
-        "transition_reciprocity": events.transition_reciprocity,
-        "burstiness_memory_gaps": events.burstiness_memory_gaps,
-        "atkinson_index_customer_revenue": relational.atkinson_index_customer_revenue,
-        "hoover_index_customer_revenue": relational.hoover_index_customer_revenue,
-        "jonckheere_quantity_by_discount": relational.jonckheere_quantity_by_discount,
-        "cliffs_delta_returned_quantity": relational.cliffs_delta_returned_quantity,
-        "nelson_aalen_repurchase": relational.nelson_aalen_repurchase,
-        "tornqvist_price_index_yearly": relational.tornqvist_price_index_yearly,
-        "permutation_entropy_daily_revenue": relational.permutation_entropy_daily_revenue,
-        "hurst_exponent_daily_revenue": relational.hurst_exponent_daily_revenue,
-        "t_closeness_audit": relational.t_closeness_audit,
-        "logloss_length_english": text.logloss_length_english,
-        "bartlett_quantity_by_flag": relational.bartlett_quantity_by_flag,
-        "brown_forsythe_quantity_by_flag": relational.brown_forsythe_quantity_by_flag,
-        "chao1_vocab_richness": text.chao1_vocab_richness,
-        "ace_vocab_richness": text.ace_vocab_richness,
-        "jackknife_vocab_richness": text.jackknife_vocab_richness,
-        "confusion_metrics_length_english": text.confusion_metrics_length_english,
-        "fowlkes_mallows_length_english": text.fowlkes_mallows_length_english,
-        "lexical_richness_indices": text.lexical_richness_indices,
-        "sichel_s_vocab": text.sichel_s_vocab,
-        "hill_numbers_vocab": text.hill_numbers_vocab,
-        "evenness_profile_vocab": text.evenness_profile_vocab,
-        "coleman_liau_ari_scores": text.coleman_liau_ari_scores,
-        "lix_rix_scores": text.lix_rix_scores,
-        "good_turing_unseen_mass": text.good_turing_unseen_mass,
-        "newey_west_daily_trend": relational.newey_west_daily_trend,
-        "cochrane_orcutt_daily_trend": relational.cochrane_orcutt_daily_trend,
-        "mrr_popularity_at10": relational.mrr_popularity_at10,
-        "simpson_diversity_parts": relational.simpson_diversity_parts,
-        "krippendorff_alpha_labelers": text.krippendorff_alpha_labelers,
-        "gwet_ac1_labelers": text.gwet_ac1_labelers,
-        "gamma_fit_order_gaps": relational.gamma_fit_order_gaps,
-        "negbin_fit_daily_orders": relational.negbin_fit_daily_orders,
-        "yuen_trimmed_t_quantity": relational.yuen_trimmed_t_quantity,
-        "cvm_two_sample_quantity": relational.cvm_two_sample_quantity,
-        "spectral_entropy_daily_revenue": relational.spectral_entropy_daily_revenue,
-        "kendall_w_segment_monthly": relational.kendall_w_segment_monthly,
-        "deming_views_purchases": events.deming_views_purchases,
-        "rma_views_purchases": events.rma_views_purchases,
-        "pielou_evenness_parts": relational.pielou_evenness_parts,
-        "berger_parker_parts": relational.berger_parker_parts,
-        "diffsign_runs_daily_revenue": relational.diffsign_runs_daily_revenue,
-        "turning_points_daily_revenue": relational.turning_points_daily_revenue,
-        "icc_labelers": text.icc_labelers,
-        "scott_pi_labelers": text.scott_pi_labelers,
-        "js_divergence_hourly_profiles": events.js_divergence_hourly_profiles,
-        "hellinger_hourly_profiles": events.hellinger_hourly_profiles,
-        "lin_ccc_views_purchases": events.lin_ccc_views_purchases,
-        "bland_altman_views_purchases": events.bland_altman_views_purchases,
-        "kpss_daily_revenue": relational.kpss_daily_revenue,
-        "variance_ratio_daily_revenue": relational.variance_ratio_daily_revenue,
-        "cohens_d_price_returned": relational.cohens_d_price_returned,
-        "f_test_price_returned": relational.f_test_price_returned,
-        "weibull_fit_order_gaps": relational.weibull_fit_order_gaps,
-        "source_vocab_dice_overlap": text.source_vocab_dice_overlap,
-        "participation_ratio_embeddings": similarity.participation_ratio_embeddings,
-        "embedding_isotropy_offdiag": similarity.embedding_isotropy_offdiag,
-        "goodman_kruskal_lambda_priority_status": relational.goodman_kruskal_lambda_priority_status,
-        "theil_u_priority_status": relational.theil_u_priority_status,
-        "monetary_unit_sample_orders": relational.monetary_unit_sample_orders,
-        "benford_second_digit_prices": relational.benford_second_digit_prices,
-        "abc_analysis_parts": relational.abc_analysis_parts,
-        "xyz_analysis_parts": relational.xyz_analysis_parts,
-        "xmr_control_daily_revenue": relational.xmr_control_daily_revenue,
-        "p_chart_daily_returns": relational.p_chart_daily_returns,
-        "seasonal_mann_kendall_monthly_revenue": relational.seasonal_mann_kendall_monthly_revenue,
-        "cox_stuart_trend_daily_revenue": relational.cox_stuart_trend_daily_revenue,
-        "grubbs_max_daily_revenue": relational.grubbs_max_daily_revenue,
-        "dixon_q_daily_revenue": relational.dixon_q_daily_revenue,
-        "hourly_profile_stability": events.hourly_profile_stability,
-        "weekday_weekend_hourly_js": events.weekday_weekend_hourly_js,
-        "median_time_to_repurchase": relational.median_time_to_repurchase,
-        "repurchase_incidence_horizons": relational.repurchase_incidence_horizons,
-        "blomqvist_beta_quantity_discount": relational.blomqvist_beta_quantity_discount,
-        "footrule_nation_revenue_yoy": relational.footrule_nation_revenue_yoy,
-        "risk_measures_urgent_return": relational.risk_measures_urgent_return,
-        "cohens_h_urgent_return": relational.cohens_h_urgent_return,
-        "allan_variance_event_rate": events.allan_variance_event_rate,
-        "laplace_trend_events": events.laplace_trend_events,
-        "crow_amsaa_events": events.crow_amsaa_events,
-        "transfer_entropy_views_purchases": events.transfer_entropy_views_purchases,
-        "ripley_k_events": events.ripley_k_events,
-        "pair_correlation_events": events.pair_correlation_events,
-        "v_test_noon_events": events.v_test_noon_events,
-        "circular_moments_events": events.circular_moments_events,
-        "watson_williams_event_types": events.watson_williams_event_types,
-        "peak_hour_by_event_type": events.peak_hour_by_event_type,
-        "variation_of_information_label_signs": similarity.variation_of_information_label_signs,
-        "calinski_harabasz_labels": similarity.calinski_harabasz_labels,
-        "davies_bouldin_rms_labels": similarity.davies_bouldin_rms_labels,
-        "dunn_centroid_labels": similarity.dunn_centroid_labels,
-        "xie_beni_labels": similarity.xie_beni_labels,
-        "variance_time_curve_events": events.variance_time_curve_events,
-        "ks_balance_customer_supplier": relational.ks_balance_customer_supplier,
-        "cochran_armitage_urgent_trend": relational.cochran_armitage_urgent_trend,
-        "lorenz_asymmetry_customer_revenue": relational.lorenz_asymmetry_customer_revenue,
-        "mld_customer_revenue": relational.mld_customer_revenue,
-        "bowley_skewness_quantity": relational.bowley_skewness_quantity,
-        "moors_kurtosis_quantity": relational.moors_kurtosis_quantity,
-        "hits_copurchase": relational.hits_copurchase,
-        "hits_planted_star": relational.hits_planted_star,
-        "hits_two_hop_authority": relational.hits_two_hop_authority,
-        "seasonal_theil_sen_monthly_revenue": relational.seasonal_theil_sen_monthly_revenue,
-        "buishand_range_daily_revenue": relational.buishand_range_daily_revenue,
-        "kpss_trend_daily_revenue": relational.kpss_trend_daily_revenue,
-        "dickey_fuller_daily_revenue": relational.dickey_fuller_daily_revenue,
-        "arch_lm_daily_revenue": relational.arch_lm_daily_revenue,
-        "ar1_half_life_daily_revenue": relational.ar1_half_life_daily_revenue,
-        "expected_shortfall_order_price": relational.expected_shortfall_order_price,
-        "trimmed_mean_order_price": relational.trimmed_mean_order_price,
-        "rate_ratio_weekend_events": events.rate_ratio_weekend_events,
-        "binomial_exact_weekend_purchases": events.binomial_exact_weekend_purchases,
-        "anderson_darling_two_sample_quantity": relational.anderson_darling_two_sample_quantity,
-        "kuiper_two_sample_quantity": relational.kuiper_two_sample_quantity,
-        "tail_dependence_quantity_price": relational.tail_dependence_quantity_price,
-        "event_id_time_inversions": events.event_id_time_inversions,
-        "winsorized_corr_price_quantity": relational.winsorized_corr_price_quantity,
-        "point_biserial_return_price": relational.point_biserial_return_price,
-        "ridge_price_model": relational.ridge_price_model,
-        "vif_quantity_discount": relational.vif_quantity_discount,
-        "isotonic_return_rate_by_quantity": relational.isotonic_return_rate_by_quantity,
-        "cochran_armitage_return_by_quantity": relational.cochran_armitage_return_by_quantity,
-        "ztp_lines_per_order": relational.ztp_lines_per_order,
-        "basket_size_entropy": relational.basket_size_entropy,
-        "nation_hhi_trend": relational.nation_hhi_trend,
-        "nation_share_turbulence": relational.nation_share_turbulence,
-        "tax_discount_interaction": relational.tax_discount_interaction,
-        "billed_amount_decomposition": relational.billed_amount_decomposition,
-        "size_demand_trend": relational.size_demand_trend,
-        "retail_vs_transacted_price": relational.retail_vs_transacted_price,
-        "bh_brand_return_enrichment": relational.bh_brand_return_enrichment,
-        "multiple_testing_summary_brands": relational.multiple_testing_summary_brands,
-        "energy_distance_quantity": relational.energy_distance_quantity,
-        "brunner_munzel_quantity": relational.brunner_munzel_quantity,
-        "ansari_bradley_quantity": relational.ansari_bradley_quantity,
-        "lepage_quantity": relational.lepage_quantity,
-        "tukey_hsd_price_by_segment": relational.tukey_hsd_price_by_segment,
-        "games_howell_price_by_segment": relational.games_howell_price_by_segment,
-        "mood_median_test_quantity_by_flag": relational.mood_median_test_quantity_by_flag,
-        "cuzick_trend_quantity_by_linenumber": relational.cuzick_trend_quantity_by_linenumber,
-        "distance_corr_quantity_discount": relational.distance_corr_quantity_discount,
-        "hoeffding_d_quantity_discount": relational.hoeffding_d_quantity_discount,
-        "cmh_test_urgent_finished": relational.cmh_test_urgent_finished,
-        "breslow_day_urgent_finished": relational.breslow_day_urgent_finished,
-        "stuart_maxwell_raters": text.stuart_maxwell_raters,
-        "bhapkar_raters": text.bhapkar_raters,
-        "pickands_tail_index": relational.pickands_tail_index,
-        "moment_tail_index": relational.moment_tail_index,
-        "quade_segment_monthly": relational.quade_segment_monthly,
-        "page_trend_segment_yearly": relational.page_trend_segment_yearly,
-        "embedding_coordinate_kurtosis": similarity.embedding_coordinate_kurtosis,
-        "embedding_spectral_moments": similarity.embedding_spectral_moments,
-        "conover_squared_ranks_quantity": relational.conover_squared_ranks_quantity,
-        "dunn_pairwise_quantity_by_flag": relational.dunn_pairwise_quantity_by_flag,
-        "simpson_diversity_vocab": text.simpson_diversity_vocab,
-        "shannon_entropy_vocab": text.shannon_entropy_vocab,
-        "epps_pulley_daily_revenue": relational.epps_pulley_daily_revenue,
-        "dagostino_k2_daily_revenue": relational.dagostino_k2_daily_revenue,
-        "bartels_rank_daily_revenue": relational.bartels_rank_daily_revenue,
-        "cucconi_quantity": relational.cucconi_quantity,
-        "gumbel_fit_daily_max_value": events.gumbel_fit_daily_max_value,
-        "gpd_pot_fit_order_price": relational.gpd_pot_fit_order_price,
-        "morans_i_customer_balance": relational.morans_i_customer_balance,
-        "gearys_c_customer_balance": relational.gearys_c_customer_balance,
-        "negbin_fit_lines_per_order": relational.negbin_fit_lines_per_order,
-        "bohning_dispersion_lines_per_order": relational.bohning_dispersion_lines_per_order,
-        "ledoit_wolf_shrinkage": similarity.ledoit_wolf_shrinkage,
-        "oas_shrinkage": similarity.oas_shrinkage,
-        "siegel_slope_daily_revenue": relational.siegel_slope_daily_revenue,
-        "mad_outliers_daily_revenue": relational.mad_outliers_daily_revenue,
-        "cochrane_orcutt_daily_trend": relational.cochrane_orcutt_daily_trend,
-        "newey_west_trend_se": relational.newey_west_trend_se,
-        "gini_term_frequencies": text.gini_term_frequencies,
-        "berger_parker_vocab": text.berger_parker_vocab,
-        "friedman_aligned_ranks_segment_monthly": relational.friedman_aligned_ranks_segment_monthly,
-        "tukey_nonadditivity_segment_monthly": relational.tukey_nonadditivity_segment_monthly,
-        "mantel_nations_balance_price": relational.mantel_nations_balance_price,
-        "anosim_region_balance": relational.anosim_region_balance,
-        "circular_linear_corr_time_value": events.circular_linear_corr_time_value,
-        "kuiper_dow_uniformity": events.kuiper_dow_uniformity,
-        "cramers_v_corrected_priority_status": relational.cramers_v_corrected_priority_status,
-        "tschuprow_t_priority_status": relational.tschuprow_t_priority_status,
-        "weighted_kappa_raters": text.weighted_kappa_raters,
-        "bangdiwala_b_raters": text.bangdiwala_b_raters,
-        "cliff_delta_quantity": relational.cliff_delta_quantity,
-        "kendall_tau_b_quantity_discount": relational.kendall_tau_b_quantity_discount,
-        "stuart_tau_c_quantity_discount": relational.stuart_tau_c_quantity_discount,
-        "breusch_pagan_price_quantity": relational.breusch_pagan_price_quantity,
-        "white_test_price_quantity": relational.white_test_price_quantity,
-        "chatterjee_xi_daily_revenue": relational.chatterjee_xi_daily_revenue,
-        "reset_test_price_quantity": relational.reset_test_price_quantity,
-        "chow_break_daily_revenue": relational.chow_break_daily_revenue,
-        "quandt_supf_daily_revenue": relational.quandt_supf_daily_revenue,
-        "phillips_perron_daily_revenue": relational.phillips_perron_daily_revenue,
-        "breusch_godfrey_daily_trend": relational.breusch_godfrey_daily_trend,
-        "theil_decomposition_by_nation": relational.theil_decomposition_by_nation,
-        "mld_decomposition_by_nation": relational.mld_decomposition_by_nation,
-        "bhattacharyya_quantity": relational.bhattacharyya_quantity,
-        "total_variation_quantity": relational.total_variation_quantity,
-        "mase_seasonal_naive_monthly": relational.mase_seasonal_naive_monthly,
-        "theil_u2_seasonal_naive_monthly": relational.theil_u2_seasonal_naive_monthly,
-        "gk_tau_priority_status": relational.gk_tau_priority_status,
-        "pearson_contingency_priority_status": relational.pearson_contingency_priority_status,
-        "hartley_fmax_price_by_segment": relational.hartley_fmax_price_by_segment,
-        "woolf_or_heterogeneity_urgent_finished": relational.woolf_or_heterogeneity_urgent_finished,
-        "peto_or_urgent_finished": relational.peto_or_urgent_finished,
-        "goldfeld_quandt_price_quantity": relational.goldfeld_quandt_price_quantity,
-        "glejser_price_quantity": relational.glejser_price_quantity,
-        "rosenbluth_index_brand_revenue": relational.rosenbluth_index_brand_revenue,
-        "concentration_ratios_brand_revenue": relational.concentration_ratios_brand_revenue,
-        "palma_ratio_customer_revenue": relational.palma_ratio_customer_revenue,
-        "quintile_share_ratio_customer_revenue": relational.quintile_share_ratio_customer_revenue,
-        "western_electric_daily_revenue": relational.western_electric_daily_revenue,
-        "nelson_trend_rules_daily_revenue": relational.nelson_trend_rules_daily_revenue,
-        "siegel_tukey_quantity": relational.siegel_tukey_quantity,
-        "fligner_policello_quantity": relational.fligner_policello_quantity,
-        "dfa_daily_revenue": relational.dfa_daily_revenue,
-        "higuchi_fd_daily_revenue": relational.higuchi_fd_daily_revenue,
-        "l_moments_order_price": relational.l_moments_order_price,
-        "gev_pwm_yearly_max_revenue": relational.gev_pwm_yearly_max_revenue,
-        "getis_ord_g_customer_revenue": relational.getis_ord_g_customer_revenue,
-        "join_counts_balance_sign": relational.join_counts_balance_sign,
-        "marshall_edgeworth_walsh_index": relational.marshall_edgeworth_walsh_index,
-        "geometric_price_indexes": relational.geometric_price_indexes,
-        "brown_mood_median_quantity_by_linenumber": relational.brown_mood_median_quantity_by_linenumber,
-        "ksample_ad_quantity_by_linenumber": relational.ksample_ad_quantity_by_linenumber,
-        "peto_peto_repurchase_by_segment": relational.peto_peto_repurchase_by_segment,
-        "fleming_harrington_repurchase_by_segment": relational.fleming_harrington_repurchase_by_segment,
-        "leverage_diagnostics_price_quantity": relational.leverage_diagnostics_price_quantity,
-        "cooks_distance_outliers_price_quantity": relational.cooks_distance_outliers_price_quantity,
-        "icss_variance_change_daily_revenue": relational.icss_variance_change_daily_revenue,
-        "variance_ratio_pre_post_break": relational.variance_ratio_pre_post_break,
-        "mcleod_li_daily_revenue": relational.mcleod_li_daily_revenue,
-        "engle_ng_sign_bias_daily_revenue": relational.engle_ng_sign_bias_daily_revenue,
-        "process_capability_quantity": relational.process_capability_quantity,
-        "taguchi_cpm_quantity": relational.taguchi_cpm_quantity,
-        "biweight_price": relational.biweight_price,
-        "hampel_m_price": relational.hampel_m_price,
-        "fishers_g_daily_revenue": relational.fishers_g_daily_revenue,
-        "bartlett_cumulative_periodogram_daily_revenue": relational.bartlett_cumulative_periodogram_daily_revenue,
-        "hotelling_t2_returned_kept": relational.hotelling_t2_returned_kept,
-        "box_m_covariance_by_flag": relational.box_m_covariance_by_flag,
-        "canonical_correlation_lineitem": relational.canonical_correlation_lineitem,
-        "rv_coefficient_lineitem": relational.rv_coefficient_lineitem,
-        "lo_modified_rs_daily_revenue": relational.lo_modified_rs_daily_revenue,
-        "gph_fractional_d_daily_revenue": relational.gph_fractional_d_daily_revenue,
-        "kendall_partial_tau_quantity_discount_given_tax": relational.kendall_partial_tau_quantity_discount_given_tax,
-        "partial_spearman_quantity_discount_given_tax": relational.partial_spearman_quantity_discount_given_tax,
-        "g2_priority_status_marginal": relational.g2_priority_status_marginal,
-        "g2_priority_status_given_segment": relational.g2_priority_status_given_segment,
-        "welch_anova_price_segment": relational.welch_anova_price_segment,
-        "brown_forsythe_anova_price_segment": relational.brown_forsythe_anova_price_segment,
-        "ancova_parallelism_retail_size_brand": relational.ancova_parallelism_retail_size_brand,
-        "ancova_adjusted_means_retail_size_brand": relational.ancova_adjusted_means_retail_size_brand,
-        "scheirer_ray_hare_quantity": relational.scheirer_ray_hare_quantity,
-        "did_median_quantity_flag_status": relational.did_median_quantity_flag_status,
-        "mh_risk_difference_urgent_finished": relational.mh_risk_difference_urgent_finished,
-        "mh_risk_ratio_urgent_finished": relational.mh_risk_ratio_urgent_finished,
-        "direct_standardized_finish_rate_by_segment": relational.direct_standardized_finish_rate_by_segment,
-        "smr_finish_by_segment": relational.smr_finish_by_segment,
-        "kitagawa_decomposition_finish_gap": relational.kitagawa_decomposition_finish_gap,
-        "page_hinkley_daily_revenue": relational.page_hinkley_daily_revenue,
-        "ewma_chart_crossings_daily_revenue": relational.ewma_chart_crossings_daily_revenue,
-        "moving_range_chart_daily_revenue": relational.moving_range_chart_daily_revenue,
-        "benford_mad_conformity": relational.benford_mad_conformity,
-        "nigrini_distortion_factor": relational.nigrini_distortion_factor,
-        "mardia_skewness_quantity_discount": relational.mardia_skewness_quantity_discount,
-        "mardia_kurtosis_quantity_discount": relational.mardia_kurtosis_quantity_discount,
-        "sample_entropy_daily_revenue": relational.sample_entropy_daily_revenue,
-        "approximate_entropy_daily_revenue": relational.approximate_entropy_daily_revenue,
-        "sato_vartia_index": relational.sato_vartia_index,
-        "montgomery_vartia_index": relational.montgomery_vartia_index,
-        "attributable_fractions_urgent_return": relational.attributable_fractions_urgent_return,
-        "likelihood_ratios_length_english": text.likelihood_ratios_length_english,
-        "c_chart_daily_orders": relational.c_chart_daily_orders,
-        "u_chart_lines_per_order_daily": relational.u_chart_lines_per_order_daily,
-        "snht_daily_revenue": relational.snht_daily_revenue,
-        "von_neumann_ratio_daily_revenue": relational.von_neumann_ratio_daily_revenue,
-        "ratio_estimator_revenue": relational.ratio_estimator_revenue,
-        "regression_estimator_revenue": relational.regression_estimator_revenue,
-        "life_table_repurchase": relational.life_table_repurchase,
-        "greenwood_km_ci": relational.greenwood_km_ci,
-        "lisa_quadrants_customer_balance": relational.lisa_quadrants_customer_balance,
-        "local_gistar_nation_balance": relational.local_gistar_nation_balance,
-        "dffits_outliers_price_quantity": relational.dffits_outliers_price_quantity,
-        "dfbetas_slope_outliers_price_quantity": relational.dfbetas_slope_outliers_price_quantity,
-        "gumbel_return_levels_daily_max": relational.gumbel_return_levels_daily_max,
-        "inverse_gaussian_fit_order_gaps": relational.inverse_gaussian_fit_order_gaps,
-        "margalef_menhinick_vocab": text.margalef_menhinick_vocab,
-        "err_popularity_at10": relational.err_popularity_at10,
-        "croston_sba_part_demand": relational.croston_sba_part_demand,
-        "tsb_part_demand": relational.tsb_part_demand,
-        "records_test_daily_revenue": relational.records_test_daily_revenue,
-        "ulcer_index_daily_revenue": relational.ulcer_index_daily_revenue,
-        "james_stein_segment_means": relational.james_stein_segment_means,
-        "robbins_eb_order_counts": relational.robbins_eb_order_counts,
-        "gini_correlation_quantity_price": relational.gini_correlation_quantity_price,
-        "gini_mean_difference_price": relational.gini_mean_difference_price,
-        "cross_k_views_purchases": events.cross_k_views_purchases,
-        "cross_pcf_views_purchases": events.cross_pcf_views_purchases,
-        "hl_shift_ci_quantity_returned": relational.hl_shift_ci_quantity_returned,
-        "shift_function_deciles_quantity_returned": relational.shift_function_deciles_quantity_returned,
-        "weibull_median_rank_regression_gaps": relational.weibull_median_rank_regression_gaps,
-        "gini_exponentiality_gaps": relational.gini_exponentiality_gaps,
-        "fisher_quantity_index_yearly": relational.fisher_quantity_index_yearly,
-        "factor_reversal_audit": relational.factor_reversal_audit,
-        "lorenz_dominance_segments": relational.lorenz_dominance_segments,
-        "generalized_lorenz_segments": relational.generalized_lorenz_segments,
-        "katz_k_mixture_top_term": text.katz_k_mixture_top_term,
-        "term_adaptation_top_terms": text.term_adaptation_top_terms,
-        "embedding_resultant_uniformity": similarity.embedding_resultant_uniformity,
-        "embedding_mean_pairwise_cosine": similarity.embedding_mean_pairwise_cosine,
-        "copurchase_conviction_leverage": relational.copurchase_conviction_leverage,
-        "copurchase_null_invariant_measures": relational.copurchase_null_invariant_measures,
-        "fsd_check_segments": relational.fsd_check_segments,
-        "ssd_check_segments": relational.ssd_check_segments,
-        "post_stratified_revenue_estimate": relational.post_stratified_revenue_estimate,
-        "hajek_vs_ht_revenue": relational.hajek_vs_ht_revenue,
-        "theil_sen_ci_daily_revenue": relational.theil_sen_ci_daily_revenue,
-        "sen_slope_by_year": relational.sen_slope_by_year,
-        "kde_order_price_grid": relational.kde_order_price_grid,
-        "bimodality_coefficient_price": relational.bimodality_coefficient_price,
-        "distribution_overlap_segments": relational.distribution_overlap_segments,
-        "qq_fit_segments": relational.qq_fit_segments,
-        "mean_residual_life_repurchase": relational.mean_residual_life_repurchase,
-        "cumhaz_na_vs_km": relational.cumhaz_na_vs_km,
-        "chained_tornqvist_index": relational.chained_tornqvist_index,
-        "chained_fisher_index": relational.chained_fisher_index,
-        "copurchase_centralization": relational.copurchase_centralization,
-        "degree_heterogeneity_copurchase": relational.degree_heterogeneity_copurchase,
-        "brand_assortativity_copurchase": relational.brand_assortativity_copurchase,
-        "brand_mixing_top_pairs": relational.brand_mixing_top_pairs,
-        "bonferroni_index_customer_revenue": relational.bonferroni_index_customer_revenue,
-        "zenga_curve_customer_revenue": relational.zenga_curve_customer_revenue,
-        "mobility_indexes_customer_value": relational.mobility_indexes_customer_value,
-        "spearman_rank_persistence_customers": relational.spearman_rank_persistence_customers,
-        "random_effects_meta_urgent_finished": relational.random_effects_meta_urgent_finished,
-        "funnel_asymmetry_urgent_finished": relational.funnel_asymmetry_urgent_finished,
-        "elementary_price_indexes": relational.elementary_price_indexes,
-        "carli_jevons_formula_effect": relational.carli_jevons_formula_effect,
-        "fairness_rates_by_source": text.fairness_rates_by_source,
-        "fairness_gaps_by_source": text.fairness_gaps_by_source,
-        "brand_return_prr_ror": relational.brand_return_prr_ror,
-        "brand_return_bcpnn_ic": relational.brand_return_bcpnn_ic,
-        "weekly_cross_spectrum_views_purchases": events.weekly_cross_spectrum_views_purchases,
-        "weekly_band_coherence_views_purchases": events.weekly_band_coherence_views_purchases,
-        "kernel_return_rate_by_quantity": relational.kernel_return_rate_by_quantity,
-        "kernel_return_rate_derivative": relational.kernel_return_rate_derivative,
-        "revenue_retention_customers": relational.revenue_retention_customers,
-        "nrr_decomposition_customers": relational.nrr_decomposition_customers,
-        "lilliefors_daily_revenue": relational.lilliefors_daily_revenue,
-        "anderson_darling_daily_revenue": relational.anderson_darling_daily_revenue,
-        "region_brand_braycurtis": relational.region_brand_braycurtis,
-        "region_brand_morisita_horn": relational.region_brand_morisita_horn,
-        "fay_herriot_nation_balance": relational.fay_herriot_nation_balance,
-        "fay_herriot_shrinkage_summary": relational.fay_herriot_shrinkage_summary,
-        "discount_progressivity_kakwani": relational.discount_progressivity_kakwani,
-        "discount_progressivity_suits": relational.discount_progressivity_suits,
-        "benford_first_two_digits": relational.benford_first_two_digits,
-        "benford_summation_test": relational.benford_summation_test,
-        "fisher_exact_urgent_finished": relational.fisher_exact_urgent_finished,
-        "fisher_exact_by_segment": relational.fisher_exact_by_segment,
-        "pnl_ratios_daily_revenue": relational.pnl_ratios_daily_revenue,
-        "downside_risk_daily_revenue": relational.downside_risk_daily_revenue,
-        "fd_g3_errors": relational.fd_g3_errors,
-        "fd_lattice_pruning": relational.fd_lattice_pruning,
-        "watson_u2_time_of_day": events.watson_u2_time_of_day,
-        "rao_spacing_time_of_day": events.rao_spacing_time_of_day,
-        "ratio_metric_delta_ci": relational.ratio_metric_delta_ci,
-        "ratio_metric_fieller_ci": relational.ratio_metric_fieller_ci,
-        "mean_excess_order_price": relational.mean_excess_order_price,
-        "mean_excess_linearity": relational.mean_excess_linearity,
-        "interaction_information_events": events.interaction_information_events,
-        "o_information_events": events.o_information_events,
-        "vocab_rarefaction_curve": text.vocab_rarefaction_curve,
-        "vocab_expected_singletons": text.vocab_expected_singletons,
-        "harmonic_seasonality_monthly_orders": relational.harmonic_seasonality_monthly_orders,
-        "hewitt_seasonality_monthly_orders": relational.hewitt_seasonality_monthly_orders,
-        "partial_auc_length_english": text.partial_auc_length_english,
-        "somers_d_length_english": text.somers_d_length_english,
-        "kish_cluster_deff_orders": relational.kish_cluster_deff_orders,
-        "kish_weighting_deff_pps": relational.kish_weighting_deff_pps,
-        "rbg_variance_mh_or": relational.rbg_variance_mh_or,
-        "gr_variance_mh_rd": relational.gr_variance_mh_rd,
-        "wolfson_bipolarization_customers": relational.wolfson_bipolarization_customers,
-        "esteban_ray_polarization_customers": relational.esteban_ray_polarization_customers,
-        "drobisch_stuvel_indexes": relational.drobisch_stuvel_indexes,
-        "bortkiewicz_decomposition": relational.bortkiewicz_decomposition,
-        "ttt_transform_gaps": relational.ttt_transform_gaps,
-        "gnedenko_f_gaps": relational.gnedenko_f_gaps,
-        "last_two_digit_uniformity": relational.last_two_digit_uniformity,
-        "round_number_bias_prices": relational.round_number_bias_prices,
-        "erlang_c_staffing": events.erlang_c_staffing,
-        "erlang_b_blocking": events.erlang_b_blocking,
-        "engle_granger_views_purchases": events.engle_granger_views_purchases,
-        "error_correction_model_views_purchases": events.error_correction_model_views_purchases,
-        "hhi_decomposition_region_brand": relational.hhi_decomposition_region_brand,
-        "entropy_decomposition_region_brand": relational.entropy_decomposition_region_brand,
-        "newsvendor_stock_level": relational.newsvendor_stock_level,
-        "stock_service_levels": relational.stock_service_levels,
-        "bayes_ab_urgent_finished": relational.bayes_ab_urgent_finished,
-        "bayes_ab_expected_loss": relational.bayes_ab_expected_loss,
-        "lotka_law_customer_orders": relational.lotka_law_customer_orders,
-        "gibrat_check_customer_spend": relational.gibrat_check_customer_spend,
-        "gini_source_decomposition_orders": relational.gini_source_decomposition_orders,
-        "gini_marginal_effects_orders": relational.gini_marginal_effects_orders,
-        "fisher_lda_returned": relational.fisher_lda_returned,
-        "lda_accuracy_returned": relational.lda_accuracy_returned,
-        "bass_diffusion_fit": relational.bass_diffusion_fit,
-        "bass_model_implied": relational.bass_model_implied,
-        "competing_risks_cif": events.competing_risks_cif,
-        "km_vs_cif_fallacy": events.km_vs_cif_fallacy,
-        "mediation_sobel_discount": relational.mediation_sobel_discount,
-        "mediation_proportion_discount": relational.mediation_proportion_discount,
-        "linear_spline_price_quantity": relational.linear_spline_price_quantity,
-        "spline_vs_linear_ftest": relational.spline_vs_linear_ftest,
-        "fgt_poverty_customers": relational.fgt_poverty_customers,
-        "sen_poverty_customers": relational.sen_poverty_customers,
-        "press_predicted_r2_price_quantity": relational.press_predicted_r2_price_quantity,
-        "information_criteria_price_quantity": relational.information_criteria_price_quantity,
-        "srm_check_user_buckets": events.srm_check_user_buckets,
-        "aa_bucket_conversion_homogeneity": events.aa_bucket_conversion_homogeneity,
-        "mcf_recurrent_purchases": events.mcf_recurrent_purchases,
-        "mcf_vs_naive_bias": events.mcf_vs_naive_bias,
-        "copurchase_adamic_adar_topk": relational.copurchase_adamic_adar_topk,
-        "linkpred_precision_at_k": relational.linkpred_precision_at_k,
-        "yule_tetrachoric_urgent_return": relational.yule_tetrachoric_urgent_return,
-        "phi_max_urgent_return": relational.phi_max_urgent_return,
-        "lowe_price_index_3period": relational.lowe_price_index_3period,
-        "young_price_index_3period": relational.young_price_index_3period,
-        "cox_score_test_repurchase_value": relational.cox_score_test_repurchase_value,
-        "weighted_trend_tests_repurchase_value": relational.weighted_trend_tests_repurchase_value,
-        "grouped_iv_2sls_price_quantity": relational.grouped_iv_2sls_price_quantity,
-        "sargan_overid_price_quantity": relational.sargan_overid_price_quantity,
-        "embedding_hubness": similarity.embedding_hubness,
-        "knn_symmetry_ratio": similarity.knn_symmetry_ratio,
-        "chao2_vocab_richness": text.chao2_vocab_richness,
-        "ice_vocab_richness": text.ice_vocab_richness,
-        "t_chart_error_gaps": events.t_chart_error_gaps,
-        "g_chart_error_counts": events.g_chart_error_counts,
-        "eoq_top_part": relational.eoq_top_part,
-        "reorder_point_top_part": relational.reorder_point_top_part,
-        "diebold_mariano_monthly": relational.diebold_mariano_monthly,
-        "forecast_encompassing_monthly": relational.forecast_encompassing_monthly,
-        "delong_auc_ci_length_english": text.delong_auc_ci_length_english,
-        "hanley_mcneil_se_length_english": text.hanley_mcneil_se_length_english,
-        "guttman_lambda2_labelers": text.guttman_lambda2_labelers,
-        "spearman_brown_labelers": text.spearman_brown_labelers,
-        "demand_classification_parts": relational.demand_classification_parts,
-        "demand_classification_top_parts": relational.demand_classification_top_parts,
-        "markov_stationarity_g2": events.markov_stationarity_g2,
-        "transition_matrix_drift": events.transition_matrix_drift,
-        "wilks_tolerance_interval_price": relational.wilks_tolerance_interval_price,
-        "prediction_interval_price": relational.prediction_interval_price,
-        "shapley_r2_price_quantity_discount": relational.shapley_r2_price_quantity_discount,
-        "commonality_analysis_price": relational.commonality_analysis_price,
-        "fisk_fit_order_price": relational.fisk_fit_order_price,
-        "fisk_ks_gof_order_price": relational.fisk_ks_gof_order_price,
-        "murphy_brier_decomposition": text.murphy_brier_decomposition,
-        "calibration_slope_length_english": text.calibration_slope_length_english,
-        "block_jackknife_se_daily_revenue": relational.block_jackknife_se_daily_revenue,
-        "jackknife_inflation_daily_revenue": relational.jackknife_inflation_daily_revenue,
-        "cost_optimal_thresholds_length_english": text.cost_optimal_thresholds_length_english,
-        "precision_target_threshold_length_english": text.precision_target_threshold_length_english,
-        "unit_price_dispersion_parts": relational.unit_price_dispersion_parts,
-        "price_variance_decomposition_parts": relational.price_variance_decomposition_parts,
-        "compound_risk_decomposition_customers": relational.compound_risk_decomposition_customers,
-        "frequency_severity_correlation": relational.frequency_severity_correlation,
-        "berkson_logit_return_by_quantity": relational.berkson_logit_return_by_quantity,
-        "berkson_logit_gof": relational.berkson_logit_gof,
-        "sign_test_spend_prepost": relational.sign_test_spend_prepost,
-        "paired_t_log_spend": relational.paired_t_log_spend,
-        "rqa_recurrence_daily_revenue": relational.rqa_recurrence_daily_revenue,
-        "rqa_determinism_daily_revenue": relational.rqa_determinism_daily_revenue,
-        "keyfitz_entropy_repurchase": relational.keyfitz_entropy_repurchase,
-        "survival_gini_repurchase": relational.survival_gini_repurchase,
-        "ipf_raking_urgent_return": relational.ipf_raking_urgent_return,
-        "raking_weight_summary": relational.raking_weight_summary,
-        "covariate_balance_smd_urgent": relational.covariate_balance_smd_urgent,
-        "positivity_check_urgent_by_month": relational.positivity_check_urgent_by_month,
-        "arriaga_decomposition_repurchase": relational.arriaga_decomposition_repurchase,
-        "arriaga_identity_check": relational.arriaga_identity_check,
-        "hedonic_time_dummy_price_index": relational.hedonic_time_dummy_price_index,
-        "hedonic_vs_jevons_gap": relational.hedonic_vs_jevons_gap,
-        "purchase_depth_ladder": events.purchase_depth_ladder,
-        "nbd_fit_purchase_counts": events.nbd_fit_purchase_counts,
-        "brand_revenue_beta": relational.brand_revenue_beta,
-        "brand_systematic_risk_decomposition": relational.brand_systematic_risk_decomposition,
-        "cluster_robust_trend_se": relational.cluster_robust_trend_se,
-        "moulton_factor_trend": relational.moulton_factor_trend,
-        "temporal_scan_errors": events.temporal_scan_errors,
-        "temporal_scan_secondary": events.temporal_scan_secondary,
-        "taylor_stats_seasonal_naive": relational.taylor_stats_seasonal_naive,
-        "taylor_stats_naive": relational.taylor_stats_naive,
-        "rosenbaum_bounds_spend": relational.rosenbaum_bounds_spend,
-        "rosenbaum_gamma_threshold": relational.rosenbaum_gamma_threshold,
-        "littles_law_orders": relational.littles_law_orders,
-        "backlog_quartiles": relational.backlog_quartiles,
-        "chebyshev_audit_order_price": relational.chebyshev_audit_order_price,
-        "markov_audit_order_price": relational.markov_audit_order_price,
-        "geks_fisher_index": relational.geks_fisher_index,
-        "geks_vs_bilateral_gap": relational.geks_vs_bilateral_gap,
-        "pesaran_timmermann_direction": relational.pesaran_timmermann_direction,
-        "direction_skill_scores": relational.direction_skill_scores,
-        "extremal_index_intervals_daily_revenue": relational.extremal_index_intervals_daily_revenue,
-        "exceedance_clusters_daily_revenue": relational.exceedance_clusters_daily_revenue,
-        "passing_bablok_views_purchases": events.passing_bablok_views_purchases,
-        "passing_bablok_cusum_linearity": events.passing_bablok_cusum_linearity,
-        "item_analysis_labelers": text.item_analysis_labelers,
-        "mcdonald_omega_labelers": text.mcdonald_omega_labelers,
-        "fisher_combined_p_segments": relational.fisher_combined_p_segments,
-        "tippett_minp_segments": relational.tippett_minp_segments,
-        "ww_runs_urgent_price": relational.ww_runs_urgent_price,
-        "tukey_pocket_urgent_price": relational.tukey_pocket_urgent_price,
-        "zip_score_test_order_counts": relational.zip_score_test_order_counts,
-        "zip_moment_fit_order_counts": relational.zip_moment_fit_order_counts,
-        "baujat_influence_segments": relational.baujat_influence_segments,
-        "loo_pooled_or_segments": relational.loo_pooled_or_segments,
-        "sgini_family_customer_revenue": relational.sgini_family_customer_revenue,
-        "kolm_index_customer_revenue": relational.kolm_index_customer_revenue,
-        "inspection_paradox_order_gaps": relational.inspection_paradox_order_gaps,
-        "gap_timeline_concentration": relational.gap_timeline_concentration,
-        "gallagher_disproportionality_brands": relational.gallagher_disproportionality_brands,
-        "sainte_lague_brand_table": relational.sainte_lague_brand_table,
-        "aitchison_geometry_regions": relational.aitchison_geometry_regions,
-        "aitchison_variation_regions": relational.aitchison_variation_regions,
-        "cosinor_hourly_profile": events.cosinor_hourly_profile,
-        "cosinor_two_harmonic_hourly": events.cosinor_two_harmonic_hourly,
-        "alexander_govern_price_segment": relational.alexander_govern_price_segment,
-        "alexander_govern_z_table": relational.alexander_govern_z_table,
-        "latent_class_labelers": text.latent_class_labelers,
-        "latent_class_majority_vote": text.latent_class_majority_vote,
-        "km_quartiles_bc_ci_repurchase": relational.km_quartiles_bc_ci_repurchase,
-        "km_horizon_loglog_ci_repurchase": relational.km_horizon_loglog_ci_repurchase,
-        "zipf_mandelbrot_fit": text.zipf_mandelbrot_fit,
-        "zipf_break_detection": text.zipf_break_detection,
-        "bartlett_sphericity_lineitem": relational.bartlett_sphericity_lineitem,
-        "kmo_lineitem": relational.kmo_lineitem,
-        "pca_eigenvalues_lineitem": relational.pca_eigenvalues_lineitem,
-        "pca_first_component_lineitem": relational.pca_first_component_lineitem,
-        "mundlak_within_between_price": relational.mundlak_within_between_price,
-        "panel_icc_price_quantity": relational.panel_icc_price_quantity,
-        "lloyd_morisita_daily_by_type": events.lloyd_morisita_daily_by_type,
-        "negbin_k_aggregation_by_type": events.negbin_k_aggregation_by_type,
-        "lin_agreement_decomposition": events.lin_agreement_decomposition,
-        "tdi_coverage_views_purchases": events.tdi_coverage_views_purchases,
-        "bennet_decomposition_yearly": relational.bennet_decomposition_yearly,
-        "bennet_top_part_contributors": relational.bennet_top_part_contributors,
-        "menzerath_fit_documents": text.menzerath_fit_documents,
-        "menzerath_profile_documents": text.menzerath_profile_documents,
-        "engel_curves_brands": relational.engel_curves_brands,
-        "engel_adding_up_check": relational.engel_adding_up_check,
-        "pi_coverage_backtest_monthly": relational.pi_coverage_backtest_monthly,
-        "winkler_score_monthly": relational.winkler_score_monthly,
-        "smr_byar_ci_by_segment": relational.smr_byar_ci_by_segment,
-        "smr_funnel_limits_by_segment": relational.smr_funnel_limits_by_segment,
-        "crps_normal_monthly": relational.crps_normal_monthly,
-        "ignorance_score_monthly": relational.ignorance_score_monthly,
-        "meta_regression_brand_returns": relational.meta_regression_brand_returns,
-        "meta_regression_residual_q": relational.meta_regression_residual_q,
-        "storey_pi0_profile_brands": relational.storey_pi0_profile_brands,
-        "qvalues_brands": relational.qvalues_brands,
-        "sbg_retention_fit": relational.sbg_retention_fit,
-        "sbg_projection_check": relational.sbg_projection_check,
-        "evalue_urgent_finished": relational.evalue_urgent_finished,
-        "bias_factor_grid_urgent_finished": relational.bias_factor_grid_urgent_finished,
-        "decision_curve_length_english": text.decision_curve_length_english,
-        "decision_curve_advantage": text.decision_curve_advantage,
-        "nri_source_vs_length": text.nri_source_vs_length,
-        "idi_source_vs_length": text.idi_source_vs_length,
-        "vuong_source_vs_length": text.vuong_source_vs_length,
-        "clarke_sign_test_models": text.clarke_sign_test_models,
-        "longest_run_daily_direction": relational.longest_run_daily_direction,
-        "run_length_spectrum_daily": relational.run_length_spectrum_daily,
-        "block_entropy_direction_tape": relational.block_entropy_direction_tape,
-        "predictability_direction_tape": relational.predictability_direction_tape,
-        "extensive_intensive_by_segment": relational.extensive_intensive_by_segment,
-        "two_part_gap_decomposition_segments": relational.two_part_gap_decomposition_segments,
-        "lloyd_moulton_index": relational.lloyd_moulton_index,
-        "implied_substitution_elasticity": relational.implied_substitution_elasticity,
-        "growth_incidence_deciles": relational.growth_incidence_deciles,
-        "pro_poor_growth_summary": relational.pro_poor_growth_summary,
-        "ellison_glaeser_brands": relational.ellison_glaeser_brands,
-        "maurel_sedillot_brands": relational.maurel_sedillot_brands,
-        "entropy_estimators_users": events.entropy_estimators_users,
-        "entropy_estimators_vocab": events.entropy_estimators_vocab,
-        "mccrary_density_jump_quantity": relational.mccrary_density_jump_quantity,
-        "rdd_placebo_cutoffs_quantity": relational.rdd_placebo_cutoffs_quantity,
-        "oster_delta_price_quantity": relational.oster_delta_price_quantity,
-        "oster_beta_star_grid": relational.oster_beta_star_grid,
-        "did_event_study_daily": events.did_event_study_daily,
-        "did_pretrend_placebo": events.did_pretrend_placebo,
-        "shapley_source_coverage": text.shapley_source_coverage,
-        "coverage_game_summary": text.coverage_game_summary,
-        "banzhaf_source_coverage": text.banzhaf_source_coverage,
-        "power_index_disagreement": text.power_index_disagreement,
-        "harrell_c_repurchase_by_value": relational.harrell_c_repurchase_by_value,
-        "truncated_c_repurchase": relational.truncated_c_repurchase,
-        "benford_second_order_prices": relational.benford_second_order_prices,
-        "mantissa_arc_test_prices": relational.mantissa_arc_test_prices,
-        "discrete_hazard_table_repurchase": relational.discrete_hazard_table_repurchase,
-        "duration_dependence_wls": relational.duration_dependence_wls,
-        "quartile_exact_ci_price": relational.quartile_exact_ci_price,
-        "tail_quantile_exact_ci_price": relational.tail_quantile_exact_ci_price,
-        "crow_amsaa_cvm_gof": events.crow_amsaa_cvm_gof,
-        "duane_mtbf_projection": events.duane_mtbf_projection,
-        "hotelling_t2_chart_daily": relational.hotelling_t2_chart_daily,
-        "t2_myt_decomposition_worst_day": relational.t2_myt_decomposition_worst_day,
-        "two_way_clustered_se_trend": relational.two_way_clustered_se_trend,
-        "clustering_choice_ladder": relational.clustering_choice_ladder,
-        "gamma_poisson_posterior_daily": relational.gamma_poisson_posterior_daily,
-        "posterior_predictive_max_ppc": relational.posterior_predictive_max_ppc,
-        "source_lm_cross_entropy": text.source_lm_cross_entropy,
-        "lm_divergence_extremes": text.lm_divergence_extremes,
-        "dp_noise_calibration": relational.dp_noise_calibration,
-        "dp_budget_requirement": relational.dp_budget_requirement,
-        "newsvendor_cost_curve": relational.newsvendor_cost_curve,
-        "newsvendor_asymmetry": relational.newsvendor_asymmetry,
-        "bullwhip_variance_ratio": relational.bullwhip_variance_ratio,
-        "order_ship_xcorr_peak": relational.order_ship_xcorr_peak,
-        "gravity_model_trade": relational.gravity_model_trade,
-        "gravity_residual_extremes": relational.gravity_residual_extremes,
-        "grubel_lloyd_pairs": relational.grubel_lloyd_pairs,
-        "trade_balance_normalized": relational.trade_balance_normalized,
-        "balassa_rca_top": relational.balassa_rca_top,
-        "krugman_specialization_nations": relational.krugman_specialization_nations,
-        "economic_complexity_reflections": relational.economic_complexity_reflections,
-        "rca_matrix_nestedness": relational.rca_matrix_nestedness,
-        "product_space_proximity_top": relational.product_space_proximity_top,
-        "next_brand_recommendation": relational.next_brand_recommendation,
-        "signal_detection_dprime": text.signal_detection_dprime,
-        "sdt_isosensitivity_check": text.sdt_isosensitivity_check,
-        "van_der_waerden_urgent_price": text.van_der_waerden_urgent_price,
-        "klotz_scale_urgent_price": text.klotz_scale_urgent_price,
-        "berkson_probit_return_by_quantity": text.berkson_probit_return_by_quantity,
-        "link_function_duel": text.link_function_duel,
-        "shapiro_francia_daily_revenue": text.shapiro_francia_daily_revenue,
-        "qq_plot_fit_daily_revenue": text.qq_plot_fit_daily_revenue,
-        "variance_ci_daily_price": text.variance_ci_daily_price,
-        "normal_tolerance_vs_wilks": text.normal_tolerance_vs_wilks,
-        "tost_equivalence_price_segments": relational.tost_equivalence_price_segments,
-        "equivalence_margin_threshold": relational.equivalence_margin_threshold,
-        "bayes_factor_two_segments": relational.bayes_factor_two_segments,
-        "minimum_bayes_factor_audit": relational.minimum_bayes_factor_audit,
-        "finite_sample_mean_cis_price": relational.finite_sample_mean_cis_price,
-        "sample_size_for_precision_price": relational.sample_size_for_precision_price,
-        "g_and_h_fit_price": text.g_and_h_fit_price,
-        "g_and_h_quantile_check": text.g_and_h_quantile_check,
-        "johnson_family_selector": text.johnson_family_selector,
-        "johnson_fit_price": text.johnson_fit_price,
-        "vasicek_entropy_price": text.vasicek_entropy_price,
-        "entropy_normality_price": text.entropy_normality_price,
-        "bloom_sizing_advisor": relational.bloom_sizing_advisor,
-        "bloom_fpp_tradeoff": relational.bloom_fpp_tradeoff,
-        "hll_precision_advisor": relational.hll_precision_advisor,
-        "sketch_discount_table": relational.sketch_discount_table,
-        "balls_in_bins_check": relational.balls_in_bins_check,
-        "bucket_count_advisor": relational.bucket_count_advisor,
-        "slo_burn_rate_windows": events.slo_burn_rate_windows,
-        "error_budget_remaining": events.error_budget_remaining,
-        "basket_allometry": relational.basket_allometry,
-        "basket_scaling_profile": relational.basket_scaling_profile,
-        "priority_queue_waits": relational.priority_queue_waits,
-        "priority_wait_inequity": relational.priority_wait_inequity,
-        "selectivity_independence_qerror": relational.selectivity_independence_qerror,
-        "pairwise_correlation_factors": relational.pairwise_correlation_factors,
-        "join_order_cost_audit": relational.join_order_cost_audit,
-        "filter_pushdown_payoff": relational.filter_pushdown_payoff,
-        "pinball_loss_monthly": relational.pinball_loss_monthly,
-        "quantile_calibration_monthly": relational.quantile_calibration_monthly,
-        "duncan_dissimilarity_region_brand": relational.duncan_dissimilarity_region_brand,
-        "isolation_interaction_region_brand": relational.isolation_interaction_region_brand,
-        "cochran_c_price_by_segment": relational.cochran_c_price_by_segment,
-        "levene_mean_quantity_by_flag": relational.levene_mean_quantity_by_flag,
-        "obrien_quantity_by_flag": relational.obrien_quantity_by_flag,
-        "anova_omega_epsilon_price_segment": relational.anova_omega_epsilon_price_segment,
-        "kruskal_wallis_effect_sizes_quantity": relational.kruskal_wallis_effect_sizes_quantity,
-        "gehan_breslow_repurchase_by_segment": relational.gehan_breslow_repurchase_by_segment,
-        "tarone_ware_repurchase_by_segment": relational.tarone_ware_repurchase_by_segment,
-        "brunet_w_vocab": text.brunet_w_vocab,
-        "honore_h_vocab": text.honore_h_vocab,
-        "hosmer_lemeshow_length_english": text.hosmer_lemeshow_length_english,
-        "spiegelhalter_z_length_english": text.spiegelhalter_z_length_english,
-        "spectral_entropy_daily_revenue": relational.spectral_entropy_daily_revenue,
-        "ece_length_english": text.ece_length_english,
-        "cuped_value_adjustment": events.cuped_value_adjustment,
-        "sorted_neighborhood_dedup": dedup.sorted_neighborhood_dedup,
-        "semdedup": similarity.semdedup,
-        "dsir_selection": text.dsir_selection,
-        "quality_classifier": text.quality_classifier,
-        "quality_classifier_first_step": text.quality_classifier_first_step,
-        "ttr_by_source": text.ttr_by_source,
-        "hapax_stats": text.hapax_stats,
-        "dup_cluster_size_hist": text.dup_cluster_size_hist,
-        "embedding_quantization_error": similarity.embedding_quantization_error,
-        "new_vs_returning_monthly": relational.new_vs_returning_monthly,
-        "harmonic_mean_quantity": relational.harmonic_mean_quantity,
-        "trigram_next_token": text.trigram_next_token,
-        "dedup_rate_by_source": text.dedup_rate_by_source,
-        "benford_price_digits": relational.benford_price_digits,
-        "incremental_join_mv": relational.incremental_join_mv,
-        "suppliers_covering_top_parts": relational.suppliers_covering_top_parts,
-        "label_centroid_cosine": similarity.label_centroid_cosine,
-        # dedup family
-        "dedup_exact": dedup.dedup_exact,
-        "dedup_normalized": dedup.dedup_normalized,
-        "minhash_lsh_dedup": dedup.minhash_lsh_dedup,
-        "minhash_lsh_planted_clones": dedup.minhash_lsh_planted_clones,
-        "ngram_jaccard_pairs": dedup.ngram_jaccard_pairs,
-        "ngram_jaccard_planted_clones": dedup.ngram_jaccard_planted_clones,
-        "simhash_neardup": dedup.simhash_neardup,
-        "simhash_planted_clones": dedup.simhash_planted_clones,
-        "exact_jaccard_pairs": dedup.exact_jaccard_pairs,
-        "containment_pairs": dedup.containment_pairs,
-        "subset_duplicates": dedup.subset_duplicates,
-        "neardup_clusters": dedup.neardup_clusters,
-        # exact blocked pair join (DuckDB oracle); the LSH-bucketed
-        # scale path (embedding_neardup_lsh) targets the >=0.9-cosine
-        # regime where random test corpora have no pairs, so its
-        # correctness story is the planted-dup recall tests in
-        # tests/test_similarity.py rather than a 0-row driver check
-        "embedding_neardup": similarity.embedding_neardup,
-        # similarity search
-        "knn_brute_force": similarity.knn_brute_force,
-        "knn_lsh": similarity.knn_lsh,
-        "knn_lsh_planted": similarity.knn_lsh_planted,
-        "knn_ivf": similarity.knn_ivf,
-        "knn_ivf_planted": similarity.knn_ivf_planted,
-        "filtered_knn": similarity.filtered_knn,
-        "embedding_dim_variance": similarity.embedding_dim_variance,
-        "embedding_norm_stats": similarity.embedding_norm_stats,
-        "embedding_pca_top": similarity.embedding_pca_top,
-        "embedding_pca_power_anchor": similarity.embedding_pca_power_anchor,
-        "embedding_neardup_lsh_planted": similarity.embedding_neardup_lsh_planted,
-        # multimodal decode stages over real P6 rasters
-        "media_dimensions": media.media_dimensions,
-        "media_dimensions_png": media.media_dimensions_png,
-        "media_dimensions_jpeg": media.media_dimensions_jpeg,
-        "media_channel_stats": media.media_channel_stats,
-        "media_channel_stats_planted_clones": media.media_channel_stats_planted_clones,
-        "media_lit_stats": media.media_lit_stats,
-        "media_word_boxes": media.media_word_boxes,
-        "media_line_boxes": media.media_line_boxes,
-        "media_frame_sample": media.media_frame_sample,
-        # text analysis
-        "token_counts": text.token_counts,
-        "bpe_token_counts": text.bpe_token_counts,
-        "fingerprints": text.fingerprints,
-        "language_id": text.language_id,
-        "quality_scores": text.quality_scores,
-        "winnowing": text.winnowing,
-        "vocab_top_terms": text.vocab_top_terms,
-        "source_term_divergence": text.source_term_divergence,
-        "doc_length_histogram": text.doc_length_histogram,
-        "doc_length_percentile": text.doc_length_percentile,
-        "hash_sample": text.hash_sample,
-        "tfidf_top_term": text.tfidf_top_term,
-        "curate_corpus": text.curate_corpus,
-        "repetition_stats": text.repetition_stats,
-        "segment_dedup": text.segment_dedup,
-        "doc_perplexity": text.doc_perplexity,
-        "benchmark_contamination": text.benchmark_contamination,
-        "duplicate_ngram_spans": text.duplicate_ngram_spans,
-        "pii_counts": text.pii_counts,
-        "compression_ratio": text.compression_ratio,
-        "compression_ratio_planted_clones": text.compression_ratio_planted_clones,
-        "heavy_hitter_terms": text.heavy_hitter_terms,
-        "stratified_sample": text.stratified_sample,
-        "bpe_learn_merges": text.bpe_learn_merges,
-        "bpe_first_merge": text.bpe_first_merge,
-        "pack_sequences": text.pack_sequences,
-        "chunk_documents": text.chunk_documents,
-        "char_entropy": text.char_entropy,
-        "bm25_scores": text.bm25_scores,
-        "mixture_sample": text.mixture_sample,
-        "bpe_apply_tokenize": text.bpe_apply_tokenize,
-        "bpe_apply_zero_merges": text.bpe_apply_zero_merges,
-        "pmi_collocations": text.pmi_collocations,
-        "inverted_index_sample": text.inverted_index_sample,
-        "table_checksum": text.table_checksum,
-        "sentence_stats": text.sentence_stats,
-        "extract_numbers": text.extract_numbers,
-        "top_terms_per_source": text.top_terms_per_source,
-        "source_vocab_jaccard": text.source_vocab_jaccard,
-        "length_psi_by_source": text.length_psi_by_source,
-        "boolean_and_search": text.boolean_and_search,
-        "partitioned_write_roundtrip": text.partitioned_write_roundtrip,
-        "tar_shard_roundtrip": text.tar_shard_roundtrip,
-        "schema_evolution_union": text.schema_evolution_union,
-        "tfidf_cosine_pairs": text.tfidf_cosine_pairs,
-        "readability_scores": text.readability_scores,
-        "char_class_profile": text.char_class_profile,
-        "partition_skew_report": text.partition_skew_report,
-        "bucketed_checksums": text.bucketed_checksums,
-        "ks_length_sources": text.ks_length_sources,
-        "zipf_slope": text.zipf_slope,
-        "dedup_keep_longest": dedup.dedup_keep_longest,
-        # vector aggregates over the embeddings table
-        "label_centroid_stats": similarity.label_centroid_stats,
-        "nearest_centroid_assign": similarity.nearest_centroid_assign,
-        "label_centroid_norms": similarity.label_centroid_norms,
-        "kmeans_clusters": similarity.kmeans_clusters,
-        "kmeans_planted_clusters": similarity.kmeans_planted_clusters,
-        "media_dhash_dupes": media.media_dhash_dupes,
-        "media_dhash_planted_clones": media.media_dhash_planted_clones,
-        "media_dimensions_bmp": media.media_dimensions_bmp,
     }
 
 
 def oracle_sql() -> dict[str, str]:
-    from ocr_pipeline_ray.pipelines import (
-        dedup,
-        events,
-        interleave,
-        media,
-        relational,
-        similarity,
-        text,
-    )
+    from ocr_pipeline_ray.pipelines import interleave
 
     return {
         "extract_interleaved": interleave.EXTRACT_INTERLEAVED_SQL,
@@ -1220,1145 +52,4 @@ def oracle_sql() -> dict[str, str]:
         "extract_span_stats": interleave.EXTRACT_SPAN_STATS_SQL,
         "extract_error_audit": interleave.EXTRACT_ERROR_AUDIT_SQL,
         "extract_split_kinds": interleave.EXTRACT_INTERLEAVED_SQL,
-        "heaps_law_fit": text.HEAPS_LAW_FIT_SQL,
-        "q1_pricing_summary": relational.Q1_SQL,
-        "q3_shipping_priority": relational.Q3_SQL,
-        "q5_nation_revenue": relational.Q5_SQL,
-        "q6_forecast_revenue": relational.Q6_SQL,
-        "top_orders": relational.TOP_ORDERS_SQL,
-        "distinct_segments": relational.DISTINCT_SEGMENTS_SQL,
-        "part_brand_stats": relational.PART_BRAND_SQL,
-        "supplier_balance_by_nation": relational.SUPPLIER_BALANCE_SQL,
-        "balance_rollup": relational.BALANCE_ROLLUP_SQL,
-        "fuzzy_name_pairs": relational.FUZZY_NAME_PAIRS_SQL,
-        "part_copurchase_pairs": relational.PART_COPURCHASE_SQL,
-        "weighted_sample_orders": relational.WEIGHTED_SAMPLE_SQL,
-        "q10_returned_revenue": relational.Q10_SQL,
-        "q14_promo_revenue": relational.Q14_SQL,
-        "top3_orders_per_segment": relational.TOP3_PER_SEGMENT_SQL,
-        "q4_order_priority": relational.Q4_SQL,
-        "q12_priority_by_linestatus": relational.Q12_SQL,
-        "q13_customer_distribution": relational.Q13_SQL,
-        "q18_large_volume_orders": relational.Q18_SQL,
-        "q22_idle_high_balance": relational.Q22_SQL,
-        "q20_surplus_suppliers": relational.Q20_SURPLUS_SUPPLIERS_SQL,
-        "q21_waiting_suppliers": relational.Q21_WAITING_SUPPLIERS_SQL,
-        "q2_min_cost_supplier": relational.Q2_SQL,
-        "q7_volume_shipping": relational.Q7_SQL,
-        "q8_market_share": relational.Q8_SQL,
-        "q9_profit_by_nation_year": relational.Q9_SQL,
-        "q11_important_parts": relational.Q11_SQL,
-        "q15_top_supplier": relational.Q15_SQL,
-        "q16_supplier_counts": relational.Q16_SQL,
-        "q17_small_quantity_revenue": relational.Q17_SQL,
-        "q19_disjunctive_revenue": relational.Q19_SQL,
-        "part_triangle_counts": relational.PART_TRIANGLE_SQL,
-        "part_pagerank": relational.PART_PAGERANK_SQL,
-        "filtered_knn": similarity.FILTERED_KNN_SQL,
-        "embedding_dim_variance": similarity.EMBEDDING_DIM_VARIANCE_SQL,
-        "embedding_norm_stats": similarity.EMBEDDING_NORM_STATS_SQL,
-        "repeat_orders_within_week": relational.REPEAT_ORDERS_SQL,
-        "profile_lineitem": relational.PROFILE_LINEITEM_SQL,
-        "events_hourly_delta": events.EVENTS_HOURLY_DELTA_SQL,
-        "user_value_anomalies": events.USER_VALUE_ANOMALIES_SQL,
-        "pivot_user_event_values": events.PIVOT_USER_EVENT_VALUES_SQL,
-        "events_hourly_filled": events.EVENTS_HOURLY_FILLED_SQL,
-        "user_behavior_profile": events.USER_BEHAVIOR_PROFILE_SQL,
-        "media_frame_sample": media.MEDIA_FRAME_SAMPLE_SQL,
-        "cohort_retention": events.COHORT_RETENTION_SQL,
-        "session_concurrency": events.SESSION_CONCURRENCY_SQL,
-        "event_transitions": events.EVENT_TRANSITIONS_SQL,
-        "latest_event_state": events.LATEST_EVENT_STATE_SQL,
-        "scd2_state_dwell": events.SCD2_STATE_DWELL_SQL,
-        "events_dow_profile": events.EVENTS_DOW_PROFILE_SQL,
-        "state_as_of": events.STATE_AS_OF_SQL,
-        "interval_union_coverage": events.INTERVAL_UNION_COVERAGE_SQL,
-        "events_time_rollup": events.EVENTS_TIME_ROLLUP_SQL,
-        "chi2_type_dow": events.CHI2_TYPE_DOW_SQL,
-        "decayed_user_value": events.DECAYED_USER_VALUE_SQL,
-        "rolling_median_value": events.ROLLING_MEDIAN_VALUE_SQL,
-        "type_cooccurrence_matrix": events.TYPE_COOCCURRENCE_SQL,
-        "hourly_value_bands": events.HOURLY_VALUE_BANDS_SQL,
-        "dedup_events_window": events.DEDUP_EVENTS_WINDOW_SQL,
-        "time_weighted_avg_value": events.TIME_WEIGHTED_AVG_VALUE_SQL,
-        "cumulative_unique_users": events.CUMULATIVE_UNIQUE_USERS_SQL,
-        "transition_entropy": events.TRANSITION_ENTROPY_SQL,
-        "bounce_rate": events.BOUNCE_RATE_SQL,
-        "asof_next_order": events.ASOF_NEXT_ORDER_SQL,
-        "centered_moving_avg": events.CENTERED_MOVING_AVG_SQL,
-        "user_type_bitmask": events.USER_TYPE_BITMASK_SQL,
-        "top_session_paths": events.TOP_SESSION_PATHS_SQL,
-        "rolling_distinct_types": events.ROLLING_DISTINCT_TYPES_SQL,
-        "event_pair_window_counts": events.EVENT_PAIR_WINDOW_SQL,
-        "mode_event_type": events.MODE_EVENT_TYPE_SQL,
-        "session_busy_overlap": events.SESSION_BUSY_OVERLAP_SQL,
-        "mutual_info_type_dow": events.MUTUAL_INFO_TYPE_DOW_SQL,
-        "events_hourly_interpolated": events.EVENTS_HOURLY_INTERPOLATED_SQL,
-        "user_max_drawdown": events.USER_MAX_DRAWDOWN_SQL,
-        "time_to_convert_stats": events.TIME_TO_CONVERT_STATS_SQL,
-        "abandoned_views": events.ABANDONED_VIEWS_SQL,
-        "hourly_autocorr_by_type": events.HOURLY_AUTOCORR_BY_TYPE_SQL,
-        "user_activity_streaks": events.USER_ACTIVITY_STREAKS_SQL,
-        "interarrival_stats": events.INTERARRIVAL_STATS_SQL,
-        "orderkey_gaps": relational.ORDERKEY_GAPS_SQL,
-        "orders_wow_change": relational.ORDERS_WOW_CHANGE_SQL,
-        "welch_ttest_value": events.WELCH_TTEST_VALUE_SQL,
-        "rolling_corr_daily": events.ROLLING_CORR_DAILY_SQL,
-        "time_to_nth_purchase": events.TIME_TO_NTH_PURCHASE_SQL,
-        "revenue_increase_runs": relational.REVENUE_INCREASE_RUNS_SQL,
-        "brand_target_encoding": relational.BRAND_TARGET_ENCODING_SQL,
-        "changepoint_cusum": relational.CHANGEPOINT_CUSUM_SQL,
-        "hhi_revenue_by_segment": relational.HHI_REVENUE_BY_SEGMENT_SQL,
-        "dau_mau_stickiness": events.DAU_MAU_STICKINESS_SQL,
-        "grouped_regression_by_flag": relational.GROUPED_REGRESSION_BY_FLAG_SQL,
-        "theil_sen_daily_slope": relational.THEIL_SEN_DAILY_SLOPE_SQL,
-        "neyman_allocation": relational.NEYMAN_ALLOCATION_SQL,
-        "suspect_duplicate_orders": relational.SUSPECT_DUPLICATE_ORDERS_SQL,
-        "priority_transition_counts": relational.PRIORITY_TRANSITION_COUNTS_SQL,
-        "anova_price_by_segment": relational.ANOVA_PRICE_BY_SEGMENT_SQL,
-        "customer_interpurchase_cv": relational.CUSTOMER_INTERPURCHASE_CV_SQL,
-        "compact_small_files": relational.COMPACT_SMALL_FILES_SQL,
-        "zonemap_pruned_lookup": relational.ZONEMAP_PRUNED_LOOKUP_SQL,
-        "cdc_merge_apply": relational.CDC_MERGE_APPLY_SQL,
-        "zorder_box_query": relational.ZORDER_BOX_QUERY_SQL,
-        "snapshot_time_travel": relational.SNAPSHOT_TIME_TRAVEL_SQL,
-        "k_anonymity_audit": relational.K_ANONYMITY_AUDIT_SQL,
-        "pseudonymize_roundtrip": relational.PSEUDONYMIZE_ROUNDTRIP_SQL,
-        "histogram2d_price_quantity": relational.HISTOGRAM2D_PRICE_QUANTITY_SQL,
-        "sorted_export_verify": relational.SORTED_EXPORT_VERIFY_SQL,
-        "cramers_v_lang_source": text.CRAMERS_V_LANG_SOURCE_SQL,
-        "mixed_format_union": text.MIXED_FORMAT_UNION_SQL,
-        "supplier_part_breadth_hist": relational.SUPPLIER_PART_BREADTH_HIST_SQL,
-        "seasonal_index_monthly": relational.SEASONAL_INDEX_MONTHLY_SQL,
-        # mmr_diverse_selection: iterative greedy — no SQL oracle (pytest-pinned)
-        "constraint_check_report": relational.CONSTRAINT_CHECK_REPORT_SQL,
-        "train_test_split_audit": text.TRAIN_TEST_SPLIT_AUDIT_SQL,
-        "vocab_coverage_curve": text.VOCAB_COVERAGE_CURVE_SQL,
-        "trailing_7d_active_users": events.TRAILING_7D_ACTIVE_USERS_SQL,
-        "single_source_parts": relational.SINGLE_SOURCE_PARTS_SQL,
-        "seasonal_naive_backtest": relational.SEASONAL_NAIVE_BACKTEST_SQL,
-        "pii_redact_audit": text.PII_REDACT_AUDIT_SQL,
-        "range_partition_plan": relational.RANGE_PARTITION_PLAN_SQL,
-        # kcore_copurchase: iterative fixpoint — no SQL oracle (pytest-pinned;
-        # the kcore_planted_clique sibling anchors the same peel loop exactly)
-        "kcore_planted_clique": relational.KCORE_PLANTED_CLIQUE_SQL,
-        "order_price_quantiles_sketch_exactcap": relational.ORDER_PRICE_QUANTILES_SKETCH_EXACTCAP_SQL,
-        "price_quantiles_by_flag_sketch_exactcap": relational.PRICE_QUANTILES_BY_FLAG_SKETCH_EXACTCAP_SQL,
-        "media_dhash_planted_clones": media.MEDIA_DHASH_PLANTED_CLONES_SQL,
-        "bpe_first_merge": text.BPE_FIRST_MERGE_SQL,
-        "kaplan_meier_repurchase": relational.KAPLAN_MEIER_REPURCHASE_SQL,
-        "ewma_daily_revenue": relational.EWMA_DAILY_REVENUE_SQL,
-        "item_item_cosine": relational.ITEM_ITEM_COSINE_SQL,
-        "bootstrap_mean_ci": relational.BOOTSTRAP_MEAN_CI_SQL,
-        "permutation_test_price_by_segment": relational.PERMUTATION_TEST_PRICE_BY_SEGMENT_SQL,
-        "jackknife_mean_se": relational.JACKKNIFE_MEAN_SE_SQL,
-        "dow_adjusted_revenue_anomalies": relational.DOW_ADJUSTED_REVENUE_ANOMALIES_SQL,
-        "mann_whitney_price": relational.MANN_WHITNEY_PRICE_SQL,
-        "holt_linear_daily": relational.HOLT_LINEAR_DAILY_SQL,
-        "mixture_rebalance_plan": text.MIXTURE_REBALANCE_PLAN_SQL,
-        "auc_length_english": text.AUC_LENGTH_ENGLISH_SQL,
-        "wilcoxon_signed_rank_prepost": events.WILCOXON_SIGNED_RANK_PREPOST_SQL,
-        "two_proportion_conversion": events.TWO_PROPORTION_CONVERSION_SQL,
-        "hard_negative_mining": similarity.HARD_NEGATIVE_MINING_SQL,
-        "reciprocal_rank_fusion": text.RECIPROCAL_RANK_FUSION_SQL,
-        "price_percentile_cont_by_flag": relational.PRICE_PERCENTILE_CONT_BY_FLAG_SQL,
-        "part_name_clusters": relational.PART_NAME_CLUSTERS_SQL,
-        "segment_influence": relational.SEGMENT_INFLUENCE_SQL,
-        "view_then_purchase_days": events.VIEW_THEN_PURCHASE_DAYS_SQL,
-        "cohens_kappa_labelers": text.COHENS_KAPPA_LABELERS_SQL,
-        "score_decile_lift": events.SCORE_DECILE_LIFT_SQL,
-        "ljung_box_daily": relational.LJUNG_BOX_DAILY_SQL,
-        "selfjoin_size_stats": relational.SELFJOIN_SIZE_STATS_SQL,
-        "binned_mutual_information": relational.BINNED_MUTUAL_INFORMATION_SQL,
-        "fano_factor_hourly_by_type": events.FANO_FACTOR_HOURLY_BY_TYPE_SQL,
-        "wasserstein_length_sources": text.WASSERSTEIN_LENGTH_SOURCES_SQL,
-        "conformal_price_interval": relational.CONFORMAL_PRICE_INTERVAL_SQL,
-        "fold_balance_audit": relational.FOLD_BALANCE_AUDIT_SQL,
-        "latency_sla_by_type": events.LATENCY_SLA_BY_TYPE_SQL,
-        "view_purchase_lag_xcorr": events.VIEW_PURCHASE_LAG_XCORR_SQL,
-        "blocklist_filter_report": text.BLOCKLIST_FILTER_REPORT_SQL,
-        "laspeyres_price_index": relational.LASPEYRES_PRICE_INDEX_SQL,
-        "simpsons_paradox_check": relational.SIMPSONS_PARADOX_CHECK_SQL,
-        "diff_in_diff_value": events.DIFF_IN_DIFF_VALUE_SQL,
-        "dedup_token_savings": text.DEDUP_TOKEN_SAVINGS_SQL,
-        "mahalanobis_outliers": relational.MAHALANOBIS_OUTLIERS_SQL,
-        "ab_power_mde": events.AB_POWER_MDE_SQL,
-        "yules_k_by_lang": text.YULES_K_BY_LANG_SQL,
-        "copurchase_assortativity": relational.COPURCHASE_ASSORTATIVITY_SQL,
-        "intrinsic_dimension_twonn": similarity.INTRINSIC_DIMENSION_TWONN_SQL,
-        "peak_user_rate": events.PEAK_USER_RATE_SQL,
-        "poisson_gof_linecount": relational.POISSON_GOF_LINECOUNT_SQL,
-        "contingency_residuals": text.CONTINGENCY_RESIDUALS_SQL,
-        "routine_users_entropy": events.ROUTINE_USERS_ENTROPY_SQL,
-        "revenue_decomposition_mom": relational.REVENUE_DECOMPOSITION_MOM_SQL,
-        "customer_value_migration": relational.CUSTOMER_VALUE_MIGRATION_SQL,
-        "negative_samples_cf": relational.NEGATIVE_SAMPLES_CF_SQL,
-        "price_stickiness_monthly": relational.PRICE_STICKINESS_MONTHLY_SQL,
-        "erasure_audit": events.ERASURE_AUDIT_SQL,
-        "fisher_ratio_labels": similarity.FISHER_RATIO_LABELS_SQL,
-        "copurchase_rich_club": relational.COPURCHASE_RICH_CLUB_SQL,
-        "return_rate_wilson_by_brand": relational.RETURN_RATE_WILSON_BY_BRAND_SQL,
-        "markov_order_test": events.MARKOV_ORDER_TEST_SQL,
-        "term_dispersion_top": text.TERM_DISPERSION_TOP_SQL,
-        "embedding_clip_calibration": similarity.EMBEDDING_CLIP_CALIBRATION_SQL,
-        "purchase_attribution": events.PURCHASE_ATTRIBUTION_SQL,
-        "reorder_gap_by_index": relational.REORDER_GAP_BY_INDEX_SQL,
-        "label_silhouette_centroid": similarity.LABEL_SILHOUETTE_CENTROID_SQL,
-        "analyze_all_tables": relational.ANALYZE_ALL_TABLES_SQL,
-        "seasonality_strength": relational.SEASONALITY_STRENGTH_SQL,
-        "cohort_ltv_curve": relational.COHORT_LTV_CURVE_SQL,
-        "customer_trend_slopes": relational.CUSTOMER_TREND_SLOPES_SQL,
-        "brand_attach_rates": relational.BRAND_ATTACH_RATES_SQL,
-        "two_way_anova_price": relational.TWO_WAY_ANOVA_PRICE_SQL,
-        "source_ngram_overlap": text.SOURCE_NGRAM_OVERLAP_SQL,
-        "quantile_treatment_effect": events.QUANTILE_TREATMENT_EFFECT_SQL,
-        "matched_att_value": events.MATCHED_ATT_VALUE_SQL,
-        "avg_neighbor_degree_curve": relational.AVG_NEIGHBOR_DEGREE_CURVE_SQL,
-        "rdd_discount_at_quantity": relational.RDD_DISCOUNT_AT_QUANTITY_SQL,
-        "hill_tail_index": relational.HILL_TAIL_INDEX_SQL,
-        "burst_minutes": events.BURST_MINUTES_SQL,
-        "term_keyness_g2": text.TERM_KEYNESS_G2_SQL,
-        "eb_shrunk_return_rates": relational.EB_SHRUNK_RETURN_RATES_SQL,
-        "lorenz_curve_orders": relational.LORENZ_CURVE_ORDERS_SQL,
-        "msprt_crossing_day": events.MSPRT_CROSSING_DAY_SQL,
-        "price_cents_histogram": relational.PRICE_CENTS_HISTOGRAM_SQL,
-        "iqr_outlier_fences_by_segment": relational.IQR_OUTLIER_FENCES_BY_SEGMENT_SQL,
-        "brand_modularity": relational.BRAND_MODULARITY_SQL,
-        "trade_flow_matrix": relational.TRADE_FLOW_MATRIX_SQL,
-        "partial_corr_price_qty_given_discount": relational.PARTIAL_CORR_PRICE_QTY_GIVEN_DISCOUNT_SQL,
-        "spectral_peaks_daily": relational.SPECTRAL_PEAKS_DAILY_SQL,
-        "decision_stump_returnflag": relational.DECISION_STUMP_RETURNFLAG_SQL,
-        "lognormal_fit_user_value": events.LOGNORMAL_FIT_USER_VALUE_SQL,
-        "naive_bayes_lang": text.NAIVE_BAYES_LANG_SQL,
-        "knn1_label_accuracy": similarity.KNN1_LABEL_ACCURACY_SQL,
-        "char_trigram_entropy_by_lang": text.CHAR_TRIGRAM_ENTROPY_BY_LANG_SQL,
-        "discount_waterfall": relational.DISCOUNT_WATERFALL_SQL,
-        "popularity_hitrate_at10": relational.POPULARITY_HITRATE_AT10_SQL,
-        "cvm_arm_event_counts": events.CVM_ARM_EVENT_COUNTS_SQL,
-        "sort_key_advisor": relational.SORT_KEY_ADVISOR_SQL,
-        "part_active_months_hist": relational.PART_ACTIVE_MONTHS_HIST_SQL,
-        "similar_docs_by_shingles": dedup.SIMILAR_DOCS_BY_SHINGLES_SQL,
-        "user_sequence_edit_distance": events.USER_SEQUENCE_EDIT_DISTANCE_SQL,
-        "best_split_changepoint": relational.BEST_SPLIT_CHANGEPOINT_SQL,
-        "top3_customer_share_by_nation": relational.TOP3_CUSTOMER_SHARE_BY_NATION_SQL,
-        "jl_projection_distortion": similarity.JL_PROJECTION_DISTORTION_SQL,
-        "markov_heldout_perplexity": events.MARKOV_HELDOUT_PERPLEXITY_SQL,
-        "fixed_effects_elasticity": relational.FIXED_EFFECTS_ELASTICITY_SQL,
-        "triangle_excess_ratio": relational.TRIANGLE_EXCESS_RATIO_SQL,
-        "huber_one_step_price": relational.HUBER_ONE_STEP_PRICE_SQL,
-        "user_day_surprise": events.USER_DAY_SURPRISE_SQL,
-        "capture_recapture_users": events.CAPTURE_RECAPTURE_USERS_SQL,
-        "retention_decay_fit": relational.RETENTION_DECAY_FIT_SQL,
-        "shift_share_decomposition": relational.SHIFT_SHARE_DECOMPOSITION_SQL,
-        "feature_info_gain": relational.FEATURE_INFO_GAIN_SQL,
-        "month_end_loading": relational.MONTH_END_LOADING_SQL,
-        "order_gap_lognormal_by_segment": relational.ORDER_GAP_LOGNORMAL_BY_SEGMENT_SQL,
-        "brand_repeat_rate": relational.BRAND_REPEAT_RATE_SQL,
-        "order_brand_diversity": relational.ORDER_BRAND_DIVERSITY_SQL,
-        "post_error_intensity": events.POST_ERROR_INTENSITY_SQL,
-        "token_stutter_top": text.TOKEN_STUTTER_TOP_SQL,
-        "forecast_leaderboard": relational.FORECAST_LEADERBOARD_SQL,
-        "gap_acceleration_sign_test": relational.GAP_ACCELERATION_SIGN_TEST_SQL,
-        "revenue_half_count": relational.REVENUE_HALF_COUNT_SQL,
-        "mcnemar_labelers": text.MCNEMAR_LABELERS_SQL,
-        "topk_customer_stability": relational.TOPK_CUSTOMER_STABILITY_SQL,
-        "kruskal_wallis_quantity": relational.KRUSKAL_WALLIS_QUANTITY_SQL,
-        "kendall_tau_daily": relational.KENDALL_TAU_DAILY_SQL,
-        "cochran_q_labelers": text.COCHRAN_Q_LABELERS_SQL,
-        "friedman_segment_monthly": relational.FRIEDMAN_SEGMENT_MONTHLY_SQL,
-        "logrank_repurchase_by_segment": relational.LOGRANK_REPURCHASE_BY_SEGMENT_SQL,
-        "mantel_haenszel_urgent_status": relational.MANTEL_HAENSZEL_URGENT_STATUS_SQL,
-        "gumbel_daily_max_fit": relational.GUMBEL_DAILY_MAX_FIT_SQL,
-        "runs_test_daily_revenue": relational.RUNS_TEST_DAILY_REVENUE_SQL,
-        "durbin_watson_daily_trend": relational.DURBIN_WATSON_DAILY_TREND_SQL,
-        "theil_index_customer_revenue": relational.THEIL_INDEX_CUSTOMER_REVENUE_SQL,
-        "burrows_delta_sources": text.BURROWS_DELTA_SOURCES_SQL,
-        "hypergeom_enrichment_discount_returns": relational.HYPERGEOM_ENRICHMENT_DISCOUNT_RETURNS_SQL,
-        "fleiss_kappa_labelers": text.FLEISS_KAPPA_LABELERS_SQL,
-        "first_before_first_support": events.FIRST_BEFORE_FIRST_SUPPORT_SQL,
-        "ordinal_assoc_quantity_discount": relational.ORDINAL_ASSOC_QUANTITY_DISCOUNT_SQL,
-        "cronbach_alpha_labelers": text.CRONBACH_ALPHA_LABELERS_SQL,
-        "average_precision_length_english": text.AVERAGE_PRECISION_LENGTH_ENGLISH_SQL,
-        "brier_calibration_length_english": text.BRIER_CALIBRATION_LENGTH_ENGLISH_SQL,
-        "rbo_topk_customers": relational.RBO_TOPK_CUSTOMERS_SQL,
-        "oaxaca_price_gap_returnflag": relational.OAXACA_PRICE_GAP_RETURNFLAG_SQL,
-        "bowker_transition_symmetry": events.BOWKER_TRANSITION_SYMMETRY_SQL,
-        "ks_exponential_interarrival": events.KS_EXPONENTIAL_INTERARRIVAL_SQL,
-        "granger_views_purchases": events.GRANGER_VIEWS_PURCHASES_SQL,
-        "pacf2_daily_revenue": relational.PACF2_DAILY_REVENUE_SQL,
-        "mann_kendall_daily_revenue": relational.MANN_KENDALL_DAILY_REVENUE_SQL,
-        "pettitt_changepoint_daily_revenue": relational.PETTITT_CHANGEPOINT_DAILY_REVENUE_SQL,
-        "adjusted_rand_label_signs": similarity.ADJUSTED_RAND_LABEL_SIGNS_SQL,
-        "mood_scale_price": relational.MOOD_SCALE_PRICE_SQL,
-        "l_diversity_audit": relational.L_DIVERSITY_AUDIT_SQL,
-        "logodds_keyness_english": text.LOGODDS_KEYNESS_ENGLISH_SQL,
-        "nmi_label_signs": similarity.NMI_LABEL_SIGNS_SQL,
-        "youden_threshold_length_english": text.YOUDEN_THRESHOLD_LENGTH_ENGLISH_SQL,
-        "ndcg_popularity_at10": relational.NDCG_POPULARITY_AT10_SQL,
-        "hodges_lehmann_quantity": relational.HODGES_LEHMANN_QUANTITY_SQL,
-        "shamos_scale_quantity": relational.SHAMOS_SCALE_QUANTITY_SQL,
-        "rmst_repurchase": relational.RMST_REPURCHASE_SQL,
-        "horvitz_thompson_revenue": relational.HORVITZ_THOMPSON_REVENUE_SQL,
-        "fisher_price_index_yearly": relational.FISHER_PRICE_INDEX_YEARLY_SQL,
-        "wald_iv_urgent_quantity": relational.WALD_IV_URGENT_QUANTITY_SQL,
-        "taylor_law_slope": events.TAYLOR_LAW_SLOPE_SQL,
-        "gpd_pot_price_fit": relational.GPD_POT_PRICE_FIT_SQL,
-        "jarque_bera_daily_revenue": relational.JARQUE_BERA_DAILY_REVENUE_SQL,
-        "leadtime_quartiles_by_priority": relational.LEADTIME_QUARTILES_BY_PRIORITY_SQL,
-        "circular_time_of_day": events.CIRCULAR_TIME_OF_DAY_SQL,
-        "haar_energy_daily_revenue": relational.HAAR_ENERGY_DAILY_REVENUE_SQL,
-        "transition_reciprocity": events.TRANSITION_RECIPROCITY_SQL,
-        "burstiness_memory_gaps": events.BURSTINESS_MEMORY_GAPS_SQL,
-        "atkinson_index_customer_revenue": relational.ATKINSON_INDEX_CUSTOMER_REVENUE_SQL,
-        "hoover_index_customer_revenue": relational.HOOVER_INDEX_CUSTOMER_REVENUE_SQL,
-        "jonckheere_quantity_by_discount": relational.JONCKHEERE_QUANTITY_BY_DISCOUNT_SQL,
-        "cliffs_delta_returned_quantity": relational.CLIFFS_DELTA_RETURNED_QUANTITY_SQL,
-        "nelson_aalen_repurchase": relational.NELSON_AALEN_REPURCHASE_SQL,
-        "tornqvist_price_index_yearly": relational.TORNQVIST_PRICE_INDEX_YEARLY_SQL,
-        "permutation_entropy_daily_revenue": relational.PERMUTATION_ENTROPY_DAILY_REVENUE_SQL,
-        "hurst_exponent_daily_revenue": relational.HURST_EXPONENT_DAILY_REVENUE_SQL,
-        "t_closeness_audit": relational.T_CLOSENESS_AUDIT_SQL,
-        "logloss_length_english": text.LOGLOSS_LENGTH_ENGLISH_SQL,
-        "bartlett_quantity_by_flag": relational.BARTLETT_QUANTITY_BY_FLAG_SQL,
-        "brown_forsythe_quantity_by_flag": relational.BROWN_FORSYTHE_QUANTITY_BY_FLAG_SQL,
-        "chao1_vocab_richness": text.CHAO1_VOCAB_RICHNESS_SQL,
-        "ace_vocab_richness": text.ACE_VOCAB_RICHNESS_SQL,
-        "jackknife_vocab_richness": text.JACKKNIFE_VOCAB_RICHNESS_SQL,
-        "confusion_metrics_length_english": text.CONFUSION_METRICS_LENGTH_ENGLISH_SQL,
-        "fowlkes_mallows_length_english": text.FOWLKES_MALLOWS_LENGTH_ENGLISH_SQL,
-        "lexical_richness_indices": text.LEXICAL_RICHNESS_INDICES_SQL,
-        "sichel_s_vocab": text.SICHEL_S_VOCAB_SQL,
-        "hill_numbers_vocab": text.HILL_NUMBERS_VOCAB_SQL,
-        "evenness_profile_vocab": text.EVENNESS_PROFILE_VOCAB_SQL,
-        "coleman_liau_ari_scores": text.COLEMAN_LIAU_ARI_SCORES_SQL,
-        "lix_rix_scores": text.LIX_RIX_SCORES_SQL,
-        "good_turing_unseen_mass": text.GOOD_TURING_UNSEEN_MASS_SQL,
-        "newey_west_daily_trend": relational.NEWEY_WEST_DAILY_TREND_SQL,
-        "cochrane_orcutt_daily_trend": relational.COCHRANE_ORCUTT_DAILY_TREND_SQL,
-        "mrr_popularity_at10": relational.MRR_POPULARITY_AT10_SQL,
-        "simpson_diversity_parts": relational.SIMPSON_DIVERSITY_PARTS_SQL,
-        "krippendorff_alpha_labelers": text.KRIPPENDORFF_ALPHA_LABELERS_SQL,
-        "gwet_ac1_labelers": text.GWET_AC1_LABELERS_SQL,
-        "gamma_fit_order_gaps": relational.GAMMA_FIT_ORDER_GAPS_SQL,
-        "negbin_fit_daily_orders": relational.NEGBIN_FIT_DAILY_ORDERS_SQL,
-        "yuen_trimmed_t_quantity": relational.YUEN_TRIMMED_T_QUANTITY_SQL,
-        "cvm_two_sample_quantity": relational.CVM_TWO_SAMPLE_QUANTITY_SQL,
-        "spectral_entropy_daily_revenue": relational.SPECTRAL_ENTROPY_DAILY_REVENUE_SQL,
-        "kendall_w_segment_monthly": relational.KENDALL_W_SEGMENT_MONTHLY_SQL,
-        "deming_views_purchases": events.DEMING_VIEWS_PURCHASES_SQL,
-        "rma_views_purchases": events.RMA_VIEWS_PURCHASES_SQL,
-        "pielou_evenness_parts": relational.PIELOU_EVENNESS_PARTS_SQL,
-        "berger_parker_parts": relational.BERGER_PARKER_PARTS_SQL,
-        "diffsign_runs_daily_revenue": relational.DIFFSIGN_RUNS_DAILY_REVENUE_SQL,
-        "turning_points_daily_revenue": relational.TURNING_POINTS_DAILY_REVENUE_SQL,
-        "icc_labelers": text.ICC_LABELERS_SQL,
-        "scott_pi_labelers": text.SCOTT_PI_LABELERS_SQL,
-        "js_divergence_hourly_profiles": events.JS_DIVERGENCE_HOURLY_PROFILES_SQL,
-        "hellinger_hourly_profiles": events.HELLINGER_HOURLY_PROFILES_SQL,
-        "lin_ccc_views_purchases": events.LIN_CCC_VIEWS_PURCHASES_SQL,
-        "bland_altman_views_purchases": events.BLAND_ALTMAN_VIEWS_PURCHASES_SQL,
-        "kpss_daily_revenue": relational.KPSS_DAILY_REVENUE_SQL,
-        "variance_ratio_daily_revenue": relational.VARIANCE_RATIO_DAILY_REVENUE_SQL,
-        "cohens_d_price_returned": relational.COHENS_D_PRICE_RETURNED_SQL,
-        "f_test_price_returned": relational.F_TEST_PRICE_RETURNED_SQL,
-        "weibull_fit_order_gaps": relational.WEIBULL_FIT_ORDER_GAPS_SQL,
-        "source_vocab_dice_overlap": text.SOURCE_VOCAB_DICE_OVERLAP_SQL,
-        "participation_ratio_embeddings": similarity.PARTICIPATION_RATIO_EMBEDDINGS_SQL,
-        "embedding_isotropy_offdiag": similarity.EMBEDDING_ISOTROPY_OFFDIAG_SQL,
-        "goodman_kruskal_lambda_priority_status": relational.GOODMAN_KRUSKAL_LAMBDA_PRIORITY_STATUS_SQL,
-        "theil_u_priority_status": relational.THEIL_U_PRIORITY_STATUS_SQL,
-        "monetary_unit_sample_orders": relational.MONETARY_UNIT_SAMPLE_ORDERS_SQL,
-        "benford_second_digit_prices": relational.BENFORD_SECOND_DIGIT_PRICES_SQL,
-        "abc_analysis_parts": relational.ABC_ANALYSIS_PARTS_SQL,
-        "xyz_analysis_parts": relational.XYZ_ANALYSIS_PARTS_SQL,
-        "xmr_control_daily_revenue": relational.XMR_CONTROL_DAILY_REVENUE_SQL,
-        "p_chart_daily_returns": relational.P_CHART_DAILY_RETURNS_SQL,
-        "seasonal_mann_kendall_monthly_revenue": relational.SEASONAL_MANN_KENDALL_MONTHLY_REVENUE_SQL,
-        "cox_stuart_trend_daily_revenue": relational.COX_STUART_TREND_DAILY_REVENUE_SQL,
-        "grubbs_max_daily_revenue": relational.GRUBBS_MAX_DAILY_REVENUE_SQL,
-        "dixon_q_daily_revenue": relational.DIXON_Q_DAILY_REVENUE_SQL,
-        "hourly_profile_stability": events.HOURLY_PROFILE_STABILITY_SQL,
-        "weekday_weekend_hourly_js": events.WEEKDAY_WEEKEND_HOURLY_JS_SQL,
-        "median_time_to_repurchase": relational.MEDIAN_TIME_TO_REPURCHASE_SQL,
-        "repurchase_incidence_horizons": relational.REPURCHASE_INCIDENCE_HORIZONS_SQL,
-        "blomqvist_beta_quantity_discount": relational.BLOMQVIST_BETA_QUANTITY_DISCOUNT_SQL,
-        "footrule_nation_revenue_yoy": relational.FOOTRULE_NATION_REVENUE_YOY_SQL,
-        "risk_measures_urgent_return": relational.RISK_MEASURES_URGENT_RETURN_SQL,
-        "cohens_h_urgent_return": relational.COHENS_H_URGENT_RETURN_SQL,
-        "allan_variance_event_rate": events.ALLAN_VARIANCE_EVENT_RATE_SQL,
-        "laplace_trend_events": events.LAPLACE_TREND_EVENTS_SQL,
-        "crow_amsaa_events": events.CROW_AMSAA_EVENTS_SQL,
-        "transfer_entropy_views_purchases": events.TRANSFER_ENTROPY_VIEWS_PURCHASES_SQL,
-        "ripley_k_events": events.RIPLEY_K_EVENTS_SQL,
-        "pair_correlation_events": events.PAIR_CORRELATION_EVENTS_SQL,
-        "v_test_noon_events": events.V_TEST_NOON_EVENTS_SQL,
-        "circular_moments_events": events.CIRCULAR_MOMENTS_EVENTS_SQL,
-        "watson_williams_event_types": events.WATSON_WILLIAMS_EVENT_TYPES_SQL,
-        "peak_hour_by_event_type": events.PEAK_HOUR_BY_EVENT_TYPE_SQL,
-        "variation_of_information_label_signs": similarity.VARIATION_OF_INFORMATION_LABEL_SIGNS_SQL,
-        "calinski_harabasz_labels": similarity.CALINSKI_HARABASZ_LABELS_SQL,
-        "davies_bouldin_rms_labels": similarity.DAVIES_BOULDIN_RMS_LABELS_SQL,
-        "dunn_centroid_labels": similarity.DUNN_CENTROID_LABELS_SQL,
-        "xie_beni_labels": similarity.XIE_BENI_LABELS_SQL,
-        "variance_time_curve_events": events.VARIANCE_TIME_CURVE_EVENTS_SQL,
-        "ks_balance_customer_supplier": relational.KS_BALANCE_CUSTOMER_SUPPLIER_SQL,
-        "cochran_armitage_urgent_trend": relational.COCHRAN_ARMITAGE_URGENT_TREND_SQL,
-        "lorenz_asymmetry_customer_revenue": relational.LORENZ_ASYMMETRY_CUSTOMER_REVENUE_SQL,
-        "mld_customer_revenue": relational.MLD_CUSTOMER_REVENUE_SQL,
-        "bowley_skewness_quantity": relational.BOWLEY_SKEWNESS_QUANTITY_SQL,
-        "moors_kurtosis_quantity": relational.MOORS_KURTOSIS_QUANTITY_SQL,
-        # hits_copurchase: iterative power method — no SQL oracle (pytest-pinned)
-        "hits_two_hop_authority": relational.HITS_TWO_HOP_AUTHORITY_SQL,
-        "seasonal_theil_sen_monthly_revenue": relational.SEASONAL_THEIL_SEN_MONTHLY_REVENUE_SQL,
-        "buishand_range_daily_revenue": relational.BUISHAND_RANGE_DAILY_REVENUE_SQL,
-        "kpss_trend_daily_revenue": relational.KPSS_TREND_DAILY_REVENUE_SQL,
-        "dickey_fuller_daily_revenue": relational.DICKEY_FULLER_DAILY_REVENUE_SQL,
-        "arch_lm_daily_revenue": relational.ARCH_LM_DAILY_REVENUE_SQL,
-        "ar1_half_life_daily_revenue": relational.AR1_HALF_LIFE_DAILY_REVENUE_SQL,
-        "expected_shortfall_order_price": relational.EXPECTED_SHORTFALL_ORDER_PRICE_SQL,
-        "trimmed_mean_order_price": relational.TRIMMED_MEAN_ORDER_PRICE_SQL,
-        "rate_ratio_weekend_events": events.RATE_RATIO_WEEKEND_EVENTS_SQL,
-        "binomial_exact_weekend_purchases": events.BINOMIAL_EXACT_WEEKEND_PURCHASES_SQL,
-        "anderson_darling_two_sample_quantity": relational.ANDERSON_DARLING_TWO_SAMPLE_QUANTITY_SQL,
-        "kuiper_two_sample_quantity": relational.KUIPER_TWO_SAMPLE_QUANTITY_SQL,
-        "tail_dependence_quantity_price": relational.TAIL_DEPENDENCE_QUANTITY_PRICE_SQL,
-        "event_id_time_inversions": events.EVENT_ID_TIME_INVERSIONS_SQL,
-        "winsorized_corr_price_quantity": relational.WINSORIZED_CORR_PRICE_QUANTITY_SQL,
-        "point_biserial_return_price": relational.POINT_BISERIAL_RETURN_PRICE_SQL,
-        "ridge_price_model": relational.RIDGE_PRICE_MODEL_SQL,
-        "vif_quantity_discount": relational.VIF_QUANTITY_DISCOUNT_SQL,
-        # isotonic: exact oracle via the minimax characterization (round 4)
-        "cochran_armitage_return_by_quantity": relational.COCHRAN_ARMITAGE_RETURN_BY_QUANTITY_SQL,
-        "isotonic_return_rate_by_quantity": relational.ISOTONIC_RETURN_RATE_BY_QUANTITY_SQL,
-        "ztp_lines_per_order": relational.ZTP_LINES_PER_ORDER_SQL,
-        "basket_size_entropy": relational.BASKET_SIZE_ENTROPY_SQL,
-        "nation_hhi_trend": relational.NATION_HHI_TREND_SQL,
-        "nation_share_turbulence": relational.NATION_SHARE_TURBULENCE_SQL,
-        "tax_discount_interaction": relational.TAX_DISCOUNT_INTERACTION_SQL,
-        "billed_amount_decomposition": relational.BILLED_AMOUNT_DECOMPOSITION_SQL,
-        "size_demand_trend": relational.SIZE_DEMAND_TREND_SQL,
-        "retail_vs_transacted_price": relational.RETAIL_VS_TRANSACTED_PRICE_SQL,
-        "bh_brand_return_enrichment": relational.BH_BRAND_RETURN_ENRICHMENT_SQL,
-        "multiple_testing_summary_brands": relational.MULTIPLE_TESTING_SUMMARY_BRANDS_SQL,
-        "energy_distance_quantity": relational.ENERGY_DISTANCE_QUANTITY_SQL,
-        "brunner_munzel_quantity": relational.BRUNNER_MUNZEL_QUANTITY_SQL,
-        "ansari_bradley_quantity": relational.ANSARI_BRADLEY_QUANTITY_SQL,
-        "lepage_quantity": relational.LEPAGE_QUANTITY_SQL,
-        "tukey_hsd_price_by_segment": relational.TUKEY_HSD_PRICE_BY_SEGMENT_SQL,
-        "games_howell_price_by_segment": relational.GAMES_HOWELL_PRICE_BY_SEGMENT_SQL,
-        "mood_median_test_quantity_by_flag": relational.MOOD_MEDIAN_TEST_QUANTITY_BY_FLAG_SQL,
-        "cuzick_trend_quantity_by_linenumber": relational.CUZICK_TREND_QUANTITY_BY_LINENUMBER_SQL,
-        "distance_corr_quantity_discount": relational.DISTANCE_CORR_QUANTITY_DISCOUNT_SQL,
-        "hoeffding_d_quantity_discount": relational.HOEFFDING_D_QUANTITY_DISCOUNT_SQL,
-        "cmh_test_urgent_finished": relational.CMH_TEST_URGENT_FINISHED_SQL,
-        "breslow_day_urgent_finished": relational.BRESLOW_DAY_URGENT_FINISHED_SQL,
-        "stuart_maxwell_raters": text.STUART_MAXWELL_RATERS_SQL,
-        "bhapkar_raters": text.BHAPKAR_RATERS_SQL,
-        "pickands_tail_index": relational.PICKANDS_TAIL_INDEX_SQL,
-        "moment_tail_index": relational.MOMENT_TAIL_INDEX_SQL,
-        "quade_segment_monthly": relational.QUADE_SEGMENT_MONTHLY_SQL,
-        "page_trend_segment_yearly": relational.PAGE_TREND_SEGMENT_YEARLY_SQL,
-        "embedding_coordinate_kurtosis": similarity.EMBEDDING_COORDINATE_KURTOSIS_SQL,
-        "embedding_spectral_moments": similarity.EMBEDDING_SPECTRAL_MOMENTS_SQL,
-        "conover_squared_ranks_quantity": relational.CONOVER_SQUARED_RANKS_QUANTITY_SQL,
-        "dunn_pairwise_quantity_by_flag": relational.DUNN_PAIRWISE_QUANTITY_BY_FLAG_SQL,
-        "simpson_diversity_vocab": text.SIMPSON_DIVERSITY_VOCAB_SQL,
-        "shannon_entropy_vocab": text.SHANNON_ENTROPY_VOCAB_SQL,
-        "epps_pulley_daily_revenue": relational.EPPS_PULLEY_DAILY_REVENUE_SQL,
-        "dagostino_k2_daily_revenue": relational.DAGOSTINO_K2_DAILY_REVENUE_SQL,
-        "bartels_rank_daily_revenue": relational.BARTELS_RANK_DAILY_REVENUE_SQL,
-        "cucconi_quantity": relational.CUCCONI_QUANTITY_SQL,
-        "gumbel_fit_daily_max_value": events.GUMBEL_FIT_DAILY_MAX_VALUE_SQL,
-        "gpd_pot_fit_order_price": relational.GPD_POT_FIT_ORDER_PRICE_SQL,
-        "morans_i_customer_balance": relational.MORANS_I_CUSTOMER_BALANCE_SQL,
-        "gearys_c_customer_balance": relational.GEARYS_C_CUSTOMER_BALANCE_SQL,
-        "negbin_fit_lines_per_order": relational.NEGBIN_FIT_LINES_PER_ORDER_SQL,
-        "bohning_dispersion_lines_per_order": relational.BOHNING_DISPERSION_LINES_PER_ORDER_SQL,
-        "ledoit_wolf_shrinkage": similarity.LEDOIT_WOLF_SHRINKAGE_SQL,
-        "oas_shrinkage": similarity.OAS_SHRINKAGE_SQL,
-        "siegel_slope_daily_revenue": relational.SIEGEL_SLOPE_DAILY_REVENUE_SQL,
-        "mad_outliers_daily_revenue": relational.MAD_OUTLIERS_DAILY_REVENUE_SQL,
-        "cochrane_orcutt_daily_trend": relational.COCHRANE_ORCUTT_DAILY_TREND_SQL,
-        "newey_west_trend_se": relational.NEWEY_WEST_TREND_SE_SQL,
-        "gini_term_frequencies": text.GINI_TERM_FREQUENCIES_SQL,
-        "berger_parker_vocab": text.BERGER_PARKER_VOCAB_SQL,
-        "friedman_aligned_ranks_segment_monthly": relational.FRIEDMAN_ALIGNED_RANKS_SEGMENT_MONTHLY_SQL,
-        "tukey_nonadditivity_segment_monthly": relational.TUKEY_NONADDITIVITY_SEGMENT_MONTHLY_SQL,
-        "mantel_nations_balance_price": relational.MANTEL_NATIONS_BALANCE_PRICE_SQL,
-        "anosim_region_balance": relational.ANOSIM_REGION_BALANCE_SQL,
-        "circular_linear_corr_time_value": events.CIRCULAR_LINEAR_CORR_TIME_VALUE_SQL,
-        "kuiper_dow_uniformity": events.KUIPER_DOW_UNIFORMITY_SQL,
-        "cramers_v_corrected_priority_status": relational.CRAMERS_V_CORRECTED_PRIORITY_STATUS_SQL,
-        "tschuprow_t_priority_status": relational.TSCHUPROW_T_PRIORITY_STATUS_SQL,
-        "weighted_kappa_raters": text.WEIGHTED_KAPPA_RATERS_SQL,
-        "bangdiwala_b_raters": text.BANGDIWALA_B_RATERS_SQL,
-        "cliff_delta_quantity": relational.CLIFF_DELTA_QUANTITY_SQL,
-        "kendall_tau_b_quantity_discount": relational.KENDALL_TAU_B_QUANTITY_DISCOUNT_SQL,
-        "stuart_tau_c_quantity_discount": relational.STUART_TAU_C_QUANTITY_DISCOUNT_SQL,
-        "breusch_pagan_price_quantity": relational.BREUSCH_PAGAN_PRICE_QUANTITY_SQL,
-        "white_test_price_quantity": relational.WHITE_TEST_PRICE_QUANTITY_SQL,
-        "chatterjee_xi_daily_revenue": relational.CHATTERJEE_XI_DAILY_REVENUE_SQL,
-        "reset_test_price_quantity": relational.RESET_TEST_PRICE_QUANTITY_SQL,
-        "chow_break_daily_revenue": relational.CHOW_BREAK_DAILY_REVENUE_SQL,
-        "quandt_supf_daily_revenue": relational.QUANDT_SUPF_DAILY_REVENUE_SQL,
-        "phillips_perron_daily_revenue": relational.PHILLIPS_PERRON_DAILY_REVENUE_SQL,
-        "breusch_godfrey_daily_trend": relational.BREUSCH_GODFREY_DAILY_TREND_SQL,
-        "theil_decomposition_by_nation": relational.THEIL_DECOMPOSITION_BY_NATION_SQL,
-        "mld_decomposition_by_nation": relational.MLD_DECOMPOSITION_BY_NATION_SQL,
-        "bhattacharyya_quantity": relational.BHATTACHARYYA_QUANTITY_SQL,
-        "total_variation_quantity": relational.TOTAL_VARIATION_QUANTITY_SQL,
-        "mase_seasonal_naive_monthly": relational.MASE_SEASONAL_NAIVE_MONTHLY_SQL,
-        "theil_u2_seasonal_naive_monthly": relational.THEIL_U2_SEASONAL_NAIVE_MONTHLY_SQL,
-        "gk_tau_priority_status": relational.GK_TAU_PRIORITY_STATUS_SQL,
-        "pearson_contingency_priority_status": relational.PEARSON_CONTINGENCY_PRIORITY_STATUS_SQL,
-        "hartley_fmax_price_by_segment": relational.HARTLEY_FMAX_PRICE_BY_SEGMENT_SQL,
-        "woolf_or_heterogeneity_urgent_finished": relational.WOOLF_OR_HETEROGENEITY_URGENT_FINISHED_SQL,
-        "peto_or_urgent_finished": relational.PETO_OR_URGENT_FINISHED_SQL,
-        "goldfeld_quandt_price_quantity": relational.GOLDFELD_QUANDT_PRICE_QUANTITY_SQL,
-        "glejser_price_quantity": relational.GLEJSER_PRICE_QUANTITY_SQL,
-        "rosenbluth_index_brand_revenue": relational.ROSENBLUTH_INDEX_BRAND_REVENUE_SQL,
-        "concentration_ratios_brand_revenue": relational.CONCENTRATION_RATIOS_BRAND_REVENUE_SQL,
-        "palma_ratio_customer_revenue": relational.PALMA_RATIO_CUSTOMER_REVENUE_SQL,
-        "quintile_share_ratio_customer_revenue": relational.QUINTILE_SHARE_RATIO_CUSTOMER_REVENUE_SQL,
-        "western_electric_daily_revenue": relational.WESTERN_ELECTRIC_DAILY_REVENUE_SQL,
-        "nelson_trend_rules_daily_revenue": relational.NELSON_TREND_RULES_DAILY_REVENUE_SQL,
-        "siegel_tukey_quantity": relational.SIEGEL_TUKEY_QUANTITY_SQL,
-        "fligner_policello_quantity": relational.FLIGNER_POLICELLO_QUANTITY_SQL,
-        "dfa_daily_revenue": relational.DFA_DAILY_REVENUE_SQL,
-        "higuchi_fd_daily_revenue": relational.HIGUCHI_FD_DAILY_REVENUE_SQL,
-        "l_moments_order_price": relational.L_MOMENTS_ORDER_PRICE_SQL,
-        "gev_pwm_yearly_max_revenue": relational.GEV_PWM_YEARLY_MAX_REVENUE_SQL,
-        "getis_ord_g_customer_revenue": relational.GETIS_ORD_G_CUSTOMER_REVENUE_SQL,
-        "join_counts_balance_sign": relational.JOIN_COUNTS_BALANCE_SIGN_SQL,
-        "marshall_edgeworth_walsh_index": relational.MARSHALL_EDGEWORTH_WALSH_INDEX_SQL,
-        "geometric_price_indexes": relational.GEOMETRIC_PRICE_INDEXES_SQL,
-        "brown_mood_median_quantity_by_linenumber": relational.BROWN_MOOD_MEDIAN_QUANTITY_BY_LINENUMBER_SQL,
-        "ksample_ad_quantity_by_linenumber": relational.KSAMPLE_AD_QUANTITY_BY_LINENUMBER_SQL,
-        "peto_peto_repurchase_by_segment": relational.PETO_PETO_REPURCHASE_BY_SEGMENT_SQL,
-        "fleming_harrington_repurchase_by_segment": relational.FLEMING_HARRINGTON_REPURCHASE_BY_SEGMENT_SQL,
-        "leverage_diagnostics_price_quantity": relational.LEVERAGE_DIAGNOSTICS_PRICE_QUANTITY_SQL,
-        "cooks_distance_outliers_price_quantity": relational.COOKS_DISTANCE_OUTLIERS_PRICE_QUANTITY_SQL,
-        "icss_variance_change_daily_revenue": relational.ICSS_VARIANCE_CHANGE_DAILY_REVENUE_SQL,
-        "variance_ratio_pre_post_break": relational.VARIANCE_RATIO_PRE_POST_BREAK_SQL,
-        "mcleod_li_daily_revenue": relational.MCLEOD_LI_DAILY_REVENUE_SQL,
-        "engle_ng_sign_bias_daily_revenue": relational.ENGLE_NG_SIGN_BIAS_DAILY_REVENUE_SQL,
-        "process_capability_quantity": relational.PROCESS_CAPABILITY_QUANTITY_SQL,
-        "taguchi_cpm_quantity": relational.TAGUCHI_CPM_QUANTITY_SQL,
-        "biweight_price": relational.BIWEIGHT_PRICE_SQL,
-        "hampel_m_price": relational.HAMPEL_M_PRICE_SQL,
-        "fishers_g_daily_revenue": relational.FISHERS_G_DAILY_REVENUE_SQL,
-        "bartlett_cumulative_periodogram_daily_revenue": relational.BARTLETT_CUMULATIVE_PERIODOGRAM_DAILY_REVENUE_SQL,
-        "hotelling_t2_returned_kept": relational.HOTELLING_T2_RETURNED_KEPT_SQL,
-        "box_m_covariance_by_flag": relational.BOX_M_COVARIANCE_BY_FLAG_SQL,
-        "canonical_correlation_lineitem": relational.CANONICAL_CORRELATION_LINEITEM_SQL,
-        "rv_coefficient_lineitem": relational.RV_COEFFICIENT_LINEITEM_SQL,
-        "lo_modified_rs_daily_revenue": relational.LO_MODIFIED_RS_DAILY_REVENUE_SQL,
-        "gph_fractional_d_daily_revenue": relational.GPH_FRACTIONAL_D_DAILY_REVENUE_SQL,
-        "kendall_partial_tau_quantity_discount_given_tax": relational.KENDALL_PARTIAL_TAU_QUANTITY_DISCOUNT_GIVEN_TAX_SQL,
-        "partial_spearman_quantity_discount_given_tax": relational.PARTIAL_SPEARMAN_QUANTITY_DISCOUNT_GIVEN_TAX_SQL,
-        "g2_priority_status_marginal": relational.G2_PRIORITY_STATUS_MARGINAL_SQL,
-        "g2_priority_status_given_segment": relational.G2_PRIORITY_STATUS_GIVEN_SEGMENT_SQL,
-        "welch_anova_price_segment": relational.WELCH_ANOVA_PRICE_SEGMENT_SQL,
-        "brown_forsythe_anova_price_segment": relational.BROWN_FORSYTHE_ANOVA_PRICE_SEGMENT_SQL,
-        "ancova_parallelism_retail_size_brand": relational.ANCOVA_PARALLELISM_RETAIL_SIZE_BRAND_SQL,
-        "ancova_adjusted_means_retail_size_brand": relational.ANCOVA_ADJUSTED_MEANS_RETAIL_SIZE_BRAND_SQL,
-        "scheirer_ray_hare_quantity": relational.SCHEIRER_RAY_HARE_QUANTITY_SQL,
-        "did_median_quantity_flag_status": relational.DID_MEDIAN_QUANTITY_FLAG_STATUS_SQL,
-        "mh_risk_difference_urgent_finished": relational.MH_RISK_DIFFERENCE_URGENT_FINISHED_SQL,
-        "mh_risk_ratio_urgent_finished": relational.MH_RISK_RATIO_URGENT_FINISHED_SQL,
-        "direct_standardized_finish_rate_by_segment": relational.DIRECT_STANDARDIZED_FINISH_RATE_BY_SEGMENT_SQL,
-        "smr_finish_by_segment": relational.SMR_FINISH_BY_SEGMENT_SQL,
-        "kitagawa_decomposition_finish_gap": relational.KITAGAWA_DECOMPOSITION_FINISH_GAP_SQL,
-        "page_hinkley_daily_revenue": relational.PAGE_HINKLEY_DAILY_REVENUE_SQL,
-        "ewma_chart_crossings_daily_revenue": relational.EWMA_CHART_CROSSINGS_DAILY_REVENUE_SQL,
-        "moving_range_chart_daily_revenue": relational.MOVING_RANGE_CHART_DAILY_REVENUE_SQL,
-        "benford_mad_conformity": relational.BENFORD_MAD_CONFORMITY_SQL,
-        "nigrini_distortion_factor": relational.NIGRINI_DISTORTION_FACTOR_SQL,
-        "mardia_skewness_quantity_discount": relational.MARDIA_SKEWNESS_QUANTITY_DISCOUNT_SQL,
-        "mardia_kurtosis_quantity_discount": relational.MARDIA_KURTOSIS_QUANTITY_DISCOUNT_SQL,
-        "sample_entropy_daily_revenue": relational.SAMPLE_ENTROPY_DAILY_REVENUE_SQL,
-        "approximate_entropy_daily_revenue": relational.APPROXIMATE_ENTROPY_DAILY_REVENUE_SQL,
-        "sato_vartia_index": relational.SATO_VARTIA_INDEX_SQL,
-        "montgomery_vartia_index": relational.MONTGOMERY_VARTIA_INDEX_SQL,
-        "attributable_fractions_urgent_return": relational.ATTRIBUTABLE_FRACTIONS_URGENT_RETURN_SQL,
-        "likelihood_ratios_length_english": text.LIKELIHOOD_RATIOS_LENGTH_ENGLISH_SQL,
-        "c_chart_daily_orders": relational.C_CHART_DAILY_ORDERS_SQL,
-        "u_chart_lines_per_order_daily": relational.U_CHART_LINES_PER_ORDER_DAILY_SQL,
-        "snht_daily_revenue": relational.SNHT_DAILY_REVENUE_SQL,
-        "von_neumann_ratio_daily_revenue": relational.VON_NEUMANN_RATIO_DAILY_REVENUE_SQL,
-        "ratio_estimator_revenue": relational.RATIO_ESTIMATOR_REVENUE_SQL,
-        "regression_estimator_revenue": relational.REGRESSION_ESTIMATOR_REVENUE_SQL,
-        "life_table_repurchase": relational.LIFE_TABLE_REPURCHASE_SQL,
-        "greenwood_km_ci": relational.GREENWOOD_KM_CI_SQL,
-        "lisa_quadrants_customer_balance": relational.LISA_QUADRANTS_CUSTOMER_BALANCE_SQL,
-        "local_gistar_nation_balance": relational.LOCAL_GISTAR_NATION_BALANCE_SQL,
-        "dffits_outliers_price_quantity": relational.DFFITS_OUTLIERS_PRICE_QUANTITY_SQL,
-        "dfbetas_slope_outliers_price_quantity": relational.DFBETAS_SLOPE_OUTLIERS_PRICE_QUANTITY_SQL,
-        "gumbel_return_levels_daily_max": relational.GUMBEL_RETURN_LEVELS_DAILY_MAX_SQL,
-        "inverse_gaussian_fit_order_gaps": relational.INVERSE_GAUSSIAN_FIT_ORDER_GAPS_SQL,
-        "margalef_menhinick_vocab": text.MARGALEF_MENHINICK_VOCAB_SQL,
-        "err_popularity_at10": relational.ERR_POPULARITY_AT10_SQL,
-        "croston_sba_part_demand": relational.CROSTON_SBA_PART_DEMAND_SQL,
-        "tsb_part_demand": relational.TSB_PART_DEMAND_SQL,
-        "records_test_daily_revenue": relational.RECORDS_TEST_DAILY_REVENUE_SQL,
-        "ulcer_index_daily_revenue": relational.ULCER_INDEX_DAILY_REVENUE_SQL,
-        "james_stein_segment_means": relational.JAMES_STEIN_SEGMENT_MEANS_SQL,
-        "robbins_eb_order_counts": relational.ROBBINS_EB_ORDER_COUNTS_SQL,
-        "gini_correlation_quantity_price": relational.GINI_CORRELATION_QUANTITY_PRICE_SQL,
-        "gini_mean_difference_price": relational.GINI_MEAN_DIFFERENCE_PRICE_SQL,
-        "cross_k_views_purchases": events.CROSS_K_VIEWS_PURCHASES_SQL,
-        "cross_pcf_views_purchases": events.CROSS_PCF_VIEWS_PURCHASES_SQL,
-        "hl_shift_ci_quantity_returned": relational.HL_SHIFT_CI_QUANTITY_RETURNED_SQL,
-        "shift_function_deciles_quantity_returned": relational.SHIFT_FUNCTION_DECILES_QUANTITY_RETURNED_SQL,
-        "weibull_median_rank_regression_gaps": relational.WEIBULL_MEDIAN_RANK_REGRESSION_GAPS_SQL,
-        "gini_exponentiality_gaps": relational.GINI_EXPONENTIALITY_GAPS_SQL,
-        "fisher_quantity_index_yearly": relational.FISHER_QUANTITY_INDEX_YEARLY_SQL,
-        "factor_reversal_audit": relational.FACTOR_REVERSAL_AUDIT_SQL,
-        "lorenz_dominance_segments": relational.LORENZ_DOMINANCE_SEGMENTS_SQL,
-        "generalized_lorenz_segments": relational.GENERALIZED_LORENZ_SEGMENTS_SQL,
-        "katz_k_mixture_top_term": text.KATZ_K_MIXTURE_TOP_TERM_SQL,
-        "term_adaptation_top_terms": text.TERM_ADAPTATION_TOP_TERMS_SQL,
-        "embedding_resultant_uniformity": similarity.EMBEDDING_RESULTANT_UNIFORMITY_SQL,
-        "embedding_mean_pairwise_cosine": similarity.EMBEDDING_MEAN_PAIRWISE_COSINE_SQL,
-        "copurchase_conviction_leverage": relational.COPURCHASE_CONVICTION_LEVERAGE_SQL,
-        "copurchase_null_invariant_measures": relational.COPURCHASE_NULL_INVARIANT_MEASURES_SQL,
-        "fsd_check_segments": relational.FSD_CHECK_SEGMENTS_SQL,
-        "ssd_check_segments": relational.SSD_CHECK_SEGMENTS_SQL,
-        "post_stratified_revenue_estimate": relational.POST_STRATIFIED_REVENUE_ESTIMATE_SQL,
-        "hajek_vs_ht_revenue": relational.HAJEK_VS_HT_REVENUE_SQL,
-        "theil_sen_ci_daily_revenue": relational.THEIL_SEN_CI_DAILY_REVENUE_SQL,
-        "sen_slope_by_year": relational.SEN_SLOPE_BY_YEAR_SQL,
-        "kde_order_price_grid": relational.KDE_ORDER_PRICE_GRID_SQL,
-        "bimodality_coefficient_price": relational.BIMODALITY_COEFFICIENT_PRICE_SQL,
-        "distribution_overlap_segments": relational.DISTRIBUTION_OVERLAP_SEGMENTS_SQL,
-        "qq_fit_segments": relational.QQ_FIT_SEGMENTS_SQL,
-        "mean_residual_life_repurchase": relational.MEAN_RESIDUAL_LIFE_REPURCHASE_SQL,
-        "cumhaz_na_vs_km": relational.CUMHAZ_NA_VS_KM_SQL,
-        "chained_tornqvist_index": relational.CHAINED_TORNQVIST_INDEX_SQL,
-        "chained_fisher_index": relational.CHAINED_FISHER_INDEX_SQL,
-        "copurchase_centralization": relational.COPURCHASE_CENTRALIZATION_SQL,
-        "degree_heterogeneity_copurchase": relational.DEGREE_HETEROGENEITY_COPURCHASE_SQL,
-        "brand_assortativity_copurchase": relational.BRAND_ASSORTATIVITY_COPURCHASE_SQL,
-        "brand_mixing_top_pairs": relational.BRAND_MIXING_TOP_PAIRS_SQL,
-        "bonferroni_index_customer_revenue": relational.BONFERRONI_INDEX_CUSTOMER_REVENUE_SQL,
-        "zenga_curve_customer_revenue": relational.ZENGA_CURVE_CUSTOMER_REVENUE_SQL,
-        "mobility_indexes_customer_value": relational.MOBILITY_INDEXES_CUSTOMER_VALUE_SQL,
-        "spearman_rank_persistence_customers": relational.SPEARMAN_RANK_PERSISTENCE_CUSTOMERS_SQL,
-        "random_effects_meta_urgent_finished": relational.RANDOM_EFFECTS_META_URGENT_FINISHED_SQL,
-        "funnel_asymmetry_urgent_finished": relational.FUNNEL_ASYMMETRY_URGENT_FINISHED_SQL,
-        "elementary_price_indexes": relational.ELEMENTARY_PRICE_INDEXES_SQL,
-        "carli_jevons_formula_effect": relational.CARLI_JEVONS_FORMULA_EFFECT_SQL,
-        "fairness_rates_by_source": text.FAIRNESS_RATES_BY_SOURCE_SQL,
-        "fairness_gaps_by_source": text.FAIRNESS_GAPS_BY_SOURCE_SQL,
-        "brand_return_prr_ror": relational.BRAND_RETURN_PRR_ROR_SQL,
-        "brand_return_bcpnn_ic": relational.BRAND_RETURN_BCPNN_IC_SQL,
-        "weekly_cross_spectrum_views_purchases": events.WEEKLY_CROSS_SPECTRUM_VIEWS_PURCHASES_SQL,
-        "weekly_band_coherence_views_purchases": events.WEEKLY_BAND_COHERENCE_VIEWS_PURCHASES_SQL,
-        "kernel_return_rate_by_quantity": relational.KERNEL_RETURN_RATE_BY_QUANTITY_SQL,
-        "kernel_return_rate_derivative": relational.KERNEL_RETURN_RATE_DERIVATIVE_SQL,
-        "revenue_retention_customers": relational.REVENUE_RETENTION_CUSTOMERS_SQL,
-        "nrr_decomposition_customers": relational.NRR_DECOMPOSITION_CUSTOMERS_SQL,
-        "lilliefors_daily_revenue": relational.LILLIEFORS_DAILY_REVENUE_SQL,
-        "anderson_darling_daily_revenue": relational.ANDERSON_DARLING_DAILY_REVENUE_SQL,
-        "region_brand_braycurtis": relational.REGION_BRAND_BRAYCURTIS_SQL,
-        "region_brand_morisita_horn": relational.REGION_BRAND_MORISITA_HORN_SQL,
-        "fay_herriot_nation_balance": relational.FAY_HERRIOT_NATION_BALANCE_SQL,
-        "fay_herriot_shrinkage_summary": relational.FAY_HERRIOT_SHRINKAGE_SUMMARY_SQL,
-        "discount_progressivity_kakwani": relational.DISCOUNT_PROGRESSIVITY_KAKWANI_SQL,
-        "discount_progressivity_suits": relational.DISCOUNT_PROGRESSIVITY_SUITS_SQL,
-        "benford_first_two_digits": relational.BENFORD_FIRST_TWO_DIGITS_SQL,
-        "benford_summation_test": relational.BENFORD_SUMMATION_TEST_SQL,
-        "fisher_exact_urgent_finished": relational.FISHER_EXACT_URGENT_FINISHED_SQL,
-        "fisher_exact_by_segment": relational.FISHER_EXACT_BY_SEGMENT_SQL,
-        "pnl_ratios_daily_revenue": relational.PNL_RATIOS_DAILY_REVENUE_SQL,
-        "downside_risk_daily_revenue": relational.DOWNSIDE_RISK_DAILY_REVENUE_SQL,
-        "fd_g3_errors": relational.FD_G3_ERRORS_SQL,
-        "fd_lattice_pruning": relational.FD_LATTICE_PRUNING_SQL,
-        "watson_u2_time_of_day": events.WATSON_U2_TIME_OF_DAY_SQL,
-        "rao_spacing_time_of_day": events.RAO_SPACING_TIME_OF_DAY_SQL,
-        "ratio_metric_delta_ci": relational.RATIO_METRIC_DELTA_CI_SQL,
-        "ratio_metric_fieller_ci": relational.RATIO_METRIC_FIELLER_CI_SQL,
-        "mean_excess_order_price": relational.MEAN_EXCESS_ORDER_PRICE_SQL,
-        "mean_excess_linearity": relational.MEAN_EXCESS_LINEARITY_SQL,
-        "interaction_information_events": events.INTERACTION_INFORMATION_EVENTS_SQL,
-        "o_information_events": events.O_INFORMATION_EVENTS_SQL,
-        "vocab_rarefaction_curve": text.VOCAB_RAREFACTION_CURVE_SQL,
-        "vocab_expected_singletons": text.VOCAB_EXPECTED_SINGLETONS_SQL,
-        "harmonic_seasonality_monthly_orders": relational.HARMONIC_SEASONALITY_MONTHLY_ORDERS_SQL,
-        "hewitt_seasonality_monthly_orders": relational.HEWITT_SEASONALITY_MONTHLY_ORDERS_SQL,
-        "partial_auc_length_english": text.PARTIAL_AUC_LENGTH_ENGLISH_SQL,
-        "somers_d_length_english": text.SOMERS_D_LENGTH_ENGLISH_SQL,
-        "kish_cluster_deff_orders": relational.KISH_CLUSTER_DEFF_ORDERS_SQL,
-        "kish_weighting_deff_pps": relational.KISH_WEIGHTING_DEFF_PPS_SQL,
-        "rbg_variance_mh_or": relational.RBG_VARIANCE_MH_OR_SQL,
-        "gr_variance_mh_rd": relational.GR_VARIANCE_MH_RD_SQL,
-        "wolfson_bipolarization_customers": relational.WOLFSON_BIPOLARIZATION_CUSTOMERS_SQL,
-        "esteban_ray_polarization_customers": relational.ESTEBAN_RAY_POLARIZATION_CUSTOMERS_SQL,
-        "drobisch_stuvel_indexes": relational.DROBISCH_STUVEL_INDEXES_SQL,
-        "bortkiewicz_decomposition": relational.BORTKIEWICZ_DECOMPOSITION_SQL,
-        "ttt_transform_gaps": relational.TTT_TRANSFORM_GAPS_SQL,
-        "gnedenko_f_gaps": relational.GNEDENKO_F_GAPS_SQL,
-        "last_two_digit_uniformity": relational.LAST_TWO_DIGIT_UNIFORMITY_SQL,
-        "round_number_bias_prices": relational.ROUND_NUMBER_BIAS_PRICES_SQL,
-        "erlang_c_staffing": events.ERLANG_C_STAFFING_SQL,
-        "erlang_b_blocking": events.ERLANG_B_BLOCKING_SQL,
-        "engle_granger_views_purchases": events.ENGLE_GRANGER_VIEWS_PURCHASES_SQL,
-        "error_correction_model_views_purchases": events.ERROR_CORRECTION_MODEL_VIEWS_PURCHASES_SQL,
-        "hhi_decomposition_region_brand": relational.HHI_DECOMPOSITION_REGION_BRAND_SQL,
-        "entropy_decomposition_region_brand": relational.ENTROPY_DECOMPOSITION_REGION_BRAND_SQL,
-        "newsvendor_stock_level": relational.NEWSVENDOR_STOCK_LEVEL_SQL,
-        "stock_service_levels": relational.STOCK_SERVICE_LEVELS_SQL,
-        "bayes_ab_urgent_finished": relational.BAYES_AB_URGENT_FINISHED_SQL,
-        "bayes_ab_expected_loss": relational.BAYES_AB_EXPECTED_LOSS_SQL,
-        "lotka_law_customer_orders": relational.LOTKA_LAW_CUSTOMER_ORDERS_SQL,
-        "gibrat_check_customer_spend": relational.GIBRAT_CHECK_CUSTOMER_SPEND_SQL,
-        "gini_source_decomposition_orders": relational.GINI_SOURCE_DECOMPOSITION_ORDERS_SQL,
-        "gini_marginal_effects_orders": relational.GINI_MARGINAL_EFFECTS_ORDERS_SQL,
-        "fisher_lda_returned": relational.FISHER_LDA_RETURNED_SQL,
-        "lda_accuracy_returned": relational.LDA_ACCURACY_RETURNED_SQL,
-        "bass_diffusion_fit": relational.BASS_DIFFUSION_FIT_SQL,
-        "bass_model_implied": relational.BASS_MODEL_IMPLIED_SQL,
-        "competing_risks_cif": events.COMPETING_RISKS_CIF_SQL,
-        "km_vs_cif_fallacy": events.KM_VS_CIF_FALLACY_SQL,
-        "mediation_sobel_discount": relational.MEDIATION_SOBEL_DISCOUNT_SQL,
-        "mediation_proportion_discount": relational.MEDIATION_PROPORTION_DISCOUNT_SQL,
-        "linear_spline_price_quantity": relational.LINEAR_SPLINE_PRICE_QUANTITY_SQL,
-        "spline_vs_linear_ftest": relational.SPLINE_VS_LINEAR_FTEST_SQL,
-        "fgt_poverty_customers": relational.FGT_POVERTY_CUSTOMERS_SQL,
-        "sen_poverty_customers": relational.SEN_POVERTY_CUSTOMERS_SQL,
-        "press_predicted_r2_price_quantity": relational.PRESS_PREDICTED_R2_PRICE_QUANTITY_SQL,
-        "information_criteria_price_quantity": relational.INFORMATION_CRITERIA_PRICE_QUANTITY_SQL,
-        "srm_check_user_buckets": events.SRM_CHECK_USER_BUCKETS_SQL,
-        "aa_bucket_conversion_homogeneity": events.AA_BUCKET_CONVERSION_HOMOGENEITY_SQL,
-        "mcf_recurrent_purchases": events.MCF_RECURRENT_PURCHASES_SQL,
-        "mcf_vs_naive_bias": events.MCF_VS_NAIVE_BIAS_SQL,
-        "copurchase_adamic_adar_topk": relational.COPURCHASE_ADAMIC_ADAR_TOPK_SQL,
-        "linkpred_precision_at_k": relational.LINKPRED_PRECISION_AT_K_SQL,
-        "yule_tetrachoric_urgent_return": relational.YULE_TETRACHORIC_URGENT_RETURN_SQL,
-        "phi_max_urgent_return": relational.PHI_MAX_URGENT_RETURN_SQL,
-        "lowe_price_index_3period": relational.LOWE_PRICE_INDEX_3PERIOD_SQL,
-        "young_price_index_3period": relational.YOUNG_PRICE_INDEX_3PERIOD_SQL,
-        "cox_score_test_repurchase_value": relational.COX_SCORE_TEST_REPURCHASE_VALUE_SQL,
-        "weighted_trend_tests_repurchase_value": relational.WEIGHTED_TREND_TESTS_REPURCHASE_VALUE_SQL,
-        "grouped_iv_2sls_price_quantity": relational.GROUPED_IV_2SLS_PRICE_QUANTITY_SQL,
-        "sargan_overid_price_quantity": relational.SARGAN_OVERID_PRICE_QUANTITY_SQL,
-        "embedding_hubness": similarity.EMBEDDING_HUBNESS_SQL,
-        "knn_symmetry_ratio": similarity.KNN_SYMMETRY_RATIO_SQL,
-        "chao2_vocab_richness": text.CHAO2_VOCAB_RICHNESS_SQL,
-        "ice_vocab_richness": text.ICE_VOCAB_RICHNESS_SQL,
-        "t_chart_error_gaps": events.T_CHART_ERROR_GAPS_SQL,
-        "g_chart_error_counts": events.G_CHART_ERROR_COUNTS_SQL,
-        "eoq_top_part": relational.EOQ_TOP_PART_SQL,
-        "reorder_point_top_part": relational.REORDER_POINT_TOP_PART_SQL,
-        "diebold_mariano_monthly": relational.DIEBOLD_MARIANO_MONTHLY_SQL,
-        "forecast_encompassing_monthly": relational.FORECAST_ENCOMPASSING_MONTHLY_SQL,
-        "delong_auc_ci_length_english": text.DELONG_AUC_CI_LENGTH_ENGLISH_SQL,
-        "hanley_mcneil_se_length_english": text.HANLEY_MCNEIL_SE_LENGTH_ENGLISH_SQL,
-        "guttman_lambda2_labelers": text.GUTTMAN_LAMBDA2_LABELERS_SQL,
-        "spearman_brown_labelers": text.SPEARMAN_BROWN_LABELERS_SQL,
-        "demand_classification_parts": relational.DEMAND_CLASSIFICATION_PARTS_SQL,
-        "demand_classification_top_parts": relational.DEMAND_CLASSIFICATION_TOP_PARTS_SQL,
-        "markov_stationarity_g2": events.MARKOV_STATIONARITY_G2_SQL,
-        "transition_matrix_drift": events.TRANSITION_MATRIX_DRIFT_SQL,
-        "wilks_tolerance_interval_price": relational.WILKS_TOLERANCE_INTERVAL_PRICE_SQL,
-        "prediction_interval_price": relational.PREDICTION_INTERVAL_PRICE_SQL,
-        "shapley_r2_price_quantity_discount": relational.SHAPLEY_R2_PRICE_QUANTITY_DISCOUNT_SQL,
-        "commonality_analysis_price": relational.COMMONALITY_ANALYSIS_PRICE_SQL,
-        "fisk_fit_order_price": relational.FISK_FIT_ORDER_PRICE_SQL,
-        "fisk_ks_gof_order_price": relational.FISK_KS_GOF_ORDER_PRICE_SQL,
-        "murphy_brier_decomposition": text.MURPHY_BRIER_DECOMPOSITION_SQL,
-        "calibration_slope_length_english": text.CALIBRATION_SLOPE_LENGTH_ENGLISH_SQL,
-        "block_jackknife_se_daily_revenue": relational.BLOCK_JACKKNIFE_SE_DAILY_REVENUE_SQL,
-        "jackknife_inflation_daily_revenue": relational.JACKKNIFE_INFLATION_DAILY_REVENUE_SQL,
-        "cost_optimal_thresholds_length_english": text.COST_OPTIMAL_THRESHOLDS_LENGTH_ENGLISH_SQL,
-        "precision_target_threshold_length_english": text.PRECISION_TARGET_THRESHOLD_LENGTH_ENGLISH_SQL,
-        "unit_price_dispersion_parts": relational.UNIT_PRICE_DISPERSION_PARTS_SQL,
-        "price_variance_decomposition_parts": relational.PRICE_VARIANCE_DECOMPOSITION_PARTS_SQL,
-        "compound_risk_decomposition_customers": relational.COMPOUND_RISK_DECOMPOSITION_CUSTOMERS_SQL,
-        "frequency_severity_correlation": relational.FREQUENCY_SEVERITY_CORRELATION_SQL,
-        "berkson_logit_return_by_quantity": relational.BERKSON_LOGIT_RETURN_BY_QUANTITY_SQL,
-        "berkson_logit_gof": relational.BERKSON_LOGIT_GOF_SQL,
-        "sign_test_spend_prepost": relational.SIGN_TEST_SPEND_PREPOST_SQL,
-        "paired_t_log_spend": relational.PAIRED_T_LOG_SPEND_SQL,
-        "rqa_recurrence_daily_revenue": relational.RQA_RECURRENCE_DAILY_REVENUE_SQL,
-        "rqa_determinism_daily_revenue": relational.RQA_DETERMINISM_DAILY_REVENUE_SQL,
-        "keyfitz_entropy_repurchase": relational.KEYFITZ_ENTROPY_REPURCHASE_SQL,
-        "survival_gini_repurchase": relational.SURVIVAL_GINI_REPURCHASE_SQL,
-        "ipf_raking_urgent_return": relational.IPF_RAKING_URGENT_RETURN_SQL,
-        "raking_weight_summary": relational.RAKING_WEIGHT_SUMMARY_SQL,
-        "covariate_balance_smd_urgent": relational.COVARIATE_BALANCE_SMD_URGENT_SQL,
-        "positivity_check_urgent_by_month": relational.POSITIVITY_CHECK_URGENT_BY_MONTH_SQL,
-        "arriaga_decomposition_repurchase": relational.ARRIAGA_DECOMPOSITION_REPURCHASE_SQL,
-        "arriaga_identity_check": relational.ARRIAGA_IDENTITY_CHECK_SQL,
-        "hedonic_time_dummy_price_index": relational.HEDONIC_TIME_DUMMY_PRICE_INDEX_SQL,
-        "hedonic_vs_jevons_gap": relational.HEDONIC_VS_JEVONS_GAP_SQL,
-        "purchase_depth_ladder": events.PURCHASE_DEPTH_LADDER_SQL,
-        "nbd_fit_purchase_counts": events.NBD_FIT_PURCHASE_COUNTS_SQL,
-        "brand_revenue_beta": relational.BRAND_REVENUE_BETA_SQL,
-        "brand_systematic_risk_decomposition": relational.BRAND_SYSTEMATIC_RISK_DECOMPOSITION_SQL,
-        "cluster_robust_trend_se": relational.CLUSTER_ROBUST_TREND_SE_SQL,
-        "moulton_factor_trend": relational.MOULTON_FACTOR_TREND_SQL,
-        "temporal_scan_errors": events.TEMPORAL_SCAN_ERRORS_SQL,
-        "temporal_scan_secondary": events.TEMPORAL_SCAN_SECONDARY_SQL,
-        "taylor_stats_seasonal_naive": relational.TAYLOR_STATS_SEASONAL_NAIVE_SQL,
-        "taylor_stats_naive": relational.TAYLOR_STATS_NAIVE_SQL,
-        "rosenbaum_bounds_spend": relational.ROSENBAUM_BOUNDS_SPEND_SQL,
-        "rosenbaum_gamma_threshold": relational.ROSENBAUM_GAMMA_THRESHOLD_SQL,
-        "littles_law_orders": relational.LITTLES_LAW_ORDERS_SQL,
-        "backlog_quartiles": relational.BACKLOG_QUARTILES_SQL,
-        "chebyshev_audit_order_price": relational.CHEBYSHEV_AUDIT_ORDER_PRICE_SQL,
-        "markov_audit_order_price": relational.MARKOV_AUDIT_ORDER_PRICE_SQL,
-        "geks_fisher_index": relational.GEKS_FISHER_INDEX_SQL,
-        "geks_vs_bilateral_gap": relational.GEKS_VS_BILATERAL_GAP_SQL,
-        "pesaran_timmermann_direction": relational.PESARAN_TIMMERMANN_DIRECTION_SQL,
-        "direction_skill_scores": relational.DIRECTION_SKILL_SCORES_SQL,
-        "extremal_index_intervals_daily_revenue": relational.EXTREMAL_INDEX_INTERVALS_DAILY_REVENUE_SQL,
-        "exceedance_clusters_daily_revenue": relational.EXCEEDANCE_CLUSTERS_DAILY_REVENUE_SQL,
-        "passing_bablok_views_purchases": events.PASSING_BABLOK_VIEWS_PURCHASES_SQL,
-        "passing_bablok_cusum_linearity": events.PASSING_BABLOK_CUSUM_LINEARITY_SQL,
-        "item_analysis_labelers": text.ITEM_ANALYSIS_LABELERS_SQL,
-        "mcdonald_omega_labelers": text.MCDONALD_OMEGA_LABELERS_SQL,
-        "fisher_combined_p_segments": relational.FISHER_COMBINED_P_SEGMENTS_SQL,
-        "tippett_minp_segments": relational.TIPPETT_MINP_SEGMENTS_SQL,
-        "ww_runs_urgent_price": relational.WW_RUNS_URGENT_PRICE_SQL,
-        "tukey_pocket_urgent_price": relational.TUKEY_POCKET_URGENT_PRICE_SQL,
-        "zip_score_test_order_counts": relational.ZIP_SCORE_TEST_ORDER_COUNTS_SQL,
-        "zip_moment_fit_order_counts": relational.ZIP_MOMENT_FIT_ORDER_COUNTS_SQL,
-        "baujat_influence_segments": relational.BAUJAT_INFLUENCE_SEGMENTS_SQL,
-        "loo_pooled_or_segments": relational.LOO_POOLED_OR_SEGMENTS_SQL,
-        "sgini_family_customer_revenue": relational.SGINI_FAMILY_CUSTOMER_REVENUE_SQL,
-        "kolm_index_customer_revenue": relational.KOLM_INDEX_CUSTOMER_REVENUE_SQL,
-        "inspection_paradox_order_gaps": relational.INSPECTION_PARADOX_ORDER_GAPS_SQL,
-        "gap_timeline_concentration": relational.GAP_TIMELINE_CONCENTRATION_SQL,
-        "gallagher_disproportionality_brands": relational.GALLAGHER_DISPROPORTIONALITY_BRANDS_SQL,
-        "sainte_lague_brand_table": relational.SAINTE_LAGUE_BRAND_TABLE_SQL,
-        "aitchison_geometry_regions": relational.AITCHISON_GEOMETRY_REGIONS_SQL,
-        "aitchison_variation_regions": relational.AITCHISON_VARIATION_REGIONS_SQL,
-        "cosinor_hourly_profile": events.COSINOR_HOURLY_PROFILE_SQL,
-        "cosinor_two_harmonic_hourly": events.COSINOR_TWO_HARMONIC_HOURLY_SQL,
-        "alexander_govern_price_segment": relational.ALEXANDER_GOVERN_PRICE_SEGMENT_SQL,
-        "alexander_govern_z_table": relational.ALEXANDER_GOVERN_Z_TABLE_SQL,
-        "latent_class_labelers": text.LATENT_CLASS_LABELERS_SQL,
-        "latent_class_majority_vote": text.LATENT_CLASS_MAJORITY_VOTE_SQL,
-        "km_quartiles_bc_ci_repurchase": relational.KM_QUARTILES_BC_CI_REPURCHASE_SQL,
-        "km_horizon_loglog_ci_repurchase": relational.KM_HORIZON_LOGLOG_CI_REPURCHASE_SQL,
-        "zipf_mandelbrot_fit": text.ZIPF_MANDELBROT_FIT_SQL,
-        "zipf_break_detection": text.ZIPF_BREAK_DETECTION_SQL,
-        "bartlett_sphericity_lineitem": relational.BARTLETT_SPHERICITY_LINEITEM_SQL,
-        "kmo_lineitem": relational.KMO_LINEITEM_SQL,
-        "pca_eigenvalues_lineitem": relational.PCA_EIGENVALUES_LINEITEM_SQL,
-        "pca_first_component_lineitem": relational.PCA_FIRST_COMPONENT_LINEITEM_SQL,
-        "mundlak_within_between_price": relational.MUNDLAK_WITHIN_BETWEEN_PRICE_SQL,
-        "panel_icc_price_quantity": relational.PANEL_ICC_PRICE_QUANTITY_SQL,
-        "lloyd_morisita_daily_by_type": events.LLOYD_MORISITA_DAILY_BY_TYPE_SQL,
-        "negbin_k_aggregation_by_type": events.NEGBIN_K_AGGREGATION_BY_TYPE_SQL,
-        "lin_agreement_decomposition": events.LIN_AGREEMENT_DECOMPOSITION_SQL,
-        "tdi_coverage_views_purchases": events.TDI_COVERAGE_VIEWS_PURCHASES_SQL,
-        "bennet_decomposition_yearly": relational.BENNET_DECOMPOSITION_YEARLY_SQL,
-        "bennet_top_part_contributors": relational.BENNET_TOP_PART_CONTRIBUTORS_SQL,
-        "menzerath_fit_documents": text.MENZERATH_FIT_DOCUMENTS_SQL,
-        "menzerath_profile_documents": text.MENZERATH_PROFILE_DOCUMENTS_SQL,
-        "engel_curves_brands": relational.ENGEL_CURVES_BRANDS_SQL,
-        "engel_adding_up_check": relational.ENGEL_ADDING_UP_CHECK_SQL,
-        "pi_coverage_backtest_monthly": relational.PI_COVERAGE_BACKTEST_MONTHLY_SQL,
-        "winkler_score_monthly": relational.WINKLER_SCORE_MONTHLY_SQL,
-        "smr_byar_ci_by_segment": relational.SMR_BYAR_CI_BY_SEGMENT_SQL,
-        "smr_funnel_limits_by_segment": relational.SMR_FUNNEL_LIMITS_BY_SEGMENT_SQL,
-        "crps_normal_monthly": relational.CRPS_NORMAL_MONTHLY_SQL,
-        "ignorance_score_monthly": relational.IGNORANCE_SCORE_MONTHLY_SQL,
-        "meta_regression_brand_returns": relational.META_REGRESSION_BRAND_RETURNS_SQL,
-        "meta_regression_residual_q": relational.META_REGRESSION_RESIDUAL_Q_SQL,
-        "storey_pi0_profile_brands": relational.STOREY_PI0_PROFILE_BRANDS_SQL,
-        "qvalues_brands": relational.QVALUES_BRANDS_SQL,
-        "sbg_retention_fit": relational.SBG_RETENTION_FIT_SQL,
-        "sbg_projection_check": relational.SBG_PROJECTION_CHECK_SQL,
-        "evalue_urgent_finished": relational.EVALUE_URGENT_FINISHED_SQL,
-        "bias_factor_grid_urgent_finished": relational.BIAS_FACTOR_GRID_URGENT_FINISHED_SQL,
-        "decision_curve_length_english": text.DECISION_CURVE_LENGTH_ENGLISH_SQL,
-        "decision_curve_advantage": text.DECISION_CURVE_ADVANTAGE_SQL,
-        "nri_source_vs_length": text.NRI_SOURCE_VS_LENGTH_SQL,
-        "idi_source_vs_length": text.IDI_SOURCE_VS_LENGTH_SQL,
-        "vuong_source_vs_length": text.VUONG_SOURCE_VS_LENGTH_SQL,
-        "clarke_sign_test_models": text.CLARKE_SIGN_TEST_MODELS_SQL,
-        "longest_run_daily_direction": relational.LONGEST_RUN_DAILY_DIRECTION_SQL,
-        "run_length_spectrum_daily": relational.RUN_LENGTH_SPECTRUM_DAILY_SQL,
-        "block_entropy_direction_tape": relational.BLOCK_ENTROPY_DIRECTION_TAPE_SQL,
-        "predictability_direction_tape": relational.PREDICTABILITY_DIRECTION_TAPE_SQL,
-        "extensive_intensive_by_segment": relational.EXTENSIVE_INTENSIVE_BY_SEGMENT_SQL,
-        "two_part_gap_decomposition_segments": relational.TWO_PART_GAP_DECOMPOSITION_SEGMENTS_SQL,
-        "lloyd_moulton_index": relational.LLOYD_MOULTON_INDEX_SQL,
-        "implied_substitution_elasticity": relational.IMPLIED_SUBSTITUTION_ELASTICITY_SQL,
-        "growth_incidence_deciles": relational.GROWTH_INCIDENCE_DECILES_SQL,
-        "pro_poor_growth_summary": relational.PRO_POOR_GROWTH_SUMMARY_SQL,
-        "ellison_glaeser_brands": relational.ELLISON_GLAESER_BRANDS_SQL,
-        "maurel_sedillot_brands": relational.MAUREL_SEDILLOT_BRANDS_SQL,
-        "entropy_estimators_users": events.ENTROPY_ESTIMATORS_USERS_SQL,
-        "entropy_estimators_vocab": events.ENTROPY_ESTIMATORS_VOCAB_SQL,
-        "mccrary_density_jump_quantity": relational.MCCRARY_DENSITY_JUMP_QUANTITY_SQL,
-        "rdd_placebo_cutoffs_quantity": relational.RDD_PLACEBO_CUTOFFS_QUANTITY_SQL,
-        "oster_delta_price_quantity": relational.OSTER_DELTA_PRICE_QUANTITY_SQL,
-        "oster_beta_star_grid": relational.OSTER_BETA_STAR_GRID_SQL,
-        "did_event_study_daily": events.DID_EVENT_STUDY_DAILY_SQL,
-        "did_pretrend_placebo": events.DID_PRETREND_PLACEBO_SQL,
-        "shapley_source_coverage": text.SHAPLEY_SOURCE_COVERAGE_SQL,
-        "coverage_game_summary": text.COVERAGE_GAME_SUMMARY_SQL,
-        "banzhaf_source_coverage": text.BANZHAF_SOURCE_COVERAGE_SQL,
-        "power_index_disagreement": text.POWER_INDEX_DISAGREEMENT_SQL,
-        "harrell_c_repurchase_by_value": relational.HARRELL_C_REPURCHASE_BY_VALUE_SQL,
-        "truncated_c_repurchase": relational.TRUNCATED_C_REPURCHASE_SQL,
-        "benford_second_order_prices": relational.BENFORD_SECOND_ORDER_PRICES_SQL,
-        "mantissa_arc_test_prices": relational.MANTISSA_ARC_TEST_PRICES_SQL,
-        "discrete_hazard_table_repurchase": relational.DISCRETE_HAZARD_TABLE_REPURCHASE_SQL,
-        "duration_dependence_wls": relational.DURATION_DEPENDENCE_WLS_SQL,
-        "quartile_exact_ci_price": relational.QUARTILE_EXACT_CI_PRICE_SQL,
-        "tail_quantile_exact_ci_price": relational.TAIL_QUANTILE_EXACT_CI_PRICE_SQL,
-        "crow_amsaa_cvm_gof": events.CROW_AMSAA_CVM_GOF_SQL,
-        "duane_mtbf_projection": events.DUANE_MTBF_PROJECTION_SQL,
-        "hotelling_t2_chart_daily": relational.HOTELLING_T2_CHART_DAILY_SQL,
-        "t2_myt_decomposition_worst_day": relational.T2_MYT_DECOMPOSITION_WORST_DAY_SQL,
-        "two_way_clustered_se_trend": relational.TWO_WAY_CLUSTERED_SE_TREND_SQL,
-        "clustering_choice_ladder": relational.CLUSTERING_CHOICE_LADDER_SQL,
-        "gamma_poisson_posterior_daily": relational.GAMMA_POISSON_POSTERIOR_DAILY_SQL,
-        "posterior_predictive_max_ppc": relational.POSTERIOR_PREDICTIVE_MAX_PPC_SQL,
-        "source_lm_cross_entropy": text.SOURCE_LM_CROSS_ENTROPY_SQL,
-        "lm_divergence_extremes": text.LM_DIVERGENCE_EXTREMES_SQL,
-        "dp_noise_calibration": relational.DP_NOISE_CALIBRATION_SQL,
-        "dp_budget_requirement": relational.DP_BUDGET_REQUIREMENT_SQL,
-        "newsvendor_cost_curve": relational.NEWSVENDOR_COST_CURVE_SQL,
-        "newsvendor_asymmetry": relational.NEWSVENDOR_ASYMMETRY_SQL,
-        "bullwhip_variance_ratio": relational.BULLWHIP_VARIANCE_RATIO_SQL,
-        "order_ship_xcorr_peak": relational.ORDER_SHIP_XCORR_PEAK_SQL,
-        "gravity_model_trade": relational.GRAVITY_MODEL_TRADE_SQL,
-        "gravity_residual_extremes": relational.GRAVITY_RESIDUAL_EXTREMES_SQL,
-        "grubel_lloyd_pairs": relational.GRUBEL_LLOYD_PAIRS_SQL,
-        "trade_balance_normalized": relational.TRADE_BALANCE_NORMALIZED_SQL,
-        "balassa_rca_top": relational.BALASSA_RCA_TOP_SQL,
-        "krugman_specialization_nations": relational.KRUGMAN_SPECIALIZATION_NATIONS_SQL,
-        "economic_complexity_reflections": relational.ECONOMIC_COMPLEXITY_REFLECTIONS_SQL,
-        "rca_matrix_nestedness": relational.RCA_MATRIX_NESTEDNESS_SQL,
-        "product_space_proximity_top": relational.PRODUCT_SPACE_PROXIMITY_TOP_SQL,
-        "next_brand_recommendation": relational.NEXT_BRAND_RECOMMENDATION_SQL,
-        "signal_detection_dprime": text.SIGNAL_DETECTION_DPRIME_SQL,
-        "sdt_isosensitivity_check": text.SDT_ISOSENSITIVITY_CHECK_SQL,
-        "van_der_waerden_urgent_price": text.VAN_DER_WAERDEN_URGENT_PRICE_SQL,
-        "klotz_scale_urgent_price": text.KLOTZ_SCALE_URGENT_PRICE_SQL,
-        "berkson_probit_return_by_quantity": text.BERKSON_PROBIT_RETURN_BY_QUANTITY_SQL,
-        "link_function_duel": text.LINK_FUNCTION_DUEL_SQL,
-        "shapiro_francia_daily_revenue": text.SHAPIRO_FRANCIA_DAILY_REVENUE_SQL,
-        "qq_plot_fit_daily_revenue": text.QQ_PLOT_FIT_DAILY_REVENUE_SQL,
-        "variance_ci_daily_price": text.VARIANCE_CI_DAILY_PRICE_SQL,
-        "normal_tolerance_vs_wilks": text.NORMAL_TOLERANCE_VS_WILKS_SQL,
-        "tost_equivalence_price_segments": relational.TOST_EQUIVALENCE_PRICE_SEGMENTS_SQL,
-        "equivalence_margin_threshold": relational.EQUIVALENCE_MARGIN_THRESHOLD_SQL,
-        "bayes_factor_two_segments": relational.BAYES_FACTOR_TWO_SEGMENTS_SQL,
-        "minimum_bayes_factor_audit": relational.MINIMUM_BAYES_FACTOR_AUDIT_SQL,
-        "finite_sample_mean_cis_price": relational.FINITE_SAMPLE_MEAN_CIS_PRICE_SQL,
-        "sample_size_for_precision_price": relational.SAMPLE_SIZE_FOR_PRECISION_PRICE_SQL,
-        "g_and_h_fit_price": text.G_AND_H_FIT_PRICE_SQL,
-        "g_and_h_quantile_check": text.G_AND_H_QUANTILE_CHECK_SQL,
-        "johnson_family_selector": text.JOHNSON_FAMILY_SELECTOR_SQL,
-        "johnson_fit_price": text.JOHNSON_FIT_PRICE_SQL,
-        "vasicek_entropy_price": text.VASICEK_ENTROPY_PRICE_SQL,
-        "entropy_normality_price": text.ENTROPY_NORMALITY_PRICE_SQL,
-        "bloom_sizing_advisor": relational.BLOOM_SIZING_ADVISOR_SQL,
-        "bloom_fpp_tradeoff": relational.BLOOM_FPP_TRADEOFF_SQL,
-        "hll_precision_advisor": relational.HLL_PRECISION_ADVISOR_SQL,
-        "sketch_discount_table": relational.SKETCH_DISCOUNT_TABLE_SQL,
-        "balls_in_bins_check": relational.BALLS_IN_BINS_CHECK_SQL,
-        "bucket_count_advisor": relational.BUCKET_COUNT_ADVISOR_SQL,
-        "slo_burn_rate_windows": events.SLO_BURN_RATE_WINDOWS_SQL,
-        "error_budget_remaining": events.ERROR_BUDGET_REMAINING_SQL,
-        "basket_allometry": relational.BASKET_ALLOMETRY_SQL,
-        "basket_scaling_profile": relational.BASKET_SCALING_PROFILE_SQL,
-        "priority_queue_waits": relational.PRIORITY_QUEUE_WAITS_SQL,
-        "priority_wait_inequity": relational.PRIORITY_WAIT_INEQUITY_SQL,
-        "selectivity_independence_qerror": relational.SELECTIVITY_INDEPENDENCE_QERROR_SQL,
-        "pairwise_correlation_factors": relational.PAIRWISE_CORRELATION_FACTORS_SQL,
-        "join_order_cost_audit": relational.JOIN_ORDER_COST_AUDIT_SQL,
-        "filter_pushdown_payoff": relational.FILTER_PUSHDOWN_PAYOFF_SQL,
-        "pinball_loss_monthly": relational.PINBALL_LOSS_MONTHLY_SQL,
-        "quantile_calibration_monthly": relational.QUANTILE_CALIBRATION_MONTHLY_SQL,
-        "duncan_dissimilarity_region_brand": relational.DUNCAN_DISSIMILARITY_REGION_BRAND_SQL,
-        "isolation_interaction_region_brand": relational.ISOLATION_INTERACTION_REGION_BRAND_SQL,
-        "cochran_c_price_by_segment": relational.COCHRAN_C_PRICE_BY_SEGMENT_SQL,
-        "levene_mean_quantity_by_flag": relational.LEVENE_MEAN_QUANTITY_BY_FLAG_SQL,
-        "obrien_quantity_by_flag": relational.OBRIEN_QUANTITY_BY_FLAG_SQL,
-        "anova_omega_epsilon_price_segment": relational.ANOVA_OMEGA_EPSILON_PRICE_SEGMENT_SQL,
-        "kruskal_wallis_effect_sizes_quantity": relational.KRUSKAL_WALLIS_EFFECT_SIZES_QUANTITY_SQL,
-        "gehan_breslow_repurchase_by_segment": relational.GEHAN_BRESLOW_REPURCHASE_BY_SEGMENT_SQL,
-        "tarone_ware_repurchase_by_segment": relational.TARONE_WARE_REPURCHASE_BY_SEGMENT_SQL,
-        "brunet_w_vocab": text.BRUNET_W_VOCAB_SQL,
-        "honore_h_vocab": text.HONORE_H_VOCAB_SQL,
-        "hosmer_lemeshow_length_english": text.HOSMER_LEMESHOW_LENGTH_ENGLISH_SQL,
-        "spiegelhalter_z_length_english": text.SPIEGELHALTER_Z_LENGTH_ENGLISH_SQL,
-        "spectral_entropy_daily_revenue": relational.SPECTRAL_ENTROPY_DAILY_REVENUE_SQL,
-        "ece_length_english": text.ECE_LENGTH_ENGLISH_SQL,
-        "cuped_value_adjustment": events.CUPED_VALUE_ADJUSTMENT_SQL,
-        "sorted_neighborhood_dedup": dedup.SORTED_NEIGHBORHOOD_DEDUP_SQL,
-        # semdedup: iterative k-means + greedy prune — no SQL oracle (pytest-pinned)
-        "dsir_selection": text.DSIR_SELECTION_SQL,
-        # quality_classifier: iterative GD training — no SQL oracle (pytest-pinned)
-        "ttr_by_source": text.TTR_BY_SOURCE_SQL,
-        "hapax_stats": text.HAPAX_STATS_SQL,
-        "dup_cluster_size_hist": text.DUP_CLUSTER_SIZE_HIST_SQL,
-        "embedding_quantization_error": similarity.EMBEDDING_QUANTIZATION_ERROR_SQL,
-        "new_vs_returning_monthly": relational.NEW_VS_RETURNING_MONTHLY_SQL,
-        "harmonic_mean_quantity": relational.HARMONIC_MEAN_QUANTITY_SQL,
-        "trigram_next_token": text.TRIGRAM_NEXT_TOKEN_SQL,
-        "dedup_rate_by_source": text.DEDUP_RATE_BY_SOURCE_SQL,
-        "benford_price_digits": relational.BENFORD_PRICE_DIGITS_SQL,
-        "incremental_join_mv": relational.INCREMENTAL_JOIN_MV_SQL,
-        "suppliers_covering_top_parts": relational.SUPPLIERS_COVERING_TOP_PARTS_SQL,
-        "label_centroid_cosine": similarity.LABEL_CENTROID_COSINE_SQL,
-        "order_rank_in_segment": relational.ORDER_RANK_IN_SEGMENT_SQL,
-        "order_window_stats": relational.ORDER_WINDOW_STATS_SQL,
-        "user_order_full_outer": relational.USER_ORDER_FULL_OUTER_SQL,
-        "price_quantity_regression": relational.PRICE_QUANTITY_REGRESSION_SQL,
-        "order_price_cube": relational.ORDER_PRICE_CUBE_SQL,
-        "price_skew_kurtosis": relational.PRICE_SKEW_KURTOSIS_SQL,
-        "winsorized_quantity_mean": relational.WINSORIZED_QUANTITY_MEAN_SQL,
-        "quantity_mad": relational.QUANTITY_MAD_SQL,
-        "nation_balance_share": relational.NATION_BALANCE_SHARE_SQL,
-        "spearman_price_discount": relational.SPEARMAN_PRICE_DISCOUNT_SQL,
-        "intersect_all_keys": relational.INTERSECT_ALL_KEYS_SQL,
-        "except_all_keys": relational.EXCEPT_ALL_KEYS_SQL,
-        "table_diff": relational.TABLE_DIFF_SQL,
-        "lineitem_corr_matrix": relational.LINEITEM_CORR_MATRIX_SQL,
-        "copurchase_bfs_hops": relational.COPURCHASE_BFS_HOPS_SQL,
-        "weighted_median_price": relational.WEIGHTED_MEDIAN_PRICE_SQL,
-        "part_skyline": relational.PART_SKYLINE_SQL,
-        "uniqueness_profile": relational.UNIQUENESS_PROFILE_SQL,
-        "referential_integrity": relational.REFERENTIAL_INTEGRITY_SQL,
-        "star_join_checksum": relational.STAR_JOIN_CHECKSUM_SQL,
-        "median_price_by_flag": relational.MEDIAN_PRICE_BY_FLAG_SQL,
-        "order_gap_by_segment": relational.ORDER_GAP_BY_SEGMENT_SQL,
-        "geo_mean_price_by_flag": relational.GEO_MEAN_PRICE_BY_FLAG_SQL,
-        "order_value_gini": relational.ORDER_VALUE_GINI_SQL,
-        "top_orders_with_ties": relational.TOP_ORDERS_WITH_TIES_SQL,
-        "copurchase_lift": relational.COPURCHASE_LIFT_SQL,
-        "top1pct_revenue_share": relational.TOP1PCT_REVENUE_SHARE_SQL,
-        "price_percentiles_exact": relational.PRICE_PERCENTILES_EXACT_SQL,
-        "systematic_sample_orders": relational.SYSTEMATIC_SAMPLE_ORDERS_SQL,
-        "rfm_segment_cells": relational.RFM_SEGMENT_CELLS_SQL,
-        "frequent_part_triples": relational.FREQUENT_PART_TRIPLES_SQL,
-        "pareto_coverage_by_segment": relational.PARETO_COVERAGE_BY_SEGMENT_SQL,
-        "copurchase_degree_hist": relational.COPURCHASE_DEGREE_HIST_SQL,
-        "part_clustering_coefficient": relational.PART_CLUSTERING_COEFFICIENT_SQL,
-        "price_deciles": relational.PRICE_DECILES_SQL,
-        "lineitem_unpivot_stats": relational.LINEITEM_UNPIVOT_STATS_SQL,
-        "multivar_ols_price": relational.MULTIVAR_OLS_PRICE_SQL,
-        "order_part_list": relational.ORDER_PART_LIST_SQL,
-        "customers_without_orders": relational.CUSTOMERS_WITHOUT_ORDERS_SQL,
-        "parts_with_lineitems": relational.PARTS_WITH_LINEITEMS_SQL,
-        # bloom prefilter + exact verify == exact semi join
-        "parts_with_lineitems_bloom": relational.PARTS_WITH_LINEITEMS_SQL,
-        "nations_without_suppliers": relational.NATIONS_WITHOUT_SUPPLIERS_SQL,
-        "union_all_keys": relational.UNION_ALL_KEYS_SQL,
-        "keys_in_both": relational.KEYS_IN_BOTH_SQL,
-        "custkeys_not_suppkeys": relational.CUSTKEYS_NOT_SUPPKEYS_SQL,
-        "quantity_quantiles": relational.QUANTITY_QUANTILES_SQL,
-        "median_extendedprice": relational.MEDIAN_EXTENDEDPRICE_SQL,
-        "quantity_quantiles_by_flag": relational.QUANTITY_QUANTILES_BY_FLAG_SQL,
-        "events_hourly": events.EVENTS_HOURLY_SQL,
-        "sessionize": events.SESSIONIZE_SQL,
-        "events_hopping": events.EVENTS_HOPPING_SQL,
-        # incremental maintenance must reproduce the one-shot batch
-        # aggregate exactly -> same oracle as events_hourly
-        "events_hourly_incremental": events.EVENTS_HOURLY_SQL,
-        "asof_latest_order": events.ASOF_SQL,
-        "rolling_user_value": events.ROLLING_SQL,
-        "cumulative_user_value": events.CUMULATIVE_SQL,
-        "distinct_users_per_type": events.DISTINCT_USERS_SQL,
-        "props_k_by_type": events.PROPS_K_SQL,
-        "event_value_moments": events.EVENT_VALUE_MOMENTS_SQL,
-        "funnel_signup_purchase": events.FUNNEL_SQL,
-        "dedup_exact": dedup.DEDUP_EXACT_SQL,
-        "dedup_normalized": dedup.DEDUP_NORMALIZED_SQL,
-        "exact_jaccard_pairs": dedup.EXACT_JACCARD_PAIRS_SQL,
-        "containment_pairs": dedup.CONTAINMENT_PAIRS_SQL,
-        "subset_duplicates": dedup.SUBSET_DUPLICATES_SQL,
-        "neardup_clusters": dedup.NEARDUP_CLUSTERS_SQL,
-        "token_counts": text.TOKEN_COUNTS_SQL,
-        "bpe_token_counts": text.BPE_TOKEN_COUNTS_SQL,
-        "fingerprints": text.FINGERPRINTS_SQL,
-        "winnowing": text.WINNOWING_SQL,
-        "language_id": text.LANGUAGE_ID_SQL,
-        "quality_scores": text.QUALITY_SCORES_SQL,
-        "repetition_stats": text.REPETITION_STATS_SQL,
-        "segment_dedup": text.SEGMENT_DEDUP_SQL,
-        "doc_perplexity": text.DOC_PERPLEXITY_SQL,
-        "benchmark_contamination": text.BENCHMARK_CONTAMINATION_SQL,
-        "duplicate_ngram_spans": text.DUPLICATE_NGRAM_SPANS_SQL,
-        "pii_counts": text.PII_COUNTS_SQL,
-        "heavy_hitter_terms": text.HEAVY_HITTER_TERMS_SQL,
-        "stratified_sample": text.STRATIFIED_SAMPLE_SQL,
-        "curate_corpus": text.CURATE_CORPUS_SQL,
-        "vocab_top_terms": text.VOCAB_TOP_TERMS_SQL,
-        "source_term_divergence": text.SOURCE_TERM_DIVERGENCE_SQL,
-        "doc_length_histogram": text.DOC_LENGTH_HISTOGRAM_SQL,
-        "doc_length_percentile": text.DOC_LENGTH_PERCENTILE_SQL,
-        "hash_sample": text.HASH_SAMPLE_SQL,
-        "tfidf_top_term": text.TFIDF_TOP_TERM_SQL,
-        "pack_sequences": text.PACK_SEQUENCES_SQL,
-        "chunk_documents": text.CHUNK_DOCUMENTS_SQL,
-        "char_entropy": text.CHAR_ENTROPY_SQL,
-        "bm25_scores": text.BM25_SCORES_SQL,
-        "mixture_sample": text.MIXTURE_SAMPLE_SQL,
-        "pmi_collocations": text.PMI_COLLOCATIONS_SQL,
-        "inverted_index_sample": text.INVERTED_INDEX_SAMPLE_SQL,
-        "table_checksum": text.TABLE_CHECKSUM_SQL,
-        "sentence_stats": text.SENTENCE_STATS_SQL,
-        "extract_numbers": text.EXTRACT_NUMBERS_SQL,
-        "top_terms_per_source": text.TOP_TERMS_PER_SOURCE_SQL,
-        "source_vocab_jaccard": text.SOURCE_VOCAB_JACCARD_SQL,
-        "length_psi_by_source": text.LENGTH_PSI_BY_SOURCE_SQL,
-        "boolean_and_search": text.BOOLEAN_AND_SEARCH_SQL,
-        "partitioned_write_roundtrip": text.PARTITIONED_WRITE_ROUNDTRIP_SQL,
-        "tar_shard_roundtrip": text.TAR_SHARD_ROUNDTRIP_SQL,
-        "schema_evolution_union": text.SCHEMA_EVOLUTION_UNION_SQL,
-        "tfidf_cosine_pairs": text.TFIDF_COSINE_PAIRS_SQL,
-        "readability_scores": text.READABILITY_SCORES_SQL,
-        "char_class_profile": text.CHAR_CLASS_PROFILE_SQL,
-        "partition_skew_report": text.PARTITION_SKEW_REPORT_SQL,
-        "bucketed_checksums": text.BUCKETED_CHECKSUMS_SQL,
-        "ks_length_sources": text.KS_LENGTH_SOURCES_SQL,
-        "zipf_slope": text.ZIPF_SLOPE_SQL,
-        "dedup_keep_longest": dedup.DEDUP_KEEP_LONGEST_SQL,
-        "label_centroid_stats": similarity.LABEL_CENTROID_STATS_SQL,
-        "nearest_centroid_assign": similarity.NEAREST_CENTROID_ASSIGN_SQL,
-        "knn_brute_force": similarity.knn_sql(),
-        "embedding_neardup": similarity.EMBEDDING_NEARDUP_SQL,
-        "embedding_neardup_lsh_planted": similarity.EMBEDDING_NEARDUP_LSH_PLANTED_SQL,
-        "minhash_lsh_planted_clones": dedup.MINHASH_LSH_PLANTED_CLONES_SQL,
-        "ngram_jaccard_planted_clones": dedup.NGRAM_JACCARD_PLANTED_CLONES_SQL,
-        "mmr_relevance_anchor": similarity.MMR_RELEVANCE_ANCHOR_SQL,
-        "hits_planted_star": relational.HITS_PLANTED_STAR_SQL,
-        "quality_classifier_first_step": text.QUALITY_CLASSIFIER_FIRST_STEP_SQL,
-        "embedding_pca_power_anchor": similarity.EMBEDDING_PCA_POWER_ANCHOR_SQL,
-        "media_channel_stats_planted_clones": media.MEDIA_CHANNEL_STATS_PLANTED_CLONES_SQL,
-        "compression_ratio_planted_clones": text.COMPRESSION_RATIO_PLANTED_CLONES_SQL,
-        "bpe_apply_zero_merges": text.BPE_APPLY_ZERO_MERGES_SQL,
-        "kmeans_planted_clusters": similarity.KMEANS_PLANTED_CLUSTERS_SQL,
-        "simhash_planted_clones": dedup.SIMHASH_PLANTED_CLONES_SQL,
-        "knn_lsh_planted": similarity.KNN_PLANTED_SQL,
-        "knn_ivf_planted": similarity.KNN_PLANTED_SQL,
-        "media_dimensions": media.MEDIA_DIMENSIONS_SQL,
-        "media_dimensions_png": media.MEDIA_DIMENSIONS_SQL,
-        "media_dimensions_jpeg": media.MEDIA_DIMENSIONS_SQL,
-        "media_dimensions_bmp": media.MEDIA_DIMENSIONS_SQL,
-        "media_lit_stats": media.MEDIA_LIT_STATS_SQL,
-        "label_centroid_norms": similarity.LABEL_CENTROID_NORMS_SQL,
-        "media_word_boxes": media.MEDIA_WORD_BOXES_SQL,
-        "media_line_boxes": media.MEDIA_LINE_BOXES_SQL,
-        # no oracle (sketch / ANN / non-SQL hash / codec, approximate
-        # or non-SQL-expressible by design): minhash_lsh_dedup,
-        # ngram_jaccard_pairs, simhash_neardup (each anchored by its
-        # *_planted_clones exact-oracle sibling), knn_lsh, knn_ivf,
-        # distinct_users_hll, order_price_quantiles_sketch,
-        # price_quantiles_by_flag_sketch (exactcap-anchored),
-        # media_channel_stats (planted-clone-anchored),
-        # embedding_pca_top (power-anchor), bpe_learn_merges
-        # (first-merge-anchored), compression_ratio
-        # (planted-clone-anchored)
-        # -> driver rows-only check + pytest property tests
     }

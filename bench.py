@@ -1,17 +1,16 @@
 """Benchmark harness. Prints ONE JSON line.
 
-Headline: flagship extraction (explode -> HTML strip -> OCR/PDF actor
-pools -> ordered reassembly) over the deterministic synthetic
+Headline: flagship extraction (explode -> HTML strip -> OCR/PDF
+extract tasks -> ordered reassembly) over the deterministic synthetic
 interleaved corpus (FIXTURES.md bench tier), measured as docs/sec.
-Plus representative operator pipelines over ``$GRAFT_SF_DIR``
-(default /root/testdata/sf0.1).
 
 ``--scaling``: run the headline twice in FRESH processes at
-``num_cpus`` 8 and 32 on the same input and report both throughputs +
+``SCALE_LO`` and ``SCALE_HI`` pinned cores (default 4 and 16) on the
+same input and report both throughputs +
 scaling efficiency (the sandbox stand-in for the north rule's N vs 4N
 node criterion).
 
-Env: GRAFT_SF_DIR, RAY_GRAFT_CPUS (default 32), BENCH_DOCS (default 30000).
+Env: RAY_GRAFT_CPUS (default 32), BENCH_DOCS (default 100000).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import subprocess
 import sys
 import time
 
-SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 BENCH_DOCS = int(os.environ.get("BENCH_DOCS", "100000"))
 # min-of-N per pipeline: the shared sandbox host has ±2-4x co-tenant
@@ -73,195 +71,7 @@ def run_headline(out: dict) -> None:
     out["docs_per_sec"] = round(n / best, 2)
 
 
-def run_operator_benches(out: dict) -> None:
-    from ocr_pipeline_ray.pipelines import (
-        dedup,
-        events,
-        interleave,
-        media,
-        relational,
-        similarity,
-        text,
-    )
-
-    benches = {
-        "extract_interleaved": interleave.extract_interleaved,
-        "extract_interleaved_ppm": interleave.extract_interleaved_ppm,
-        "q1_pricing_summary": relational.q1_pricing_summary,
-        "q3_shipping_priority": relational.q3_shipping_priority,
-        "q6_forecast_revenue": relational.q6_forecast_revenue,
-        "events_hourly": events.events_hourly,
-        "sessionize": events.sessionize,
-        "asof_latest_order": events.asof_latest_order,
-        "dedup_exact": dedup.dedup_exact,
-        "minhash_lsh_dedup": dedup.minhash_lsh_dedup,
-        "simhash_neardup": dedup.simhash_neardup,
-        "embedding_neardup": similarity.embedding_neardup,
-        "knn_brute_force": similarity.knn_brute_force,
-        "knn_lsh": similarity.knn_lsh,
-        "q10_returned_revenue": relational.q10_returned_revenue,
-        "rolling_user_value": events.rolling_user_value,
-        "token_counts": text.token_counts,
-        "vocab_top_terms": text.vocab_top_terms,
-        "heavy_hitter_terms": text.heavy_hitter_terms,
-        "neardup_clusters": dedup.neardup_clusters,
-        "media_dimensions": media.media_dimensions,
-        "q7_volume_shipping": relational.q7_volume_shipping,
-        "part_triangle_counts": relational.part_triangle_counts,
-        "pivot_user_event_values": events.pivot_user_event_values,
-        "doc_perplexity": text.doc_perplexity,
-        "pack_sequences": text.pack_sequences,
-        "bm25_scores": text.bm25_scores,
-        # round-3h additions: rank stats, resampling, retrieval fusion
-        "mann_whitney_price": relational.mann_whitney_price,
-        "bootstrap_mean_ci": relational.bootstrap_mean_ci,
-        "kaplan_meier_repurchase": relational.kaplan_meier_repurchase,
-        "item_item_cosine": relational.item_item_cosine,
-        "sorted_neighborhood_dedup": dedup.sorted_neighborhood_dedup,
-        "price_percentile_cont_by_flag": relational.price_percentile_cont_by_flag,
-    }
-    for name, fn in benches.items():
-        best = None
-        for _ in range(BENCH_REPS):
-            t0 = time.time()
-            fn(SF_DIR)
-            dt = time.time() - t0
-            best = dt if best is None else min(best, dt)
-        out["queries"][name] = round(best, 3)
-
-
-def run_ab_benches(out: dict) -> None:
-    """Pin the two recorded design reverts to FRESH per-round
-    measurements (r4 verdict item 6) instead of carrying stale
-    numbers: (a) partial_topk's driver streaming fold vs the REVERTED
-    worker-side two-level reduce (an extra all-to-all stage is pure
-    latency on result-sized partials); (b) join_media_spans' Arrow
-    bucketed join vs the REPLACED pandas-merge bucket join. The
-    alternates live here as bench-local reference implementations —
-    they are the measurement, not the product."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from ocr_pipeline_ray.pipelines.relational import _read, partial_topk
-
-    # ---- (a) top-k: driver stream-fold (shipped) vs two-level shuffle
-    by, asc, k = ["o_totalprice", "o_orderkey"], [False, True], 10
-
-    def _topk_two_level(ds):
-        def _local(df: pd.DataFrame) -> pd.DataFrame:
-            return df.sort_values(by, ascending=asc).head(k)
-
-        def _tag(df: pd.DataFrame) -> pd.DataFrame:
-            df = _local(df).copy()
-            df["__rb"] = 0  # all partials to one reducer: k-sized data
-            return df
-
-        red = (
-            ds.map_batches(_tag, batch_format="pandas")
-            .groupby("__rb")
-            .map_groups(
-                lambda g: _local(g.drop(columns="__rb")), batch_format="pandas"
-            )
-        )
-        return _local(red.to_pandas())
-
-    # interleave arms inside each rep so host drift hits both equally
-    arms = {
-        "ab_topk_driver_fold": lambda ds: partial_topk(ds, by, asc, k),
-        "ab_topk_two_level": _topk_two_level,
-    }
-    best = {n: None for n in arms}
-    for _ in range(BENCH_REPS):
-        for name, fn in arms.items():
-            ds = _read(SF_DIR, "orders", columns=["o_orderkey", "o_totalprice"])
-            t0 = time.time()
-            fn(ds)
-            dt = time.time() - t0
-            best[name] = dt if best[name] is None else min(best[name], dt)
-    for name, v in best.items():
-        out.setdefault("ab", {})[name] = round(v, 3)
-
-    # ---- (b) media join: Arrow bucketed join (shipped) vs pandas merge
-    from ocr_pipeline_ray.pipelines.extract import join_media_spans
-    from ocr_pipeline_ray.stages.explode import explode_batch
-
-    paths = _corpus(BENCH_DOCS)
-    media_ds = ray.data.read_parquet(paths["media"])
-
-    def _spans():
-        return ray.data.read_parquet(paths["docs"]).map_batches(
-            explode_batch, batch_format="pyarrow"
-        )
-
-    def _join_pandas(spans_ds, mds, num_buckets=64):
-        # the r4-replaced shape: pandas hash-bucket tag + per-bucket merge
-        def tag_s(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            h = pd.util.hash_array(df["media_ref"].to_numpy(dtype=object))
-            spread = pd.util.hash_array(df["doc_id"].to_numpy(dtype=object)) + df[
-                "offset"
-            ].to_numpy().astype("uint64")
-            empty = df["media_ref"].to_numpy() == ""
-            import numpy as np
-
-            df["__bucket"] = (np.where(empty, spread, h) % num_buckets).astype("int64")
-            df["__side"] = "s"
-            df["payload"] = None
-            return df
-
-        def tag_m(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            h = pd.util.hash_array(df["media_ref"].to_numpy(dtype=object))
-            df["__bucket"] = (h % num_buckets).astype("int64")
-            df["__side"] = "m"
-            return df
-
-        def join_b(g: pd.DataFrame) -> pd.DataFrame:
-            s = g[g["__side"] == "s"].drop(columns=["payload", "__bucket", "__side"])
-            m = g[g["__side"] == "m"][["media_ref", "payload"]]
-            return s.merge(m, on="media_ref", how="left")
-
-        st = spans_ds.map_batches(tag_s, batch_format="pandas")
-        mt = mds.map_batches(tag_m, batch_format="pandas")
-        return st.union(mt).groupby("__bucket").map_groups(join_b, batch_format="pandas")
-
-    # SAME bucket count both arms (the r4 A/B ran at the then-default
-    # 64) and interleaved reps — comparing the join kernels, not the
-    # bucket sizing policy. Consumption is an ARROW stage that reads
-    # the payload column (the real pipeline contract: the extract
-    # actors downstream are Arrow) — a bare count() would let the
-    # pandas arm skip the object->Arrow payload conversion it pays in
-    # production.
-    import pyarrow as _pa
-    import pyarrow.compute as _pc
-
-    def _consume(ds) -> int:
-        def f(t: "_pa.Table") -> "_pa.Table":
-            pay = t.column("payload")
-            nb = _pc.sum(_pc.binary_length(pay.combine_chunks().cast(_pa.binary())))
-            return _pa.table({"rows": [t.num_rows], "bytes": [nb.as_py() or 0]})
-
-        return ds.map_batches(f, batch_format="pyarrow").count()
-
-    arms = {
-        "ab_media_join_arrow": lambda: join_media_spans(
-            _spans(), media_ds, num_buckets=64, hot_refs=None
-        ),
-        "ab_media_join_pandas": lambda: _join_pandas(_spans(), media_ds, num_buckets=64),
-    }
-    best = {n: None for n in arms}
-    for _ in range(BENCH_REPS):
-        for name, fn in arms.items():
-            t0 = time.time()
-            _consume(fn())
-            dt = time.time() - t0
-            best[name] = dt if best[name] is None else min(best[name], dt)
-    for name, v in best.items():
-        out.setdefault("ab", {})[name] = round(v, 3)
-
-
-def bench_once(headline_only: bool = False) -> dict:
+def bench_once() -> dict:
     import ray
 
     ray.init(
@@ -278,17 +88,13 @@ def bench_once(headline_only: bool = False) -> dict:
     ctx.execution_options.verbose_progress = False
 
     out = {
-        "metric": "extraction docs/sec + operator pipeline seconds",
+        "metric": "extraction docs/sec",
         "value": 0.0,
         "unit": "sec",
         "queries": {},
-        "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
     }
     run_headline(out)
-    if not headline_only:
-        run_operator_benches(out)
-        run_ab_benches(out)
     out["value"] = round(sum(out["queries"].values()), 3)
     ray.shutdown()
     return out
@@ -331,7 +137,7 @@ def scaling() -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), BENCH_DOCS=str(SCALING_DOCS), BENCH_REPS="1")
         p = subprocess.run(
             _taskset_prefix(ncpu)
-            + [sys.executable, os.path.join(os.path.dirname(__file__) or ".", "bench.py"), "--headline-only"],
+            + [sys.executable, os.path.join(os.path.dirname(__file__) or ".", "bench.py")],
             env=env,
             capture_output=True,
             text=True,
@@ -416,4 +222,4 @@ if __name__ == "__main__":
     if "--scaling" in sys.argv:
         print(json.dumps(scaling()))
     else:
-        print(json.dumps(bench_once(headline_only="--headline-only" in sys.argv)))
+        print(json.dumps(bench_once()))

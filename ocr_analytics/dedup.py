@@ -26,7 +26,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ocr_pipeline_ray.functions.hashing import (
+from ocr_analytics.hashing import (
     jaccard,
     lsh_band_keys,
     minhash_params,
@@ -34,8 +34,8 @@ from ocr_pipeline_ray.functions.hashing import (
     simhash64,
     simhash_band_keys,
 )
-from ocr_pipeline_ray.functions.textstats import tokenize
-from ocr_pipeline_ray.pipelines.relational import _read
+from ocr_analytics.textstats import tokenize
+from ocr_analytics.relational import _read
 
 MINHASH_PERMS = 128
 LSH_BANDS = 32
@@ -56,7 +56,7 @@ def dedup_exact(sf_dir: str) -> pd.DataFrame:
             [t["doc_id"], pa.array(hashes, pa.string())], names=["doc_id", "h"]
         )
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     # nearly every hash group has one member, so the key is maximally
     # high-cardinality — the bucketed aggregate keeps the min-doc_id
@@ -94,7 +94,7 @@ class _MinhashBands:
         self.bands, self.rows, self.k = bands, rows, shingle_k
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        from ocr_pipeline_ray.functions.hashing import _MAX_HASH, _MERSENNE
+        from ocr_analytics.hashing import _MAX_HASH, _MERSENNE
 
         texts = t["text"].to_pylist()
         ids = t["doc_id"].to_pylist()
@@ -178,7 +178,7 @@ def _pairs_in_coarse_bucket(g: pd.DataFrame) -> pd.DataFrame:
 # ONE planted-id offset across every planted oracle (text, embedding,
 # ANN): the selections (b - a == offset) and the f-string SQL literals
 # all depend on this staying equal everywhere
-from ocr_pipeline_ray.pipelines.similarity import PLANT_OFFSET as _CLONE_OFFSET
+from ocr_analytics.similarity import PLANT_OFFSET as _CLONE_OFFSET
 
 
 def _clone_augment(plant_every: int):
@@ -555,7 +555,7 @@ def _shingle_pair_counts_ds(
     the documented recall/cost trade, same split as
     embedding_neardup vs embedding_neardup_lsh.
     """
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -674,7 +674,7 @@ def connected_components(edges: "ray.data.Dataset", max_iters: int = 64) -> pd.D
     scalar per round plus the final (node, label) table. Nothing else
     leaves the cluster; the corpus itself is never touched here.
     """
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, shuffle_hash_join
+    from ocr_analytics.relational import bucketed_aggregate, shuffle_hash_join
 
     def _sym(t: pa.Table) -> pa.Table:
         a = np.asarray(t["a"].to_pandas(), dtype=np.int64)
@@ -829,7 +829,7 @@ def dedup_keep_longest(sf_dir: str) -> pd.DataFrame:
     fingerprint co-locates each group; per-bucket vectorized
     sort + drop_duplicates picks survivors. Only fixed-width rows
     move."""
-    from ocr_pipeline_ray.functions.textstats import fingerprint_md5
+    from ocr_analytics.textstats import fingerprint_md5
 
     n_buckets = 32
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -898,7 +898,7 @@ def dedup_normalized(sf_dir: str) -> pd.DataFrame:
             [t["doc_id"], pa.array(hashes, pa.string())], names=["doc_id", "h"]
         )
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     return (
         bucketed_aggregate(
@@ -937,7 +937,7 @@ def sorted_neighborhood_dedup(
     REPLICATE into the next block, so every in-window pair is present
     in exactly one block (the one owning the later row). Each block's
     candidate pairs (<= block*window) verify locally."""
-    from ocr_pipeline_ray.pipelines.relational import _levenshtein, _read
+    from ocr_analytics.relational import _levenshtein, _read
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "n_chars"]).map_batches(
         lambda df: pd.DataFrame(
@@ -949,7 +949,7 @@ def sorted_neighborhood_dedup(
         ),
         batch_format="pandas",
     )
-    from ocr_pipeline_ray.pipelines.relational import _global_rank
+    from ocr_analytics.relational import _global_rank
 
     ranked = _global_rank(ds, "n_chars", ["doc_id", "pre"])
 
@@ -1034,7 +1034,7 @@ def similar_docs_by_shingles(sf_dir: str, query_doc: int = 0, n: int = 3, k: int
     every other doc computes |own|, |intersection| in its batch and
     only (doc_id, inter, own) partial rows reach the reduce. Ties:
     jaccard desc, doc_id asc."""
-    from ocr_pipeline_ray.functions.textstats import TOKEN_RE
+    from ocr_analytics.textstats import TOKEN_RE
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1070,7 +1070,7 @@ def similar_docs_by_shingles(sf_dir: str, query_doc: int = 0, n: int = 3, k: int
     # stop-shingle the candidate set is corpus-sized, so the reduce to
     # k rows happens on workers — the driver sees at most buckets x k
     # rows, never the candidate set.
-    from ocr_pipeline_ray.pipelines.relational import partial_topk
+    from ocr_analytics.relational import partial_topk
 
     top = partial_topk(
         ds.map_batches(_score, batch_format="pandas"),

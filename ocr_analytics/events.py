@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from ocr_pipeline_ray.pipelines.relational import ROUND_DECIMALS, _read
+from ocr_analytics.relational import ROUND_DECIMALS, _read
 
 SESSION_GAP_MIN = 30
 
@@ -40,7 +40,7 @@ def events_hourly(sf_dir: str) -> pd.DataFrame:
     the shuffle groups by (event_type, hour) directly — a pre-keyed
     tumbling window, not a driver loop.
     """
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
@@ -431,7 +431,7 @@ def distinct_users_hll(sf_dir: str, p: int = 12) -> pd.DataFrame:
     :func:`distinct_users_per_type`. No SQL oracle (approximate by
     design); accuracy vs the exact operator is property-tested."""
 
-    from ocr_pipeline_ray.functions.sketches import HyperLogLog
+    from ocr_analytics.sketches import HyperLogLog
 
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
@@ -467,7 +467,7 @@ def events_hopping(sf_dir: str, window_min: int = 60, hop_min: int = 15) -> pd.D
     window_start) rows exactly like the tumbling case — the overlap
     factor multiplies rows inside the map stage, never the driver.
     The overlapping complement of :func:`events_hourly`."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     k = window_min // hop_min
     hop = pd.Timedelta(minutes=hop_min)
@@ -680,7 +680,7 @@ def events_hourly_incremental(sf_dir: str, cutoff_frac: float = 0.6) -> pd.DataF
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     # deterministic cutoff: quantile of ts over a sampled read
     full = _read(sf_dir, "events", columns=["ts"])
@@ -745,7 +745,7 @@ def events_hourly_delta(sf_dir: str) -> pd.DataFrame:
     map_groups per event_type — the series is already reduced to
     |types| x |hours| rows, so the per-type sort is tiny and the full
     event stream never re-sorts."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
@@ -797,7 +797,7 @@ def user_value_anomalies(sf_dir: str, z_thresh: float = 3.0) -> pd.DataFrame:
     the driver. Membership compares the ROUNDED z so the float-drift
     tolerance is the same proven 4-decimal contract as the other
     moment queries."""
-    from ocr_pipeline_ray.pipelines.relational import broadcast_lookup, bucketed_aggregate
+    from ocr_analytics.relational import broadcast_lookup, bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "value"])
 
@@ -861,7 +861,7 @@ def pivot_user_event_values(sf_dir: str) -> pd.DataFrame:
     vectorized per batch; the per-user reduce is the bucketed
     high-cardinality aggregate (10k x SF users) — the pivoted fact
     never exists row-wise."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     types = ["click", "error", "purchase", "signup", "view"]
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "value"])
@@ -906,7 +906,7 @@ def events_hourly_filled(sf_dir: str) -> pd.DataFrame:
     densify runs per event_type inside map_groups against the
     already-reduced hourly series — the grid never materializes
     row-wise before the fill."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
@@ -979,7 +979,7 @@ def user_behavior_profile(sf_dir: str) -> pd.DataFrame:
     pandas (sort + drop_duplicates for the argmax, a transform-sum for
     the distribution) — the <=|types| rows per user never leave their
     bucket unreduced."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
     counts = bucketed_aggregate(
@@ -1060,7 +1060,7 @@ def cohort_retention(sf_dir: str) -> pd.DataFrame:
     broadcast), the cell counts via a final bucketed aggregate. Key
     columns pin int64 before re-joining (see shuffle_hash_join's dtype
     discipline)."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, shuffle_hash_join
+    from ocr_analytics.relational import bucketed_aggregate, shuffle_hash_join
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
@@ -1131,7 +1131,7 @@ def session_concurrency(sf_dir: str) -> pd.DataFrame:
     same map_groups call, and one small bucketed aggregate sums the
     per-bucket partials. Only (hour, partial_count) rows shuffle —
     never the sessions, never the events."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
     hour_us = 3_600_000_000
@@ -1211,7 +1211,7 @@ def event_transitions(sf_dir: str) -> pd.DataFrame:
     (user-boundary rows masked out), pairs pre-count inside the
     map_groups call, and a small bucketed aggregate sums the
     per-bucket partials — only (pair, count) rows shuffle."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
 
@@ -1626,7 +1626,7 @@ def events_time_rollup(sf_dir: str) -> pd.DataFrame:
     GROUPING SETS analog over event time — one fact read feeds every
     grain instead of three scans). Week = ISO Monday truncation,
     matching date_trunc('week')."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -1673,7 +1673,7 @@ def chi2_type_dow(sf_dir: str) -> pd.DataFrame:
     one bucketed aggregate (|types| x 7 cells); the tiny densified
     table computes chi2 = sum((o-e)^2 / e) on the driver with all
     zero cells contributing their expectation."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
@@ -1748,7 +1748,7 @@ def decayed_user_value(sf_dir: str, half_life_hours: float = 24.0) -> pd.DataFra
         out = pd.DataFrame({"user_id": df["user_id"], "dv": df["value"].to_numpy() * w})
         return out.groupby("user_id", as_index=False)["dv"].sum()
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     out = (
         bucketed_aggregate(
@@ -1828,7 +1828,7 @@ def type_cooccurrence_matrix(sf_dir: str) -> pd.DataFrame:
     contributes its type-pair combinations (types are a tiny enum, so
     the per-user explosion is bounded); tiny per-pair partial sums
     return."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -2026,7 +2026,7 @@ def cumulative_unique_users(sf_dir: str) -> pd.DataFrame:
     min(first day) per user shuffles once (tiny pairs), the per-day
     new-user counts walk cumulatively on the driver, densified onto
     the observed day grid."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
@@ -2368,7 +2368,7 @@ def top_session_paths(sf_dir: str, k: int = 10) -> pd.DataFrame:
     vectorized shifts over the session-bounded stream inside each
     user bucket; (path, count) partials reduce through the bucketed
     aggregate and a partial top-k. Tie-break: count desc, path asc."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
 
@@ -2527,7 +2527,7 @@ def mode_event_type(sf_dir: str) -> pd.DataFrame:
     single vectorized sort + ``drop_duplicates`` over the whole
     bucket (no per-user Python). Only (user, type, n) count rows —
     already reduced — move through the second shuffle."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
     counts = bucketed_aggregate(
@@ -2745,7 +2745,7 @@ def events_hourly_interpolated(sf_dir: str) -> pd.DataFrame:
     loop inside a bucket is over that dimension, not over rows).
     The pv + (nv - pv) * ratio association mirrors the SQL window
     formula bit-for-bit."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
     lo = pd.Timestamp(ds.min("ts")).floor("h")
@@ -3067,7 +3067,7 @@ def hourly_autocorr_by_type(sf_dir: str) -> pd.DataFrame:
     the statistic and the spine makes both sides agree); the lag
     pairing and Pearson correlation are vectorized per type inside one
     type-bucket shuffle (types are a tiny dimension)."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
     lo = pd.Timestamp(ds.min("ts")).floor("h")
@@ -3359,7 +3359,7 @@ def rolling_corr_daily(sf_dir: str, window: int = 7) -> pd.DataFrame:
     the result-sized daily series. Only full windows are emitted
     (partial leading windows are alignment-ambiguous across engines).
     """
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
@@ -3665,7 +3665,7 @@ def cuped_value_adjustment(sf_dir: str) -> pd.DataFrame:
     (pre, post) pairs; a second pass reduces the five moment partials
     (sums of pre, post, pre^2, post^2, pre*post), so only O(batches)
     scalar rows reach the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
@@ -3755,7 +3755,7 @@ def wilcoxon_signed_rank_prepost(sf_dir: str, n_range_buckets: int = 64) -> pd.D
     midrank reduction is the shared range-bucket histogram machinery
     (relational._rank_sum_stats) over x = |d| with group A = {d > 0},
     so W+ is exactly the rank-sum the estimator needs."""
-    from ocr_pipeline_ray.pipelines.relational import _rank_sum_stats, bucketed_aggregate
+    from ocr_analytics.relational import _rank_sum_stats, bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
@@ -3853,7 +3853,7 @@ def two_proportion_conversion(sf_dir: str) -> pd.DataFrame:
 
     Distributed: one bucketed per-user aggregate (max purchase flag);
     the four arm counters reduce from per-batch partials."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -3930,7 +3930,7 @@ def view_then_purchase_days(sf_dir: str) -> pd.DataFrame:
     extremes per cell, so ONE bucketed per-(user, day) aggregate
     answers a pattern query that naively needs a within-group
     self-join."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
@@ -4000,7 +4000,7 @@ def score_decile_lift(sf_dir: str) -> pd.DataFrame:
     ROW_NUMBER primitive (relational._global_rank — range buckets +
     prefix offsets, no global sort); decile confusion partials reduce
     per batch."""
-    from ocr_pipeline_ray.pipelines.relational import _global_rank, bucketed_aggregate
+    from ocr_analytics.relational import _global_rank, bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -4094,7 +4094,7 @@ def fano_factor_hourly_by_type(sf_dir: str) -> pd.DataFrame:
     monitor should know about. The heavy reduce is the bucketed
     (type, hour) count; the spine fill and moments run on the
     result-sized grid."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
     lo = pd.Timestamp(ds.min("ts")).floor("h")
@@ -4259,7 +4259,7 @@ def view_purchase_lag_xcorr(sf_dir: str, max_lag: int = 24) -> pd.DataFrame:
     cause-precedes-effect screen for event streams. The bucketed
     (type, hour) count is the only heavy reduce; the 25 lagged
     correlations run on the result-sized spine."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"]).map_batches(
         lambda df: df[df["event_type"].isin(["view", "purchase"])], batch_format="pandas"
@@ -4398,7 +4398,7 @@ def ab_power_mde(sf_dir: str) -> pd.DataFrame:
     (z_a + z_b) * se with the fixed normal constants 1.96 and 0.84 —
     the go/no-go number an experimenter reads before launching. Same
     one-pass per-user reduce as two_proportion_conversion."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -4518,7 +4518,7 @@ def routine_users_entropy(sf_dir: str, k: int = 10, min_events: int = 20) -> pd.
     user_id. Per-(user, hour) counts reduce through ONE bucketed
     aggregate; the per-user entropy is a vectorized groupby over the
     (user, 24) grid inside each user bucket."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
@@ -4760,7 +4760,7 @@ def quantile_treatment_effect(sf_dir: str, n_range_buckets: int = 128) -> pd.Dat
     readout (diff_in_diff_value) cannot see. Exact per-arm order
     statistics via the shared two-pass (arm, range-bucket) grid
     selection."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
     per_user = bucketed_aggregate(
@@ -4876,7 +4876,7 @@ def matched_att_value(sf_dir: str) -> pd.DataFrame:
     vectorized searchsorted against the broadcast sorted B-arm
     (user-scale broadcast — the documented small-side ceiling; range
     co-partitioning is the beyond-broadcast path)."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
@@ -4972,7 +4972,7 @@ def burst_minutes(sf_dir: str, k: int = 5) -> pd.DataFrame:
     level). The minute histogram reduces through one bucketed
     aggregate; the surprise math uses Stirling-free exact terms
     (lgamma) on the k winners."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
     import math
 
     ds = _read(sf_dir, "events", columns=["ts"])
@@ -5152,7 +5152,7 @@ def lognormal_fit_user_value(sf_dir: str) -> pd.DataFrame:
     exp(mu) and mean exp(mu + sigma^2/2) — the standard heavy-tail
     parameterization for LTV planning. One bucketed per-user
     aggregate, then scalar log-moment partials."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
     per_user = bucketed_aggregate(
@@ -5205,7 +5205,7 @@ def cvm_arm_event_counts(sf_dir: str) -> pd.DataFrame:
     distribution, not just the max gap). Counts are integers, so the
     value-domain histogram is exact: one bucketed per-user count, a
     tiny (count-value, arm) histogram, and the CDF walk on its rows."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id"])
     per_user = bucketed_aggregate(
@@ -5284,7 +5284,7 @@ def user_sequence_edit_distance(sf_dir: str, n_users: int = 5) -> pd.DataFrame:
     session-alignment primitive behind journey clustering. Sequences
     assemble in one filtered pass (per-user vectorized concat);
     the pairwise DP runs on the 10 result-sized pairs."""
-    from ocr_pipeline_ray.pipelines.relational import _levenshtein
+    from ocr_analytics.relational import _levenshtein
 
     users = (
         _read(sf_dir, "events", columns=["user_id"])
@@ -5456,7 +5456,7 @@ def user_day_surprise(sf_dir: str, k: int = 10) -> pd.DataFrame:
     the same rows; lgamma-exact scoring on the winners."""
     import math
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
     lo = pd.Timestamp(ds.min("ts")).normalize()
@@ -5533,7 +5533,7 @@ def capture_recapture_users(sf_dir: str) -> pd.DataFrame:
     estimator data teams use when no registry exists. Per-user flags
     reduce through one bucketed aggregate; four counters reach the
     driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
     per = bucketed_aggregate(
@@ -5684,7 +5684,7 @@ def first_before_first_support(sf_dir: str) -> pd.DataFrame:
     vectorized inside each user-bucket group (per-bucket pivot +
     pairwise comparison) emitting (type_a, type_b, count) partials —
     only the tiny type x type matrix reaches the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     num_buckets = 32
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
@@ -5819,7 +5819,7 @@ def ks_exponential_interarrival(sf_dir: str) -> pd.DataFrame:
     boundaries masked) reduce to ONE (gap_seconds -> count) histogram;
     the exact integer sums give lambda and the cumulative scan + max
     run on the result-sized value domain."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
 
@@ -5904,7 +5904,7 @@ def granger_views_purchases(sf_dir: str) -> pd.DataFrame:
     day series, the exact integer moment sums and the closed-form
     1- and 2-regressor fits run on the result-sized series
     identically on both engines."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6029,7 +6029,7 @@ def taylor_law_slope(sf_dir: str) -> pd.DataFrame:
     from exact integer sums with the global day count supplied as a
     scalar (zero-day correction in closed form), and the log-log OLS
     runs on the unit-level table."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6305,7 +6305,7 @@ def deming_views_purchases(sf_dir: str) -> pd.DataFrame:
 
     ONE bucketed (day, type) count grid, zero-filled day series;
     exact integer moment sums; closed-form slope on the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6399,7 +6399,7 @@ def rma_views_purchases(sf_dir: str) -> pd.DataFrame:
 
     Same ONE bucketed (day, type) grid, zero-filled series, exact
     integer moments."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6493,7 +6493,7 @@ def js_divergence_hourly_profiles(sf_dir: str) -> pd.DataFrame:
 
     ONE bucketed (hour, type) count grid (48 cells); the entropy
     arithmetic runs on exact integer counts."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6573,7 +6573,7 @@ def hellinger_hourly_profiles(sf_dir: str) -> pd.DataFrame:
     the JS divergence on the same grid, bounded [0, 1].
 
     Same ONE bucketed (hour, type) count grid."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6643,7 +6643,7 @@ def lin_ccc_views_purchases(sf_dir: str) -> pd.DataFrame:
 
     Same zero-filled (day, type) grid as the errors-in-variables
     pair; population moments from exact integer sums."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6731,7 +6731,7 @@ def bland_altman_views_purchases(sf_dir: str) -> pd.DataFrame:
 
     Same zero-filled (day, type) grid; diff moments are exact
     integers."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6812,7 +6812,7 @@ def hourly_profile_stability(sf_dir: str) -> pd.DataFrame:
     ONE bucketed (day, hour) count grid; the (days x 24) profile
     matrix is result-sized and the lag cosines are vectorized on the
     driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -6896,7 +6896,7 @@ def weekday_weekend_hourly_js(sf_dir: str) -> pd.DataFrame:
 
     ONE bucketed (hour, is_weekend) count grid (48 cells); entropy
     arithmetic on exact integers."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -6977,7 +6977,7 @@ def allan_variance_event_rate(sf_dir: str) -> pd.DataFrame:
     ONE bucketed per-hour count grid (zero hours implicit via the
     full hour index); the windowing is vectorized on the ~n_hours
     series."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -7048,7 +7048,7 @@ def variance_time_curve_events(sf_dir: str) -> pd.DataFrame:
     and Taylor's-law estimates).
 
     Same ONE per-hour grid; block sums stay exact integers."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -7120,7 +7120,7 @@ def rate_ratio_weekend_events(sf_dir: str) -> pd.DataFrame:
 
     ONE bucketed (day, count) aggregate; exposures come from the
     calendar span split by day-of-week — all exact integers."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -7335,7 +7335,7 @@ def gumbel_fit_daily_max_value(sf_dir: str) -> pd.DataFrame:
     100-day return level mu - beta*ln(-ln(1 - 1/100)). The fact
     table reduces through ONE bucketed per-day max; moments run on
     the day series."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "value"])
 
@@ -7645,7 +7645,7 @@ def transfer_entropy_views_purchases(sf_dir: str) -> pd.DataFrame:
     joint cells — the model-free directed-information companion of
     the Granger F on the same ONE bucketed (day, type) count grid.
     Also reports the reverse direction for the asymmetry check."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -7763,7 +7763,7 @@ def _hourly_count_series(sf_dir: str) -> np.ndarray:
     """Zero-filled hourly event-count series (exact integers) —
     shared by the point-process second-order statistics (binned
     Ripley K, pair correlation); ONE bucketed per-hour grid."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -8008,7 +8008,7 @@ def _type_trig_sums(sf_dir: str) -> pd.DataFrame:
     """Per-event-type first trigonometric moment sums of the
     time-of-day angles — shared by the circular-ANOVA family; one
     bucketed aggregate over the type key."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -8128,7 +8128,7 @@ def _hourly_two_type_series(sf_dir: str, type_a: str, type_b: str):
     POOLED corpus hour range (so the series align) — the shared grid
     behind the cross-type second-order statistics. One bucketed
     (type, hour) aggregate."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -8285,7 +8285,7 @@ def _daily_view_purchase_series(sf_dir: str):
     over the common day spine — the input of the cross-spectral pair.
     ONE bucketed (type, day) count reduction; the spine is
     day-dimension scale."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"]).map_batches(
         lambda df: df[df["event_type"].isin(["view", "purchase"])], batch_format="pandas"
@@ -8456,7 +8456,7 @@ def _second_of_day_hist(sf_dir: str) -> pd.DataFrame:
     """Shared second-of-day histogram of all events (u = sec/86400 on
     the unit circle) — the grouped-order-statistics input of the
     circular-uniformity pair. ONE bucketed aggregate, <=86400 cells."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -8609,7 +8609,7 @@ def _tdb_cube(sf_dir: str) -> pd.DataFrame:
     6-hour band) — the joint distribution behind the multivariate-
     information pair. ONE bucketed aggregate; ~|types| x 7 x 4
     cells."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
@@ -8756,7 +8756,7 @@ def _peak_hour_lambda(sf_dir: str):
     hour-of-day, averaged over the distinct days in the data (peak =
     argmax average count, smallest hour on ties). ONE bucketed
     (hour, day) -> hour count reduction."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -9082,7 +9082,7 @@ def _competing_durations(sf_dir: str) -> pd.DataFrame:
     wins exact ties); users with neither are censored (cause 0) at
     the global last timestamp. ONE bucketed (user, type) min-ts
     aggregate; returns the (dur, d1, d2, dc) day-grid counts."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
     globmax = pd.Timestamp(ds.max("ts")).floor("D")
@@ -9311,7 +9311,7 @@ def _user_bucket_grid(sf_dir: str) -> pd.DataFrame:
     systems hash into), with the bucket's user count and converted
     count (ever fired a 'purchase'). One bucketed per-user aggregate,
     then a 10-row grid on the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -9465,7 +9465,7 @@ def _mcf_grid(sf_dir: str):
     limit tau day histogram (for the risk set r(a) = #{tau >= a}),
     and n_users. One bucketed per-user min-ts pass + one broadcast-t0
     streaming pass over purchase events; both grids are result-sized."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
     globmax = pd.Timestamp(ds.max("ts")).floor("D")
@@ -9739,7 +9739,7 @@ def g_chart_error_counts(sf_dir: str) -> pd.DataFrame:
     errors). Global event positions come from the distributed rank
     primitive ((ts, event_id) tie-break); only the result-sized
     error-position list reaches the driver."""
-    from ocr_pipeline_ray.pipelines.relational import _global_rank
+    from ocr_analytics.relational import _global_rank
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "event_id"]).map_batches(
         lambda df: pd.DataFrame(
@@ -9812,7 +9812,7 @@ def _period_transition_counts(sf_dir: str) -> pd.DataFrame:
     of the pair's FIRST event (midpoint = (min+max)/2 epoch-us). One
     bucketed per-user shift pass; only (period, pair, count) rows
     shuffle."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
     lo = pd.Timestamp(ds.min("ts")).value // 1000
@@ -10017,7 +10017,7 @@ def _purchase_count_hist(sf_dir: str) -> pd.DataFrame:
     pair: every user observed in the event stream (zero purchases
     included), reduced to (k purchases -> n users) — one bucketed
     per-user aggregate then a tiny count-of-counts table."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -10171,7 +10171,7 @@ def _monthly_error_grid(sf_dir: str) -> pd.DataFrame:
     """Shared monthly (events, errors) grid for the scan pair: one
     bucketed month reduction; the scan itself is O(M^2) over the
     result-sized month series."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -10366,7 +10366,7 @@ def _views_purchases_day_counts(sf_dir: str):
     """Shared zero-filled daily (views, purchases) integer count
     series — same bucketed (day, type) grid as the Deming/RMA
     queries, returned as aligned arrays for the rank-based fits."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -10569,7 +10569,7 @@ def _hour_profile_counts(sf_dir: str) -> np.ndarray:
     """Shared 24-cell hour-of-day event count profile (bucketed
     integer aggregate, zero-filled) — the aggregated series behind
     the cosinor pair."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -10741,7 +10741,7 @@ def _daily_type_count_moments(sf_dir: str) -> pd.DataFrame:
     calendar span: (type, n_days, sum, sum of squares, sum x(x-1))
     — quadrat-count statistics with days as quadrats. One bucketed
     (type, day) aggregate; zero days enter the moments exactly."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
@@ -11039,7 +11039,7 @@ def _user_count_of_counts(sf_dir: str) -> pd.DataFrame:
     """Shared count-of-counts histogram of events per user: per-user
     totals via the bucketed aggregate, then (count value, n_users)
     cells — the sufficient statistic for every entropy estimator."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id"])
 
@@ -11157,7 +11157,7 @@ def entropy_estimators_vocab(sf_dir: str) -> pd.DataFrame:
     microscopic and Chao-Shen collapses onto the plug-in, so
     agreement here certifies the user-table corrections above are
     measuring genuine undersampling, not estimator quirks."""
-    from ocr_pipeline_ray.pipelines.text import vocab_top_terms
+    from ocr_analytics.text import vocab_top_terms
 
     top = vocab_top_terms(sf_dir, k=100000)
     k = top["n"].to_numpy("int64").astype("float64")
@@ -11212,7 +11212,7 @@ def _arm_day_values(sf_dir: str) -> pd.DataFrame:
     """Shared (arm, day) value partials for the DiD-credibility pair:
     the same parity arms and value metric as diff_in_diff_value,
     reduced to per-day (n, sum, sum of squares) cells."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
@@ -11334,7 +11334,7 @@ def did_pretrend_placebo(sf_dir: str) -> pd.DataFrame:
     real = (ca[("A", True)][1] - ca[("A", False)][1]) - (
         ca[("B", True)][1] - ca[("B", False)][1]
     )
-    from ocr_pipeline_ray.pipelines.relational import _norm_cdf_as
+    from ocr_analytics.relational import _norm_cdf_as
 
     p2 = 2.0 * float(_norm_cdf_as(np.array([-abs(z)]))[0])
     return pd.DataFrame(
@@ -11440,7 +11440,7 @@ def crow_amsaa_cvm_gof(sf_dir: str) -> pd.DataFrame:
     is; tied times contribute invariantly, so the distributed rank
     needs no tiebreak. Reported with the 0.22 large-m 95% critical
     value flag."""
-    from ocr_pipeline_ray.pipelines.relational import _global_rank
+    from ocr_analytics.relational import _global_rank
 
     ds, lo64, tt, m, beta = _crow_beta_terms(sf_dir)
     bbar = (m - 1.0) / m * beta

@@ -22,9 +22,9 @@ import pyarrow as pa
 import ray.data
 
 from ocr_pipeline_ray.functions.ppm_ocr import render_text_ppm
-from ocr_pipeline_ray.functions.textstats import TOKEN_RE
-from ocr_pipeline_ray.pipelines.relational import ROUND_DECIMALS
-from ocr_pipeline_ray.stages.multimodal import decode_images
+from ocr_analytics.textstats import TOKEN_RE
+from ocr_analytics.relational import ROUND_DECIMALS
+from ocr_analytics.multimodal import decode_images
 
 
 def _media_payload_ds(sf_dir: str, fmt: str = "ppm") -> "ray.data.Dataset":
@@ -275,7 +275,7 @@ def media_dhash_planted_clones(sf_dir: str, plant_every: int = 20) -> pd.DataFra
     row per planted source."""
     import numpy as np
 
-    from ocr_pipeline_ray.stages.multimodal import dhash_images
+    from ocr_analytics.multimodal import dhash_images
 
     def _plant(t: pa.Table) -> pa.Table:
         refs = t["media_ref"].to_pylist()
@@ -369,7 +369,7 @@ def media_channel_stats_planted_clones(sf_dir: str, plant_every: int = 20) -> pd
     source."""
     import numpy as np
 
-    from ocr_pipeline_ray.stages.multimodal import decode_images
+    from ocr_analytics.multimodal import decode_images
 
     def _plant(t: pa.Table) -> pa.Table:
         refs = t["media_ref"].to_pylist()
@@ -513,7 +513,7 @@ def media_frame_sample(sf_dir: str, n_frames: int = 4) -> pd.DataFrame:
     (duration_ms = n_chars * 40); the actor-pool FrameSampleActor
     emits K evenly-spaced (frame_idx, ts_ms) refs per payload. The
     timestamps are integer arithmetic, so the oracle is exact."""
-    from ocr_pipeline_ray.stages.multimodal import sample_frames
+    from ocr_analytics.multimodal import sample_frames
 
     def wrap(t: "pa.Table") -> "pa.Table":
         import pyarrow as pa_
@@ -556,7 +556,7 @@ def media_dhash_dupes(sf_dir: str) -> pd.DataFrame:
     pytest (planted byte-identical payloads + prefix-sharing docs),
     not a SQL oracle. Output: (dhash, n_docs, min_doc, max_doc) for
     groups of >= 2."""
-    from ocr_pipeline_ray.stages.multimodal import dhash_images
+    from ocr_analytics.multimodal import dhash_images
 
     hashed = dhash_images(_media_payload_ds(sf_dir), concurrency=(1, 4))
 

@@ -83,7 +83,7 @@ class ImageDecodeActor:
         from ocr_pipeline_ray.functions.jpeg import JPEG_MAGIC, decode_jpeg
         from ocr_pipeline_ray.functions.png import PNG_MAGIC, parse_png
         from ocr_pipeline_ray.functions.ppm_ocr import parse_ppm
-        from ocr_pipeline_ray.functions.raster import resize_bilinear
+        from ocr_analytics.raster import resize_bilinear
 
         feats, hs, ws, errs = [], [], [], []
         for payload in batch.column("payload").to_pylist():
@@ -204,7 +204,7 @@ class ImageDHashActor:
         from ocr_pipeline_ray.functions.jpeg import JPEG_MAGIC, decode_jpeg
         from ocr_pipeline_ray.functions.png import PNG_MAGIC, parse_png
         from ocr_pipeline_ray.functions.ppm_ocr import parse_ppm
-        from ocr_pipeline_ray.functions.raster import resize_bilinear, to_grayscale
+        from ocr_analytics.raster import resize_bilinear, to_grayscale
 
         hashes, errs = [], []
         for payload in batch.column("payload").to_pylist():

@@ -19,7 +19,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from ocr_pipeline_ray.pipelines.relational import ROUND_DECIMALS, _read
+from ocr_analytics.relational import ROUND_DECIMALS, _read
 
 
 def _to_matrix(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -1202,7 +1202,7 @@ def embedding_quantization_error(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import _read
+    from ocr_analytics.relational import _read
 
     ds = _read(sf_dir, "embeddings", columns=["embedding"])
 
@@ -1264,7 +1264,7 @@ def mmr_diverse_selection(sf_dir: str, k: int = 10, lam: float = 0.5) -> pd.Data
     No SQL oracle (iterative greedy); pytest pins it to a sequential
     reference implementation.
     """
-    from ocr_pipeline_ray.pipelines.relational import _read
+    from ocr_analytics.relational import _read
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     qdf = ds.filter(expr="vec_id < 10").to_pandas()
@@ -2147,7 +2147,7 @@ def adjusted_rand_label_signs(sf_dir: str) -> pd.DataFrame:
     integer counts leaves the cluster; the pair-counting closed form
     (sums of C(n,2) terms) runs on the tiny grid identically on both
     engines."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "embeddings", columns=["embedding", "label"])
 
@@ -2225,7 +2225,7 @@ def nmi_label_signs(sf_dir: str) -> pd.DataFrame:
 
     One bucketed (label, sign-cluster) grid; the entropy sums run on
     the tiny grid with identical ln expressions on both engines."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "embeddings", columns=["embedding", "label"])
 
@@ -2752,7 +2752,7 @@ def variation_of_information_label_signs(sf_dir: str) -> pd.DataFrame:
     counting) and nmi_label_signs (normalized information) on the
     SAME exact-integer contingency grid; also reported normalized by
     its ln(n) ceiling."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "embeddings", columns=["embedding", "label"])
 
@@ -3260,7 +3260,7 @@ def embedding_hubness(sf_dir: str, modulus: int = 5, k: int = 10) -> pd.DataFram
     hub's occurrence count, and the antihub share. Occurrence counts
     reduce through the bucketed aggregate; zeros enter via the
     sample-minus-counted complement."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     edges, ids = _knn_edges(sf_dir, modulus, k)
     occ = bucketed_aggregate(
@@ -3338,7 +3338,7 @@ def knn_symmetry_ratio(sf_dir: str, modulus: int = 5, k: int = 10) -> pd.DataFra
     repair. Canonical (min, max) pair keys reduce through the
     bucketed aggregate; a pair counted twice is symmetric. Shared
     edge machinery."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     edges, _ = _knn_edges(sf_dir, modulus, k)
 

@@ -13,7 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from ocr_pipeline_ray.functions.textstats import (
+from ocr_analytics.textstats import (
     TOKEN_RE,
     bpe_token_estimate,
     detect_language,
@@ -21,7 +21,7 @@ from ocr_pipeline_ray.functions.textstats import (
     quality_stats,
     winnow_fingerprints,
 )
-from ocr_pipeline_ray.pipelines.relational import _read
+from ocr_analytics.relational import _read
 
 
 def token_counts(sf_dir: str) -> pd.DataFrame:
@@ -255,7 +255,7 @@ def vocab_top_terms(sf_dir: str, k: int = 50) -> pd.DataFrame:
     Deterministic tie-break: count desc, term asc."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -300,7 +300,7 @@ def doc_length_histogram(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame:
     """Corpus length profile: docs per ``bucket_chars``-wide length
     bucket — the length-filter diagnostic every curation pipeline
     runs. Fully distributed: per-batch bucket counts, tiny combine."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -375,7 +375,7 @@ def tfidf_top_term(sf_dir: str) -> pd.DataFrame:
     the reported tfidf rounds to 4 decimals for hash comparison."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
     import ray
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -472,7 +472,7 @@ def curate_corpus(sf_dir: str, min_quality: float = 0.5, langs=("en", "unknown")
     composition has a DuckDB oracle)."""
     import hashlib
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -661,7 +661,7 @@ def segment_dedup(sf_dir: str, seg_len: int = 3) -> pd.DataFrame:
 
     Output: (doc_id, seg_idx, seg) of kept segments.
     """
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     assert seg_len > 0
 
@@ -761,7 +761,7 @@ def heavy_hitter_terms(
 
     import numpy as np
 
-    from ocr_pipeline_ray.functions.sketches import CountMinSketch
+    from ocr_analytics.sketches import CountMinSketch
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -930,7 +930,7 @@ def bpe_learn_merges(sf_dir: str, n_merges: int = 8) -> pd.DataFrame:
     reference implementation.
 
     Output: (rank, left, right, n) per learned merge."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -1143,7 +1143,7 @@ def doc_perplexity(sf_dir: str) -> pd.DataFrame:
     bigram support), matching the SQL oracle's join semantics."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1378,7 +1378,7 @@ def duplicate_ngram_spans(sf_dir: str, hash_grams: bool = False) -> pd.DataFrame
     oracle-exact default keeps strings."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -2242,7 +2242,7 @@ def inverted_index_sample(sf_dir: str, k_terms: int = 5, k_docs: int = 10) -> pd
     term-partitioned parquet instead of collecting."""
     from collections import Counter
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
 
@@ -2452,7 +2452,7 @@ def top_terms_per_source(sf_dir: str, k: int = 5) -> pd.DataFrame:
     the driver sees at most k rows per source per batch."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -2509,7 +2509,7 @@ def source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
     tiny |sources|² driver reduce finishes |A∩B| / (|A|+|B|-|A∩B|)."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -2617,7 +2617,7 @@ def length_psi_by_source(sf_dir: str, bucket_chars: int = 200, n_psi_bins: int =
     so empty cells stay finite (mirrored exactly in the oracle)."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -2732,7 +2732,7 @@ def partitioned_write_roundtrip(sf_dir: str) -> pd.DataFrame:
 
     import pyarrow.parquet as _pq
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     out_dir = "/tmp/ocr_ray_roundtrip"
     _shutil.rmtree(out_dir, ignore_errors=True)
@@ -2820,7 +2820,7 @@ def ks_length_sources(sf_dir: str, src_a: str = "src0", src_b: str = "src1") -> 
     D = max |F_a - F_b| on the driver."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -2921,7 +2921,7 @@ def doc_length_percentile(sf_dir: str) -> pd.DataFrame:
     oracle's ORDER BY)."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import _global_rank
+    from ocr_analytics.relational import _global_rank
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
         lambda df: pd.DataFrame(
@@ -2961,7 +2961,7 @@ def partition_skew_report(sf_dir: str, bucket_chars: int = 400) -> pd.DataFrame:
     arithmetic."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -3013,7 +3013,7 @@ def tar_shard_roundtrip(sf_dir: str, n_shards: int = 8) -> pd.DataFrame:
     under /tmp, re-created per call."""
     import shutil as _shutil
 
-    from ocr_pipeline_ray.sources.tarshard import read_tar_shards, write_tar_shards
+    from ocr_analytics.tarshard import read_tar_shards, write_tar_shards
 
     out_dir = "/tmp/ocr_ray_tar_shards"
     _shutil.rmtree(out_dir, ignore_errors=True)
@@ -3187,7 +3187,7 @@ def tfidf_cosine_pairs(
 
     import ray
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     if num_buckets is None:
@@ -3326,7 +3326,7 @@ def schema_evolution_union(sf_dir: str) -> pd.DataFrame:
     splits into a v1 shard (doc_id, text, n_chars — yesterday's
     schema) and a v2 shard (+ lang — today's), written as real
     parquet files with DIFFERENT schemas; the union-by-name reader
-    (:func:`ocr_pipeline_ray.sources.evolve.read_parquet_union_by_name`)
+    (:func:`ocr_analytics.evolve.read_parquet_union_by_name`)
     aligns blocks to the union schema with typed nulls and the
     pipeline aggregates per lang ('unknown' for the pre-evolution
     rows). Deterministic layout under /tmp, re-created per call."""
@@ -3334,7 +3334,7 @@ def schema_evolution_union(sf_dir: str) -> pd.DataFrame:
 
     import pyarrow.parquet as _pq
 
-    from ocr_pipeline_ray.sources.evolve import read_parquet_union_by_name
+    from ocr_analytics.evolve import read_parquet_union_by_name
 
     out_dir = "/tmp/ocr_ray_schema_evo"
     _shutil.rmtree(out_dir, ignore_errors=True)
@@ -3400,7 +3400,7 @@ def trigram_next_token(sf_dir: str, min_total: int = 20) -> pd.DataFrame:
     vectorized sort + drop_duplicates per bucket."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -3501,12 +3501,12 @@ def dedup_rate_by_source(sf_dir: str) -> pd.DataFrame:
     """Per-source DUPLICATION-RATE report: docs, exact-hash distinct
     texts, and the dup fraction — the corpus-health summary a curation
     run prints before/after dedup (the monitoring face of
-    :func:`ocr_pipeline_ray.pipelines.dedup.dedup_exact`). Per-batch
+    :func:`ocr_analytics.dedup.dedup_exact`). Per-batch
     md5 partials dedup inside ONE (source, hash)-bucketed shuffle;
     only per-source scalar counts reach the driver."""
     import hashlib
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -3559,7 +3559,7 @@ def ttr_by_source(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -3624,7 +3624,7 @@ def hapax_stats(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -3694,7 +3694,7 @@ def dup_cluster_size_hist(sf_dir: str) -> pd.DataFrame:
     """
     import hashlib
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -3744,7 +3744,7 @@ def cramers_v_lang_source(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "source"])
     ct = bucketed_aggregate(
@@ -3806,7 +3806,7 @@ def mixed_format_union(sf_dir: str) -> pd.DataFrame:
     """
     import shutil as _shutil
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     root = "/tmp/ocr_ray_mixed_union"
     _shutil.rmtree(root, ignore_errors=True)
@@ -3864,7 +3864,7 @@ def heaps_law_fit(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     lo = ds.min("doc_id")
@@ -3963,7 +3963,7 @@ def train_test_split_audit(sf_dir: str) -> pd.DataFrame:
 
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -4030,7 +4030,7 @@ def vocab_coverage_curve(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -4101,7 +4101,7 @@ def pii_redact_audit(sf_dir: str) -> pd.DataFrame:
     """
     import re
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
 
@@ -4224,7 +4224,7 @@ def dsir_selection(sf_dir: str, target_lang: str = "en", k: int = 100) -> pd.Dat
     """
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
@@ -4365,7 +4365,7 @@ def _qc_feature_matrix(texts: list[str]) -> "np.ndarray":
     English-stopword ratio, alpha ratio)."""
     import numpy as np
 
-    from ocr_pipeline_ray.functions.textstats import STOPWORDS
+    from ocr_analytics.textstats import STOPWORDS
 
     en_stop = STOPWORDS["en"]
     rows = np.zeros((len(texts), 5), dtype=np.float64)
@@ -4581,7 +4581,7 @@ def mixture_rebalance_plan(sf_dir: str) -> pd.DataFrame:
     as token_counts) partial-aggregate per cell inside the batch, one
     coarse bucketed shuffle combines the ~G cell rows; the plan math
     runs on the G-row result."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang", "source"])
 
@@ -4651,7 +4651,7 @@ def auc_length_english(sf_dir: str, n_range_buckets: int = 64) -> pd.DataFrame:
     (relational._rank_sum_stats: range-bucket histogram partials +
     O(buckets) prefix offsets). The model-eval primitive every
     quality-classifier gate needs, with a trivial scorer."""
-    from ocr_pipeline_ray.pipelines.relational import _rank_sum_stats
+    from ocr_analytics.relational import _rank_sum_stats
 
     ds = _read(sf_dir, "documents", columns=["n_chars", "lang"])
     lo = float(ds.min("n_chars"))
@@ -4859,7 +4859,7 @@ def wasserstein_length_sources(sf_dir: str, src_a: str = "src0", src_b: str = "s
     source reduce through one bucketed aggregate (the value DOMAIN,
     not the row count, bounds the result); the CDF walk runs on that
     result-sized support."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "n_chars"]).map_batches(
         lambda df: df[df["source"].isin([src_a, src_b])], batch_format="pandas"
@@ -4995,7 +4995,7 @@ def dedup_token_savings(sf_dir: str) -> pd.DataFrame:
     rate. ONE md5-bucket shuffle resolves winners AND sums survivor
     tokens in place; per-source totals ride along as per-batch
     partials."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
     import hashlib
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
@@ -5082,7 +5082,7 @@ def yules_k_by_lang(sf_dir: str) -> pd.DataFrame:
     the vocabulary-keyed bucketed aggregate; inside the SAME combine
     each bucket collapses straight to (lang, sum m^2, sum m, n_types)
     partials, so the freq-of-freq table never materializes anywhere."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
@@ -5215,7 +5215,7 @@ def term_dispersion_top(sf_dir: str, k: int = 10) -> pd.DataFrame:
     aggregate + partial top-k, same as vocab_top_terms); the winners
     broadcast and pass 2 reduces (term, source) counts for them plus
     per-source token totals in the same scan."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -5434,7 +5434,7 @@ def term_keyness_g2(sf_dir: str, k: int = 20) -> pd.DataFrame:
     (what words mark this sub-corpus?). Per-batch (term, en?, count)
     partials reduce through the vocabulary-keyed bucketed aggregate;
     G2 needs only the term row plus two corpus totals."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
@@ -5526,7 +5526,7 @@ def naive_bayes_lang(sf_dir: str) -> pd.DataFrame:
     (model broadcast — the standard NB serving shape).
     Ties in the argmax break toward the lexicographically smaller
     language on both engines."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "text"])
 
@@ -5655,7 +5655,7 @@ def char_trigram_entropy_by_lang(sf_dir: str) -> pd.DataFrame:
     more predictable orthography). Per-batch (lang, trigram) count
     partials reduce through the bucketed aggregate; bigram marginals
     come from the same table by prefix."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
@@ -5900,7 +5900,7 @@ def burrows_delta_sources(sf_dir: str, k: int = 20) -> pd.DataFrame:
     (vocab-scale, << corpus); per-source token totals and the top-k
     term selection are scalar/partial-topk passes over that grid, and
     only the k x n_sources cell matrix reaches the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text", "source"])
 
@@ -6139,7 +6139,7 @@ def average_precision_length_english(sf_dir: str) -> pd.DataFrame:
     Exact from ONE (n_chars -> n, n_pos) value-domain histogram via
     the bucketed aggregate; the threshold scan runs on the
     result-sized grid with integer cumulative sums."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
 
@@ -6207,7 +6207,7 @@ def brier_calibration_length_english(sf_dir: str, bucket_chars: int = 200) -> pd
     ONE (bucket, split) grid of exact integer (n, n_en) counts leaves
     the cluster; every probability is a ratio of those integers so the
     engines agree to the final rounding."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
 
@@ -6291,7 +6291,7 @@ def logodds_keyness_english(sf_dir: str, k: int = 10, alpha0: float = 100.0) -> 
     INSIDE map_batches over the grid (the prior needs only the row's
     own counts plus broadcast totals) and only the partial top-k
     reaches the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text", "lang"])
 
@@ -6386,7 +6386,7 @@ def youden_threshold_length_english(sf_dir: str) -> pd.DataFrame:
 
     Same ONE value-domain histogram as the AUC query; the threshold
     scan is a cumulative walk over the result-sized grid."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
 
@@ -6470,7 +6470,7 @@ def ece_length_english(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame:
 
     Same ONE (bucket, split) integer grid; all probabilities are
     ratios of those integers."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
 
@@ -6542,7 +6542,7 @@ def logloss_length_english(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame
 
     Same ONE (bucket, split) integer grid; every probability is a
     ratio of exact integers."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
 
@@ -6623,7 +6623,7 @@ def chao1_vocab_richness(sf_dir: str) -> pd.DataFrame:
     vocabulary key domain; the frequency-of-frequency counts are
     per-batch partials over the totals — the vocabulary never reaches
     the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -6700,7 +6700,7 @@ def good_turing_unseen_mass(sf_dir: str) -> pd.DataFrame:
 
     Same bucketed term-total reduce; only four integers reach the
     driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -7010,7 +7010,7 @@ def source_vocab_dice_overlap(sf_dir: str) -> pd.DataFrame:
     (source, term) pairs via a bucketed min-reduction over the term
     domain, in-bucket co-occurrence partials, |sources|^2 driver
     reduce."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -7245,7 +7245,7 @@ def _vocab_distribution_sums(sf_dir: str) -> tuple[float, float, float, float]:
     distribution — term counts stay distributed (bucketed aggregate
     over the vocabulary key domain, then per-batch scalar partials);
     only four numbers reach the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -7358,7 +7358,7 @@ def gini_term_frequencies(sf_dir: str) -> pd.DataFrame:
     vocabulary is ever needed: SUM_{f,g} m_f m_g |f-g| over the tiny
     histogram cross join. Same [a-z0-9_]+ tokenization as the other
     vocab queries."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -7432,7 +7432,7 @@ def berger_parker_vocab(sf_dir: str, k: int = 10) -> pd.DataFrame:
     distributed; only the partial top-k and three scalars reach the
     driver. Tie-break: count desc, term asc (matches
     vocab_top_terms)."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
+    from ocr_analytics.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -7585,7 +7585,7 @@ def _vocab_richness_scalars(sf_dir: str) -> tuple[int, int, int]:
     (n_tokens, vocab_size, hapax_count) — term totals reduce through
     the bucketed vocabulary aggregate, then per-batch partials over
     the totals; the vocabulary never reaches the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -7699,7 +7699,7 @@ def _length_english_calibration_grid(sf_dir: str, bucket_chars: int = 200) -> pd
     (n, n_en, p_hat) per bucket with the global train rate for unseen
     buckets — same ONE (bucket, split) integer-count grid as the
     Brier/ECE/log-loss family."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
 
@@ -7844,7 +7844,7 @@ def ace_vocab_richness(sf_dir: str) -> pd.DataFrame:
     F1/C_ace * gamma^2 — the coverage-based companion of Chao1 on
     the SAME bucketed term-total reduction (the vocabulary never
     reaches the driver; the F_1..F_10 spectrum does)."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     totals = _term_totals(sf_dir)
 
@@ -7925,7 +7925,7 @@ def jackknife_vocab_richness(sf_dir: str) -> pd.DataFrame:
     jack2 = S + F1*(2n-3)/n - F2*(n-2)^2/(n*(n-1)) with n = total
     token count — the resampling-theory members beside Chao1 and ACE
     on the same bucketed term-total reduction."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     totals = _term_totals(sf_dir)
 
@@ -7983,7 +7983,7 @@ def _term_totals(sf_dir: str):
     machinery): tokenize per batch, unique-count locally, combine by
     term through the bucketed aggregate over the vocabulary key
     domain. Returns the totals dataset (term, n)."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -8015,7 +8015,7 @@ def _length_english_confusion(sf_dir: str):
     reaches ceil(n/2) from below) — one bucketed value-domain
     histogram, O(distinct lengths) driver walk. Returns
     (threshold, tp, fp, fn, tn)."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
 
@@ -8510,7 +8510,7 @@ def margalef_menhinick_vocab(sf_dir: str) -> pd.DataFrame:
     indices beside Chao1/ACE/jackknife, answering 'is vocabulary
     large FOR this corpus size'. Same bucketed term-total reduction;
     the vocabulary never reaches the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -8575,7 +8575,7 @@ def _top_terms_doc_stats(sf_dir: str, k: int = 5):
     per top term, N docs, df (docs containing), df2 (docs with tf >=
     2) and cf — per-batch partials with the tiny term set in the
     closure. Returns (n_docs, DataFrame[term, cf, df, df2])."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -8765,7 +8765,7 @@ def _length_english_confusion_by_source(sf_dir: str) -> pd.DataFrame:
     threshold by marginalizing sources, then cuts each source's
     confusion at that same threshold. Returns per-source
     (source, n, npred, tp, fp, p, neg) exact integers."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "lang", "n_chars"])
 
@@ -8914,7 +8914,7 @@ def _freq_of_freq(sf_dir: str) -> pd.DataFrame:
     occupancy statistic, so the rarefaction math collapses from
     |vocab| to |distinct f| terms. The vocabulary never reaches the
     driver; only the (f, phi_f) rows do."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     totals = _term_totals(sf_dir)
 
@@ -9066,7 +9066,7 @@ def _len_en_hist(sf_dir: str) -> pd.DataFrame:
     """Shared (n_chars -> n, n_pos) histogram for the threshold-free
     ranking diagnostics — the same bucketed reduction as the
     confusion family, returned as the full grid."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
 
@@ -9230,7 +9230,7 @@ def _df_incidence_hist(sf_dir: str) -> tuple[pd.DataFrame, int]:
     the result-sized count-of-counts table. Returns (hist, n_docs)."""
     import numpy as np
 
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -9402,7 +9402,7 @@ def _roc_value_hist(sf_dir: str) -> pd.DataFrame:
     the AUC-uncertainty pair — the same collapse the AUC/pAUC family
     uses: the score domain is result-sized, so placements and their
     variances are exact cumulative-sum algebra on the driver."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["n_chars", "lang"])
 
@@ -9747,7 +9747,7 @@ def _calibration_grid(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame:
     odd doc_id supplies outcomes. Exact integer (n, n_en) counts per
     (bucket, split); buckets unseen in training fall back to the
     global train rate."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
 
@@ -10993,7 +10993,7 @@ def _two_model_cells(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame:
     (odd doc_id) cells are the (bucket, source) cross grid with
     exact integer (n, n_en) and both models' forecasts attached
     (global-train-rate fallback for unseen keys)."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars", "source"])
 
@@ -11179,7 +11179,7 @@ def vuong_source_vs_length(sf_dir: str) -> pd.DataFrame:
     s2 = float((en * lp * lp).sum() + ((n - en) * ln_ * ln_).sum())
     var = s2 / nn - (s1 / nn) ** 2
     z = s1 / float(np.sqrt(var * nn))
-    from ocr_pipeline_ray.pipelines.relational import _norm_cdf_as
+    from ocr_analytics.relational import _norm_cdf_as
 
     p2 = 2.0 * float(_norm_cdf_as(np.array([-abs(z)]))[0])
     return pd.DataFrame(
@@ -11306,7 +11306,7 @@ def _bigram_source_grid(sf_dir: str) -> pd.DataFrame:
     vocabulary token convention — the sufficient statistic of the
     coverage game (type-dimension result: bounded by the bigram
     type space, not the corpus)."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
 
@@ -11578,7 +11578,7 @@ def _source_term_matrix(sf_dir: str):
     token convention plus per-source totals and the global vocab
     size V — the sufficient statistic for every smoothed-LM
     cross-entropy."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
+    from ocr_analytics.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -11829,7 +11829,7 @@ def _len_en_rates(sf_dir: str, thr: int):
     """Hit and false-alarm rates of 'call English when n_chars > thr'
     with the 1/(2n)-clamp convention so the normal quantiles stay
     finite, identical in both engines."""
-    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, _read as _r
+    from ocr_analytics.relational import bucketed_aggregate, _read as _r
 
     ds = _r(sf_dir, "documents", columns=["lang", "n_chars"])
 
@@ -11993,7 +11993,7 @@ def _vdw_terms(sf_dir: str):
     partial sums for both the location (a) and scale (a^2)
     statistics — all off the (value, group) histogram so only cells
     leave the cluster."""
-    from ocr_pipeline_ray.pipelines.relational import _price_cents_by_urgent
+    from ocr_analytics.relational import _price_cents_by_urgent
 
     h = _price_cents_by_urgent(sf_dir)
     per_v = h.groupby("v", as_index=False).agg(c=("c", "sum")).sort_values("v")
@@ -12031,7 +12031,7 @@ def van_der_waerden_urgent_price(sf_dir: str) -> pd.DataFrame:
     mean1 = n1 * sa / n
     var1 = n1 * n2 / (n * (n - 1.0)) * (sa2 - sa * sa / n)
     z = (s1 - mean1) / float(np.sqrt(var1))
-    from ocr_pipeline_ray.pipelines.relational import _norm_cdf_as
+    from ocr_analytics.relational import _norm_cdf_as
 
     p2 = 2.0 * float(_norm_cdf_as(np.array([-abs(z)]))[0])
     return pd.DataFrame(
@@ -12131,7 +12131,7 @@ def klotz_scale_urgent_price(sf_dir: str) -> pd.DataFrame:
     mean1 = n1 * sa2 / n
     var1 = n1 * n2 / (n * (n - 1.0)) * (sa4 - sa2 * sa2 / n)
     z = (s1_sq - mean1) / float(np.sqrt(var1))
-    from ocr_pipeline_ray.pipelines.relational import _norm_cdf_as
+    from ocr_analytics.relational import _norm_cdf_as
 
     p2 = 2.0 * float(_norm_cdf_as(np.array([-abs(z)]))[0])
     return pd.DataFrame(
@@ -12185,7 +12185,7 @@ def _probit_fit_terms(sf_dir: str):
     w = n phi(z)^2 / (p(1-p)), WLS line — closed forms with the
     Acklam quantile, identical in both engines. Returns the 50-cell
     grid plus both links' fits."""
-    from ocr_pipeline_ray.pipelines.relational import _return_quantity_grid
+    from ocr_analytics.relational import _return_quantity_grid
 
     g = _return_quantity_grid(sf_dir)
     q = g["q"].to_numpy("int64").astype("float64")
@@ -12293,7 +12293,7 @@ def link_function_duel(sf_dir: str) -> pd.DataFrame:
     logit/probit beside the folk 1.6 — on a fat-middle grid like
     this the links differ only in the tails, which is exactly where
     the X^2 terms say so."""
-    from ocr_pipeline_ray.pipelines.relational import _norm_cdf_as
+    from ocr_analytics.relational import _norm_cdf_as
 
     q, n, r, a, b, al, bl = _probit_fit_terms(sf_dir)
     p_probit = _norm_cdf_as(a + b * q)
@@ -12369,7 +12369,7 @@ def _rankit_terms(sf_dir: str):
     """Shared rankit machinery: the sorted daily revenue series and
     Blom scores qnorm((i - 3/8)/(n + 1/4)) via the Acklam
     quantile — day-dimension arithmetic, identical in SQL."""
-    from ocr_pipeline_ray.pipelines.relational import _daily_rev_cents
+    from ocr_analytics.relational import _daily_rev_cents
 
     daily = _daily_rev_cents(sf_dir)
     y = np.sort(daily["rev_c"].to_numpy("int64").astype("float64")) / 100.0
@@ -12507,7 +12507,7 @@ def _wh_chi2_quantile(p: float, nu: float) -> float:
 
 
 def _price_moments(sf_dir: str):
-    from ocr_pipeline_ray.pipelines.relational import _price_cents_hist
+    from ocr_analytics.relational import _price_cents_hist
 
     h = _price_cents_hist(sf_dir)
     v = h["v"].to_numpy("int64").astype("float64") / 100.0
@@ -12650,7 +12650,7 @@ def _gh_terms(sf_dir: str):
     z_p, Hoaglin's per-p skew estimates g_p, their median g, and
     the log-spread regression that yields h and ln B — every step a
     closed form mirrored in SQL."""
-    from ocr_pipeline_ray.pipelines.relational import _price_cents_hist
+    from ocr_analytics.relational import _price_cents_hist
 
     h = _price_cents_hist(sf_dir)
     v = h["v"].to_numpy("int64")
@@ -12784,7 +12784,7 @@ def g_and_h_quantile_check(sf_dir: str) -> pd.DataFrame:
     hardest) is the whole point of the parameterization; where the
     relative error concentrates says which feature (skew vs tail)
     the data refuses to compress."""
-    from ocr_pipeline_ray.pipelines.relational import _price_cents_hist
+    from ocr_analytics.relational import _price_cents_hist
 
     n, med, g, hh, b = _gh_terms(sf_dir)
     h = _price_cents_hist(sf_dir)
@@ -12859,7 +12859,7 @@ def _johnson_terms(sf_dir: str):
     literals shared verbatim by both engines), and the spreads
     m = x4-x3, n = x2-x1, p = x3-x2 whose ratio mn/p^2 selects the
     Johnson family."""
-    from ocr_pipeline_ray.pipelines.relational import _price_cents_hist
+    from ocr_analytics.relational import _price_cents_hist
 
     h = _price_cents_hist(sf_dir)
     v = h["v"].to_numpy("int64")
@@ -13044,7 +13044,7 @@ def _vasicek_terms(sf_dir: str):
     m = floor(sqrt(n) + 0.5), spacings floored at one cent so tied
     blocks cannot produce ln 0 (documented, identical in both
     engines)."""
-    from ocr_pipeline_ray.pipelines.relational import _price_cents_hist
+    from ocr_analytics.relational import _price_cents_hist
 
     h = _price_cents_hist(sf_dir)
     v = h["v"].to_numpy("int64")

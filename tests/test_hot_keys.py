@@ -127,9 +127,9 @@ def test_pinned_hot_refs_and_disabled_agree(ray_session):
 
 def test_extraction_path_imports_no_analytics_module(ray_session):
     """The extraction modules, and the media join's hot-ref detection,
-    import nothing from the analytics collection: a cold
-    ``pipelines.relational`` import costs about half a second, which
-    the join's warm-up pass would pay."""
+    import nothing from the analytics collection (``ocr_analytics``): a
+    cold ``ocr_analytics.relational`` import costs about half a second,
+    which the join's warm-up pass would pay."""
     import os
     import subprocess
     import sys
@@ -144,7 +144,7 @@ def test_extraction_path_imports_no_analytics_module(ray_session):
         "spans = pa.table({'media_ref': ['a', 'a', 'a', 'b', '']})\n"
         "assert detect_hot_refs(ray.data.from_arrow(spans), hot_fraction=0.5) == ['a']\n"
         "ray.shutdown()\n"
-        "print('ocr_pipeline_ray.pipelines.relational' in sys.modules)\n"
+        "print(any(m.split('.')[0] == 'ocr_analytics' for m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": root,
            "RAY_ADDRESS": ray.get_runtime_context().gcs_address}
