@@ -1,11 +1,134 @@
-"""Mergeable quantile sketch: ``KLLSketch``, pure numpy, combinable
-across batches (a partial sketch per batch, merged on the driver or in
-a tree), with ~2k items of state for a rank error of O(1/k) * n.
+"""Mergeable sketches for scale-path set membership and cardinality:
+Bloom filter and HyperLogLog, pure numpy, combinable across batches
+(partial sketch per batch -> fixed-size OR/max reduce on the driver
+or in a tree — the classic sketch-aggregation shape).
+
+Used where exact structures stop scaling:
+
+* Bloom: broadcast-side PRE-filter for semi joins when the key set is
+  too large to ship exactly (10^9+ keys). False positives possible ->
+  always followed by an exact verify join; false negatives impossible
+  (property-tested).
+* HLL: approximate count-distinct with ~1.04/sqrt(2^p) relative error
+  — the same partial/combine shape as the exact
+  ``distinct_users_per_type`` but with O(2^p) state per group instead
+  of O(n).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+_MIX1 = np.uint64(0xFF51AFD7ED558CCD)
+_MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64-style avalanche over uint64 arrays (vectorized)."""
+    x = x.astype(np.uint64, copy=True)
+    with np.errstate(over="ignore"):
+        x ^= x >> np.uint64(33)
+        x *= _MIX1
+        x ^= x >> np.uint64(33)
+        x *= _MIX2
+        x ^= x >> np.uint64(33)
+    return x
+
+
+class BloomFilter:
+    """Fixed-size bit-array Bloom filter over int64/uint64 keys.
+
+    ``add``/``contains`` are fully vectorized; ``merge`` is bitwise OR
+    (partial filters built on workers combine associatively). ``k``
+    probes derive from double hashing h1 + i*h2 (Kirsch-Mitzenmacher).
+    """
+
+    def __init__(self, n_bits: int = 1 << 20, k: int = 5):
+        assert n_bits % 64 == 0
+        self.n_bits = n_bits
+        self.k = k
+        self.words = np.zeros(n_bits // 64, dtype=np.uint64)
+
+    def _positions(self, keys: np.ndarray) -> np.ndarray:
+        h1 = _mix64(keys)
+        h2 = _mix64(h1 ^ _MIX2) | np.uint64(1)  # odd -> full-period stride
+        i = np.arange(self.k, dtype=np.uint64)[:, None]
+        with np.errstate(over="ignore"):
+            return (h1[None, :] + i * h2[None, :]) % np.uint64(self.n_bits)
+
+    def add(self, keys) -> "BloomFilter":
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return self
+        pos = self._positions(keys).ravel()
+        np.bitwise_or.at(self.words, pos >> np.uint64(6), np.uint64(1) << (pos & np.uint64(63)))
+        return self
+
+    def contains(self, keys) -> np.ndarray:
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return np.zeros(0, dtype=bool)
+        pos = self._positions(keys)  # (k, n)
+        word = self.words[(pos >> np.uint64(6)).astype(np.int64)]
+        bit = (word >> (pos & np.uint64(63))) & np.uint64(1)
+        return bit.all(axis=0).astype(bool)
+
+    def merge(self, other: "BloomFilter") -> "BloomFilter":
+        assert self.n_bits == other.n_bits and self.k == other.k
+        self.words |= other.words
+        return self
+
+    def fp_rate(self, n_keys: int) -> float:
+        """Theoretical false-positive rate after ``n_keys`` inserts."""
+        return float((1 - np.exp(-self.k * n_keys / self.n_bits)) ** self.k)
+
+
+class HyperLogLog:
+    """HLL with 2^p registers; ``add`` vectorized, ``merge`` = max.
+
+    Standard bias-corrected estimate with linear counting for the
+    small range (Flajolet et al. 2007).
+    """
+
+    def __init__(self, p: int = 12):
+        self.p = p
+        self.m = 1 << p
+        self.registers = np.zeros(self.m, dtype=np.uint8)
+
+    def add(self, keys) -> "HyperLogLog":
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return self
+        h = _mix64(keys)
+        idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
+        # window = remaining 64-p bits shifted to the top; the sentinel
+        # bit bounds rho at (64-p)+1 when the window is all zeros
+        with np.errstate(over="ignore"):
+            v = (h << np.uint64(self.p)) | np.uint64(1 << (self.p - 1))
+        # rho = leading zeros of v + 1, by binary-search probes
+        shift = np.uint64(32)
+        cur = np.zeros(keys.size, dtype=np.uint64)
+        while shift > 0:
+            probe = (v >> (np.uint64(64) - (cur + shift))) == 0
+            cur = np.where(probe, cur + shift, cur)
+            shift >>= np.uint64(1)
+        rho = cur.astype(np.uint8) + 1
+        np.maximum.at(self.registers, idx, rho)
+        return self
+
+    def merge(self, other: "HyperLogLog") -> "HyperLogLog":
+        assert self.p == other.p
+        np.maximum(self.registers, other.registers, out=self.registers)
+        return self
+
+    def estimate(self) -> float:
+        m = self.m
+        alpha = 0.7213 / (1 + 1.079 / m)
+        est = alpha * m * m / np.sum(2.0 ** (-self.registers.astype(np.float64)))
+        zeros = int((self.registers == 0).sum())
+        if est <= 2.5 * m and zeros:
+            return float(m * np.log(m / zeros))  # linear counting
+        return float(est)
 
 
 class KLLSketch:
@@ -14,7 +137,8 @@ class KLLSketch:
     2^i. ``add`` buffers at level 0, compaction keeps alternating
     ranked items (deterministic seeded parity choice), ``merge``
     concatenates level-wise then re-compacts. Rank error is
-    O(1/k) * n with ~2k items of state."""
+    O(1/k) * n with ~2k items of state — the continuous-domain
+    complement of the exact discrete value-count quantiles."""
 
     def __init__(self, k: int = 256, seed: int = 17):
         self.k = k
@@ -70,3 +194,47 @@ class KLLSketch:
 
     def quantiles(self, qs) -> list[float]:
         return [self.quantile(q) for q in qs]
+
+
+class CountMinSketch:
+    """Count-min sketch over uint64 keys: ``depth`` rows x ``width``
+    counters; ``add`` is vectorized (per-row seeded remix of the key),
+    ``estimate`` takes the row-wise min (never underestimates),
+    ``merge`` is elementwise + (counts are linear, so partial sketches
+    built per batch/partition combine associatively — same
+    tree-reduce shape as the Bloom build). Used as the heavy-hitter
+    PRE-filter: candidates the sketch keeps are exact-verified with a
+    counting pass, so overestimates cost work, never correctness."""
+
+    def __init__(self, width: int = 1 << 14, depth: int = 4):
+        self.width = width
+        self.depth = depth
+        self.table = np.zeros((depth, width), dtype=np.int64)
+
+    def _pos(self, keys: np.ndarray) -> np.ndarray:
+        rows = []
+        for d in range(self.depth):
+            rows.append(_mix64(keys ^ _mix64(np.uint64(d + 1))) % np.uint64(self.width))
+        return np.stack(rows).astype(np.int64)  # (depth, n)
+
+    def add(self, keys, counts) -> "CountMinSketch":
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return self
+        counts = np.asarray(counts, dtype=np.int64)
+        pos = self._pos(keys)
+        for d in range(self.depth):
+            np.add.at(self.table[d], pos[d], counts)
+        return self
+
+    def estimate(self, keys) -> np.ndarray:
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        pos = self._pos(keys)
+        return np.stack([self.table[d][pos[d]] for d in range(self.depth)]).min(axis=0)
+
+    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
+        assert self.width == other.width and self.depth == other.depth
+        self.table += other.table
+        return self

@@ -13,32 +13,6 @@ import re
 
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
-# GPT-2-style pre-tokenizer pattern (public regex from the GPT-2 /
-# tiktoken lineage, lookahead-free variant): contractions, letter
-# runs, digit runs, punctuation runs, whitespace runs. Counting these
-# pieces approximates BPE token counts well enough for length
-# filtering / cost estimation at corpus scale.
-BPE_SPLIT_RE = re.compile(
-    r"'(?:s|t|re|ve|m|ll|d)| ?[A-Za-z]+| ?[0-9]+| ?[^\sA-Za-z0-9]+|\s+"
-)
-
-
-def bpe_token_estimate(text: str, chars_per_subword: float = 4.5) -> int:
-    """Whitespace+BPE-ish token count estimate: count pre-tokenizer
-    pieces, splitting long letter-runs into ~4.5-char subwords (the
-    published average for English BPE vocabularies)."""
-    n = 0
-    for m in BPE_SPLIT_RE.finditer(text):
-        piece = m.group(0)
-        if piece.isspace():
-            continue
-        stripped = piece.strip()
-        if len(stripped) > chars_per_subword and stripped.isalpha():
-            n += max(1, round(len(stripped) / chars_per_subword))
-        else:
-            n += 1
-    return n
-
 # tiny per-language stopword inventories for the n-gram/stopword
 # language heuristic (public-knowledge closed-class words)
 STOPWORDS = {
@@ -74,7 +48,7 @@ def winnow_fingerprints(text: str, k: int = 5, window: int = 4) -> list[int]:
 
     The k-gram hash is ``md5 digest bytes [8:16], little-endian`` ==
     DuckDB's ``md5_number_lower`` (byte order verified empirically),
-    which is what makes WINNOWING_SQL an exact oracle."""
+    so DuckDB can compute the same fingerprints exactly."""
     toks = tokenize(text.lower())
     if len(toks) < k:
         return []

@@ -26,7 +26,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ocr_analytics.hashing import (
+from ocr_pipeline_ray.functions.hashing import (
     jaccard,
     lsh_band_keys,
     minhash_params,
@@ -34,8 +34,8 @@ from ocr_analytics.hashing import (
     simhash64,
     simhash_band_keys,
 )
-from ocr_analytics.textstats import tokenize
-from ocr_analytics.relational import _read
+from ocr_pipeline_ray.functions.textstats import tokenize
+from ocr_pipeline_ray.pipelines.relational import _read
 
 MINHASH_PERMS = 128
 LSH_BANDS = 32
@@ -56,7 +56,7 @@ def dedup_exact(sf_dir: str) -> pd.DataFrame:
             [t["doc_id"], pa.array(hashes, pa.string())], names=["doc_id", "h"]
         )
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     # nearly every hash group has one member, so the key is maximally
     # high-cardinality — the bucketed aggregate keeps the min-doc_id
@@ -94,7 +94,7 @@ class _MinhashBands:
         self.bands, self.rows, self.k = bands, rows, shingle_k
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        from ocr_analytics.hashing import _MAX_HASH, _MERSENNE
+        from ocr_pipeline_ray.functions.hashing import _MAX_HASH, _MERSENNE
 
         texts = t["text"].to_pylist()
         ids = t["doc_id"].to_pylist()
@@ -178,14 +178,13 @@ def _pairs_in_coarse_bucket(g: pd.DataFrame) -> pd.DataFrame:
 # ONE planted-id offset across every planted oracle (text, embedding,
 # ANN): the selections (b - a == offset) and the f-string SQL literals
 # all depend on this staying equal everywhere
-from ocr_analytics.similarity import PLANT_OFFSET as _CLONE_OFFSET
+from ocr_pipeline_ray.pipelines.similarity import PLANT_OFFSET as _CLONE_OFFSET
 
 
 def _clone_augment(plant_every: int):
     """Distributed verbatim-clone planting: every ``plant_every``-th
     doc re-emitted under ``doc_id + _CLONE_OFFSET`` inside the batch
-    UDF (no driver materialization) — the text analog of
-    embedding_neardup_lsh_planted's scaled-copy planting."""
+    UDF (no driver materialization)."""
 
     def _f(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -284,22 +283,6 @@ def minhash_lsh_dedup(
     return out
 
 
-def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5, shingle_k: int = 3) -> pd.DataFrame:
-    """n-gram Jaccard similarity pairs, LSH-pruned then exact-verified
-    (same machinery, lower threshold — the scale path never computes
-    the O(n^2) matrix)."""
-    return minhash_lsh_dedup(sf_dir, threshold=threshold, shingle_k=shingle_k)
-
-
-class _Simhash:
-    def __call__(self, t: pa.Table) -> pa.Table:
-        hs = [simhash64(s) for s in t["text"].to_pylist()]
-        return pa.Table.from_arrays(
-            [t["doc_id"], pa.array(np.array(hs, dtype=np.uint64).astype(np.int64), pa.int64())],
-            names=["doc_id", "simhash"],
-        )
-
-
 class _SimhashBands:
     """Batch UDF: simhash per doc, band rows emitted IN the UDF (the
     fingerprint table never round-trips through the driver). The full
@@ -385,16 +368,6 @@ def _simhash_pairs_in_coarse_bucket(max_hamming: int):
     return _f
 
 
-def simhash_fingerprints(sf_dir: str) -> pd.DataFrame:
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return (
-        ds.map_batches(_Simhash, batch_format="pyarrow", concurrency=(1, 4))
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
 def simhash_neardup(
     sf_dir: str, max_hamming: int = 3, plant_every: int | None = None
 ) -> pd.DataFrame:
@@ -425,10 +398,8 @@ def simhash_neardup(
 
 def minhash_lsh_planted_clones(sf_dir: str, plant_every: int = 20) -> pd.DataFrame:
     """The MinHash+LSH path under an EXACT oracle via deterministic
-    verbatim clones (the embedding_neardup_lsh_planted precedent,
-    promoting the rows-only minhash machinery into the hard-signal
-    column): every ``plant_every``-th doc is re-emitted verbatim under
-    ``doc_id + 1e9`` inside the batch UDF. A verbatim clone has the
+    verbatim clones: every ``plant_every``-th doc is re-emitted
+    verbatim under ``doc_id + 1e9`` inside the batch UDF. A verbatim clone has the
     identical shingle set, hence the identical MinHash signature,
     hence identical keys in EVERY band — candidacy is structural, not
     probabilistic — and exact-Jaccard verification returns exactly
@@ -493,8 +464,8 @@ SIMHASH_PLANTED_CLONES_SQL = simhash_planted_clones_sql()
 def ngram_jaccard_planted_clones(
     sf_dir: str, plant_every: int = 20, threshold: float = 0.5, shingle_k: int = 3
 ) -> pd.DataFrame:
-    """:func:`ngram_jaccard_pairs`'s exact anchor: the SAME
-    LSH-pruned + exact-verified machinery at its production threshold
+    """Exact anchor of the LSH-pruned + exact-verified n-gram Jaccard
+    machinery (:func:`minhash_lsh_dedup`) at its production threshold
     (0.5, k=3 shingles — the branch where ORGANIC candidates also
     flow through the verifier, unlike the threshold-1.0 minhash
     anchor), restricted to planted verbatim clones. Identical text ->
@@ -538,7 +509,7 @@ def _shingle_pair_counts_ds(
 ) -> "ray.data.Dataset":
     """EXACT Jaccard>=threshold pairs via a distributed inverted
     shingle index — no LSH pruning, so (unlike
-    :func:`ngram_jaccard_pairs`) the result is deterministic-complete
+    :func:`minhash_lsh_dedup`) the result is deterministic-complete
     and SQL-oracle-able.
 
     Shape: (doc_id, shingle, n_doc) rows stream out of ``map_batches``;
@@ -555,7 +526,7 @@ def _shingle_pair_counts_ds(
     the documented recall/cost trade, same split as
     embedding_neardup vs embedding_neardup_lsh.
     """
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -674,7 +645,7 @@ def connected_components(edges: "ray.data.Dataset", max_iters: int = 64) -> pd.D
     scalar per round plus the final (node, label) table. Nothing else
     leaves the cluster; the corpus itself is never touched here.
     """
-    from ocr_analytics.relational import bucketed_aggregate, shuffle_hash_join
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, shuffle_hash_join
 
     def _sym(t: pa.Table) -> pa.Table:
         a = np.asarray(t["a"].to_pandas(), dtype=np.int64)
@@ -795,31 +766,6 @@ SELECT u AS doc_id, CAST(least(u, min(v)) AS BIGINT) AS cluster_id
 FROM reach GROUP BY u ORDER BY doc_id
 """
 
-EXACT_JACCARD_PAIRS_SQL = r"""
-WITH toks AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9_]+') AS tk FROM documents
-), pos AS (
-  SELECT doc_id, unnest(tk) AS tok, generate_subscripts(tk, 1) AS i FROM toks
-), grams AS (
-  SELECT DISTINCT a.doc_id, a.tok || ' ' || b.tok || ' ' || c.tok AS g
-  FROM pos a
-  JOIN pos b ON b.doc_id = a.doc_id AND b.i = a.i + 1
-  JOIN pos c ON c.doc_id = a.doc_id AND c.i = a.i + 2
-), sizes AS (SELECT doc_id, count(*) AS n FROM grams GROUP BY doc_id),
-inter AS (
-  SELECT x.doc_id AS a, y.doc_id AS b, count(*) AS i
-  FROM grams x JOIN grams y ON x.g = y.g AND x.doc_id < y.doc_id
-  GROUP BY 1, 2
-)
-SELECT a, b, round(inter.i * 1.0 / (sa.n + sb.n - inter.i), 4) AS jacc
-FROM inter
-JOIN sizes sa ON sa.doc_id = inter.a
-JOIN sizes sb ON sb.doc_id = inter.b
-WHERE inter.i * 1.0 / (sa.n + sb.n - inter.i) >= 0.5
-ORDER BY a, b
-"""
-
-
 def dedup_keep_longest(sf_dir: str) -> pd.DataFrame:
     """Exact dedup with a KEEP POLICY (the curation form: survivors
     are chosen by quality, not arrival order): groups share the
@@ -829,7 +775,7 @@ def dedup_keep_longest(sf_dir: str) -> pd.DataFrame:
     fingerprint co-locates each group; per-bucket vectorized
     sort + drop_duplicates picks survivors. Only fixed-width rows
     move."""
-    from ocr_analytics.textstats import fingerprint_md5
+    from ocr_pipeline_ray.functions.textstats import fingerprint_md5
 
     n_buckets = 32
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -898,7 +844,7 @@ def dedup_normalized(sf_dir: str) -> pd.DataFrame:
             [t["doc_id"], pa.array(hashes, pa.string())], names=["doc_id", "h"]
         )
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     return (
         bucketed_aggregate(
@@ -937,7 +883,7 @@ def sorted_neighborhood_dedup(
     REPLICATE into the next block, so every in-window pair is present
     in exactly one block (the one owning the later row). Each block's
     candidate pairs (<= block*window) verify locally."""
-    from ocr_analytics.relational import _levenshtein, _read
+    from ocr_pipeline_ray.pipelines.relational import _levenshtein, _read
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "n_chars"]).map_batches(
         lambda df: pd.DataFrame(
@@ -949,7 +895,7 @@ def sorted_neighborhood_dedup(
         ),
         batch_format="pandas",
     )
-    from ocr_analytics.relational import _global_rank
+    from ocr_pipeline_ray.pipelines.relational import _global_rank
 
     ranked = _global_rank(ds, "n_chars", ["doc_id", "pre"])
 
@@ -1034,7 +980,7 @@ def similar_docs_by_shingles(sf_dir: str, query_doc: int = 0, n: int = 3, k: int
     every other doc computes |own|, |intersection| in its batch and
     only (doc_id, inter, own) partial rows reach the reduce. Ties:
     jaccard desc, doc_id asc."""
-    from ocr_analytics.textstats import TOKEN_RE
+    from ocr_pipeline_ray.functions.textstats import TOKEN_RE
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1070,7 +1016,7 @@ def similar_docs_by_shingles(sf_dir: str, query_doc: int = 0, n: int = 3, k: int
     # stop-shingle the candidate set is corpus-sized, so the reduce to
     # k rows happens on workers — the driver sees at most buckets x k
     # rows, never the candidate set.
-    from ocr_analytics.relational import partial_topk
+    from ocr_pipeline_ray.pipelines.relational import partial_topk
 
     top = partial_topk(
         ds.map_batches(_score, batch_format="pandas"),
@@ -1209,8 +1155,7 @@ def subset_duplicates(sf_dir: str, c_thresh: float = 0.9, j_thresh: float = 0.5,
     Emits (contained doc, container doc, containment, jacc) with the
     contained side normalized first — the actionable curation list.
     The synthetic corpus's near-dups are all SYMMETRIC, so the
-    subset regime is planted deterministically (the
-    embedding_neardup_lsh_planted precedent): every 10th doc also
+    subset regime is planted deterministically: every 10th doc also
     enters as a prefix crop of its first ceil(2L/5) tokens under
     doc_id + 1e9 — containment of the crop in its source is 1.0 by
     construction while the Jaccard sits near 0.4, exactly the blind

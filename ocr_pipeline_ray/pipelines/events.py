@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from ocr_analytics.relational import ROUND_DECIMALS, _read
+from ocr_pipeline_ray.pipelines.relational import ROUND_DECIMALS, _read
 
 SESSION_GAP_MIN = 30
 
@@ -40,7 +40,7 @@ def events_hourly(sf_dir: str) -> pd.DataFrame:
     the shuffle groups by (event_type, hour) directly — a pre-keyed
     tumbling window, not a driver loop.
     """
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
@@ -63,14 +63,6 @@ def events_hourly(sf_dir: str) -> pd.DataFrame:
     )
     out["sum_value"] = out["sum_value"].round(ROUND_DECIMALS)
     return out
-
-
-EVENTS_HOURLY_SQL = """
-SELECT event_type, date_trunc('hour', ts) AS hour,
-       count(*) AS n_events, round(sum(value), 4) AS sum_value
-FROM events GROUP BY event_type, date_trunc('hour', ts)
-ORDER BY event_type, hour
-"""
 
 
 def sessionize(sf_dir: str) -> pd.DataFrame:
@@ -275,65 +267,6 @@ FROM events GROUP BY event_type ORDER BY event_type
 """
 
 
-def rolling_user_value(sf_dir: str, window: int = 5) -> pd.DataFrame:
-    """Per-user rolling mean over the last ``window`` events (row-based
-    sliding window) — the bounded-log window pattern (ray_guide
-    streaming section). Tie-safe ordering: (ts, event_id).
-
-    Users hash into coarse buckets; one vectorized shifted-sum pass
-    per bucket computes every user's window (the window sum adds at
-    most ``window`` aligned terms — no long cumsum error chains, no
-    per-user Python call)."""
-    ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-
-    def _roll_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"])
-        u = g["user_id"].to_numpy()
-        v = g["value"].to_numpy()
-        n = len(u)
-        if n == 0:
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series(dtype="int64"),
-                    "user_id": pd.Series(dtype="int64"),
-                    "rolling_mean": pd.Series(dtype="float64"),
-                }
-            )
-        new_user = np.concatenate(([True], u[1:] != u[:-1]))
-        user_idx = np.cumsum(new_user) - 1
-        user_start = np.flatnonzero(new_user)
-        pos = np.arange(n) - user_start[user_idx]  # 0-based pos within user
-        roll = v.copy()
-        for k in range(1, window):
-            m = pos >= k
-            roll[m] += v[np.flatnonzero(m) - k]
-        mean = roll / np.minimum(pos + 1, window)
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(),
-                "user_id": u,
-                "rolling_mean": np.round(mean, ROUND_DECIMALS),
-            }
-        )
-
-    return (
-        ds.map_batches(_add_user_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(_roll_bucket, batch_format="pandas")
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-
-
-ROLLING_SQL = """
-SELECT event_id, user_id,
-       round(avg(value) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                              ROWS BETWEEN 4 PRECEDING AND CURRENT ROW), 4) AS rolling_mean
-FROM events ORDER BY event_id
-"""
-
-
 ASOF_SQL = """
 WITH ranked AS (
   SELECT e.event_id, o.o_orderkey,
@@ -345,43 +278,6 @@ WITH ranked AS (
 SELECT e.event_id, e.user_id, CAST(r.o_orderkey AS DOUBLE) AS o_orderkey
 FROM events e LEFT JOIN ranked r ON r.event_id = e.event_id AND r.rn = 1
 ORDER BY e.event_id
-"""
-
-
-def cumulative_user_value(sf_dir: str) -> pd.DataFrame:
-    """Running (cumulative) sum of ``value`` per user ordered by
-    (ts, event_id) — the unbounded-preceding window. Coarse-bucketed:
-    one pandas ``groupby(user).cumsum`` per bucket (sequential
-    accumulation order matches the SQL window frame, so the rounded
-    values compare exactly)."""
-    ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-
-    def _cum_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"])
-        cum = g.groupby("user_id", sort=False)["value"].cumsum()
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(),
-                "user_id": g["user_id"].to_numpy(),
-                "cum_value": np.round(cum.to_numpy(), ROUND_DECIMALS),
-            }
-        )
-
-    return (
-        ds.map_batches(_add_user_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(_cum_bucket, batch_format="pandas")
-        .to_pandas()
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-
-
-CUMULATIVE_SQL = """
-SELECT event_id, user_id,
-       round(sum(value) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                              ROWS UNBOUNDED PRECEDING), 4) AS cum_value
-FROM events ORDER BY event_id
 """
 
 
@@ -417,12 +313,6 @@ def distinct_users_per_type(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
-DISTINCT_USERS_SQL = """
-SELECT event_type, count(DISTINCT user_id) AS n_users
-FROM events GROUP BY event_type ORDER BY event_type
-"""
-
-
 def distinct_users_hll(sf_dir: str, p: int = 12) -> pd.DataFrame:
     """APPROXIMATE count(DISTINCT user_id) per event_type via
     HyperLogLog: one fixed-size register array per (batch, type)
@@ -431,7 +321,7 @@ def distinct_users_hll(sf_dir: str, p: int = 12) -> pd.DataFrame:
     :func:`distinct_users_per_type`. No SQL oracle (approximate by
     design); accuracy vs the exact operator is property-tested."""
 
-    from ocr_analytics.sketches import HyperLogLog
+    from ocr_pipeline_ray.functions.sketches import HyperLogLog
 
     ds = _read(sf_dir, "events", columns=["event_type", "user_id"])
 
@@ -467,7 +357,7 @@ def events_hopping(sf_dir: str, window_min: int = 60, hop_min: int = 15) -> pd.D
     window_start) rows exactly like the tumbling case — the overlap
     factor multiplies rows inside the map stage, never the driver.
     The overlapping complement of :func:`events_hourly`."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     k = window_min // hop_min
     hop = pd.Timedelta(minutes=hop_min)
@@ -669,8 +559,8 @@ def events_hourly_incremental(sf_dir: str, cutoff_frac: float = 0.6) -> pd.DataF
     watermark (Arrow predicate at the read — the delta scan prunes,
     it does not rescan history) and merges its partials into the
     persisted state. Returns the merged aggregate, which must equal
-    the one-shot batch aggregate exactly (EVENTS_HOURLY_SQL is the
-    oracle) — the correctness contract of incremental ETL. Sum/count
+    the one-shot batch aggregate exactly (:func:`events_hourly` is the
+    reference) — the correctness contract of incremental ETL. Sum/count
     partials merge by +; the state file is the mergeable-sketch
     discipline applied to plain aggregates."""
     import os
@@ -680,7 +570,7 @@ def events_hourly_incremental(sf_dir: str, cutoff_frac: float = 0.6) -> pd.DataF
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     # deterministic cutoff: quantile of ts over a sampled read
     full = _read(sf_dir, "events", columns=["ts"])
@@ -745,7 +635,7 @@ def events_hourly_delta(sf_dir: str) -> pd.DataFrame:
     map_groups per event_type — the series is already reduced to
     |types| x |hours| rows, so the per-type sort is tiny and the full
     event stream never re-sorts."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
@@ -797,7 +687,7 @@ def user_value_anomalies(sf_dir: str, z_thresh: float = 3.0) -> pd.DataFrame:
     the driver. Membership compares the ROUNDED z so the float-drift
     tolerance is the same proven 4-decimal contract as the other
     moment queries."""
-    from ocr_analytics.relational import broadcast_lookup, bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import broadcast_lookup, bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "value"])
 
@@ -861,7 +751,7 @@ def pivot_user_event_values(sf_dir: str) -> pd.DataFrame:
     vectorized per batch; the per-user reduce is the bucketed
     high-cardinality aggregate (10k x SF users) — the pivoted fact
     never exists row-wise."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     types = ["click", "error", "purchase", "signup", "view"]
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "value"])
@@ -906,7 +796,7 @@ def events_hourly_filled(sf_dir: str) -> pd.DataFrame:
     densify runs per event_type inside map_groups against the
     already-reduced hourly series — the grid never materializes
     row-wise before the fill."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
@@ -979,7 +869,7 @@ def user_behavior_profile(sf_dir: str) -> pd.DataFrame:
     pandas (sort + drop_duplicates for the argmax, a transform-sum for
     the distribution) — the <=|types| rows per user never leave their
     bucket unreduced."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
     counts = bucketed_aggregate(
@@ -1060,7 +950,7 @@ def cohort_retention(sf_dir: str) -> pd.DataFrame:
     broadcast), the cell counts via a final bucketed aggregate. Key
     columns pin int64 before re-joining (see shuffle_hash_join's dtype
     discipline)."""
-    from ocr_analytics.relational import bucketed_aggregate, shuffle_hash_join
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, shuffle_hash_join
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
@@ -1131,7 +1021,7 @@ def session_concurrency(sf_dir: str) -> pd.DataFrame:
     same map_groups call, and one small bucketed aggregate sums the
     per-bucket partials. Only (hour, partial_count) rows shuffle —
     never the sessions, never the events."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
     hour_us = 3_600_000_000
@@ -1211,7 +1101,7 @@ def event_transitions(sf_dir: str) -> pd.DataFrame:
     (user-boundary rows masked out), pairs pre-count inside the
     map_groups call, and a small bucketed aggregate sums the
     per-bucket partials — only (pair, count) rows shuffle."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
 
@@ -1626,7 +1516,7 @@ def events_time_rollup(sf_dir: str) -> pd.DataFrame:
     GROUPING SETS analog over event time — one fact read feeds every
     grain instead of three scans). Week = ISO Monday truncation,
     matching date_trunc('week')."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -1673,7 +1563,7 @@ def chi2_type_dow(sf_dir: str) -> pd.DataFrame:
     one bucketed aggregate (|types| x 7 cells); the tiny densified
     table computes chi2 = sum((o-e)^2 / e) on the driver with all
     zero cells contributing their expectation."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
@@ -1748,7 +1638,7 @@ def decayed_user_value(sf_dir: str, half_life_hours: float = 24.0) -> pd.DataFra
         out = pd.DataFrame({"user_id": df["user_id"], "dv": df["value"].to_numpy() * w})
         return out.groupby("user_id", as_index=False)["dv"].sum()
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     out = (
         bucketed_aggregate(
@@ -1828,7 +1718,7 @@ def type_cooccurrence_matrix(sf_dir: str) -> pd.DataFrame:
     contributes its type-pair combinations (types are a tiny enum, so
     the per-user explosion is bounded); tiny per-pair partial sums
     return."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -2026,7 +1916,7 @@ def cumulative_unique_users(sf_dir: str) -> pd.DataFrame:
     min(first day) per user shuffles once (tiny pairs), the per-day
     new-user counts walk cumulatively on the driver, densified onto
     the observed day grid."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
@@ -2368,7 +2258,7 @@ def top_session_paths(sf_dir: str, k: int = 10) -> pd.DataFrame:
     vectorized shifts over the session-bounded stream inside each
     user bucket; (path, count) partials reduce through the bucketed
     aggregate and a partial top-k. Tie-break: count desc, path asc."""
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
 
@@ -2436,714 +2326,6 @@ GROUP BY 1, 2, 3 ORDER BY n DESC, t1, t2, t3 LIMIT {k}
 
 
 TOP_SESSION_PATHS_SQL = top_session_paths_sql()
-
-
-def event_pair_window_counts(sf_dir: str, window_min: int = 5) -> pd.DataFrame:
-    """Banded (interval) SELF-JOIN: ordered pairs of events by the
-    same user where the second strictly follows the first (by
-    ``(ts, event_id)``) within ``window_min`` minutes, counted per
-    ``(t_from, t_to)`` type pair — the co-occurrence join behind
-    attribution and next-action models. A theta join Ray Data has no
-    operator for; expressed as ONE user-bucket shuffle + a fully
-    vectorized two-pointer pair expansion per bucket:
-
-    - within a bucket, rows sort by ``(user_id, ts, event_id)`` and
-      each user's timestamps are remapped onto a per-user offset line
-      (``user_ordinal * BIG + (ts - lo)`` with ``BIG > range + W``),
-      making the key array GLOBALLY monotone while guaranteeing no
-      window ever crosses a user boundary;
-    - ``np.searchsorted(key, key - W)`` then yields every pair's left
-      boundary in one call, and the (i, j) index expansion is
-      ``np.repeat``/``cumsum`` arithmetic — no per-user loop, no
-      per-row Python. Pair volume is bounded by the window width
-      (events/user/window), not by n², so the expansion stays linear
-      at stream scale.
-
-    Per-bucket partial (t_from, t_to, n) counts are tiny (<= buckets
-    x types^2 rows) and combine on the driver.
-    """
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    w_us = np.int64(window_min * 60 * 1_000_000)
-
-    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        n = len(g)
-        if n < 2:
-            return pd.DataFrame({"t_from": [], "t_to": [], "n": []})
-        u = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy("datetime64[us]").astype("int64")
-        et = g["event_type"].to_numpy()
-        # per-user monotone offset line: windows can't cross users
-        new_user = np.concatenate(([True], u[1:] != u[:-1]))
-        user_ord = np.cumsum(new_user) - 1
-        lo = ts.min()
-        big = np.int64(ts.max() - lo) + w_us + 1
-        key = user_ord * big + (ts - lo)
-        left = np.searchsorted(key, key - w_us, side="left")
-        cnt = np.arange(n, dtype="int64") - left
-        total = int(cnt.sum())
-        if total == 0:
-            return pd.DataFrame({"t_from": [], "t_to": [], "n": []})
-        j_idx = np.repeat(np.arange(n, dtype="int64"), cnt)
-        starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-        i_idx = np.arange(total, dtype="int64") - np.repeat(starts, cnt) + np.repeat(left, cnt)
-        d = pd.DataFrame({"t_from": et[i_idx], "t_to": et[j_idx]})
-        out = d.groupby(["t_from", "t_to"], as_index=False).size().rename(columns={"size": "n"})
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    parts = (
-        ds.map_batches(_add_user_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(lambda g: _pairs(g.drop(columns="__bucket")), batch_format="pandas")
-        .to_pandas()
-    )
-    out = parts.groupby(["t_from", "t_to"], as_index=False)["n"].sum()
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values(["t_from", "t_to"]).reset_index(drop=True)
-
-
-def event_pair_window_sql(window_min: int = 5) -> str:
-    return f"""
-SELECT e1.event_type AS t_from, e2.event_type AS t_to,
-       CAST(count(*) AS BIGINT) AS n
-FROM events e1 JOIN events e2
-  ON e1.user_id = e2.user_id
- AND (e2.ts > e1.ts OR (e2.ts = e1.ts AND e2.event_id > e1.event_id))
- AND e2.ts <= e1.ts + INTERVAL {window_min} MINUTE
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-EVENT_PAIR_WINDOW_SQL = event_pair_window_sql()
-
-
-def mode_event_type(sf_dir: str) -> pd.DataFrame:
-    """Grouped MODE: each user's most frequent event type (ties ->
-    lexicographically smallest type), with its count. The exact mode
-    is not sum-decomposable, but (user, type) COUNTs are: one
-    :func:`bucketed_aggregate` over the high-cardinality composite
-    key, then a user-bucket shuffle where the per-user argmax is a
-    single vectorized sort + ``drop_duplicates`` over the whole
-    bucket (no per-user Python). Only (user, type, n) count rows —
-    already reduced — move through the second shuffle."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
-    counts = bucketed_aggregate(
-        ds, ["user_id", "event_type"], {"n": ("event_type", "size")}
-    ).map_batches(lambda df: df.drop(columns="__bucket", errors="ignore"), batch_format="pandas")
-
-    def _argmax(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "n", "event_type"], ascending=[True, False, True])
-        out = g.drop_duplicates("user_id")[["user_id", "event_type", "n"]]
-        return out.rename(columns={"event_type": "mode_type"})
-
-    out = (
-        counts.map_batches(_add_user_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(lambda g: _argmax(g.drop(columns="__bucket")), batch_format="pandas")
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-    out["user_id"] = out["user_id"].astype("int64")
-    out["n"] = out["n"].astype("int64")
-    return out
-
-
-MODE_EVENT_TYPE_SQL = """
-SELECT user_id, event_type AS mode_type, n FROM (
-  SELECT user_id, event_type, CAST(count(*) AS BIGINT) AS n,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY count(*) DESC, event_type) AS rn
-  FROM events GROUP BY user_id, event_type
-) WHERE rn = 1 ORDER BY user_id
-"""
-
-
-def session_busy_overlap(sf_dir: str) -> pd.DataFrame:
-    """INTERVAL OVERLAP JOIN: per user, total time their sessions
-    (30-min-gap sessionization) spent inside globally 'busy' hours
-    (hours with above-average event volume) — the
-    contention/attribution join between a per-key interval set and a
-    small global window set, the genomics/observability range-join
-    shape Ray Data has no operator for.
-
-    Scale shape: busy hours derive distributed (hour counts are
-    bounded by the stream's time extent) and broadcast as a sorted
-    int64 array; the join itself never materializes pairs — because
-    the windows are DISJOINT and equal width, the overlap of a
-    session [s, e] with their union is F(e) - F(s) where
-    F(x) = i*W + clamp(x - a_i, 0, W) (i = searchsorted), evaluated
-    over all sessions in a bucket in two vectorized calls. One
-    user-bucket shuffle total, zero pair expansion."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-
-    hourly = (
-        ds.map_batches(
-            lambda df: df.assign(h=df["ts"].dt.floor("h"))
-            .groupby("h", as_index=False)
-            .size(),
-            batch_format="pandas",
-        )
-        .to_pandas()
-        .groupby("h", as_index=False)["size"].sum()
-    )
-    avg = float(hourly["size"].sum()) / len(hourly)
-    busy = np.sort(
-        hourly.loc[hourly["size"] > avg, "h"].to_numpy("datetime64[us]").astype("int64")
-    )
-    w_us = np.int64(3_600_000_000)
-
-    def _measure_below(x: np.ndarray) -> np.ndarray:
-        """Total busy measure below each x (us)."""
-        i = np.searchsorted(busy, x, side="right") - 1
-        base = np.maximum(i, 0).astype("int64") * w_us
-        part = np.clip(x - busy[np.maximum(i, 0)], 0, w_us)
-        return np.where(i >= 0, base + part, 0)
-
-    def _overlap(g: pd.DataFrame) -> pd.DataFrame:
-        if len(busy) == 0 or g.empty:
-            return pd.DataFrame({"user_id": [], "overlap_us": []})
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy("datetime64[us]").astype("int64")
-        new_user = np.concatenate(([True], u[1:] != u[:-1]))
-        gap = np.concatenate(
-            ([False], (ts[1:] - ts[:-1]) > np.int64(SESSION_GAP_MIN * 60) * 1_000_000)
-        )
-        sess = np.cumsum(new_user | gap)
-        d = pd.DataFrame({"user_id": u, "sess": sess, "ts": ts})
-        spans = d.groupby("sess", as_index=False).agg(
-            user_id=("user_id", "first"), s=("ts", "min"), e=("ts", "max")
-        )
-        ov = _measure_below(spans["e"].to_numpy()) - _measure_below(spans["s"].to_numpy())
-        spans["overlap_us"] = ov
-        out = spans.groupby("user_id", as_index=False)["overlap_us"].sum()
-        return out[out["overlap_us"] > 0]
-
-    parts = (
-        ds.map_batches(_add_user_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(lambda g: _overlap(g.drop(columns="__bucket")), batch_format="pandas")
-        .to_pandas()
-    )
-    if parts.empty:
-        return pd.DataFrame(
-            {"user_id": pd.Series(dtype="int64"),
-             "overlap_us": pd.Series(dtype="int64")}
-        )
-    out = parts.groupby("user_id", as_index=False)["overlap_us"].sum()
-    out = out[out["overlap_us"] > 0]
-    out["user_id"] = out["user_id"].astype("int64")
-    out["overlap_us"] = out["overlap_us"].astype("int64")
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-SESSION_BUSY_OVERLAP_SQL = """
-WITH marked AS (
-  SELECT user_id, ts, event_id,
-         CASE WHEN lag(ts) OVER w IS NULL
-                   OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-              THEN 1 ELSE 0 END AS new_sess
-  FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-),
-sess_rows AS (
-  SELECT user_id, ts,
-         sum(new_sess) OVER (PARTITION BY user_id ORDER BY ts, event_id
-             ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS sid
-  FROM marked
-),
-sess AS (
-  SELECT user_id, sid, min(ts) AS s, max(ts) AS e
-  FROM sess_rows GROUP BY user_id, sid
-),
-hourly AS (
-  SELECT date_trunc('hour', ts) AS h, count(*) AS n FROM events GROUP BY 1
-),
-busy AS (
-  SELECT h FROM hourly
-  WHERE n > (SELECT CAST(count(*) AS DOUBLE)
-                    / count(DISTINCT date_trunc('hour', ts)) FROM events)
-)
-SELECT user_id,
-       CAST(sum(greatest(0, date_diff('microsecond',
-                 greatest(s, h), least(e, h + INTERVAL 1 HOUR)))) AS BIGINT)
-           AS overlap_us
-FROM sess JOIN busy ON s < h + INTERVAL 1 HOUR AND e > h
-GROUP BY user_id HAVING sum(greatest(0, date_diff('microsecond',
-         greatest(s, h), least(e, h + INTERVAL 1 HOUR)))) > 0
-ORDER BY user_id
-"""
-
-
-def mutual_info_type_dow(sf_dir: str) -> pd.DataFrame:
-    """MUTUAL INFORMATION between event type and ISO day-of-week —
-    the information-theoretic complement to :func:`chi2_type_dow`
-    (chi2 says "dependent?", MI says "how many bits?"). The joint
-    (type, isodow) contingency table is a bounded-cardinality
-    aggregate (types x 7), reduced from per-batch partials; the MI
-    sum over the table is driver math in nats, rounded to 6."""
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = pd.DataFrame(
-            {"event_type": df["event_type"],
-             "isodow": df["ts"].dt.isocalendar().day.astype("int64")}
-        )
-        return d.groupby(["event_type", "isodow"], as_index=False).size().rename(
-            columns={"size": "n"}
-        )
-
-    parts = ds.map_batches(_partial, batch_format="pandas").to_pandas()
-    joint = parts.groupby(["event_type", "isodow"], as_index=False)["n"].sum()
-    total = joint["n"].sum()
-    px = joint.groupby("event_type")["n"].sum() / total
-    py = joint.groupby("isodow")["n"].sum() / total
-    pxy = joint["n"] / total
-    mi = float(
-        np.sum(
-            pxy
-            * np.log(
-                pxy
-                / (joint["event_type"].map(px).to_numpy() * joint["isodow"].map(py).to_numpy())
-            )
-        )
-    )
-    return pd.DataFrame({"mi_nats": [round(mi, 6)]})
-
-
-MUTUAL_INFO_TYPE_DOW_SQL = """
-WITH j AS (
-  SELECT event_type, isodow(ts) AS isodow, count(*) AS n
-  FROM events GROUP BY 1, 2
-),
-tot AS (SELECT sum(n) AS t FROM j),
-px AS (SELECT event_type, sum(n) AS nx FROM j GROUP BY 1),
-py AS (SELECT isodow, sum(n) AS ny FROM j GROUP BY 1)
-SELECT round(sum(
-  (j.n / tot.t) * ln((j.n / tot.t) / ((px.nx / tot.t) * (py.ny / tot.t)))
-), 6) AS mi_nats
-FROM j
-CROSS JOIN tot
-JOIN px ON j.event_type = px.event_type
-JOIN py ON j.isodow = py.isodow
-"""
-
-
-def events_hourly_interpolated(sf_dir: str) -> pd.DataFrame:
-    """Gap fill with LINEAR INTERPOLATION: the per-type hourly mean
-    value over the full hour spine, missing hours interpolated
-    between their nearest present neighbors (edges extend) — the
-    time-series regularization :func:`events_hourly_filled` (zero
-    fill) can't do, feeding anything that needs an equally-spaced
-    series. (type, hour) sums/counts reduce through the bucketed
-    aggregate; the spine bounds are two scalar aggregates; the
-    interpolation is searchsorted arithmetic per type inside ONE
-    type-bucket shuffle (types are a tiny dimension — the per-type
-    loop inside a bucket is over that dimension, not over rows).
-    The pv + (nv - pv) * ratio association mirrors the SQL window
-    formula bit-for-bit."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
-    lo = pd.Timestamp(ds.min("ts")).floor("h")
-    hi = pd.Timestamp(ds.max("ts")).floor("h")
-    spine = pd.date_range(lo, hi, freq="h").to_numpy("datetime64[us]")
-    spine_i = spine.astype("int64")
-
-    def _add_hour(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"event_type": df["event_type"],
-             "hour": df["ts"].dt.floor("h"), "value": df["value"]}
-        )
-
-    hourly = bucketed_aggregate(
-        ds.map_batches(_add_hour, batch_format="pandas"),
-        ["event_type", "hour"],
-        {"s": ("value", "sum"), "c": ("value", "size")},
-        num_buckets=8,
-    )
-
-    def _tb(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__bucket", errors="ignore").copy()
-        df["__tb"] = (
-            pd.util.hash_pandas_object(df["event_type"], index=False).to_numpy() % 8
-        ).astype("int64")
-        return df
-
-    def _interp(g: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for et, t in g.groupby("event_type", sort=False):
-            t = t.sort_values("hour")
-            hp = t["hour"].to_numpy("datetime64[us]").astype("int64")
-            vp = (t["s"].to_numpy("float64") / t["c"].to_numpy("float64"))
-            prev = np.searchsorted(hp, spine_i, side="right") - 1
-            nxt = np.searchsorted(hp, spine_i, side="left")
-            has_prev = prev >= 0
-            has_next = nxt < len(hp)
-            pv = vp[np.maximum(prev, 0)]
-            ph = hp[np.maximum(prev, 0)]
-            nv = vp[np.minimum(nxt, len(hp) - 1)]
-            nh = hp[np.minimum(nxt, len(hp) - 1)]
-            present = has_prev & (ph == spine_i)
-            ratio = np.divide(
-                (spine_i - ph).astype("float64"),
-                (nh - ph).astype("float64"),
-                out=np.zeros(len(spine_i)),
-                where=(nh != ph),
-            )
-            interp = pv + (nv - pv) * ratio
-            v = np.where(
-                present, pv,
-                np.where(~has_prev, nv, np.where(~has_next, pv, interp)),
-            )
-            outs.append(pd.DataFrame(
-                {"event_type": et, "hour": spine, "v_filled": np.round(v, 6)}
-            ))
-        return pd.concat(outs, ignore_index=True)
-
-    out = (
-        hourly.map_batches(_tb, batch_format="pandas")
-        .groupby("__tb")
-        .map_groups(lambda g: _interp(g.drop(columns="__tb")), batch_format="pandas")
-        .to_pandas()
-        .sort_values(["event_type", "hour"])
-        .reset_index(drop=True)
-    )
-    return out
-
-
-EVENTS_HOURLY_INTERPOLATED_SQL = """
-WITH spine AS (
-  SELECT t.event_type, h.h
-  FROM (SELECT DISTINCT event_type FROM events) t
-  CROSS JOIN (
-    SELECT unnest(generate_series(
-      (SELECT date_trunc('hour', min(ts)) FROM events),
-      (SELECT date_trunc('hour', max(ts)) FROM events),
-      INTERVAL 1 HOUR)) AS h
-  ) h
-),
-hourly AS (
-  SELECT event_type, date_trunc('hour', ts) AS h, avg(value) AS v
-  FROM events GROUP BY 1, 2
-),
-j AS (
-  SELECT s.event_type, s.h, v FROM spine s
-  LEFT JOIN hourly USING (event_type, h)
-),
-f AS (
-  SELECT event_type, h, v,
-    last_value(v IGNORE NULLS) OVER
-      (PARTITION BY event_type ORDER BY h
-       ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS pv,
-    last_value(CASE WHEN v IS NOT NULL THEN h END IGNORE NULLS) OVER
-      (PARTITION BY event_type ORDER BY h
-       ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS ph,
-    first_value(v IGNORE NULLS) OVER
-      (PARTITION BY event_type ORDER BY h
-       ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING) AS nv,
-    first_value(CASE WHEN v IS NOT NULL THEN h END IGNORE NULLS) OVER
-      (PARTITION BY event_type ORDER BY h
-       ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING) AS nh
-  FROM j
-)
-SELECT event_type, h AS hour,
-  round(CASE WHEN v IS NOT NULL THEN v
-             WHEN pv IS NULL THEN nv
-             WHEN nv IS NULL THEN pv
-             ELSE pv + (nv - pv) * (date_diff('second', ph, h)
-                                    / date_diff('second', ph, nh))
-        END, 6) AS v_filled
-FROM f ORDER BY event_type, hour
-"""
-
-
-def user_max_drawdown(sf_dir: str) -> pd.DataFrame:
-    """Running-extreme window: per user, the MAX DRAWDOWN of their
-    cumulative value series (peak-to-trough drop of the running sum
-    ordered by (ts, event_id)) — the risk/health metric shape that
-    needs two nested windows (running sum, then running max of it).
-    One user-bucket shuffle; inside a bucket the cumulative sum and
-    running max are segment-aware vectorized ops over ALL users' rows
-    (pandas groupby cumsum/cummax — C loops, not per-user Python)."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "value"])
-
-    def _dd(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        cum = g.groupby("user_id", sort=False)["value"].cumsum()
-        g = g.assign(cum=cum)
-        peak = g.groupby("user_id", sort=False)["cum"].cummax()
-        g = g.assign(dd=peak - cum)
-        out = g.groupby("user_id", as_index=False)["dd"].max()
-        return out.rename(columns={"dd": "max_drawdown"})
-
-    out = (
-        ds.map_batches(_add_user_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(lambda g: _dd(g.drop(columns="__bucket")), batch_format="pandas")
-        .to_pandas()
-        .sort_values("user_id")
-        .reset_index(drop=True)
-    )
-    out["user_id"] = out["user_id"].astype("int64")
-    out["max_drawdown"] = out["max_drawdown"].round(6)
-    return out
-
-
-USER_MAX_DRAWDOWN_SQL = """
-WITH s AS (
-  SELECT user_id, ts, event_id,
-         sum(value) OVER (PARTITION BY user_id ORDER BY ts, event_id
-             ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) AS cum
-  FROM events
-),
-d AS (
-  SELECT user_id,
-         max(cum) OVER (PARTITION BY user_id ORDER BY ts, event_id
-             ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) - cum AS dd
-  FROM s
-)
-SELECT user_id, round(max(dd), 6) AS max_drawdown
-FROM d GROUP BY user_id ORDER BY user_id
-"""
-
-
-def time_to_convert_stats(sf_dir: str) -> pd.DataFrame:
-    """Conversion LATENCY: per user, the gap from their FIRST signup
-    to the first purchase at-or-after it; reported as corpus-level
-    (n_converted, avg/min/max gap) — the time-to-value metric behind
-    every activation dashboard, a two-event temporal pattern match
-    (:func:`funnel_signup_purchase` counts WHO converts; this measures
-    HOW FAST). One user-bucket shuffle; first-signup and
-    first-qualifying-purchase resolve vectorized per bucket (groupby
-    min + searchsorted-free merge filter); only per-bucket scalar
-    partials (exact integer sums in microseconds) reach the driver."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-
-    def _gaps(g: pd.DataFrame) -> pd.DataFrame:
-        s = (
-            g[g["event_type"] == "signup"]
-            .groupby("user_id", as_index=False)["ts"].min()
-            .rename(columns={"ts": "s"})
-        )
-        p = g[g["event_type"] == "purchase"][["user_id", "ts"]].merge(s, on="user_id")
-        p = p[p["ts"] >= p["s"]]
-        if p.empty:
-            return pd.DataFrame({"n": [], "sum_us": [], "min_us": [], "max_us": []})
-        first_p = p.groupby("user_id", as_index=False)["ts"].min().merge(s, on="user_id")
-        gap = (
-            first_p["ts"].to_numpy("datetime64[us]").astype("int64")
-            - first_p["s"].to_numpy("datetime64[us]").astype("int64")
-        )
-        return pd.DataFrame(
-            {"n": [len(gap)], "sum_us": [int(gap.sum())],
-             "min_us": [int(gap.min())], "max_us": [int(gap.max())]}
-        )
-
-    parts = (
-        ds.map_batches(_add_user_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(lambda g: _gaps(g.drop(columns="__bucket")), batch_format="pandas")
-        .to_pandas()
-    )
-    n = int(parts["n"].sum())
-    if n == 0:
-        return pd.DataFrame(
-            {"n_converted": [0], "avg_gap_s": [float("nan")],
-             "min_gap_us": [0], "max_gap_us": [0]}
-        )
-    return pd.DataFrame(
-        {"n_converted": [n],
-         "avg_gap_s": [round(float(parts["sum_us"].sum()) / n / 1_000_000.0, 6)],
-         "min_gap_us": [int(parts["min_us"].min())],
-         "max_gap_us": [int(parts["max_us"].max())]}
-    )
-
-
-TIME_TO_CONVERT_STATS_SQL = """
-WITH s AS (
-  SELECT user_id, min(ts) AS s FROM events
-  WHERE event_type = 'signup' GROUP BY user_id
-),
-p AS (
-  SELECT e.user_id, min(e.ts) AS p
-  FROM events e JOIN s ON e.user_id = s.user_id
-  WHERE e.event_type = 'purchase' AND e.ts >= s.s
-  GROUP BY e.user_id
-),
-g AS (
-  SELECT date_diff('microsecond', s.s, p.p) AS gap_us
-  FROM s JOIN p ON s.user_id = p.user_id
-)
-SELECT CAST(count(*) AS BIGINT) AS n_converted,
-       round(sum(gap_us) / count(*) / 1000000.0, 6) AS avg_gap_s,
-       CAST(min(gap_us) AS BIGINT) AS min_gap_us,
-       CAST(max(gap_us) AS BIGINT) AS max_gap_us
-FROM g
-"""
-
-
-def abandoned_views(sf_dir: str, window_min: int = 60) -> pd.DataFrame:
-    """Windowed ANTI-JOIN: per user, how many of their 'view' events
-    had NO 'purchase' within the following ``window_min`` minutes —
-    the abandonment metric, a NOT EXISTS over a time band (the
-    negative-space counterpart of :func:`event_pair_window_counts`).
-    One user-bucket shuffle; inside a bucket, each user's purchase
-    timestamps project onto a per-user monotone offset line (same
-    trick as the banded self-join) and ONE ``searchsorted`` per side
-    decides every view's window emptiness vectorized."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    w_us = np.int64(window_min * 60 * 1_000_000)
-
-    def _abandoned(g: pd.DataFrame) -> pd.DataFrame:
-        v = g[g["event_type"] == "view"]
-        p = g[g["event_type"] == "purchase"]
-        if v.empty:
-            return pd.DataFrame({"user_id": [], "n_views": [], "n_abandoned": []})
-        users = np.sort(pd.unique(g["user_id"]))
-        uidx = {u: i for i, u in enumerate(users)}
-        all_ts = g["ts"].to_numpy("datetime64[us]").astype("int64")
-        lo_i = np.int64(all_ts.min())
-        big = np.int64(all_ts.max() - lo_i) + w_us + 1
-
-        def key(df: pd.DataFrame) -> np.ndarray:
-            ts = df["ts"].to_numpy("datetime64[us]").astype("int64")
-            return df["user_id"].map(uidx).to_numpy("int64") * big + (ts - lo_i)
-
-        vk = key(v)
-        pk = np.sort(key(p))
-        # purchase strictly after the view, within the window:
-        # (vk, vk + w] on the same user's offset line
-        n_in = np.searchsorted(pk, vk + w_us, side="right") - np.searchsorted(
-            pk, vk, side="right"
-        )
-        d = pd.DataFrame(
-            {"user_id": v["user_id"].to_numpy("int64"),
-             "abandoned": (n_in == 0).astype("int64")}
-        )
-        out = d.groupby("user_id", as_index=False).agg(
-            n_views=("abandoned", "size"), n_abandoned=("abandoned", "sum")
-        )
-        return out
-
-    parts = (
-        ds.map_batches(_add_user_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(lambda g: _abandoned(g.drop(columns="__bucket")), batch_format="pandas")
-        .to_pandas()
-    )
-    out = parts.groupby("user_id", as_index=False)[["n_views", "n_abandoned"]].sum()
-    out["user_id"] = out["user_id"].astype("int64")
-    out["n_views"] = out["n_views"].astype("int64")
-    out["n_abandoned"] = out["n_abandoned"].astype("int64")
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-def abandoned_views_sql(window_min: int = 60) -> str:
-    return f"""
-SELECT v.user_id, CAST(count(*) AS BIGINT) AS n_views,
-       CAST(count(*) FILTER (WHERE NOT EXISTS (
-         SELECT 1 FROM events p
-         WHERE p.user_id = v.user_id AND p.event_type = 'purchase'
-           AND p.ts > v.ts AND p.ts <= v.ts + INTERVAL {window_min} MINUTE
-       )) AS BIGINT) AS n_abandoned
-FROM events v WHERE v.event_type = 'view'
-GROUP BY v.user_id ORDER BY v.user_id
-"""
-
-
-ABANDONED_VIEWS_SQL = abandoned_views_sql()
-
-
-def hourly_autocorr_by_type(sf_dir: str) -> pd.DataFrame:
-    """Lag-1 AUTOCORRELATION of the hourly count series per event
-    type — the seasonality/burstiness fingerprint (white noise -> 0,
-    trending/bursty -> 1) and the first diagnostic before fitting any
-    forecast. Hourly counts reduce through the bucketed aggregate over
-    the FULL hour spine (missing hours count 0 — zero-fill changes
-    the statistic and the spine makes both sides agree); the lag
-    pairing and Pearson correlation are vectorized per type inside one
-    type-bucket shuffle (types are a tiny dimension)."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "events", columns=["event_type", "ts"])
-    lo = pd.Timestamp(ds.min("ts")).floor("h")
-    hi = pd.Timestamp(ds.max("ts")).floor("h")
-    spine = pd.date_range(lo, hi, freq="h").to_numpy("datetime64[us]").astype("int64")
-
-    hourly = bucketed_aggregate(
-        ds.map_batches(
-            lambda df: pd.DataFrame(
-                {"event_type": df["event_type"], "hour": df["ts"].dt.floor("h")}
-            ),
-            batch_format="pandas",
-        ),
-        ["event_type", "hour"],
-        {"n": ("hour", "size")},
-        num_buckets=8,
-    )
-
-    def _tb(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__bucket", errors="ignore").copy()
-        df["__tb"] = (
-            pd.util.hash_pandas_object(df["event_type"], index=False).to_numpy() % 8
-        ).astype("int64")
-        return df
-
-    def _acf(g: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for et, t in g.groupby("event_type", sort=False):
-            hp = t["hour"].to_numpy("datetime64[us]").astype("int64")
-            full = np.zeros(len(spine), dtype="float64")
-            full[np.searchsorted(spine, hp)] = t["n"].to_numpy("float64")
-            x, y = full[:-1], full[1:]
-            sx, sy = x.std(), y.std()
-            r = float(np.corrcoef(x, y)[0, 1]) if sx > 0 and sy > 0 else float("nan")
-            rows.append((et, round(r, 6)))
-        return pd.DataFrame(rows, columns=["event_type", "acf1"])
-
-    out = (
-        hourly.map_batches(_tb, batch_format="pandas")
-        .groupby("__tb")
-        .map_groups(lambda g: _acf(g.drop(columns="__tb")), batch_format="pandas")
-        .to_pandas()
-        .sort_values("event_type")
-        .reset_index(drop=True)
-    )
-    return out
-
-
-HOURLY_AUTOCORR_BY_TYPE_SQL = """
-WITH spine AS (
-  SELECT t.event_type, h.h
-  FROM (SELECT DISTINCT event_type FROM events) t
-  CROSS JOIN (
-    SELECT unnest(generate_series(
-      (SELECT date_trunc('hour', min(ts)) FROM events),
-      (SELECT date_trunc('hour', max(ts)) FROM events),
-      INTERVAL 1 HOUR)) AS h
-  ) h
-),
-hourly AS (
-  SELECT event_type, date_trunc('hour', ts) AS h, count(*) AS n
-  FROM events GROUP BY 1, 2
-),
-series AS (
-  SELECT s.event_type, s.h, CAST(coalesce(n, 0) AS DOUBLE) AS n
-  FROM spine s LEFT JOIN hourly USING (event_type, h)
-),
-lagged AS (
-  SELECT event_type, n AS x,
-         lead(n) OVER (PARTITION BY event_type ORDER BY h) AS y
-  FROM series
-)
-SELECT event_type, round(corr(x, y), 6) AS acf1
-FROM lagged WHERE y IS NOT NULL
-GROUP BY event_type ORDER BY event_type
-"""
 
 
 def user_activity_streaks(sf_dir: str) -> pd.DataFrame:
@@ -3359,7 +2541,7 @@ def rolling_corr_daily(sf_dir: str, window: int = 7) -> pd.DataFrame:
     the result-sized daily series. Only full windows are emitted
     (partial leading windows are alignment-ambiguous across engines).
     """
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
@@ -3665,7 +2847,7 @@ def cuped_value_adjustment(sf_dir: str) -> pd.DataFrame:
     (pre, post) pairs; a second pass reduces the five moment partials
     (sums of pre, post, pre^2, post^2, pre*post), so only O(batches)
     scalar rows reach the driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
@@ -3755,7 +2937,7 @@ def wilcoxon_signed_rank_prepost(sf_dir: str, n_range_buckets: int = 64) -> pd.D
     midrank reduction is the shared range-bucket histogram machinery
     (relational._rank_sum_stats) over x = |d| with group A = {d > 0},
     so W+ is exactly the rank-sum the estimator needs."""
-    from ocr_analytics.relational import _rank_sum_stats, bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import _rank_sum_stats, bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
@@ -3853,7 +3035,7 @@ def two_proportion_conversion(sf_dir: str) -> pd.DataFrame:
 
     Distributed: one bucketed per-user aggregate (max purchase flag);
     the four arm counters reduce from per-batch partials."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -3930,7 +3112,7 @@ def view_then_purchase_days(sf_dir: str) -> pd.DataFrame:
     extremes per cell, so ONE bucketed per-(user, day) aggregate
     answers a pattern query that naively needs a within-group
     self-join."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
@@ -4000,7 +3182,7 @@ def score_decile_lift(sf_dir: str) -> pd.DataFrame:
     ROW_NUMBER primitive (relational._global_rank — range buckets +
     prefix offsets, no global sort); decile confusion partials reduce
     per batch."""
-    from ocr_analytics.relational import _global_rank, bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import _global_rank, bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -4094,7 +3276,7 @@ def fano_factor_hourly_by_type(sf_dir: str) -> pd.DataFrame:
     monitor should know about. The heavy reduce is the bucketed
     (type, hour) count; the spine fill and moments run on the
     result-sized grid."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
     lo = pd.Timestamp(ds.min("ts")).floor("h")
@@ -4259,7 +3441,7 @@ def view_purchase_lag_xcorr(sf_dir: str, max_lag: int = 24) -> pd.DataFrame:
     cause-precedes-effect screen for event streams. The bucketed
     (type, hour) count is the only heavy reduce; the 25 lagged
     correlations run on the result-sized spine."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"]).map_batches(
         lambda df: df[df["event_type"].isin(["view", "purchase"])], batch_format="pandas"
@@ -4398,7 +3580,7 @@ def ab_power_mde(sf_dir: str) -> pd.DataFrame:
     (z_a + z_b) * se with the fixed normal constants 1.96 and 0.84 —
     the go/no-go number an experimenter reads before launching. Same
     one-pass per-user reduce as two_proportion_conversion."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -4518,7 +3700,7 @@ def routine_users_entropy(sf_dir: str, k: int = 10, min_events: int = 20) -> pd.
     user_id. Per-(user, hour) counts reduce through ONE bucketed
     aggregate; the per-user entropy is a vectorized groupby over the
     (user, 24) grid inside each user bucket."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
@@ -4760,7 +3942,7 @@ def quantile_treatment_effect(sf_dir: str, n_range_buckets: int = 128) -> pd.Dat
     readout (diff_in_diff_value) cannot see. Exact per-arm order
     statistics via the shared two-pass (arm, range-bucket) grid
     selection."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
     per_user = bucketed_aggregate(
@@ -4876,7 +4058,7 @@ def matched_att_value(sf_dir: str) -> pd.DataFrame:
     vectorized searchsorted against the broadcast sorted B-arm
     (user-scale broadcast — the documented small-side ceiling; range
     co-partitioning is the beyond-broadcast path)."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
@@ -4972,7 +4154,7 @@ def burst_minutes(sf_dir: str, k: int = 5) -> pd.DataFrame:
     level). The minute histogram reduces through one bucketed
     aggregate; the surprise math uses Stirling-free exact terms
     (lgamma) on the k winners."""
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
     import math
 
     ds = _read(sf_dir, "events", columns=["ts"])
@@ -5152,7 +4334,7 @@ def lognormal_fit_user_value(sf_dir: str) -> pd.DataFrame:
     exp(mu) and mean exp(mu + sigma^2/2) — the standard heavy-tail
     parameterization for LTV planning. One bucketed per-user
     aggregate, then scalar log-moment partials."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
     per_user = bucketed_aggregate(
@@ -5205,7 +4387,7 @@ def cvm_arm_event_counts(sf_dir: str) -> pd.DataFrame:
     distribution, not just the max gap). Counts are integers, so the
     value-domain histogram is exact: one bucketed per-user count, a
     tiny (count-value, arm) histogram, and the CDF walk on its rows."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id"])
     per_user = bucketed_aggregate(
@@ -5284,7 +4466,7 @@ def user_sequence_edit_distance(sf_dir: str, n_users: int = 5) -> pd.DataFrame:
     session-alignment primitive behind journey clustering. Sequences
     assemble in one filtered pass (per-user vectorized concat);
     the pairwise DP runs on the 10 result-sized pairs."""
-    from ocr_analytics.relational import _levenshtein
+    from ocr_pipeline_ray.pipelines.relational import _levenshtein
 
     users = (
         _read(sf_dir, "events", columns=["user_id"])
@@ -5456,7 +4638,7 @@ def user_day_surprise(sf_dir: str, k: int = 10) -> pd.DataFrame:
     the same rows; lgamma-exact scoring on the winners."""
     import math
 
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
     lo = pd.Timestamp(ds.min("ts")).normalize()
@@ -5533,7 +4715,7 @@ def capture_recapture_users(sf_dir: str) -> pd.DataFrame:
     estimator data teams use when no registry exists. Per-user flags
     reduce through one bucketed aggregate; four counters reach the
     driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
     per = bucketed_aggregate(
@@ -5684,7 +4866,7 @@ def first_before_first_support(sf_dir: str) -> pd.DataFrame:
     vectorized inside each user-bucket group (per-bucket pivot +
     pairwise comparison) emitting (type_a, type_b, count) partials —
     only the tiny type x type matrix reaches the driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     num_buckets = 32
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
@@ -5741,560 +4923,6 @@ ORDER BY 1, 2
 """
 
 
-def bowker_transition_symmetry(sf_dir: str) -> pd.DataFrame:
-    """Bowker's test of symmetry on the user event-type transition
-    matrix — the k x k generalization of McNemar: is P(a -> b) the
-    same as P(b -> a) for every unordered type pair?
-    chi2 = SUM_{i<j} (n_ij - n_ji)^2 / (n_ij + n_ji) over pairs with
-    any traffic; df = number of such pairs. A significant chi2 means
-    the event flow has a preferred direction (e.g. view -> purchase
-    happens, purchase -> view doesn't).
-
-    Reuses the event_transitions shape: per-user-bucket vectorized
-    adjacent pairs, ONE (prev, next) count grid (k^2 <= 25 cells) to
-    the driver, exact integers to the final division."""
-    counts = event_transitions(sf_dir)
-    pivot = counts.pivot(index="prev_type", columns="next_type", values="n").fillna(0)
-    types = sorted(set(pivot.index) | set(pivot.columns))
-    pivot = pivot.reindex(index=types, columns=types, fill_value=0).astype("int64")
-    m = pivot.to_numpy()
-    chi2 = 0.0
-    df = 0
-    for i in range(len(types)):
-        for j in range(i + 1, len(types)):
-            tot = int(m[i, j] + m[j, i])
-            if tot == 0:
-                continue
-            d = int(m[i, j] - m[j, i])
-            chi2 += d * d / tot
-            df += 1
-    return pd.DataFrame(
-        {
-            "df": pd.Series([df], dtype="int64"),
-            "chi2": [round(chi2, 6)],
-        }
-    )
-
-
-BOWKER_TRANSITION_SYMMETRY_SQL = """
-WITH seq AS (
-  SELECT event_type,
-         lag(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS prev_type
-  FROM events
-),
-t AS (
-  SELECT prev_type, event_type AS next_type, count(*) AS n
-  FROM seq WHERE prev_type IS NOT NULL
-  GROUP BY 1, 2
-),
-p AS (
-  SELECT a.prev_type AS i, a.next_type AS j,
-         a.n AS nij, coalesce(b.n, 0) AS nji
-  FROM t a LEFT JOIN t b ON b.prev_type = a.next_type AND b.next_type = a.prev_type
-  WHERE a.prev_type < a.next_type
-),
-q AS (
-  SELECT i, j, nij + nji AS tot, nij - nji AS d FROM p
-  UNION ALL
-  SELECT b.next_type, b.prev_type, b.n, -CAST(b.n AS BIGINT)
-  FROM t b
-  LEFT JOIN t a ON a.prev_type = b.next_type AND a.next_type = b.prev_type
-  WHERE b.prev_type > b.next_type AND a.prev_type IS NULL
-)
-SELECT CAST(count(*) AS BIGINT) AS df,
-       round(sum(d * d * 1.0 / tot), 6) AS chi2
-FROM q WHERE tot > 0
-"""
-
-
-def ks_exponential_interarrival(sf_dir: str) -> pd.DataFrame:
-    """One-sample Kolmogorov-Smirnov goodness-of-fit of per-user
-    event inter-arrival gaps (floor seconds) against an exponential
-    with the rate fitted from the sample mean: D = max over the gap
-    value domain of the two-sided step distance
-    |F_emp - (1 - exp(-lambda*t))| — "are arrivals Poisson?" asked
-    properly, complementing the count-based poisson_gof_linecount.
-
-    Distributed: per-user-bucket vectorized consecutive diffs (user
-    boundaries masked) reduce to ONE (gap_seconds -> count) histogram;
-    the exact integer sums give lambda and the cumulative scan + max
-    run on the result-sized value domain."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-
-    def _gaps_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"])
-        u = g["user_id"].to_numpy()
-        t = g["ts"].to_numpy("datetime64[us]").astype("int64")
-        if len(u) < 2:
-            return pd.DataFrame({"gap": pd.Series(dtype="int64"), "c": pd.Series(dtype="int64")})
-        same = u[1:] == u[:-1]
-        gap = (t[1:] - t[:-1])[same] // 1_000_000
-        v, c = np.unique(gap, return_counts=True)
-        return pd.DataFrame({"gap": v.astype("int64"), "c": c.astype("int64")})
-
-    hist = (
-        bucketed_aggregate(
-            ds.map_batches(_add_user_bucket, batch_format="pandas")
-            .groupby("__bucket")
-            .map_groups(_gaps_bucket, batch_format="pandas"),
-            ["gap"],
-            {"c": ("c", "sum")},
-            num_buckets=8,
-        )
-        .to_pandas()
-        .sort_values("gap")
-        .reset_index(drop=True)
-    )
-    gap = hist["gap"].to_numpy("int64")
-    c = hist["c"].to_numpy("int64")
-    n = int(c.sum())
-    sg = int((gap * c).sum())
-    lam = n * 1.0 / sg
-    cum = np.cumsum(c)
-    fexp = 1 - np.exp(-lam * gap.astype("float64"))
-    d = np.maximum(
-        np.abs(cum * 1.0 / n - fexp), np.abs((cum - c) * 1.0 / n - fexp)
-    )
-    return pd.DataFrame(
-        {
-            "n_gaps": pd.Series([n], dtype="int64"),
-            "mean_gap_s": [round(sg * 1.0 / n, 6)],
-            "ks_d": [round(float(d.max()), 6)],
-        }
-    )
-
-
-KS_EXPONENTIAL_INTERARRIVAL_SQL = """
-WITH s AS (
-  SELECT ts, lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS pts
-  FROM events
-),
-g AS (
-  SELECT date_diff('microsecond', pts, ts) // 1000000 AS gap
-  FROM s WHERE pts IS NOT NULL
-),
-h AS (SELECT gap, count(*) AS c FROM g GROUP BY gap),
-st AS (SELECT sum(c) AS n, sum(gap * c) AS sg FROM h),
-k AS (SELECT gap, c, sum(c) OVER (ORDER BY gap) AS cum FROM h),
-d AS (
-  SELECT greatest(
-           abs(cum * 1.0 / st.n - (1 - exp(-(st.n * 1.0 / st.sg) * gap))),
-           abs((cum - c) * 1.0 / st.n - (1 - exp(-(st.n * 1.0 / st.sg) * gap)))
-         ) AS dd
-  FROM k, st
-)
-SELECT (SELECT CAST(n AS BIGINT) FROM st) AS n_gaps,
-       (SELECT round(sg * 1.0 / n, 6) FROM st) AS mean_gap_s,
-       round(max(dd), 6) AS ks_d
-FROM d
-"""
-
-
-def granger_views_purchases(sf_dir: str) -> pd.DataFrame:
-    """Lag-1 Granger causality test: do yesterday's VIEW counts help
-    predict today's PURCHASE counts beyond yesterday's purchases?
-    Restricted OLS p_t ~ p_{t-1} vs unrestricted p_t ~ p_{t-1} +
-    v_{t-1} over the zero-filled daily grid;
-    F = (SSE_r - SSE_u) / (SSE_u / (n - 3)) — the inferential upgrade
-    of the view->purchase lag cross-correlation query.
-
-    Distributed: ONE bucketed (day, type) count grid; the zero-filled
-    day series, the exact integer moment sums and the closed-form
-    1- and 2-regressor fits run on the result-sized series
-    identically on both engines."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-
-    def _prep(df: pd.DataFrame) -> pd.DataFrame:
-        sel = df["event_type"].isin(["view", "purchase"])
-        d = df[sel]
-        return pd.DataFrame(
-            {
-                "day": d["ts"].dt.normalize(),
-                "t": d["event_type"].to_numpy(object),
-                "one": np.ones(sel.sum(), dtype="int64"),
-            }
-        )
-
-    grid = (
-        bucketed_aggregate(
-            ds.map_batches(_prep, batch_format="pandas"),
-            ["day", "t"],
-            {"c": ("one", "sum")},
-            num_buckets=8,
-        )
-        .to_pandas()
-        .pivot(index="day", columns="t", values="c")
-    )
-    full_days = pd.date_range(grid.index.min(), grid.index.max(), freq="D")
-    grid = grid.reindex(full_days).fillna(0).astype("int64")
-    p = grid.get("purchase", pd.Series(0, index=grid.index)).to_numpy("int64")
-    v = grid.get("view", pd.Series(0, index=grid.index)).to_numpy("int64")
-    y, p1, v1 = p[1:], p[:-1], v[:-1]
-    n2 = len(y)
-    sy, sp1, sv1 = int(y.sum()), int(p1.sum()), int(v1.sum())
-    syy = int((y * y).sum())
-    syp1 = int((y * p1).sum())
-    syv1 = int((y * v1).sum())
-    sp1p1 = int((p1 * p1).sum())
-    sv1v1 = int((v1 * v1).sum())
-    sp1v1 = int((p1 * v1).sum())
-    cyy = syy - sy * 1.0 * sy / n2
-    cyp = syp1 - sy * 1.0 * sp1 / n2
-    cyv = syv1 - sy * 1.0 * sv1 / n2
-    cpp = sp1p1 - sp1 * 1.0 * sp1 / n2
-    cvv = sv1v1 - sv1 * 1.0 * sv1 / n2
-    cpv = sp1v1 - sp1 * 1.0 * sv1 / n2
-    sse_r = cyy - cyp * cyp / cpp
-    det = cpp * cvv - cpv * cpv
-    b1 = (cyp * cvv - cyv * cpv) / det
-    b2 = (cyv * cpp - cyp * cpv) / det
-    sse_u = cyy - b1 * cyp - b2 * cyv
-    f = (sse_r - sse_u) / (sse_u / (n2 - 3.0))
-    return pd.DataFrame(
-        {
-            "n": pd.Series([n2], dtype="int64"),
-            "beta_view_lag": [round(b2, 6)],
-            "f_stat": [round(f, 6)],
-        }
-    )
-
-
-GRANGER_VIEWS_PURCHASES_SQL = """
-WITH e AS (
-  SELECT CAST(ts AS DATE) AS day, event_type AS t, count(*) AS c
-  FROM events WHERE event_type IN ('view', 'purchase')
-  GROUP BY 1, 2
-),
-days AS (
-  SELECT unnest(generate_series((SELECT min(day) FROM e), (SELECT max(day) FROM e),
-                INTERVAL 1 DAY))::DATE AS day
-),
-g AS (
-  SELECT d.day,
-         coalesce(max(CASE WHEN e.t = 'purchase' THEN e.c END), 0) AS p,
-         coalesce(max(CASE WHEN e.t = 'view' THEN e.c END), 0) AS v
-  FROM days d LEFT JOIN e ON e.day = d.day
-  GROUP BY d.day
-),
-l AS (
-  SELECT p AS y,
-         lag(p) OVER (ORDER BY day) AS p1,
-         lag(v) OVER (ORDER BY day) AS v1
-  FROM g
-),
-m AS (
-  SELECT count(*) AS n2, sum(y) AS sy, sum(p1) AS sp1, sum(v1) AS sv1,
-         sum(y * y) AS syy, sum(y * p1) AS syp1, sum(y * v1) AS syv1,
-         sum(p1 * p1) AS sp1p1, sum(v1 * v1) AS sv1v1, sum(p1 * v1) AS sp1v1
-  FROM l WHERE p1 IS NOT NULL
-),
-c AS (
-  SELECT n2,
-         syy - sy * 1.0 * sy / n2 AS cyy,
-         syp1 - sy * 1.0 * sp1 / n2 AS cyp,
-         syv1 - sy * 1.0 * sv1 / n2 AS cyv,
-         sp1p1 - sp1 * 1.0 * sp1 / n2 AS cpp,
-         sv1v1 - sv1 * 1.0 * sv1 / n2 AS cvv,
-         sp1v1 - sp1 * 1.0 * sv1 / n2 AS cpv
-  FROM m
-),
-f AS (
-  SELECT n2, cyy - cyp * cyp / cpp AS sse_r,
-         (cyp * cvv - cyv * cpv) / (cpp * cvv - cpv * cpv) AS b1,
-         (cyv * cpp - cyp * cpv) / (cpp * cvv - cpv * cpv) AS b2,
-         cyy, cyp, cyv
-  FROM c
-)
-SELECT CAST(n2 AS BIGINT) AS n,
-       round(b2, 6) AS beta_view_lag,
-       round((sse_r - (cyy - b1 * cyp - b2 * cyv))
-             / ((cyy - b1 * cyp - b2 * cyv) / (n2 - 3.0)), 6) AS f_stat
-FROM f
-"""
-
-
-def taylor_law_slope(sf_dir: str) -> pd.DataFrame:
-    """Taylor's law (fluctuation scaling) across event streams: for
-    each (event_type, hour-of-day) series unit, the mean and variance
-    of its DAILY counts (zero days included); the slope of
-    log(variance) vs log(mean) across the ~120 units is Taylor's
-    exponent — 1 for Poisson-like traffic, ~2 for strongly clustered
-    traffic.
-
-    ONE bucketed (type, hour, day) count grid; per-unit moments come
-    from exact integer sums with the global day count supplied as a
-    scalar (zero-day correction in closed form), and the log-log OLS
-    runs on the unit-level table."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-
-    def _prep(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "t": df["event_type"].to_numpy(object),
-                "h": df["ts"].dt.hour.astype("int64"),
-                "day": df["ts"].dt.normalize(),
-                "one": np.ones(len(df), dtype="int64"),
-            }
-        )
-
-    grid = bucketed_aggregate(
-        ds.map_batches(_prep, batch_format="pandas"),
-        ["t", "h", "day"],
-        {"c": ("one", "sum")},
-        num_buckets=16,
-    ).to_pandas()
-    n_days = int(grid["day"].nunique())
-    per = grid.groupby(["t", "h"], as_index=False).agg(
-        sc=("c", "sum"), sc2=("c", lambda s: int((s.astype("int64") ** 2).sum()))
-    )
-    m = per["sc"].to_numpy("int64") * 1.0 / n_days
-    v = (per["sc2"].to_numpy("int64") - per["sc"].to_numpy("int64") * m) / (n_days - 1.0)
-    keep = (m > 0) & (v > 0)
-    lx = np.log(m[keep])
-    ly = np.log(v[keep])
-    k = len(lx)
-    sx, sy = float(lx.sum()), float(ly.sum())
-    sxy = float((lx * ly).sum())
-    sx2 = float((lx * lx).sum())
-    slope = (k * sxy - sx * sy) / (k * sx2 - sx * sx)
-    return pd.DataFrame(
-        {
-            "n_units": pd.Series([k], dtype="int64"),
-            "taylor_exponent": [round(float(slope), 6)],
-        }
-    )
-
-
-TAYLOR_LAW_SLOPE_SQL = """
-WITH g AS (
-  SELECT event_type AS t, hour(ts) AS h, CAST(ts AS DATE) AS day, count(*) AS c
-  FROM events GROUP BY 1, 2, 3
-),
-nd AS (SELECT count(DISTINCT day) AS n_days FROM g),
-per AS (
-  SELECT t, h, sum(c) AS sc, sum(c * c) AS sc2 FROM g GROUP BY 1, 2
-),
-mv AS (
-  SELECT ln(sc * 1.0 / n_days) AS lx,
-         ln((sc2 - sc * (sc * 1.0 / n_days)) / (n_days - 1.0)) AS ly
-  FROM per, nd
-  WHERE sc > 0 AND (sc2 - sc * (sc * 1.0 / n_days)) / (n_days - 1.0) > 0
-),
-s AS (
-  SELECT count(*) AS k, sum(lx) AS sx, sum(ly) AS sy,
-         sum(lx * ly) AS sxy, sum(lx * lx) AS sx2
-  FROM mv
-)
-SELECT CAST(k AS BIGINT) AS n_units,
-       round((k * sxy - sx * sy) / (k * sx2 - sx * sx), 6) AS taylor_exponent
-FROM s
-"""
-
-
-def circular_time_of_day(sf_dir: str) -> pd.DataFrame:
-    """Circular statistics of event time-of-day: each event maps to
-    an angle theta = 2*pi*(microsecond of day)/86400e6; the resultant
-    length Rbar = |sum(e^i*theta)|/n measures how CONCENTRATED
-    activity is around one clock time, the mean direction gives the
-    peak hour, and the Rayleigh statistic z = n*Rbar^2 tests
-    uniformity — the von-Mises-family toolkit the linear hourly
-    profile can't express (23:00 and 01:00 are NEAR each other here).
-
-    One streaming pass of scalar (n, sum cos, sum sin) partials —
-    angles are exact-integer-derived so both engines evaluate
-    identical trig terms."""
-    ds = _read(sf_dir, "events", columns=["ts"])
-
-    def _partials(df: pd.DataFrame) -> pd.DataFrame:
-        us = df["ts"].to_numpy("datetime64[us]").astype("int64") % 86_400_000_000
-        theta = 2.0 * np.pi * us / 86_400_000_000.0
-        return pd.DataFrame(
-            {
-                "n": [np.int64(len(us))],
-                "sc": [float(np.cos(theta).sum())],
-                "ss": [float(np.sin(theta).sum())],
-            }
-        )
-
-    s = ds.map_batches(_partials, batch_format="pandas").to_pandas().sum()
-    n, sc, ss = int(s["n"]), float(s["sc"]), float(s["ss"])
-    rbar = np.sqrt(sc * sc + ss * ss) / n
-    ang = np.arctan2(ss, sc)
-    mean_hour = (ang % (2.0 * np.pi)) / (2.0 * np.pi) * 24.0
-    return pd.DataFrame(
-        {
-            "n": pd.Series([n], dtype="int64"),
-            "rbar": [round(float(rbar), 6)],
-            "mean_hour": [round(float(mean_hour), 6)],
-            "rayleigh_z": [round(float(n * rbar * rbar), 6)],
-        }
-    )
-
-
-CIRCULAR_TIME_OF_DAY_SQL = """
-WITH a AS (
-  SELECT 2.0 * pi() * (epoch_us(ts) % 86400000000) / 86400000000.0 AS theta
-  FROM events
-),
-s AS (SELECT count(*) AS n, sum(cos(theta)) AS sc, sum(sin(theta)) AS ss FROM a),
-r AS (SELECT n, sqrt(sc * sc + ss * ss) / n AS rbar, atan2(ss, sc) AS ang FROM s)
-SELECT CAST(n AS BIGINT) AS n, round(rbar, 6) AS rbar,
-       round(fmod(ang + 2.0 * pi(), 2.0 * pi()) / (2.0 * pi()) * 24.0, 6) AS mean_hour,
-       round(n * rbar * rbar, 6) AS rayleigh_z
-FROM r
-"""
-
-
-def transition_reciprocity(sf_dir: str) -> pd.DataFrame:
-    """Reciprocity of the directed event-type transition graph:
-    r = SUM_{i<>j} min(n_ij, n_ji) / SUM_{i<>j} n_ij — what fraction
-    of directed flow is matched by reverse flow (Bowker TESTS the
-    asymmetry; this MEASURES it, weighted). r = 1 means perfectly
-    bidirectional traffic, r -> 0 a one-way funnel.
-
-    Reuses the distributed transition-count grid; the min/sum
-    arithmetic runs on the k^2 <= 25 cells — exact integers."""
-    counts = event_transitions(sf_dir)
-    off = counts[counts["prev_type"] != counts["next_type"]].copy()
-    rev = off.rename(columns={"prev_type": "next_type", "next_type": "prev_type", "n": "n_rev"})
-    m = off.merge(rev, on=["prev_type", "next_type"], how="left").fillna({"n_rev": 0})
-    num = int(np.minimum(m["n"].to_numpy("int64"), m["n_rev"].to_numpy("int64")).sum())
-    den = int(m["n"].sum())
-    return pd.DataFrame(
-        {
-            "flow_total": pd.Series([den], dtype="int64"),
-            "flow_reciprocated": pd.Series([num], dtype="int64"),
-            "reciprocity": [round(num / den, 6)],
-        }
-    )
-
-
-TRANSITION_RECIPROCITY_SQL = """
-WITH seq AS (
-  SELECT event_type,
-         lag(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS prev_type
-  FROM events
-),
-t AS (
-  SELECT prev_type, event_type AS next_type, count(*) AS n
-  FROM seq WHERE prev_type IS NOT NULL AND prev_type <> event_type
-  GROUP BY 1, 2
-),
-m AS (
-  SELECT a.n, coalesce(b.n, 0) AS n_rev
-  FROM t a LEFT JOIN t b ON b.prev_type = a.next_type AND b.next_type = a.prev_type
-)
-SELECT CAST(sum(n) AS BIGINT) AS flow_total,
-       CAST(sum(least(n, n_rev)) AS BIGINT) AS flow_reciprocated,
-       round(sum(least(n, n_rev)) * 1.0 / sum(n), 6) AS reciprocity
-FROM m
-"""
-
-
-def burstiness_memory_gaps(sf_dir: str) -> pd.DataFrame:
-    """Goh-Barabasi burstiness-memory coordinates of per-user
-    inter-event gaps (floor seconds): B = (sigma - mu)/(sigma + mu)
-    (-1 regular, 0 Poisson, +1 bursty) and the memory coefficient
-    M = corr(gap_t, gap_{t+1}) over CONSECUTIVE gap pairs within a
-    user — the two-number phase-space summary of temporal clustering
-    that the KS-vs-exponential test complements.
-
-    Per-user-bucket vectorized diffs emit exact integer moment
-    partials for gaps AND adjacent gap pairs (user boundaries
-    masked); only scalars reach the driver."""
-    ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-
-    def _partials(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"])
-        u = g["user_id"].to_numpy()
-        t = g["ts"].to_numpy("datetime64[us]").astype("int64")
-        if len(u) < 2:
-            return pd.DataFrame(
-                {"n": [0], "s": [0], "s2": [0], "np_": [0], "sx": [0], "sy": [0],
-                 "sxy": [0], "sx2": [0], "sy2": [0]}
-            ).astype("int64")
-        same = u[1:] == u[:-1]
-        gap = (t[1:] - t[:-1]) // 1_000_000
-        gaps = gap[same]
-        both = same[1:] & same[:-1]
-        gx = gap[:-1][both]
-        gy = gap[1:][both]
-        return pd.DataFrame(
-            {
-                "n": [np.int64(len(gaps))],
-                "s": [np.int64(gaps.sum())],
-                "s2": [np.int64((gaps * gaps).sum())],
-                "np_": [np.int64(len(gx))],
-                "sx": [np.int64(gx.sum())],
-                "sy": [np.int64(gy.sum())],
-                "sxy": [np.int64((gx * gy).sum())],
-                "sx2": [np.int64((gx * gx).sum())],
-                "sy2": [np.int64((gy * gy).sum())],
-            }
-        )
-
-    s = (
-        ds.map_batches(_add_user_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(_partials, batch_format="pandas")
-        .to_pandas()
-        .sum()
-    )
-    n, sg, sg2 = int(s["n"]), int(s["s"]), int(s["s2"])
-    mu = sg * 1.0 / n
-    sigma = np.sqrt((sg2 - sg * 1.0 * sg / n) / n)
-    b = (sigma - mu) / (sigma + mu)
-    k = int(s["np_"])
-    sx, sy, sxy, sx2, sy2 = int(s["sx"]), int(s["sy"]), int(s["sxy"]), int(s["sx2"]), int(s["sy2"])
-    m = (k * 1.0 * sxy - sx * 1.0 * sy) / np.sqrt(
-        (k * 1.0 * sx2 - sx * 1.0 * sx) * (k * 1.0 * sy2 - sy * 1.0 * sy)
-    )
-    return pd.DataFrame(
-        {
-            "n_gaps": pd.Series([n], dtype="int64"),
-            "burstiness": [round(float(b), 6)],
-            "memory": [round(float(m), 6)],
-        }
-    )
-
-
-BURSTINESS_MEMORY_GAPS_SQL = """
-WITH s AS (
-  SELECT user_id, ts,
-         lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS p1,
-         lag(ts, 2) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS p2
-  FROM events
-),
-g AS (
-  SELECT date_diff('microsecond', p1, ts) // 1000000 AS gap,
-         CASE WHEN p2 IS NOT NULL
-              THEN date_diff('microsecond', p2, p1) // 1000000 END AS prev_gap
-  FROM s WHERE p1 IS NOT NULL
-),
-m1 AS (SELECT count(*) AS n, sum(gap) AS sg, sum(gap * gap) AS sg2 FROM g),
-m2 AS (
-  SELECT count(*) AS k, sum(prev_gap) AS sx, sum(gap) AS sy,
-         sum(prev_gap * gap) AS sxy, sum(prev_gap * prev_gap) AS sx2,
-         sum(gap * gap) AS sy2
-  FROM g WHERE prev_gap IS NOT NULL
-),
-c AS (
-  SELECT n, sg * 1.0 / n AS mu, sqrt((sg2 - sg * 1.0 * sg / n) / n) AS sigma FROM m1
-)
-SELECT CAST(n AS BIGINT) AS n_gaps,
-       round((sigma - mu) / (sigma + mu), 6) AS burstiness,
-       (SELECT round((k * 1.0 * sxy - sx * 1.0 * sy)
-               / sqrt((k * 1.0 * sx2 - sx * 1.0 * sx) * (k * 1.0 * sy2 - sy * 1.0 * sy)), 6)
-        FROM m2) AS memory
-FROM c
-"""
-
 def deming_views_purchases(sf_dir: str) -> pd.DataFrame:
     """Deming errors-in-variables regression (lambda = 1) of daily
     purchase counts on daily view counts: both sides of the funnel
@@ -6305,7 +4933,7 @@ def deming_views_purchases(sf_dir: str) -> pd.DataFrame:
 
     ONE bucketed (day, type) count grid, zero-filled day series;
     exact integer moment sums; closed-form slope on the driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6399,7 +5027,7 @@ def rma_views_purchases(sf_dir: str) -> pd.DataFrame:
 
     Same ONE bucketed (day, type) grid, zero-filled series, exact
     integer moments."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6493,7 +5121,7 @@ def js_divergence_hourly_profiles(sf_dir: str) -> pd.DataFrame:
 
     ONE bucketed (hour, type) count grid (48 cells); the entropy
     arithmetic runs on exact integer counts."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6573,7 +5201,7 @@ def hellinger_hourly_profiles(sf_dir: str) -> pd.DataFrame:
     the JS divergence on the same grid, bounded [0, 1].
 
     Same ONE bucketed (hour, type) count grid."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6643,7 +5271,7 @@ def lin_ccc_views_purchases(sf_dir: str) -> pd.DataFrame:
 
     Same zero-filled (day, type) grid as the errors-in-variables
     pair; population moments from exact integer sums."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6731,7 +5359,7 @@ def bland_altman_views_purchases(sf_dir: str) -> pd.DataFrame:
 
     Same zero-filled (day, type) grid; diff moments are exact
     integers."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -6812,7 +5440,7 @@ def hourly_profile_stability(sf_dir: str) -> pd.DataFrame:
     ONE bucketed (day, hour) count grid; the (days x 24) profile
     matrix is result-sized and the lag cosines are vectorized on the
     driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -6896,7 +5524,7 @@ def weekday_weekend_hourly_js(sf_dir: str) -> pd.DataFrame:
 
     ONE bucketed (hour, is_weekend) count grid (48 cells); entropy
     arithmetic on exact integers."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -6977,7 +5605,7 @@ def allan_variance_event_rate(sf_dir: str) -> pd.DataFrame:
     ONE bucketed per-hour count grid (zero hours implicit via the
     full hour index); the windowing is vectorized on the ~n_hours
     series."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -7048,7 +5676,7 @@ def variance_time_curve_events(sf_dir: str) -> pd.DataFrame:
     and Taylor's-law estimates).
 
     Same ONE per-hour grid; block sums stay exact integers."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -7120,7 +5748,7 @@ def rate_ratio_weekend_events(sf_dir: str) -> pd.DataFrame:
 
     ONE bucketed (day, count) aggregate; exposures come from the
     calendar span split by day-of-week — all exact integers."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -7335,7 +5963,7 @@ def gumbel_fit_daily_max_value(sf_dir: str) -> pd.DataFrame:
     100-day return level mu - beta*ln(-ln(1 - 1/100)). The fact
     table reduces through ONE bucketed per-day max; moments run on
     the day series."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "value"])
 
@@ -7391,7 +6019,7 @@ FROM m
 
 def circular_linear_corr_time_value(sf_dir: str) -> pd.DataFrame:
     """Mardia circular-linear correlation between event time-of-day
-    (angle theta = 2*pi*us/86400e6, exactly as circular_time_of_day)
+    (angle theta = 2*pi*us/86400e6)
     and event value: R^2 = (r_cv^2 + r_sv^2 - 2*r_cv*r_sv*r_cs) /
     (1 - r_cs^2) from the three Pearson correlations of (cos theta,
     sin theta, value) — does the SIZE of an event depend on the
@@ -7645,7 +6273,7 @@ def transfer_entropy_views_purchases(sf_dir: str) -> pd.DataFrame:
     joint cells — the model-free directed-information companion of
     the Granger F on the same ONE bucketed (day, type) count grid.
     Also reports the reverse direction for the asymmetry check."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -7763,7 +6391,7 @@ def _hourly_count_series(sf_dir: str) -> np.ndarray:
     """Zero-filled hourly event-count series (exact integers) —
     shared by the point-process second-order statistics (binned
     Ripley K, pair correlation); ONE bucketed per-hour grid."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -8008,7 +6636,7 @@ def _type_trig_sums(sf_dir: str) -> pd.DataFrame:
     """Per-event-type first trigonometric moment sums of the
     time-of-day angles — shared by the circular-ANOVA family; one
     bucketed aggregate over the type key."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -8128,7 +6756,7 @@ def _hourly_two_type_series(sf_dir: str, type_a: str, type_b: str):
     POOLED corpus hour range (so the series align) — the shared grid
     behind the cross-type second-order statistics. One bucketed
     (type, hour) aggregate."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -8285,7 +6913,7 @@ def _daily_view_purchase_series(sf_dir: str):
     over the common day spine — the input of the cross-spectral pair.
     ONE bucketed (type, day) count reduction; the spine is
     day-dimension scale."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"]).map_batches(
         lambda df: df[df["event_type"].isin(["view", "purchase"])], batch_format="pandas"
@@ -8456,7 +7084,7 @@ def _second_of_day_hist(sf_dir: str) -> pd.DataFrame:
     """Shared second-of-day histogram of all events (u = sec/86400 on
     the unit circle) — the grouped-order-statistics input of the
     circular-uniformity pair. ONE bucketed aggregate, <=86400 cells."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -8609,7 +7237,7 @@ def _tdb_cube(sf_dir: str) -> pd.DataFrame:
     6-hour band) — the joint distribution behind the multivariate-
     information pair. ONE bucketed aggregate; ~|types| x 7 x 4
     cells."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
@@ -8756,7 +7384,7 @@ def _peak_hour_lambda(sf_dir: str):
     hour-of-day, averaged over the distinct days in the data (peak =
     argmax average count, smallest hour on ties). ONE bucketed
     (hour, day) -> hour count reduction."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -9082,7 +7710,7 @@ def _competing_durations(sf_dir: str) -> pd.DataFrame:
     wins exact ties); users with neither are censored (cause 0) at
     the global last timestamp. ONE bucketed (user, type) min-ts
     aggregate; returns the (dur, d1, d2, dc) day-grid counts."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
     globmax = pd.Timestamp(ds.max("ts")).floor("D")
@@ -9311,7 +7939,7 @@ def _user_bucket_grid(sf_dir: str) -> pd.DataFrame:
     systems hash into), with the bucket's user count and converted
     count (ever fired a 'purchase'). One bucketed per-user aggregate,
     then a 10-row grid on the driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -9465,7 +8093,7 @@ def _mcf_grid(sf_dir: str):
     limit tau day histogram (for the risk set r(a) = #{tau >= a}),
     and n_users. One bucketed per-user min-ts pass + one broadcast-t0
     streaming pass over purchase events; both grids are result-sized."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
     globmax = pd.Timestamp(ds.max("ts")).floor("D")
@@ -9739,7 +8367,7 @@ def g_chart_error_counts(sf_dir: str) -> pd.DataFrame:
     errors). Global event positions come from the distributed rank
     primitive ((ts, event_id) tie-break); only the result-sized
     error-position list reaches the driver."""
-    from ocr_analytics.relational import _global_rank
+    from ocr_pipeline_ray.pipelines.relational import _global_rank
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "event_id"]).map_batches(
         lambda df: pd.DataFrame(
@@ -9812,7 +8440,7 @@ def _period_transition_counts(sf_dir: str) -> pd.DataFrame:
     of the pair's FIRST event (midpoint = (min+max)/2 epoch-us). One
     bucketed per-user shift pass; only (period, pair, count) rows
     shuffle."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
     lo = pd.Timestamp(ds.min("ts")).value // 1000
@@ -10017,7 +8645,7 @@ def _purchase_count_hist(sf_dir: str) -> pd.DataFrame:
     pair: every user observed in the event stream (zero purchases
     included), reduced to (k purchases -> n users) — one bucketed
     per-user aggregate then a tiny count-of-counts table."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -10167,197 +8795,6 @@ FROM m
 # temporal scan statistic (Kulldorff) for error-event clusters
 # ---------------------------------------------------------------------------
 
-def _monthly_error_grid(sf_dir: str) -> pd.DataFrame:
-    """Shared monthly (events, errors) grid for the scan pair: one
-    bucketed month reduction; the scan itself is O(M^2) over the
-    result-sized month series."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "events", columns=["ts", "event_type"])
-
-    def _g(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "ym": df["ts"].dt.year.astype("int64") * 100
-                + df["ts"].dt.month.astype("int64"),
-                "n": np.int64(1),
-                "e": (df["event_type"] == "error").astype("int64"),
-            }
-        ).groupby("ym", as_index=False).sum()
-
-    return (
-        bucketed_aggregate(
-            ds.map_batches(_g, batch_format="pandas"),
-            ["ym"],
-            {"n": ("n", "sum"), "e": ("e", "sum")},
-            num_buckets=8,
-        )
-        .to_pandas()
-        .groupby("ym", as_index=False)
-        .sum()
-        .sort_values("ym")
-        .reset_index(drop=True)
-    )
-
-
-def _scan_windows(grid: pd.DataFrame):
-    """All contiguous month windows scored with Kulldorff's Poisson
-    LLR (exposure = total events, cases = errors): LLR = c ln(c/E) +
-    (C-c) ln((C-c)/(C-E)) when c > E else 0 — exact same expression
-    in the oracle. Returns (i, j, llr, rr) arrays sorted by month."""
-    n = grid["n"].to_numpy("int64").astype("float64")
-    e = grid["e"].to_numpy("int64").astype("float64")
-    cn = np.concatenate([[0.0], np.cumsum(n)])
-    ce = np.concatenate([[0.0], np.cumsum(e)])
-    big_c, big_n = ce[-1], cn[-1]
-    out = []
-    m = len(grid)
-    for i in range(m):
-        for j in range(i, m):
-            c = ce[j + 1] - ce[i]
-            exp_ = big_c * (cn[j + 1] - cn[i]) / big_n
-            if c > exp_ and c < big_c:
-                llr = c * np.log(c / exp_) + (big_c - c) * np.log(
-                    (big_c - c) / (big_c - exp_)
-                )
-                rr = (c / exp_) / ((big_c - c) / (big_c - exp_))
-            else:
-                llr, rr = 0.0, 1.0
-            out.append((i, j, llr, rr))
-    return out
-
-
-def temporal_scan_errors(sf_dir: str) -> pd.DataFrame:
-    """Kulldorff temporal scan for the most anomalous error cluster:
-    over ALL contiguous month windows, the Poisson LLR of the error
-    rate inside vs outside (exposure-adjusted by total event volume,
-    so a busy month is not mistaken for a bad one) — the disease-
-    surveillance machinery applied to reliability data; the window
-    with maximum LLR is THE alarm a monitoring system should have
-    raised. Ties break to the earliest shortest window. Shared
-    monthly grid."""
-    grid = _monthly_error_grid(sf_dir)
-    wins = _scan_windows(grid)
-    best = max(wins, key=lambda w: (round(w[2], 9), -w[0], -w[1]))
-    i, j, llr, rr = best
-    ym = grid["ym"].to_numpy("int64")
-    return pd.DataFrame(
-        {
-            "start_month": pd.Series([int(ym[i])], dtype="int64"),
-            "end_month": pd.Series([int(ym[j])], dtype="int64"),
-            "llr": [round(float(llr), 6)],
-            "relative_risk": [round(float(rr), 6)],
-        }
-    )
-
-
-_SCAN_BASE_SQL = """
-WITH g AS (
-  SELECT year(ts) * 100 + month(ts) AS ym, count(*) * 1.0 AS n,
-         sum(CASE WHEN event_type = 'error' THEN 1 ELSE 0 END) * 1.0 AS e
-  FROM events GROUP BY 1
-),
-o AS (SELECT ym, n, e, row_number() OVER (ORDER BY ym) AS i FROM g),
-cum AS (
-  SELECT i, ym, sum(n) OVER (ORDER BY i) AS cn, sum(e) OVER (ORDER BY i) AS ce
-  FROM o
-),
-tot AS (SELECT max(cn) AS bn, max(ce) AS bc FROM cum),
-win AS (
-  SELECT a.i AS i, b.i AS j, a.ym AS sym, b.ym AS eym,
-         b.ce - coalesce(p.ce, 0) AS c,
-         (SELECT bc FROM tot) * (b.cn - coalesce(p.cn, 0))
-           / (SELECT bn FROM tot) AS ex
-  FROM cum a
-  JOIN cum b ON b.i >= a.i
-  LEFT JOIN cum p ON p.i = a.i - 1
-),
-scored AS (
-  SELECT i, j, sym, eym, c, ex,
-         CASE WHEN c > ex AND c < (SELECT bc FROM tot)
-              THEN c * ln(c / ex)
-                   + ((SELECT bc FROM tot) - c)
-                     * ln(((SELECT bc FROM tot) - c)
-                          / ((SELECT bc FROM tot) - ex))
-              ELSE 0.0 END AS llr,
-         CASE WHEN c > ex AND c < (SELECT bc FROM tot)
-              THEN (c / ex) / (((SELECT bc FROM tot) - c)
-                               / ((SELECT bc FROM tot) - ex))
-              ELSE 1.0 END AS rr
-  FROM win
-)
-"""
-
-TEMPORAL_SCAN_ERRORS_SQL = (
-    _SCAN_BASE_SQL
-    + """
-SELECT CAST(sym AS BIGINT) AS start_month,
-       CAST(eym AS BIGINT) AS end_month,
-       round(llr, 6) AS llr,
-       round(rr, 6) AS relative_risk
-FROM scored ORDER BY round(llr, 9) DESC, i, j LIMIT 1
-"""
-)
-
-
-def temporal_scan_secondary(sf_dir: str) -> pd.DataFrame:
-    """The secondary cluster: the highest-LLR window NOT overlapping
-    the primary one — surveillance convention for 'is there a second
-    episode or was it one burst?', with the LLR ratio secondary/
-    primary (near 1 = two comparable episodes, near 0 = a single
-    dominant burst). Shared windows."""
-    grid = _monthly_error_grid(sf_dir)
-    wins = _scan_windows(grid)
-    key = lambda w: (round(w[2], 9), -w[0], -w[1])
-    best = max(wins, key=key)
-    bi, bj = best[0], best[1]
-    rest = [w for w in wins if w[1] < bi or w[0] > bj]
-    ym = grid["ym"].to_numpy("int64")
-    if rest:
-        sec = max(rest, key=key)
-        i, j, llr, rr = sec
-        return pd.DataFrame(
-            {
-                "start_month": pd.Series([int(ym[i])], dtype="int64"),
-                "end_month": pd.Series([int(ym[j])], dtype="int64"),
-                "llr": [round(float(llr), 6)],
-                "llr_ratio_to_primary": [
-                    round(float(llr / best[2]) if best[2] > 0 else 0.0, 6)
-                ],
-            }
-        )
-    return pd.DataFrame(
-        {
-            "start_month": pd.Series([0], dtype="int64"),
-            "end_month": pd.Series([0], dtype="int64"),
-            "llr": [0.0],
-            "llr_ratio_to_primary": [0.0],
-        }
-    )
-
-
-TEMPORAL_SCAN_SECONDARY_SQL = (
-    _SCAN_BASE_SQL
-    + """,
-prim AS (
-  SELECT i, j, llr FROM scored ORDER BY round(llr, 9) DESC, i, j LIMIT 1
-),
-sec AS (
-  SELECT s.* FROM scored s, prim
-  WHERE s.j < prim.i OR s.i > prim.j
-  ORDER BY round(s.llr, 9) DESC, s.i, s.j LIMIT 1
-)
-SELECT CAST(coalesce((SELECT sym FROM sec), 0) AS BIGINT) AS start_month,
-       CAST(coalesce((SELECT eym FROM sec), 0) AS BIGINT) AS end_month,
-       round(coalesce((SELECT llr FROM sec), 0.0), 6) AS llr,
-       round(CASE WHEN (SELECT llr FROM prim) > 0
-                  THEN coalesce((SELECT llr FROM sec), 0.0)
-                       / (SELECT llr FROM prim)
-                  ELSE 0.0 END, 6) AS llr_ratio_to_primary
-"""
-)
-
-
 # ---------------------------------------------------------------------------
 # Passing-Bablok method comparison of the funnel's two daily counters
 # ---------------------------------------------------------------------------
@@ -10366,7 +8803,7 @@ def _views_purchases_day_counts(sf_dir: str):
     """Shared zero-filled daily (views, purchases) integer count
     series — same bucketed (day, type) grid as the Deming/RMA
     queries, returned as aligned arrays for the rank-based fits."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts", "event_type"])
 
@@ -10569,7 +9006,7 @@ def _hour_profile_counts(sf_dir: str) -> np.ndarray:
     """Shared 24-cell hour-of-day event count profile (bucketed
     integer aggregate, zero-filled) — the aggregated series behind
     the cosinor pair."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["ts"])
 
@@ -10741,7 +9178,7 @@ def _daily_type_count_moments(sf_dir: str) -> pd.DataFrame:
     calendar span: (type, n_days, sum, sum of squares, sum x(x-1))
     — quadrat-count statistics with days as quadrats. One bucketed
     (type, day) aggregate; zero days enter the moments exactly."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
@@ -11039,7 +9476,7 @@ def _user_count_of_counts(sf_dir: str) -> pd.DataFrame:
     """Shared count-of-counts histogram of events per user: per-user
     totals via the bucketed aggregate, then (count value, n_users)
     cells — the sufficient statistic for every entropy estimator."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id"])
 
@@ -11157,7 +9594,7 @@ def entropy_estimators_vocab(sf_dir: str) -> pd.DataFrame:
     microscopic and Chao-Shen collapses onto the plug-in, so
     agreement here certifies the user-table corrections above are
     measuring genuine undersampling, not estimator quirks."""
-    from ocr_analytics.text import vocab_top_terms
+    from ocr_pipeline_ray.pipelines.text import vocab_top_terms
 
     top = vocab_top_terms(sf_dir, k=100000)
     k = top["n"].to_numpy("int64").astype("float64")
@@ -11212,7 +9649,7 @@ def _arm_day_values(sf_dir: str) -> pd.DataFrame:
     """Shared (arm, day) value partials for the DiD-credibility pair:
     the same parity arms and value metric as diff_in_diff_value,
     reduced to per-day (n, sum, sum of squares) cells."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
@@ -11334,7 +9771,7 @@ def did_pretrend_placebo(sf_dir: str) -> pd.DataFrame:
     real = (ca[("A", True)][1] - ca[("A", False)][1]) - (
         ca[("B", True)][1] - ca[("B", False)][1]
     )
-    from ocr_analytics.relational import _norm_cdf_as
+    from ocr_pipeline_ray.pipelines.relational import _norm_cdf_as
 
     p2 = 2.0 * float(_norm_cdf_as(np.array([-abs(z)]))[0])
     return pd.DataFrame(
@@ -11440,7 +9877,7 @@ def crow_amsaa_cvm_gof(sf_dir: str) -> pd.DataFrame:
     is; tied times contribute invariantly, so the distributed rank
     needs no tiebreak. Reported with the 0.22 large-m 95% critical
     value flag."""
-    from ocr_analytics.relational import _global_rank
+    from ocr_pipeline_ray.pipelines.relational import _global_rank
 
     ds, lo64, tt, m, beta = _crow_beta_terms(sf_dir)
     bbar = (m - 1.0) / m * beta

@@ -64,7 +64,7 @@ from ocr_pipeline_ray.stages.extract import (
     strip_html_batch,
     warm_state,
 )
-from ocr_pipeline_ray.stages.reassemble import pack_bucket, reassemble
+from ocr_pipeline_ray.stages.reassemble import detect_hot_keys, pack_bucket, reassemble
 from ocr_pipeline_ray.state.media_store import broadcast_media, check_unique_refs
 
 SPAN_COLS = SPAN_ROWS_SCHEMA.names
@@ -317,45 +317,29 @@ def detect_hot_refs(
     sample_batches: int = 8,
 ) -> list[str]:
     """Sampled hot-``media_ref`` detection for :func:`join_media_spans`
-    salting: per-batch value counts over the first ``sample_batches``
-    batches of 4096 span rows (a streaming prefix: the plan is NOT
-    fully executed, but the prefix does run; callers joining from a
-    staged parquet read pay one fragment read), combined on the
-    driver. Non-empty refs holding more than ``hot_fraction`` of the
-    sampled media-span rows are hot, returned sorted. The empty ref
-    ("" = text spans) is dropped before counting, so it is neither a
-    candidate nor part of the fraction's denominator: it has its own
-    deterministic spread in the join and must never salt.
-    Deterministic for a deterministic input order.
-
-    Two known limits:
-
-    * Only the leading ~32k rows are sampled, so on clustered or
-      sorted input a ref that is hot overall but first appears later
-      is missed, and the join falls back to its unsalted one-bucket
-      path for that ref.
-    * ``join_media_spans(hot_refs="auto")`` calls this at plan build,
-      so the span-side prefix executes once here and again when the
-      join consumes the lazy plan; stateful or side-effecting
-      upstream UDFs run twice on those rows.
-
-    Sending payloads to doc buckets instead of span rows to media
-    buckets (ROADMAP direction 3) would remove the sampling and both
-    limits."""
-    import itertools
-
-    counts: dict[str, int] = {}
-    total = 0
-    it = spans_ds.iter_batches(batch_size=4096, batch_format="pandas")
-    for df in itertools.islice(it, sample_batches):
-        refs = df["media_ref"]
-        vc = refs[refs != ""].value_counts()
-        total += int(vc.sum())
-        for k, n in vc.items():
-            counts[k] = counts.get(k, 0) + int(n)
-    if not total:
-        return []
-    return sorted(k for k, n in counts.items() if n / total > hot_fraction)
+    salting: value-counts over the first ``sample_batches`` batches of
+    the span side (a streaming prefix — the plan is NOT fully
+    executed, but the prefix does run; callers joining from a staged
+    parquet read pay one fragment read). Non-empty refs holding more
+    than ``hot_fraction`` of sampled media-span rows are hot. The
+    empty ref ("" = text spans) is excluded from both the candidates
+    and the fraction denominator — it has its own deterministic
+    spread in the join and must never salt. Samples only the leading
+    rows, so clustered or sorted span input can hide a hot ref (see
+    ``detect_hot_keys``). Running the prefix executes the span plan's
+    leading stages once here and again when the join consumes the
+    plan, so ``hot_refs="auto"`` runs any upstream UDF twice on those
+    rows. Thin wrapper over the repo's single hot-detection
+    implementation (:func:`~ocr_pipeline_ray.stages.reassemble.detect_hot_keys`)
+    so sampling policy can never diverge between the analytics and
+    media joins."""
+    return detect_hot_keys(
+        spans_ds,
+        "media_ref",
+        hot_fraction=hot_fraction,
+        sample_batches=sample_batches,
+        exclude="",
+    )
 
 
 def join_media_spans(
@@ -406,8 +390,8 @@ def join_media_spans(
     the join itself consumes the lazy plan. Negligible against a
     media-scale join (the regime this path exists for) and measured
     ~nil on the bench extraction topology, but a caller with an
-    expensive span-side plan and known-uniform refs should pass
-    ``hot_refs=None``.
+    expensive, stateful or side-effecting span-side plan and
+    known-uniform refs should pass ``hot_refs=None``.
 
     ``_return_tagged=True`` returns the tagged pre-shuffle union
     (testing seam: lets tests assert the actual bucket histogram the

@@ -32,7 +32,6 @@ P6-PPM decode -> glyph segmentation -> template-match OCR kernel
 
 from __future__ import annotations
 
-import re
 import shutil
 
 import pandas as pd
@@ -49,14 +48,12 @@ from ocr_pipeline_ray.functions.synthetic_media import (
     encode_image_payload,
     encode_pdf_payload,
 )
+from ocr_pipeline_ray.functions.textstats import TOKEN_RE
 from ocr_pipeline_ray.pipelines.extract import build_extraction_pipeline
 from ocr_pipeline_ray.schema import DOCS_SCHEMA, MEDIA_SCHEMA
 
 # where extract_split_kinds stages its route partitions
 SPLIT_STAGE_DIR = "/tmp/ocr_ray_split_stage"
-
-# the SQL oracles split tokens with the same class (regexp [A-Za-z0-9_]+)
-TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
 _NAV = '<a href="/">home</a> | <a href="/a">about</a> | <a href="/c">contact</a>'
 

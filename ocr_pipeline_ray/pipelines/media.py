@@ -3,15 +3,12 @@ each doc's leading tokens into a REAL P6 PPM raster (the deterministic
 "camera" from functions/ppm_ocr.py), then run the actor-pool decode
 stages over the binary payload column.
 
-``media_dimensions`` is fully oracle-checkable: the raster geometry is
-a pure function of the token text (width = 6 px per glyph cell, height
-= one 7 px glyph row), so DuckDB can derive the expected dimensions
-from the documents view while the Ray side must actually parse PPM
-headers to produce them — a true end-to-end decode check.
-
-``media_channel_stats`` aggregates real pixel statistics (fraction of
-lit glyph pixels per doc raster) — not SQL-derivable (rows-only check
-+ pytest property).
+The ``media_dimensions_*`` queries are fully oracle-checkable: the
+raster geometry is a pure function of the token text (width = 6 px per
+glyph cell, height = one 7 px glyph row), so DuckDB can derive the
+expected dimensions from the documents view while the Ray side must
+actually parse the image headers to produce them — a true end-to-end
+decode check.
 """
 
 from __future__ import annotations
@@ -22,9 +19,8 @@ import pyarrow as pa
 import ray.data
 
 from ocr_pipeline_ray.functions.ppm_ocr import render_text_ppm
-from ocr_analytics.textstats import TOKEN_RE
-from ocr_analytics.relational import ROUND_DECIMALS
-from ocr_analytics.multimodal import decode_images
+from ocr_pipeline_ray.functions.textstats import TOKEN_RE
+from ocr_pipeline_ray.stages.multimodal import decode_images
 
 
 def _media_payload_ds(sf_dir: str, fmt: str = "ppm") -> "ray.data.Dataset":
@@ -72,40 +68,6 @@ def _media_payload_ds(sf_dir: str, fmt: str = "ppm") -> "ray.data.Dataset":
 
     return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]).map_batches(
         wrap, batch_format="pyarrow"
-    )
-
-
-def media_dimensions(sf_dir: str) -> pd.DataFrame:
-    """Decode every payload's native raster dimensions (no resize) via
-    the actor-pool decode stage. Output: (doc_id, width, height)."""
-    out = decode_images(_media_payload_ds(sf_dir), target_size=None, concurrency=(1, 4)).to_pandas()
-    out["doc_id"] = out["media_ref"].astype("int64")
-    return (
-        out[["doc_id", "width", "height"]]
-        .astype({"width": "int64", "height": "int64"})
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
-def media_dimensions_png(sf_dir: str) -> pd.DataFrame:
-    """Same geometry oracle as :func:`media_dimensions`, but the
-    payloads are REAL PNGs (stdlib encoder, Sub-filtered scanlines):
-    the Ray side must walk chunks, inflate IDAT and unfilter to
-    produce the dimensions. Shares MEDIA_DIMENSIONS_SQL — the raster
-    geometry is format-independent."""
-    out = decode_images(
-        _media_payload_ds(sf_dir, fmt="png"), target_size=None, concurrency=(1, 4)
-    ).to_pandas()
-    bad = out[out["error"] != ""]
-    if len(bad):
-        raise ValueError(f"png decode errors: {bad['error'].iloc[0]}")
-    out["doc_id"] = out["media_ref"].astype("int64")
-    return (
-        out[["doc_id", "width", "height"]]
-        .astype({"width": "int64", "height": "int64"})
-        .sort_values("doc_id")
-        .reset_index(drop=True)
     )
 
 
@@ -275,7 +237,7 @@ def media_dhash_planted_clones(sf_dir: str, plant_every: int = 20) -> pd.DataFra
     row per planted source."""
     import numpy as np
 
-    from ocr_analytics.multimodal import dhash_images
+    from ocr_pipeline_ray.stages.multimodal import dhash_images
 
     def _plant(t: pa.Table) -> pa.Table:
         refs = t["media_ref"].to_pylist()
@@ -337,21 +299,6 @@ ORDER BY doc_id
 MEDIA_DHASH_PLANTED_CLONES_SQL = media_dhash_planted_clones_sql()
 
 
-def media_channel_stats(sf_dir: str) -> pd.DataFrame:
-    """Real pixel statistics per doc raster: mean channel intensity of
-    the decoded (resized) image — the feature-extraction stage shape.
-    Output: (doc_id, mean_intensity) rounded; rows-only check +
-    pytest property (glyph rasters are brighter than blanks)."""
-    out = decode_images(_media_payload_ds(sf_dir), target_size=32, concurrency=(1, 4)).to_pandas()
-    out["doc_id"] = out["media_ref"].astype("int64")
-    out["mean_intensity"] = np.round(
-        [float(np.mean(v)) for v in out["channel_means"]], ROUND_DECIMALS
-    )
-    return (
-        out[["doc_id", "mean_intensity"]].sort_values("doc_id").reset_index(drop=True)
-    )
-
-
 def media_channel_stats_planted_clones(sf_dir: str, plant_every: int = 20) -> pd.DataFrame:
     """The decode -> channel-statistics machinery under an EXACT
     oracle (the dHash planted pattern, applied to the feature-extract
@@ -369,7 +316,7 @@ def media_channel_stats_planted_clones(sf_dir: str, plant_every: int = 20) -> pd
     source."""
     import numpy as np
 
-    from ocr_analytics.multimodal import decode_images
+    from ocr_pipeline_ray.stages.multimodal import decode_images
 
     def _plant(t: pa.Table) -> pa.Table:
         refs = t["media_ref"].to_pylist()
@@ -513,7 +460,7 @@ def media_frame_sample(sf_dir: str, n_frames: int = 4) -> pd.DataFrame:
     (duration_ms = n_chars * 40); the actor-pool FrameSampleActor
     emits K evenly-spaced (frame_idx, ts_ms) refs per payload. The
     timestamps are integer arithmetic, so the oracle is exact."""
-    from ocr_analytics.multimodal import sample_frames
+    from ocr_pipeline_ray.stages.multimodal import sample_frames
 
     def wrap(t: "pa.Table") -> "pa.Table":
         import pyarrow as pa_
@@ -556,7 +503,7 @@ def media_dhash_dupes(sf_dir: str) -> pd.DataFrame:
     pytest (planted byte-identical payloads + prefix-sharing docs),
     not a SQL oracle. Output: (dhash, n_docs, min_doc, max_doc) for
     groups of >= 2."""
-    from ocr_analytics.multimodal import dhash_images
+    from ocr_pipeline_ray.stages.multimodal import dhash_images
 
     hashed = dhash_images(_media_payload_ds(sf_dir), concurrency=(1, 4))
 

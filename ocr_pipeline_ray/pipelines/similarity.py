@@ -19,7 +19,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from ocr_analytics.relational import ROUND_DECIMALS, _read
+from ocr_pipeline_ray.pipelines.relational import ROUND_DECIMALS, _read
 
 
 def _to_matrix(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -408,42 +408,6 @@ EMBEDDING_NEARDUP_SQL = embedding_neardup_sql()
 PLANT_OFFSET = 1_000_000_000
 
 
-def embedding_neardup_lsh_planted(sf_dir: str, plant_every: int = 20) -> pd.DataFrame:
-    """The LSH near-dup path over a corpus with DETERMINISTIC planted
-    duplicates, so the approximate operator gets an EXACT oracle.
-
-    Every ``plant_every``-th vec_id is re-emitted as (vec_id +
-    PLANT_OFFSET, 2x embedding) inside ``map_batches`` (the planting
-    is distributed — no driver materialization). A scaled copy
-    normalizes to the BIT-IDENTICAL unit vector (x2 and the /norm are
-    both exact-quotient-preserving in IEEE), so sign-bucketing cannot
-    miss it; and the base corpus's max off-diagonal cosine (~0.51 in
-    the test data) is far below the 0.95 threshold, so the exact
-    all-pairs SQL over the same augmented corpus
-    (EMBEDDING_NEARDUP_LSH_PLANTED_SQL) equals the LSH result — recall
-    1.0 is structural, not probabilistic, in this regime."""
-    return embedding_neardup_lsh(sf_dir, plant_every=plant_every)
-
-
-def embedding_neardup_lsh_planted_sql(plant_every: int = 20, threshold: float = 0.95) -> str:
-    return f"""
-WITH aug AS (
-  SELECT vec_id, CAST(embedding AS DOUBLE[]) AS e FROM embeddings
-  UNION ALL
-  SELECT vec_id + {PLANT_OFFSET}, list_transform(CAST(embedding AS DOUBLE[]), x -> 2 * x)
-  FROM embeddings WHERE vec_id % {plant_every} = 0
-)
-SELECT a.vec_id AS a, b.vec_id AS b,
-       round(list_cosine_similarity(a.e, b.e), 4) AS cosine
-FROM aug a JOIN aug b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.e, b.e) >= {threshold}
-ORDER BY a, b
-"""
-
-
-EMBEDDING_NEARDUP_LSH_PLANTED_SQL = embedding_neardup_lsh_planted_sql()
-
-
 def knn_lsh_planted(sf_dir: str, n_queries: int = 10) -> pd.DataFrame:
     """The multi-table LSH ANN path under an EXACT oracle via planted
     query clones: each query vector is re-emitted verbatim at
@@ -545,42 +509,11 @@ def embedding_neardup_lsh(
     return out.drop_duplicates(["a", "b"]).sort_values(["a", "b"]).reset_index(drop=True)
 
 
-def label_centroid_stats(sf_dir: str) -> pd.DataFrame:
-    """Grouped VECTOR aggregate: per label, the vector count and the
-    mean of per-row component sums — the centroid-building shape
-    (per-batch partial vector sums by label, tiny combine; labels are
-    low-cardinality so the final reduce is trivial). Output
-    (label, n_vecs, avg_sum) is scalar, so DuckDB list_aggregate gives
-    an exact oracle; the full centroid vectors come from
-    :func:`label_centroids` (list-typed, pytest-checked)."""
-    ds = _read(sf_dir, "embeddings", columns=["label", "embedding"])
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        sums = np.stack(df["embedding"].to_numpy()).astype(np.float64).sum(axis=1)
-        g = pd.DataFrame({"label": df["label"].to_numpy(), "s": sums, "n": 1})
-        return g.groupby("label", as_index=False).agg(s=("s", "sum"), n=("n", "size"))
-
-    parts = ds.map_batches(_partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("label", as_index=False).agg(s=("s", "sum"), n=("n", "sum"))
-    out["avg_sum"] = np.round(out["s"] / out["n"], 4)
-    out["n_vecs"] = out["n"].astype("int64")
-    out["label"] = out["label"].astype("int64")
-    return out[["label", "n_vecs", "avg_sum"]].sort_values("label").reset_index(drop=True)
-
-
-LABEL_CENTROID_STATS_SQL = """
-SELECT CAST(label AS BIGINT) AS label, count(*) AS n_vecs,
-       round(avg(list_aggregate(CAST(embedding AS DOUBLE[]), 'sum')), 4) AS avg_sum
-FROM embeddings GROUP BY label ORDER BY label
-"""
-
-
 def label_centroids(sf_dir: str) -> pd.DataFrame:
     """Full centroid vectors per label (mean embedding): per-batch
     partial (sum vector, count) by label -> driver combine (|labels| x
     dim — tiny). List-typed output; correctness via pytest (centroid
-    of planted clusters recovers the cluster means) and via
-    :func:`label_centroid_stats`' oracle on the scalar projection."""
+    of planted clusters recovers the cluster means)."""
     ds = _read(sf_dir, "embeddings", columns=["label", "embedding"])
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1137,58 +1070,6 @@ FROM embeddings GROUP BY label ORDER BY label
 """
 
 
-def label_centroid_cosine(sf_dir: str) -> pd.DataFrame:
-    """Pairwise COSINE SIMILARITY between label centroids — the
-    inter-class separation matrix (how confusable are two labels?)
-    on top of the distributed centroid build. Partial vector sums
-    reduce per batch exactly as :func:`label_centroid_norms`; the
-    k x k cosine matrix is driver math over k centroids (k = label
-    cardinality, tiny by construction). Oracled end-to-end through
-    DuckDB's list_cosine_similarity over per-dimension AVG centroids
-    re-assembled in dimension order."""
-    ds = _read(sf_dir, "embeddings", columns=["label", "embedding"])
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for label, g in df.groupby("label", sort=False):
-            m = np.stack(g["embedding"].to_numpy()).astype(np.float64)
-            rows.append((int(label), m.sum(axis=0), len(g)))
-        return pd.DataFrame(rows, columns=["label", "vec_sum", "n"])
-
-    parts = ds.map_batches(_partial, batch_format="pandas").to_pandas()
-    cents = {}
-    for label, g in parts.groupby("label"):
-        n = int(g["n"].sum())
-        cents[int(label)] = np.sum(np.stack(g["vec_sum"].to_numpy()), axis=0) / n
-    labels = sorted(cents)
-    rows = []
-    for i, a in enumerate(labels):
-        va = cents[a]
-        na = float(np.linalg.norm(va))
-        for b in labels[i + 1:]:
-            vb = cents[b]
-            cos = float(va @ vb) / (na * float(np.linalg.norm(vb)))
-            rows.append((a, b, round(cos, 4)))
-    return pd.DataFrame(rows, columns=["label_a", "label_b", "cosine"])
-
-
-LABEL_CENTROID_COSINE_SQL = """
-WITH dims AS (
-  SELECT label, unnest(CAST(embedding AS DOUBLE[])) AS x,
-         generate_subscripts(embedding, 1) AS d
-  FROM embeddings
-), cent AS (
-  SELECT label, list(xm ORDER BY d) AS c FROM (
-    SELECT label, d, avg(x) AS xm FROM dims GROUP BY label, d
-  ) GROUP BY label
-)
-SELECT CAST(a.label AS BIGINT) AS label_a, CAST(b.label AS BIGINT) AS label_b,
-       round(list_cosine_similarity(a.c, b.c), 4) AS cosine
-FROM cent a JOIN cent b ON a.label < b.label
-ORDER BY label_a, label_b
-"""
-
-
 def embedding_quantization_error(sf_dir: str) -> pd.DataFrame:
     """Int8 symmetric quantization error audit over the embedding
     column: quantize each vector by its own max-abs scale
@@ -1202,7 +1083,7 @@ def embedding_quantization_error(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_analytics.relational import _read
+    from ocr_pipeline_ray.pipelines.relational import _read
 
     ds = _read(sf_dir, "embeddings", columns=["embedding"])
 
@@ -1264,7 +1145,7 @@ def mmr_diverse_selection(sf_dir: str, k: int = 10, lam: float = 0.5) -> pd.Data
     No SQL oracle (iterative greedy); pytest pins it to a sequential
     reference implementation.
     """
-    from ocr_analytics.relational import _read
+    from ocr_pipeline_ray.pipelines.relational import _read
 
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     qdf = ds.filter(expr="vec_id < 10").to_pandas()
@@ -1395,8 +1276,7 @@ def semdedup(
     """SemDeDup over the embeddings table: spherical k-means partitions
     the corpus; each cluster is pruned independently by the greedy
     cosine rule (:func:`_semdedup_prune`). Duplicates are PLANTED
-    deterministically (scaled copies, the
-    :func:`embedding_neardup_lsh_planted` machinery) so the prune has
+    deterministically (scaled copies) so the prune has
     guaranteed work at ``eps=0.95`` — the base corpus' max off-diag
     cosine (~0.51 in the test data) never trips it.
 
@@ -2136,163 +2016,6 @@ FROM pj JOIN orig USING (i) ORDER BY id_a
 JL_PROJECTION_DISTORTION_SQL = jl_projection_distortion_sql()
 
 
-def adjusted_rand_label_signs(sf_dir: str) -> pd.DataFrame:
-    """Adjusted Rand index between the ground-truth embedding labels
-    and the deterministic 4-way sign clustering (sign of dims 0 and
-    1) — the chance-corrected partition agreement metric that
-    complements the silhouette quality score: ARI 0 = random
-    agreement, 1 = identical partitions.
-
-    ONE bucketed (label, sign-cluster) contingency grid of exact
-    integer counts leaves the cluster; the pair-counting closed form
-    (sums of C(n,2) terms) runs on the tiny grid identically on both
-    engines."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "embeddings", columns=["embedding", "label"])
-
-    def _grid(df: pd.DataFrame) -> pd.DataFrame:
-        emb = np.stack(df["embedding"].to_numpy())
-        s1 = (emb[:, 0] >= 0).astype("int64")
-        s2 = (emb[:, 1] >= 0).astype("int64")
-        out = pd.DataFrame(
-            {"label": df["label"].to_numpy("int64"), "sc": 2 * s1 + s2, "one": 1}
-        )
-        return out.groupby(["label", "sc"], as_index=False)["one"].sum().rename(
-            columns={"one": "c"}
-        )
-
-    grid = (
-        bucketed_aggregate(
-            ds.map_batches(_grid, batch_format="pandas"),
-            ["label", "sc"],
-            {"c": ("c", "sum")},
-            num_buckets=4,
-        )
-        .to_pandas()
-        .sort_values(["label", "sc"])
-    )
-    c = grid["c"].to_numpy("int64")
-    n = int(c.sum())
-    sum_ij = int((c * (c - 1) // 2).sum())
-    a = grid.groupby("label")["c"].sum().to_numpy("int64")
-    b = grid.groupby("sc")["c"].sum().to_numpy("int64")
-    sum_a = int((a * (a - 1) // 2).sum())
-    sum_b = int((b * (b - 1) // 2).sum())
-    n2 = n * (n - 1) // 2
-    expected = sum_a * 1.0 * sum_b / n2
-    ari = (sum_ij - expected) / ((sum_a + sum_b) / 2.0 - expected)
-    return pd.DataFrame(
-        {
-            "n": pd.Series([n], dtype="int64"),
-            "ari": [round(float(ari), 6)],
-        }
-    )
-
-
-ADJUSTED_RAND_LABEL_SIGNS_SQL = """
-WITH g AS (
-  SELECT label,
-         2 * (CASE WHEN embedding[1] >= 0 THEN 1 ELSE 0 END)
-           + (CASE WHEN embedding[2] >= 0 THEN 1 ELSE 0 END) AS sc,
-         count(*) AS c
-  FROM embeddings GROUP BY 1, 2
-),
-s AS (
-  SELECT sum(c) AS n,
-         sum(c * (c - 1) / 2) AS sum_ij
-  FROM g
-),
-sa AS (SELECT sum(t * (t - 1) / 2) AS sum_a FROM (SELECT sum(c) AS t FROM g GROUP BY label)),
-sb AS (SELECT sum(t * (t - 1) / 2) AS sum_b FROM (SELECT sum(c) AS t FROM g GROUP BY sc)),
-f AS (
-  SELECT n, sum_ij, sum_a, sum_b,
-         sum_a * 1.0 * sum_b / (n * (n - 1) / 2) AS expected
-  FROM s, sa, sb
-)
-SELECT CAST(n AS BIGINT) AS n,
-       round((sum_ij - expected) / ((sum_a + sum_b) / 2.0 - expected), 6) AS ari
-FROM f
-"""
-
-
-def nmi_label_signs(sf_dir: str) -> pd.DataFrame:
-    """Normalized mutual information between the embedding labels and
-    the deterministic 4-way sign clustering — the information-theoretic
-    partition-agreement metric alongside adjusted_rand_label_signs:
-    NMI = I(A;B) / sqrt(H(A) * H(B)) from the SAME exact-integer
-    contingency grid (natural logs; 0 = independent, 1 = identical).
-
-    One bucketed (label, sign-cluster) grid; the entropy sums run on
-    the tiny grid with identical ln expressions on both engines."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "embeddings", columns=["embedding", "label"])
-
-    def _grid(df: pd.DataFrame) -> pd.DataFrame:
-        emb = np.stack(df["embedding"].to_numpy())
-        s1 = (emb[:, 0] >= 0).astype("int64")
-        s2 = (emb[:, 1] >= 0).astype("int64")
-        out = pd.DataFrame(
-            {"label": df["label"].to_numpy("int64"), "sc": 2 * s1 + s2, "one": 1}
-        )
-        return out.groupby(["label", "sc"], as_index=False)["one"].sum().rename(
-            columns={"one": "c"}
-        )
-
-    grid = (
-        bucketed_aggregate(
-            ds.map_batches(_grid, batch_format="pandas"),
-            ["label", "sc"],
-            {"c": ("c", "sum")},
-            num_buckets=4,
-        )
-        .to_pandas()
-        .sort_values(["label", "sc"])
-        .reset_index(drop=True)
-    )
-    n = int(grid["c"].sum())
-    a = grid.groupby("label")["c"].sum()
-    b = grid.groupby("sc")["c"].sum()
-    pij = grid["c"].to_numpy("int64") * 1.0 / n
-    pa = a.reindex(grid["label"]).to_numpy("int64") * 1.0 / n
-    pb = b.reindex(grid["sc"]).to_numpy("int64") * 1.0 / n
-    mi = float((pij * np.log(pij / (pa * pb))).sum())
-    ha = -float(((a.to_numpy("int64") * 1.0 / n) * np.log(a.to_numpy("int64") * 1.0 / n)).sum())
-    hb = -float(((b.to_numpy("int64") * 1.0 / n) * np.log(b.to_numpy("int64") * 1.0 / n)).sum())
-    return pd.DataFrame(
-        {
-            "n": pd.Series([n], dtype="int64"),
-            "mi_nats": [round(mi, 6)],
-            "nmi": [round(mi / np.sqrt(ha * hb), 6)],
-        }
-    )
-
-
-NMI_LABEL_SIGNS_SQL = """
-WITH g AS (
-  SELECT label,
-         2 * (CASE WHEN embedding[1] >= 0 THEN 1 ELSE 0 END)
-           + (CASE WHEN embedding[2] >= 0 THEN 1 ELSE 0 END) AS sc,
-         count(*) AS c
-  FROM embeddings GROUP BY 1, 2
-),
-tot AS (SELECT sum(c) AS n FROM g),
-ma AS (SELECT label, sum(c) AS ca FROM g GROUP BY label),
-mb AS (SELECT sc, sum(c) AS cb FROM g GROUP BY sc),
-mi AS (
-  SELECT sum((g.c * 1.0 / n) * ln((g.c * 1.0 / n)
-             / ((ca * 1.0 / n) * (cb * 1.0 / n)))) AS mi
-  FROM g JOIN ma USING (label) JOIN mb USING (sc), tot
-),
-ha AS (SELECT -sum((ca * 1.0 / n) * ln(ca * 1.0 / n)) AS h FROM ma, tot),
-hb AS (SELECT -sum((cb * 1.0 / n) * ln(cb * 1.0 / n)) AS h FROM mb, tot)
-SELECT (SELECT CAST(n AS BIGINT) FROM tot) AS n,
-       round(mi.mi, 6) AS mi_nats,
-       round(mi.mi / sqrt(ha.h * hb.h), 6) AS nmi
-FROM mi, ha, hb
-"""
-
 def participation_ratio_embeddings(sf_dir: str) -> pd.DataFrame:
     """Participation ratio of the embedding covariance spectrum —
     PR = (tr C)^2 / tr(C^2) = (SUM lambda)^2 / SUM lambda^2 — the
@@ -2748,11 +2471,10 @@ def variation_of_information_label_signs(sf_dir: str) -> pd.DataFrame:
     """Variation of information between the embedding labels and the
     deterministic 4-way sign clustering: VI = H(A) + H(B) - 2 I(A;B)
     — the metric (triangle-inequality) member of the partition-
-    agreement family, completing adjusted_rand_label_signs (pair
-    counting) and nmi_label_signs (normalized information) on the
-    SAME exact-integer contingency grid; also reported normalized by
+    agreement family, on an exact-integer contingency grid; also
+    reported normalized by
     its ln(n) ceiling."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "embeddings", columns=["embedding", "label"])
 
@@ -2821,274 +2543,6 @@ SELECT (SELECT CAST(n AS BIGINT) FROM tot) AS n,
              / ln((SELECT n FROM tot)), 6) AS vi_norm
 FROM mi, ha, hb
 """
-
-
-def _label_cluster_moments(sf_dir: str):
-    """Per-label clustering moments from ONE streaming pass: n_g,
-    the 64-d vector sum S_g, and the scalar SUM ||x||^2 — everything
-    the centroid-based cluster-quality indices (Calinski-Harabasz,
-    Davies-Bouldin RMS) need. Constant-size partials per batch."""
-    ds = _read(sf_dir, "embeddings", columns=["label", "embedding"])
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for label, g in df.groupby("label", sort=False):
-            m = np.stack(g["embedding"].to_numpy()).astype(np.float64)
-            rows.append(
-                (int(label), m.sum(axis=0).tolist(), float((m * m).sum()), len(g))
-            )
-        return pd.DataFrame(rows, columns=["label", "vec_sum", "ss", "n"])
-
-    parts = ds.map_batches(_partial, batch_format="pandas").to_pandas()
-    out = []
-    for label, g in parts.groupby("label"):
-        s = np.sum(np.stack(g["vec_sum"].to_numpy()), axis=0)
-        out.append((int(label), s, float(g["ss"].sum()), int(g["n"].sum())))
-    return sorted(out, key=lambda r: r[0])
-
-
-def calinski_harabasz_labels(sf_dir: str) -> pd.DataFrame:
-    """Calinski-Harabasz (variance-ratio) index of the ground-truth
-    embedding label clustering: CH = (B/(k-1)) / (W/(N-k)) with
-    between dispersion B = SUM ||S_g||^2/n_g - ||S||^2/N and within
-    W = SUM ||x||^2 - SUM ||S_g||^2/n_g — the classical internal
-    cluster-quality score beside the centroid silhouette, entirely
-    from per-label vector sums (one streaming pass)."""
-    mom = _label_cluster_moments(sf_dir)
-    k = len(mom)
-    n = sum(r[3] for r in mom)
-    ss_tot = sum(r[2] for r in mom)
-    sg = sum(float((r[1] ** 2).sum()) / r[3] for r in mom)
-    s_all = np.sum(np.stack([r[1] for r in mom]), axis=0)
-    b = sg - float((s_all**2).sum()) / n
-    w = ss_tot - sg
-    ch = (b / (k - 1.0)) / (w / (n - k))
-    return pd.DataFrame(
-        {
-            "n": pd.Series([n], dtype="int64"),
-            "k_labels": pd.Series([k], dtype="int64"),
-            "ch_index": [round(float(ch), 6)],
-        }
-    )
-
-
-CALINSKI_HARABASZ_LABELS_SQL = """
-WITH e AS (
-  SELECT label, unnest(CAST(embedding AS DOUBLE[])) AS x,
-         generate_subscripts(embedding, 1) AS d
-  FROM embeddings
-),
-dims AS (
-  SELECT label, d, sum(x) AS sd FROM e GROUP BY 1, 2
-),
-per_label AS (
-  SELECT label, sum(sd * sd) AS s2 FROM dims GROUP BY label
-),
-counts AS (SELECT label, count(*) AS n FROM embeddings GROUP BY label),
-gsum AS (
-  SELECT sum(sd) AS gd, d FROM dims GROUP BY d
-),
-tot AS (
-  SELECT (SELECT sum(n) FROM counts) AS n,
-         (SELECT count(*) FROM counts) AS k,
-         (SELECT sum(x * x) FROM e) AS ss_tot,
-         (SELECT sum(per_label.s2 / counts.n)
-          FROM per_label JOIN counts USING (label)) AS sg,
-         (SELECT sum(gd * gd) FROM gsum) AS g2
-)
-SELECT CAST(n AS BIGINT) AS n,
-       CAST(k AS BIGINT) AS k_labels,
-       round(((sg - g2 / n) / (k - 1.0)) / ((ss_tot - sg) / (n - k)), 6) AS ch_index
-FROM tot
-"""
-
-
-def davies_bouldin_rms_labels(sf_dir: str) -> pd.DataFrame:
-    """Davies-Bouldin index (RMS-dispersion variant) of the embedding
-    label clustering: S_g = sqrt(mean ||x - c_g||^2) per label,
-    pairwise centroid distances M_gh, DB = mean_g max_h (S_g + S_h)
-    / M_gh — lower is better; the RMS dispersion keeps every term a
-    closed form of the same one-pass per-label moments (the classic
-    mean-|distance| variant needs per-row norms, documented here as
-    the deliberate deterministic deviation)."""
-    mom = _label_cluster_moments(sf_dir)
-    cents = [r[1] / r[3] for r in mom]
-    s = [
-        np.sqrt(max(r[2] / r[3] - float((c**2).sum()), 0.0))
-        for r, c in zip(mom, cents)
-    ]
-    k = len(mom)
-    db = 0.0
-    for i in range(k):
-        worst = 0.0
-        for j in range(k):
-            if i == j:
-                continue
-            mij = float(np.sqrt(((cents[i] - cents[j]) ** 2).sum()))
-            worst = max(worst, (s[i] + s[j]) / mij)
-        db += worst
-    return pd.DataFrame(
-        {
-            "k_labels": pd.Series([k], dtype="int64"),
-            "db_index_rms": [round(db / k, 6)],
-        }
-    )
-
-
-DAVIES_BOULDIN_RMS_LABELS_SQL = """
-WITH e AS (
-  SELECT label, unnest(CAST(embedding AS DOUBLE[])) AS x,
-         generate_subscripts(embedding, 1) AS d
-  FROM embeddings
-),
-dims AS (
-  SELECT label, d, sum(x) AS sd FROM e GROUP BY 1, 2
-),
-counts AS (SELECT label, count(*) AS n FROM embeddings GROUP BY label),
-cent AS (
-  SELECT dims.label, d, sd / counts.n AS c
-  FROM dims JOIN counts USING (label)
-),
-ssl AS (
-  SELECT label, sum(x * x) AS ss FROM e GROUP BY label
-),
-disp AS (
-  SELECT counts.label,
-         sqrt(greatest(ssl.ss / counts.n
-              - (SELECT sum(c * c) FROM cent WHERE cent.label = counts.label),
-              0.0)) AS s
-  FROM counts JOIN ssl USING (label)
-),
-pairs AS (
-  SELECT a.label AS la, b.label AS lb,
-         sqrt(sum(pow(a.c - b.c, 2))) AS m
-  FROM cent a JOIN cent b ON a.d = b.d AND a.label <> b.label
-  GROUP BY 1, 2
-),
-ratio AS (
-  SELECT la, max((da.s + db2.s) / pairs.m) AS worst
-  FROM pairs
-  JOIN disp da ON da.label = pairs.la
-  JOIN disp db2 ON db2.label = pairs.lb
-  GROUP BY la
-)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM counts) AS k_labels,
-       round(avg(worst), 6) AS db_index_rms
-FROM ratio
-"""
-
-
-def dunn_centroid_labels(sf_dir: str) -> pd.DataFrame:
-    """Dunn index (centroid variant) of the embedding label
-    clustering: min inter-centroid distance over max RMS
-    within-cluster dispersion — higher is better; the
-    separation/compactness ratio completing the internal-quality
-    trio with Calinski-Harabasz and Davies-Bouldin on the SAME
-    one-pass per-label moments."""
-    mom = _label_cluster_moments(sf_dir)
-    cents = [r[1] / r[3] for r in mom]
-    s = [
-        np.sqrt(max(r[2] / r[3] - float((c**2).sum()), 0.0))
-        for r, c in zip(mom, cents)
-    ]
-    k = len(mom)
-    min_sep = min(
-        float(np.sqrt(((cents[i] - cents[j]) ** 2).sum()))
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
-    return pd.DataFrame(
-        {
-            "k_labels": pd.Series([k], dtype="int64"),
-            "min_separation": [round(min_sep, 6)],
-            "max_dispersion": [round(max(s), 6)],
-            "dunn_centroid": [round(min_sep / max(s), 6)],
-        }
-    )
-
-
-_LABEL_CENT_SQL = """
-WITH e AS (
-  SELECT label, unnest(CAST(embedding AS DOUBLE[])) AS x,
-         generate_subscripts(embedding, 1) AS d
-  FROM embeddings
-),
-dims AS (
-  SELECT label, d, sum(x) AS sd FROM e GROUP BY 1, 2
-),
-counts AS (SELECT label, count(*) AS n FROM embeddings GROUP BY label),
-cent AS (
-  SELECT dims.label, d, sd / counts.n AS c
-  FROM dims JOIN counts USING (label)
-),
-ssl AS (
-  SELECT label, sum(x * x) AS ss FROM e GROUP BY label
-),
-disp AS (
-  SELECT counts.label, counts.n,
-         sqrt(greatest(ssl.ss / counts.n
-              - (SELECT sum(c * c) FROM cent WHERE cent.label = counts.label),
-              0.0)) AS s
-  FROM counts JOIN ssl USING (label)
-),
-pairs AS (
-  SELECT a.label AS la, b.label AS lb,
-         sqrt(sum(pow(a.c - b.c, 2))) AS m
-  FROM cent a JOIN cent b ON a.d = b.d AND a.label < b.label
-  GROUP BY 1, 2
-)
-"""
-
-DUNN_CENTROID_LABELS_SQL = (
-    _LABEL_CENT_SQL
-    + """
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM counts) AS k_labels,
-       round((SELECT min(m) FROM pairs), 6) AS min_separation,
-       round((SELECT max(s) FROM disp), 6) AS max_dispersion,
-       round((SELECT min(m) FROM pairs) / (SELECT max(s) FROM disp), 6)
-         AS dunn_centroid
-"""
-)
-
-
-def xie_beni_labels(sf_dir: str) -> pd.DataFrame:
-    """Xie-Beni index of the embedding label clustering: total
-    within-cluster squared deviation over n times the squared MINIMUM
-    centroid separation — the compactness-over-worst-separation score
-    (lower is better) from the same per-label moment pass as
-    CH/DB/Dunn."""
-    mom = _label_cluster_moments(sf_dir)
-    cents = [r[1] / r[3] for r in mom]
-    n = sum(r[3] for r in mom)
-    w = sum(r[2] - float((r[1] ** 2).sum()) / r[3] for r in mom)
-    k = len(mom)
-    min_sep2 = min(
-        float(((cents[i] - cents[j]) ** 2).sum())
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
-    return pd.DataFrame(
-        {
-            "n": pd.Series([n], dtype="int64"),
-            "xie_beni": [round(w / (n * min_sep2), 6)],
-        }
-    )
-
-
-XIE_BENI_LABELS_SQL = (
-    _LABEL_CENT_SQL
-    + """,
-w AS (
-  SELECT sum(ssl.ss - (SELECT sum(sd * sd) FROM dims WHERE dims.label = ssl.label)
-                       / counts.n) AS w
-  FROM ssl JOIN counts USING (label)
-)
-SELECT (SELECT CAST(sum(n) AS BIGINT) FROM counts) AS n,
-       round((SELECT w FROM w)
-             / ((SELECT sum(n) FROM counts)
-                * pow((SELECT min(m) FROM pairs), 2)), 6) AS xie_beni
-"""
-)
 
 
 def _unit_resultant_sums(sf_dir: str):
@@ -3260,7 +2714,7 @@ def embedding_hubness(sf_dir: str, modulus: int = 5, k: int = 10) -> pd.DataFram
     hub's occurrence count, and the antihub share. Occurrence counts
     reduce through the bucketed aggregate; zeros enter via the
     sample-minus-counted complement."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     edges, ids = _knn_edges(sf_dir, modulus, k)
     occ = bucketed_aggregate(
@@ -3338,7 +2792,7 @@ def knn_symmetry_ratio(sf_dir: str, modulus: int = 5, k: int = 10) -> pd.DataFra
     repair. Canonical (min, max) pair keys reduce through the
     bucketed aggregate; a pair counted twice is symmetric. Shared
     edge machinery."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     edges, _ = _knn_edges(sf_dir, modulus, k)
 

@@ -1,5 +1,5 @@
 """Text-analysis pipelines over the ``documents`` table: token counts,
-fingerprints, language ID, quality scoring, winnowing fingerprints.
+fingerprints, language ID, quality scoring.
 
 All stages are ``map_batches`` transforms; the regex/stopword state is
 compiled once per actor (the reference's load-once-per-worker pattern,
@@ -13,32 +13,13 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from ocr_analytics.textstats import (
+from ocr_pipeline_ray.functions.textstats import (
     TOKEN_RE,
-    bpe_token_estimate,
     detect_language,
     fingerprint_md5,
     quality_stats,
-    winnow_fingerprints,
 )
-from ocr_analytics.relational import _read
-
-
-def token_counts(sf_dir: str) -> pd.DataFrame:
-    """(doc_id, n_tokens) with the ``[A-Za-z0-9_]+`` tokenizer."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def f(t: pa.Table) -> pa.Table:
-        ns = [len(TOKEN_RE.findall(s)) for s in t["text"].to_pylist()]
-        return pa.Table.from_arrays([t["doc_id"], pa.array(ns, pa.int64())], names=["doc_id", "n_tokens"])
-
-    return ds.map_batches(f, batch_format="pyarrow").to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-TOKEN_COUNTS_SQL = r"""
-SELECT doc_id, CAST(len(regexp_extract_all(text, '[A-Za-z0-9_]+')) AS BIGINT) AS n_tokens
-FROM documents ORDER BY doc_id
-"""
+from ocr_pipeline_ray.pipelines.relational import _read
 
 
 def fingerprints(sf_dir: str) -> pd.DataFrame:
@@ -58,193 +39,6 @@ FROM documents ORDER BY doc_id
 """
 
 
-def bpe_token_counts(sf_dir: str) -> pd.DataFrame:
-    """(doc_id, n_bpe_tokens) — BPE-ish estimate (no SQL oracle; the
-    subword-split heuristic is not expressible in RE2)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def f(t: pa.Table) -> pa.Table:
-        ns = [bpe_token_estimate(s) for s in t["text"].to_pylist()]
-        return pa.Table.from_arrays(
-            [t["doc_id"], pa.array(ns, pa.int64())], names=["doc_id", "n_bpe_tokens"]
-        )
-
-    return ds.map_batches(f, batch_format="pyarrow").to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-class _LangId:
-    """Actor stage: stopword tables live in actor state."""
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        langs = [detect_language(s) for s in t["text"].to_pylist()]
-        return pa.Table.from_arrays(
-            [t["doc_id"], pa.array(langs, pa.string())], names=["doc_id", "lang_pred"]
-        )
-
-
-def language_id(sf_dir: str) -> pd.DataFrame:
-    """(doc_id, lang_pred) from the stopword/CJK heuristic (no SQL
-    oracle — heuristic model scoring; driver does rows-only check)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return (
-        ds.map_batches(_LangId, batch_format="pyarrow", concurrency=(1, 4))
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
-def quality_scores(sf_dir: str) -> pd.DataFrame:
-    """Per-doc quality features + composite score (C4/Gopher-style).
-    Ratio features are raw IEEE doubles (integer ratios — bit-equal to
-    the SQL oracle's DOUBLE division); the composite score rounds to 4
-    decimals on both sides."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def f(t: pa.Table) -> pa.Table:
-        stats = [quality_stats(s) for s in t["text"].to_pylist()]
-        cols = {"doc_id": t["doc_id"]}
-        for key in ("n_chars", "n_tokens", "n_punct", "mean_word_len", "stopword_ratio", "alpha_ratio", "quality_score"):
-            cols[key] = pa.array([s[key] for s in stats])
-        return pa.Table.from_pydict(cols)
-
-    return ds.map_batches(f, batch_format="pyarrow").to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-QUALITY_SCORES_SQL = r"""
-WITH base AS (
-  SELECT doc_id,
-         length(text) AS n_chars,
-         len(regexp_extract_all(text, '[A-Za-z0-9_]+')) AS n_tokens,
-         length(text) - length(regexp_replace(text, '[.,!?;:]', '', 'g')) AS n_punct,
-         length(regexp_replace(text, '[^A-Za-z0-9_]+', '', 'g')) AS tok_chars,
-         len(list_filter(regexp_extract_all(lower(text), '[a-z0-9_]+'),
-             x -> x IN ('the','and','of','a','to','in','is','that','it','for'))) AS n_stop,
-         length(regexp_replace(text, '[^A-Za-z]+', '', 'g')) AS n_alpha
-  FROM documents
-), feat AS (
-  SELECT doc_id, n_chars, n_tokens, n_punct,
-         CASE WHEN n_tokens > 0 THEN tok_chars / CAST(n_tokens AS DOUBLE) ELSE 0.0 END AS mwl,
-         CASE WHEN n_tokens > 0 THEN n_stop / CAST(n_tokens AS DOUBLE) ELSE 0.0 END AS stopr,
-         CASE WHEN n_chars > 0 THEN n_alpha / CAST(n_chars AS DOUBLE) ELSE 0.0 END AS alphar
-  FROM base
-)
-SELECT doc_id,
-       CAST(n_chars AS BIGINT) AS n_chars,
-       CAST(n_tokens AS BIGINT) AS n_tokens,
-       CAST(n_punct AS BIGINT) AS n_punct,
-       mwl AS mean_word_len,
-       stopr AS stopword_ratio,
-       alphar AS alpha_ratio,
-       round(CASE WHEN n_tokens >= 10 THEN 0.3 ELSE 0 END
-           + CASE WHEN mwl >= 3.0 AND mwl <= 10.0 THEN 0.3 ELSE 0 END
-           + CASE WHEN stopr >= 0.01 THEN 0.2 ELSE 0 END
-           + CASE WHEN alphar >= 0.6 THEN 0.2 ELSE 0 END, 4) AS quality_score
-FROM feat ORDER BY doc_id
-"""
-
-
-BPE_TOKEN_COUNTS_SQL = r"""
-WITH pieces AS (
-  SELECT doc_id, piece, trim(piece) AS s
-  FROM documents, unnest(regexp_extract_all(text,
-      '''(?:s|t|re|ve|m|ll|d)| ?[A-Za-z]+| ?[0-9]+| ?[^\sA-Za-z0-9]+|\s+')) AS u(piece)
-),
-counts AS (
-  SELECT doc_id, sum(
-    CASE WHEN length(s) >= 5 AND regexp_matches(s, '^[A-Za-z]+$')
-         THEN greatest(1, CAST(round(length(s) / 4.5) AS BIGINT))
-         ELSE 1 END) AS n
-  FROM pieces WHERE NOT regexp_matches(piece, '^\s+$')
-  GROUP BY doc_id
-)
-SELECT d.doc_id, CAST(coalesce(c.n, 0) AS BIGINT) AS n_bpe_tokens
-FROM documents d LEFT JOIN counts c USING (doc_id) ORDER BY doc_id
-"""
-
-
-LANGUAGE_ID_SQL = r"""
-WITH t AS (
-  SELECT doc_id,
-    regexp_matches(substr(text, 1, 2000), '[\x{4E00}-\x{9FFF}]') AS cjk,
-    regexp_extract_all(lower(substr(text, 1, 4000)), '[a-z0-9_]+') AS toks
-  FROM documents
-), s AS (
-  SELECT doc_id, cjk, len(toks) AS n,
-    len(list_filter(toks, x -> x IN ('the','and','of','a','to','in','is','that','it','for'))) AS en,
-    len(list_filter(toks, x -> x IN ('der','die','das','und','ist','nicht','ein','zu','mit','von'))) AS de,
-    len(list_filter(toks, x -> x IN ('el','la','de','que','y','en','un','es','por','con'))) AS es,
-    len(list_filter(toks, x -> x IN ('le','la','de','et','un','est','que','pour','dans','sur'))) AS fr
-  FROM t
-)
-SELECT doc_id,
-  CASE WHEN cjk THEN 'zh'
-       WHEN n = 0 THEN 'unknown'
-       WHEN greatest(de, en, es, fr) = 0 THEN 'unknown'
-       WHEN de >= en AND de >= es AND de >= fr THEN 'de'
-       WHEN en >= es AND en >= fr THEN 'en'
-       WHEN es >= fr THEN 'es'
-       ELSE 'fr' END AS lang_pred
-FROM s ORDER BY doc_id
-"""
-
-
-# Exact winnowing oracle. Equivalences it relies on (both verified
-# against the Python loop over the full test corpus):
-# * the k-gram hash is DuckDB md5_number_lower == md5 bytes[8:16] LE;
-# * "dedup consecutive picks" == COUNT(DISTINCT picked position) —
-#   the rightmost-min position is non-decreasing as the window slides
-#   (a tie resolves to the same rightmost index in both windows), so
-#   repeats are always consecutive.
-# Window min + rightmost tie-break: per start, min(h) over the
-# window's grams, then max(pos) among grams attaining it.
-WINNOWING_SQL = r"""
-WITH toks AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9_]+') AS tk FROM documents
-),
-grams AS (
-  SELECT doc_id, i.i AS pos,
-         md5_number_lower(array_to_string(tk[i.i : i.i + 5 - 1], ' ')) AS h,
-         len(tk) - 5 + 1 AS n_grams
-  FROM toks, unnest(generate_series(1, len(tk) - 5 + 1)) AS i(i)
-  WHERE len(tk) >= 5
-),
-starts AS (
-  SELECT doc_id, s.s AS i
-  FROM (SELECT DISTINCT doc_id, n_grams FROM grams),
-       unnest(generate_series(1, greatest(1, n_grams - 4 + 1))) AS s(s)
-),
-win AS (
-  SELECT s.doc_id, s.i, min(g.h) AS min_h
-  FROM starts s JOIN grams g ON g.doc_id = s.doc_id AND g.pos BETWEEN s.i AND s.i + 4 - 1
-  GROUP BY s.doc_id, s.i
-),
-picks AS (
-  SELECT w.doc_id, w.i, max(g.pos) AS j
-  FROM win w JOIN grams g
-    ON g.doc_id = w.doc_id AND g.pos BETWEEN w.i AND w.i + 4 - 1 AND g.h = w.min_h
-  GROUP BY w.doc_id, w.i
-)
-SELECT d.doc_id, CAST(coalesce(p.n, 0) AS BIGINT) AS n_fingerprints
-FROM documents d
-LEFT JOIN (SELECT doc_id, count(DISTINCT j) AS n FROM picks GROUP BY doc_id) p USING (doc_id)
-ORDER BY doc_id
-"""
-
-
-def winnowing(sf_dir: str, k: int = 5, window: int = 4) -> pd.DataFrame:
-    """(doc_id, n_fingerprints) winnowing summary (full fingerprint
-    sets are list-typed; the count is the driver-checkable scalar,
-    oracle-checked via WINNOWING_SQL)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def f(t: pa.Table) -> pa.Table:
-        ns = [len(winnow_fingerprints(s, k, window)) for s in t["text"].to_pylist()]
-        return pa.Table.from_arrays([t["doc_id"], pa.array(ns, pa.int64())], names=["doc_id", "n_fingerprints"])
-
-    return ds.map_batches(f, batch_format="pyarrow").to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
 def vocab_top_terms(sf_dir: str, k: int = 50) -> pd.DataFrame:
     """Corpus vocabulary: top-k tokens by total count (the
     vocab-building / n-gram-counting primitive of a training-data
@@ -255,7 +49,7 @@ def vocab_top_terms(sf_dir: str, k: int = 50) -> pd.DataFrame:
     Deterministic tie-break: count desc, term asc."""
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -283,185 +77,6 @@ def vocab_top_terms(sf_dir: str, k: int = 50) -> pd.DataFrame:
     return out[["term", "n"]].reset_index(drop=True)
 
 
-def vocab_top_terms_sql(k: int = 50) -> str:
-    return f"""
-SELECT t.term, CAST(count(*) AS BIGINT) AS n
-FROM documents, unnest(regexp_extract_all(lower(text), '[a-z0-9_]+')) AS t(term)
-GROUP BY t.term
-ORDER BY n DESC, term
-LIMIT {k}
-"""
-
-
-VOCAB_TOP_TERMS_SQL = vocab_top_terms_sql()
-
-
-def doc_length_histogram(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame:
-    """Corpus length profile: docs per ``bucket_chars``-wide length
-    bucket — the length-filter diagnostic every curation pipeline
-    runs. Fully distributed: per-batch bucket counts, tiny combine."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "documents", columns=["text"])
-
-    def f(df: pd.DataFrame) -> pd.DataFrame:
-        b = (df["text"].str.len() // bucket_chars).astype("int64")
-        out = b.value_counts().rename_axis("len_bucket").reset_index(name="n")
-        return out
-
-    out = (
-        bucketed_aggregate(
-            ds.map_batches(f, batch_format="pandas"),
-            "len_bucket",
-            {"n_docs": ("n", "sum")},
-            num_buckets=8,
-        )
-        .to_pandas()
-        .sort_values("len_bucket")
-        .reset_index(drop=True)
-    )
-    out["n_docs"] = out["n_docs"].astype("int64")
-    return out
-
-
-DOC_LENGTH_HISTOGRAM_SQL = """
-SELECT CAST(length(text) // 200 AS BIGINT) AS len_bucket,
-       CAST(count(*) AS BIGINT) AS n_docs
-FROM documents GROUP BY 1 ORDER BY 1
-"""
-
-
-def hash_sample(sf_dir: str, modulus: int = 10, keep: int = 3) -> pd.DataFrame:
-    """Deterministic hash-based sampling (the reproducible-subset
-    primitive: same rows on every run and every cluster size, no RNG
-    state to coordinate). Keeps doc_id % modulus == keep; vectorized
-    Arrow filter at the read."""
-    import pyarrow.compute as pc
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def f(t: pa.Table) -> pa.Table:
-        # doc_id % modulus via arrow integer kernels (no Python rows)
-        sel = pc.equal(
-            pc.subtract(t["doc_id"], pc.multiply(pc.divide(t["doc_id"], modulus), modulus)),
-            pa.scalar(keep),
-        )
-        t = t.filter(sel)
-        n_tok = [len(TOKEN_RE.findall(s)) for s in t["text"].to_pylist()]
-        return pa.Table.from_arrays(
-            [t["doc_id"], pa.array(n_tok, pa.int64())], names=["doc_id", "n_tokens"]
-        )
-
-    return ds.map_batches(f, batch_format="pyarrow").to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-
-HASH_SAMPLE_SQL = r"""
-SELECT doc_id, CAST(len(regexp_extract_all(text, '[A-Za-z0-9_]+')) AS BIGINT) AS n_tokens
-FROM documents WHERE doc_id % 10 = 3 ORDER BY doc_id
-"""
-
-
-def tfidf_top_term(sf_dir: str) -> pd.DataFrame:
-    """Per-doc top TF-IDF term (the discriminative-term primitive):
-
-    1. document frequency per term: per-batch per-doc-deduped
-       (doc, term) pairs reduce through the high-cardinality-safe
-       bucketed aggregate (the vocabulary is the key domain);
-    2. the df map broadcasts once (vocabulary << corpus);
-    3. one streaming pass scores tf * ln(N/df) per doc and keeps the
-       argmax (tie -> lexicographically first term).
-
-    Ranking uses unrounded scores (matching the SQL window order);
-    the reported tfidf rounds to 4 decimals for hash comparison."""
-    import numpy as np
-
-    from ocr_analytics.relational import bucketed_aggregate
-    import ray
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def _doc_terms(t: pa.Table) -> pa.Table:
-        terms: list[str] = []
-        for s in t["text"].to_pylist():
-            terms.extend(set(TOKEN_RE.findall(s.lower())))
-        uniq, counts = (
-            np.unique(np.asarray(terms, dtype=object), return_counts=True)
-            if terms
-            else (np.array([], dtype=object), np.array([], dtype=np.int64))
-        )
-        return pa.Table.from_pydict(
-            {"term": pa.array(list(uniq), pa.string()), "df": pa.array(counts, pa.int64())}
-        )
-
-    df_tab = (
-        bucketed_aggregate(
-            ds.map_batches(_doc_terms, batch_format="pyarrow"),
-            "term",
-            {"df": ("df", "sum")},
-            num_buckets=16,
-        )
-        .to_pandas()
-        .sort_values("term")
-    )
-    n_docs = _read(sf_dir, "documents", columns=["doc_id"]).count()
-    df_ref = ray.put((df_tab["term"].to_numpy(), df_tab["df"].to_numpy().astype(np.float64)))
-
-    class _Score:
-        def __init__(self):
-            self.terms, self.dfs = ray.get(df_ref)
-            self.idf = np.log(float(n_docs) / self.dfs)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids, top_terms, scores = [], [], []
-            for did, s in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-                toks = TOKEN_RE.findall(s.lower())
-                if not toks:
-                    continue
-                uniq, tf = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-                idx = np.searchsorted(self.terms, uniq)
-                score = tf * self.idf[idx]
-                best = np.lexsort((uniq, -score))[0]  # max score, tie term asc
-                ids.append(did)
-                top_terms.append(str(uniq[best]))
-                scores.append(round(float(score[best]), 4))
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array(ids, pa.int64()),
-                    "term": pa.array(top_terms, pa.string()),
-                    "tfidf": pa.array(scores, pa.float64()),
-                }
-            )
-
-    return (
-        ds.map_batches(_Score, batch_format="pyarrow", concurrency=(1, 4))
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
-TFIDF_TOP_TERM_SQL = r"""
-WITH tokens AS (
-  SELECT doc_id, t.term
-  FROM documents, unnest(regexp_extract_all(lower(text), '[a-z0-9_]+')) AS t(term)
-), tf AS (
-  SELECT doc_id, term, count(*) AS tf FROM tokens GROUP BY doc_id, term
-), df AS (
-  SELECT term, count(DISTINCT doc_id) AS df FROM tokens GROUP BY term
-), n AS (SELECT count(*) AS n FROM documents),
-scored AS (
-  SELECT tf.doc_id, tf.term,
-         tf.tf * ln(CAST(n.n AS DOUBLE) / df.df) AS score,
-         row_number() OVER (PARTITION BY tf.doc_id
-                            ORDER BY tf.tf * ln(CAST(n.n AS DOUBLE) / df.df) DESC,
-                                     tf.term) AS rn
-  FROM tf JOIN df USING (term) CROSS JOIN n
-)
-SELECT doc_id, term, round(score, 4) AS tfidf
-FROM scored WHERE rn = 1 ORDER BY doc_id
-"""
-
-
 def curate_corpus(sf_dir: str, min_quality: float = 0.5, langs=("en", "unknown")) -> pd.DataFrame:
     """End-to-end corpus curation COMPOSITION — the shape of a real
     training-data job: one streaming pass computes quality + language
@@ -472,7 +87,7 @@ def curate_corpus(sf_dir: str, min_quality: float = 0.5, langs=("en", "unknown")
     composition has a DuckDB oracle)."""
     import hashlib
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -554,94 +169,6 @@ def repetition_stats(sf_dir: str) -> pd.DataFrame:
     )
 
 
-# dup_line_frac: tokens on repeated (trimmed, non-empty) lines over
-# all tokens; top_bigram_frac: max bigram count over total bigrams.
-# Bigrams via list_zip(tk, tk[2:]) — the zip pads the shifted list
-# with NULL, so the trailing NULL-concat row is filtered out.
-REPETITION_STATS_SQL = r"""
-WITH toks AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9_]+') AS tk FROM documents
-),
-ntok AS (SELECT doc_id, len(tk) AS n_tok FROM toks),
-lines AS (
-  SELECT doc_id, trim(l) AS line
-  FROM documents, unnest(string_split(text, chr(10))) AS t(l)
-  WHERE trim(l) <> ''
-),
-line_stats AS (
-  SELECT doc_id, line, count(*) AS cnt,
-         len(regexp_extract_all(line, '[A-Za-z0-9_]+')) AS k
-  FROM lines GROUP BY doc_id, line
-),
-dup AS (SELECT doc_id, sum((cnt - 1) * k) AS dup_tokens FROM line_stats GROUP BY doc_id),
-bg AS (
-  SELECT doc_id, b.bigram
-  FROM toks, unnest(list_transform(list_zip(tk, tk[2:]), x -> x[1] || ' ' || x[2])) AS b(bigram)
-  WHERE b.bigram IS NOT NULL
-),
-bgc AS (SELECT doc_id, bigram, count(*) AS c FROM bg GROUP BY doc_id, bigram),
-bgm AS (SELECT doc_id, max(c) AS maxc, sum(c) AS tot FROM bgc GROUP BY doc_id)
-SELECT d.doc_id,
-  CASE WHEN coalesce(n.n_tok, 0) > 0 AND dup.doc_id IS NOT NULL
-       THEN dup.dup_tokens / CAST(n.n_tok AS DOUBLE) ELSE 0.0 END AS dup_line_frac,
-  CASE WHEN coalesce(n.n_tok, 0) >= 2
-       THEN bgm.maxc / CAST(bgm.tot AS DOUBLE) ELSE 0.0 END AS top_bigram_frac
-FROM documents d
-LEFT JOIN ntok n USING (doc_id)
-LEFT JOIN dup USING (doc_id)
-LEFT JOIN bgm USING (doc_id)
-ORDER BY doc_id
-"""
-
-
-# quality filter (decimal score arithmetic is exact, so >= 0.5 agrees
-# with the Python side's 4-decimal-rounded comparison) -> language
-# filter -> exact md5 dedup keeping min doc_id: the full curation
-# composition is SQL-expressible end to end.
-CURATE_CORPUS_SQL = r"""
-WITH base AS (
-  SELECT doc_id, text,
-         length(text) AS n_chars,
-         len(regexp_extract_all(text, '[A-Za-z0-9_]+')) AS n_tokens,
-         length(regexp_replace(text, '[^A-Za-z0-9_]+', '', 'g')) AS tok_chars,
-         len(list_filter(regexp_extract_all(lower(text), '[a-z0-9_]+'),
-             x -> x IN ('the','and','of','a','to','in','is','that','it','for'))) AS n_stop,
-         length(regexp_replace(text, '[^A-Za-z]+', '', 'g')) AS n_alpha
-  FROM documents
-), feat AS (
-  SELECT doc_id, text,
-         CASE WHEN n_tokens >= 10 THEN 0.3 ELSE 0 END
-       + CASE WHEN n_tokens > 0 AND tok_chars / CAST(n_tokens AS DOUBLE) BETWEEN 3.0 AND 10.0 THEN 0.3 ELSE 0 END
-       + CASE WHEN n_tokens > 0 AND n_stop / CAST(n_tokens AS DOUBLE) >= 0.01 THEN 0.2 ELSE 0 END
-       + CASE WHEN n_chars > 0 AND n_alpha / CAST(n_chars AS DOUBLE) >= 0.6 THEN 0.2 ELSE 0 END AS score
-  FROM base
-), lang AS (
-  SELECT doc_id,
-    CASE WHEN regexp_matches(substr(text, 1, 2000), '[\x{4E00}-\x{9FFF}]') THEN 'zh'
-         WHEN len(toks) = 0 THEN 'unknown'
-         WHEN greatest(de, en, es, fr) = 0 THEN 'unknown'
-         WHEN de >= en AND de >= es AND de >= fr THEN 'de'
-         WHEN en >= es AND en >= fr THEN 'en'
-         WHEN es >= fr THEN 'es'
-         ELSE 'fr' END AS lang_pred
-  FROM (
-    SELECT doc_id,
-      len(list_filter(toks, x -> x IN ('the','and','of','a','to','in','is','that','it','for'))) AS en,
-      len(list_filter(toks, x -> x IN ('der','die','das','und','ist','nicht','ein','zu','mit','von'))) AS de,
-      len(list_filter(toks, x -> x IN ('el','la','de','que','y','en','un','es','por','con'))) AS es,
-      len(list_filter(toks, x -> x IN ('le','la','de','et','un','est','que','pour','dans','sur'))) AS fr,
-      toks
-    FROM (SELECT doc_id, regexp_extract_all(lower(substr(text, 1, 4000)), '[a-z0-9_]+') AS toks FROM documents)
-  )
-), keep AS (
-  SELECT f.doc_id, md5(f.text) AS h
-  FROM feat f JOIN lang l USING (doc_id)
-  WHERE f.score >= 0.5 AND l.lang_pred IN ('en', 'unknown')
-)
-SELECT CAST(min(doc_id) AS BIGINT) AS doc_id FROM keep GROUP BY h ORDER BY doc_id
-"""
-
-
 SEG_IDX_BITS = 32  # (doc_id, seg_idx) packed into one int64 order key
 
 
@@ -661,7 +188,7 @@ def segment_dedup(sf_dir: str, seg_len: int = 3) -> pd.DataFrame:
 
     Output: (doc_id, seg_idx, seg) of kept segments.
     """
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     assert seg_len > 0
 
@@ -761,7 +288,7 @@ def heavy_hitter_terms(
 
     import numpy as np
 
-    from ocr_analytics.sketches import CountMinSketch
+    from ocr_pipeline_ray.functions.sketches import CountMinSketch
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -870,7 +397,7 @@ def stratified_sample(sf_dir: str, k: int = 5) -> pd.DataFrame:
     Distributed shape: per-batch top-k per stratum (vectorized
     hash + groupby head), driver combines k x strata x batches
     partial rows — the corpus never shuffles (same partial-top-k
-    shape as knn/top_orders).
+    shape as knn).
     """
     import hashlib
 
@@ -930,7 +457,7 @@ def bpe_learn_merges(sf_dir: str, n_merges: int = 8) -> pd.DataFrame:
     reference implementation.
 
     Output: (rank, left, right, n) per learned merge."""
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -1143,7 +670,7 @@ def doc_perplexity(sf_dir: str) -> pd.DataFrame:
     bigram support), matching the SQL oracle's join semantics."""
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1378,7 +905,7 @@ def duplicate_ngram_spans(sf_dir: str, hash_grams: bool = False) -> pd.DataFrame
     oracle-exact default keeps strings."""
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1992,9 +1519,8 @@ def mixture_sample(sf_dir: str, budget_tokens: int = 600) -> pd.DataFrame:
     Distributed shape: one tokenize scan emits tiny (doc_id, source,
     n_tokens, h) rows; ONE coarse-bucket shuffle on hash(source)
     co-locates each source, and the per-bucket pandas grouped cumsum
-    reproduces the window frame exactly (same pattern as
-    cumulative_user_value). Text never moves; only the fixed-width
-    rows shuffle."""
+    reproduces the window frame exactly. Text never moves; only the
+    fixed-width rows shuffle."""
     import hashlib
 
     import numpy as np
@@ -2242,7 +1768,7 @@ def inverted_index_sample(sf_dir: str, k_terms: int = 5, k_docs: int = 10) -> pd
     term-partitioned parquet instead of collecting."""
     from collections import Counter
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
 
@@ -2452,7 +1978,7 @@ def top_terms_per_source(sf_dir: str, k: int = 5) -> pd.DataFrame:
     the driver sees at most k rows per source per batch."""
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -2509,7 +2035,7 @@ def source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
     tiny |sources|² driver reduce finishes |A∩B| / (|A|+|B|-|A∩B|)."""
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -2617,7 +2143,7 @@ def length_psi_by_source(sf_dir: str, bucket_chars: int = 200, n_psi_bins: int =
     so empty cells stay finite (mirrored exactly in the oracle)."""
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -2732,7 +2258,7 @@ def partitioned_write_roundtrip(sf_dir: str) -> pd.DataFrame:
 
     import pyarrow.parquet as _pq
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     out_dir = "/tmp/ocr_ray_roundtrip"
     _shutil.rmtree(out_dir, ignore_errors=True)
@@ -2820,7 +2346,7 @@ def ks_length_sources(sf_dir: str, src_a: str = "src0", src_b: str = "src1") -> 
     D = max |F_a - F_b| on the driver."""
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -2921,7 +2447,7 @@ def doc_length_percentile(sf_dir: str) -> pd.DataFrame:
     oracle's ORDER BY)."""
     import numpy as np
 
-    from ocr_analytics.relational import _global_rank
+    from ocr_pipeline_ray.pipelines.relational import _global_rank
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
         lambda df: pd.DataFrame(
@@ -2961,7 +2487,7 @@ def partition_skew_report(sf_dir: str, bucket_chars: int = 400) -> pd.DataFrame:
     arithmetic."""
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -3002,551 +2528,6 @@ FROM c
 """
 
 
-def tar_shard_roundtrip(sf_dir: str, n_shards: int = 8) -> pd.DataFrame:
-    """WebDataset-style tar sink under the correctness gate: documents
-    stream into ``n_shards`` byte-reproducible tar shards (one task
-    per shard, stdlib tarfile — the training-corpus wire format), are
-    read BACK one-task-per-shard, and reconcile as per-shard
-    (n_docs, n_chars) against a direct scan of the source table. The
-    same write-audit primitive as :func:`partitioned_write_roundtrip`
-    over a non-parquet, sample-per-member format. Deterministic layout
-    under /tmp, re-created per call."""
-    import shutil as _shutil
-
-    from ocr_analytics.tarshard import read_tar_shards, write_tar_shards
-
-    out_dir = "/tmp/ocr_ray_tar_shards"
-    _shutil.rmtree(out_dir, ignore_errors=True)
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    write_tar_shards(ds, out_dir, n_shards=n_shards)
-
-    back = read_tar_shards(out_dir)
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = pd.DataFrame(
-            {"shard": (df["doc_id"].to_numpy() % n_shards).astype("int64"),
-             "n_chars": df["text"].str.len().to_numpy("int64")}
-        )
-        return d.groupby("shard", as_index=False).agg(
-            n_docs=("n_chars", "size"), n_chars=("n_chars", "sum")
-        )
-
-    parts = back.map_batches(_partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("shard", as_index=False)[["n_docs", "n_chars"]].sum()
-    out["shard"] = out["shard"].astype("int64")
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["n_chars"] = out["n_chars"].astype("int64")
-    return out.sort_values("shard").reset_index(drop=True)
-
-
-def tar_shard_roundtrip_sql(n_shards: int = 8) -> str:
-    return f"""
-SELECT CAST(doc_id % {n_shards} AS BIGINT) AS shard,
-       CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(sum(length(text)) AS BIGINT) AS n_chars
-FROM documents GROUP BY 1 ORDER BY 1
-"""
-
-
-TAR_SHARD_ROUNDTRIP_SQL = tar_shard_roundtrip_sql()
-
-
-def readability_scores(sf_dir: str) -> pd.DataFrame:
-    """Flesch-style reading-ease per document — the readability axis
-    of corpus quality filtering (alongside the C4/Gopher signals in
-    :func:`quality_scores`). Deterministic proxies keep it exactly
-    SQL-checkable: words = ``[A-Za-z]+`` runs, sentences = ``[.!?]+``
-    runs, syllables = vowel-group (``[aeiouy]+``) runs over the
-    lowercased text (the classic dictionary-free estimate). Stateless
-    vectorized map — one pass, no shuffle; the compiled regexes are
-    module-level, not per-batch."""
-    import re as _re
-
-    import numpy as np
-
-    word_re = _re.compile(r"[A-Za-z]+")
-    sent_re = _re.compile(r"[.!?]+")
-    syll_re = _re.compile(r"[aeiouy]+")
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def _score(df: pd.DataFrame) -> pd.DataFrame:
-        n_words = df["text"].str.count(word_re).to_numpy("int64")
-        n_sents = df["text"].str.count(sent_re).to_numpy("int64")
-        n_syll = df["text"].str.lower().str.count(syll_re).to_numpy("int64")
-        flesch = (
-            206.835
-            - 1.015 * (n_words / np.maximum(n_sents, 1))
-            - 84.6 * (n_syll / np.maximum(n_words, 1))
-        )
-        return pd.DataFrame(
-            {"doc_id": df["doc_id"].to_numpy("int64"), "n_words": n_words,
-             "n_sents": n_sents, "n_syll": n_syll,
-             "flesch": np.round(flesch, 4)}
-        )
-
-    out = ds.map_batches(_score, batch_format="pandas").to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-READABILITY_SCORES_SQL = """
-SELECT doc_id,
-       CAST(len(regexp_extract_all(text, '[A-Za-z]+')) AS BIGINT) AS n_words,
-       CAST(len(regexp_extract_all(text, '[.!?]+')) AS BIGINT) AS n_sents,
-       CAST(len(regexp_extract_all(lower(text), '[aeiouy]+')) AS BIGINT) AS n_syll,
-       round(206.835
-             - 1.015 * (n_words / greatest(n_sents, 1))
-             - 84.6 * (n_syll / greatest(n_words, 1)), 4) AS flesch
-FROM documents ORDER BY doc_id
-"""
-
-
-def char_class_profile(sf_dir: str) -> pd.DataFrame:
-    """Character-class composition per source: alpha / digit /
-    whitespace / other counts and the alpha fraction — the cheapest
-    corpus-mix drift monitor (a source whose alpha fraction moves is
-    emitting markup, tables, or garbage). Per-batch per-source partial
-    sums (sources are a tiny dimension) combine on the driver — the
-    one-pass, shuffle-free monitor shape."""
-    import re as _re
-
-    alpha_re = _re.compile(r"[A-Za-z]")
-    digit_re = _re.compile(r"[0-9]")
-    space_re = _re.compile(r"\s")
-
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = pd.DataFrame(
-            {"source": df["source"],
-             "n_alpha": df["text"].str.count(alpha_re).to_numpy("int64"),
-             "n_digit": df["text"].str.count(digit_re).to_numpy("int64"),
-             "n_space": df["text"].str.count(space_re).to_numpy("int64"),
-             "n_total": df["text"].str.len().to_numpy("int64")}
-        )
-        return d.groupby("source", as_index=False).sum()
-
-    parts = ds.map_batches(_partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("source", as_index=False).sum()
-    out["n_other"] = out["n_total"] - out["n_alpha"] - out["n_digit"] - out["n_space"]
-    out["alpha_frac"] = (out["n_alpha"] / out["n_total"]).round(6)
-    out = out[["source", "n_alpha", "n_digit", "n_space", "n_other", "alpha_frac"]]
-    for c in ("n_alpha", "n_digit", "n_space", "n_other"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("source").reset_index(drop=True)
-
-
-CHAR_CLASS_PROFILE_SQL = """
-SELECT source,
-       CAST(sum(len(regexp_extract_all(text, '[A-Za-z]'))) AS BIGINT) AS n_alpha,
-       CAST(sum(len(regexp_extract_all(text, '[0-9]'))) AS BIGINT) AS n_digit,
-       CAST(sum(len(regexp_extract_all(text, '\\s'))) AS BIGINT) AS n_space,
-       CAST(sum(length(text))
-            - sum(len(regexp_extract_all(text, '[A-Za-z]')))
-            - sum(len(regexp_extract_all(text, '[0-9]')))
-            - sum(len(regexp_extract_all(text, '\\s'))) AS BIGINT) AS n_other,
-       round(sum(len(regexp_extract_all(text, '[A-Za-z]')))
-             / sum(length(text)), 6) AS alpha_frac
-FROM documents GROUP BY source ORDER BY source
-"""
-
-
-def tfidf_cosine_pairs(
-    sf_dir: str,
-    threshold: float = 0.25,
-    df_cap: int = 50,
-    num_buckets: int | None = None,
-) -> pd.DataFrame:
-    """ALL-PAIRS SIMILARITY SEARCH (APSS): document pairs whose
-    TF-IDF cosine similarity reaches ``threshold`` — the
-    content-based near-duplicate join (Bayardo et al.'s problem)
-    complementing the lexical MinHash/SimHash family with an EXACT,
-    SQL-checkable score.
-
-    Scale shape — the classic inverted-index decomposition:
-    cosine(a, b) = sum over shared terms of w_a[t] * w_b[t], so the
-    pair join distributes by TERM, never by document:
-
-    1. df per term via the bucketed vocabulary aggregate; terms with
-       df == 1 (no pair) or df > ``df_cap`` (stop-word-like, the
-       standard APSS high-frequency prune — each term's pair fan-out
-       is bounded by df_cap^2) define the scoring vocabulary, whose
-       (term -> idf) map broadcasts once via ``ray.put``;
-    2. one streaming pass emits L2-NORMALIZED posting rows
-       (term, doc, w) per batch (a doc's text is one row, so tf and
-       the norm are exact per batch);
-    3. postings bucket by hash(term); inside each bucket one
-       vectorized self-merge per term emits ordered-pair partial
-       products, pre-summed per (doc_a, doc_b) before the shuffle;
-    4. pair partials reduce through the bucketed aggregate; the
-       HAVING-style threshold filter runs distributed, so only
-       qualifying pairs reach the driver.
-    """
-    import numpy as np
-
-    import ray
-
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    if num_buckets is None:
-        from ocr_pipeline_ray.stages.reassemble import default_num_buckets
-
-        num_buckets = default_num_buckets(ds, floor=32)
-
-    def _doc_terms(t: pa.Table) -> pa.Table:
-        terms: list[str] = []
-        for s in t["text"].to_pylist():
-            terms.extend(set(TOKEN_RE.findall(s.lower())))
-        uniq, counts = (
-            np.unique(np.asarray(terms, dtype=object), return_counts=True)
-            if terms
-            else (np.array([], dtype=object), np.array([], dtype=np.int64))
-        )
-        return pa.Table.from_pydict(
-            {"term": pa.array(list(uniq), pa.string()), "df": pa.array(counts, pa.int64())}
-        )
-
-    df_tab = (
-        bucketed_aggregate(
-            ds.map_batches(_doc_terms, batch_format="pyarrow"),
-            "term",
-            {"df": ("df", "sum")},
-            num_buckets=16,
-        )
-        .to_pandas()
-    )
-    n_docs = int(ds.count())
-    kept = df_tab[(df_tab["df"] > 1) & (df_tab["df"] <= df_cap)]
-    idf_map = dict(zip(kept["term"], np.log(n_docs / kept["df"].to_numpy("float64"))))
-    idf_ref = ray.put(idf_map)
-
-    def _postings(df: pd.DataFrame) -> pd.DataFrame:
-        idf = ray.get(idf_ref)
-        t_all: list[str] = []
-        d_all: list[np.ndarray] = []
-        w_all: list[np.ndarray] = []
-        for doc_id, s in zip(df["doc_id"].to_numpy("int64"), df["text"]):
-            toks = TOKEN_RE.findall(s.lower())
-            if not toks:
-                continue
-            uniq, counts = np.unique(np.asarray(toks, dtype=object), return_counts=True)
-            ws = np.array(
-                [counts[i] * idf[t] if t in idf else 0.0 for i, t in enumerate(uniq)]
-            )
-            keep = ws > 0
-            if not keep.any():
-                continue
-            ws = ws[keep]
-            nrm = float(np.sqrt((ws * ws).sum()))
-            t_all.extend(uniq[keep])
-            d_all.append(np.full(int(keep.sum()), doc_id, dtype="int64"))
-            w_all.append(ws / nrm)
-        if not d_all:
-            return pd.DataFrame({"term": [], "doc": [], "w": []})
-        return pd.DataFrame(
-            {"term": np.asarray(t_all, dtype=object),
-             "doc": np.concatenate(d_all), "w": np.concatenate(w_all)}
-        )
-
-    def _tbucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = (
-            pd.util.hash_pandas_object(df["term"], index=False).to_numpy() % num_buckets
-        ).astype("int64")
-        return df
-
-    def _pair_partials(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__bucket")
-        m = g.merge(g, on="term", suffixes=("_a", "_b"))
-        m = m[m["doc_a"] < m["doc_b"]]
-        if m.empty:
-            return pd.DataFrame({"doc_a": [], "doc_b": [], "s": []})
-        m["s"] = m["w_a"] * m["w_b"]
-        return m.groupby(["doc_a", "doc_b"], as_index=False)["s"].sum()
-
-    pair_sums = bucketed_aggregate(
-        ds.map_batches(_postings, batch_format="pandas")
-        .map_batches(_tbucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(_pair_partials, batch_format="pandas"),
-        ["doc_a", "doc_b"],
-        {"s": ("s", "sum")},
-        num_buckets=16,
-    )
-    out = pair_sums.map_batches(
-        lambda df: df.loc[df["s"] >= threshold, ["doc_a", "doc_b", "s"]],
-        batch_format="pandas",
-    ).to_pandas()
-    out["doc_a"] = out["doc_a"].astype("int64")
-    out["doc_b"] = out["doc_b"].astype("int64")
-    out["cos"] = out["s"].round(4)
-    return (
-        out[["doc_a", "doc_b", "cos"]]
-        .sort_values(["doc_a", "doc_b"])
-        .reset_index(drop=True)
-    )
-
-
-def tfidf_cosine_pairs_sql(threshold: float = 0.25, df_cap: int = 50) -> str:
-    return f"""
-WITH tok AS (
-  SELECT doc_id, unnest(regexp_extract_all(lower(text), '[a-z0-9_]+')) AS term
-  FROM documents
-),
-tf AS (SELECT doc_id, term, count(*) AS tf FROM tok GROUP BY 1, 2),
-df AS (SELECT term, count(*) AS df FROM tf GROUP BY 1),
-n AS (SELECT count(*) AS n FROM documents),
-w AS (
-  SELECT tf.doc_id, tf.term, tf.tf * ln((SELECT n FROM n) / df.df) AS w
-  FROM tf JOIN df USING (term)
-  WHERE df.df <= {df_cap} AND df.df > 1
-),
-nrm AS (SELECT doc_id, sqrt(sum(w * w)) AS nr FROM w GROUP BY 1),
-wn AS (
-  SELECT w.doc_id, term, w / nr AS w FROM w JOIN nrm USING (doc_id)
-  WHERE nr > 0
-),
-pairs AS (
-  SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, sum(a.w * b.w) AS cos
-  FROM wn a JOIN wn b ON a.term = b.term AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-)
-SELECT doc_a, doc_b, round(cos, 4) AS cos
-FROM pairs WHERE cos >= {threshold} ORDER BY doc_a, doc_b
-"""
-
-
-TFIDF_COSINE_PAIRS_SQL = tfidf_cosine_pairs_sql()
-
-
-def schema_evolution_union(sf_dir: str) -> pd.DataFrame:
-    """Schema-evolution read under the correctness gate: the corpus
-    splits into a v1 shard (doc_id, text, n_chars — yesterday's
-    schema) and a v2 shard (+ lang — today's), written as real
-    parquet files with DIFFERENT schemas; the union-by-name reader
-    (:func:`ocr_analytics.evolve.read_parquet_union_by_name`)
-    aligns blocks to the union schema with typed nulls and the
-    pipeline aggregates per lang ('unknown' for the pre-evolution
-    rows). Deterministic layout under /tmp, re-created per call."""
-    import shutil as _shutil
-
-    import pyarrow.parquet as _pq
-
-    from ocr_analytics.evolve import read_parquet_union_by_name
-
-    out_dir = "/tmp/ocr_ray_schema_evo"
-    _shutil.rmtree(out_dir, ignore_errors=True)
-    import os as _os
-
-    _os.makedirs(out_dir)
-
-    src = _read(sf_dir, "documents", columns=["doc_id", "text", "n_chars", "lang"])
-
-    def _v1(df: pd.DataFrame) -> pd.DataFrame:
-        return df.loc[df["doc_id"] % 2 == 1, ["doc_id", "text", "n_chars"]]
-
-    def _v2(df: pd.DataFrame) -> pd.DataFrame:
-        return df.loc[df["doc_id"] % 2 == 0, ["doc_id", "text", "n_chars", "lang"]]
-
-    # both generations write DISTRIBUTED (write_parquet shard dirs),
-    # each internally uniform, jointly schema-divergent
-    src.map_batches(_v1, batch_format="pandas").write_parquet(
-        _os.path.join(out_dir, "v1")
-    )
-    src.map_batches(_v2, batch_format="pandas").write_parquet(
-        _os.path.join(out_dir, "v2")
-    )
-
-    back = read_parquet_union_by_name(
-        [_os.path.join(out_dir, "v1"), _os.path.join(out_dir, "v2")]
-    )
-
-    def _partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = pd.DataFrame(
-            {"lang": df["lang"].fillna("unknown"),
-             "n_chars": df["n_chars"].to_numpy("int64")}
-        )
-        return d.groupby("lang", as_index=False).agg(
-            n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")
-        )
-
-    parts = back.map_batches(_partial, batch_format="pandas").to_pandas()
-    out = parts.groupby("lang", as_index=False)[["n_docs", "sum_chars"]].sum()
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["sum_chars"] = out["sum_chars"].astype("int64")
-    return out.sort_values("lang").reset_index(drop=True)
-
-
-SCHEMA_EVOLUTION_UNION_SQL = """
-SELECT CASE WHEN doc_id % 2 = 0 THEN lang ELSE 'unknown' END AS lang,
-       CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(sum(n_chars) AS BIGINT) AS sum_chars
-FROM documents GROUP BY 1 ORDER BY 1
-"""
-
-
-def trigram_next_token(sf_dir: str, min_total: int = 20) -> pd.DataFrame:
-    """N-GRAM LANGUAGE MODEL head: for every bigram prefix seen >=
-    ``min_total`` times, the argmax next token and its count — the
-    estimation step of a corpus trigram LM (the table a perplexity
-    scorer like :func:`doc_perplexity` reads). Trigrams extract
-    vectorized per batch (one concatenated token array per batch with
-    a doc-boundary mask — no per-doc Python); counts reduce through
-    the bucketed aggregate keyed on the trigram; ONE further shuffle
-    keyed on the PREFIX co-locates each (t1, t2)'s continuations so
-    the total-filter and argmax (tie -> lexicographic) are a single
-    vectorized sort + drop_duplicates per bucket."""
-    import numpy as np
-
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def _trigrams(df: pd.DataFrame) -> pd.DataFrame:
-        toks: list[str] = []
-        docs: list[np.ndarray] = []
-        for i, s in enumerate(df["text"]):
-            t = TOKEN_RE.findall(s.lower())
-            toks.extend(t)
-            docs.append(np.full(len(t), i, dtype="int64"))
-        if len(toks) < 3:
-            return pd.DataFrame({"t1": [], "t2": [], "t3": [], "n": []})
-        tok = np.asarray(toks, dtype=object)
-        doc = np.concatenate(docs)
-        same = (doc[:-2] == doc[1:-1]) & (doc[1:-1] == doc[2:])
-        d = pd.DataFrame(
-            {"t1": tok[:-2][same], "t2": tok[1:-1][same], "t3": tok[2:][same]}
-        )
-        out = d.groupby(["t1", "t2", "t3"], as_index=False).size().rename(
-            columns={"size": "n"}
-        )
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    counts = bucketed_aggregate(
-        ds.map_batches(_trigrams, batch_format="pandas"),
-        ["t1", "t2", "t3"],
-        {"n": ("n", "sum")},
-    )
-
-    def _pbucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__bucket", errors="ignore").copy()
-        df["__pb"] = (
-            pd.util.hash_pandas_object(df[["t1", "t2"]], index=False).to_numpy() % 16
-        ).astype("int64")
-        return df
-
-    def _head(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby(["t1", "t2"], as_index=False)["n"].sum().rename(
-            columns={"n": "tot"}
-        )
-        tot = tot[tot["tot"] >= min_total]
-        if tot.empty:
-            return pd.DataFrame({"t1": [], "t2": [], "tot": [], "next_tok": [], "n_next": []})
-        g = g.merge(tot, on=["t1", "t2"])
-        g = g.sort_values(["t1", "t2", "n", "t3"], ascending=[True, True, False, True])
-        best = g.drop_duplicates(["t1", "t2"])
-        return pd.DataFrame(
-            {"t1": best["t1"], "t2": best["t2"], "tot": best["tot"],
-             "next_tok": best["t3"], "n_next": best["n"]}
-        )
-
-    out = (
-        counts.map_batches(_pbucket, batch_format="pandas")
-        .groupby("__pb")
-        .map_groups(lambda g: _head(g.drop(columns="__pb")), batch_format="pandas")
-        .to_pandas()
-        .sort_values(["t1", "t2"])
-        .reset_index(drop=True)
-    )
-    out["tot"] = out["tot"].astype("int64")
-    out["n_next"] = out["n_next"].astype("int64")
-    return out
-
-
-def trigram_next_token_sql(min_total: int = 20) -> str:
-    return f"""
-WITH arr AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9_]+') AS a FROM documents
-),
-tok AS (
-  SELECT doc_id, unnest(a) AS term, generate_subscripts(a, 1) AS ord FROM arr
-),
-tri AS (
-  SELECT term AS t1, lead(term, 1) OVER w AS t2, lead(term, 2) OVER w AS t3
-  FROM tok WINDOW w AS (PARTITION BY doc_id ORDER BY ord)
-),
-cnt AS (
-  SELECT t1, t2, t3, CAST(count(*) AS BIGINT) AS n
-  FROM tri WHERE t3 IS NOT NULL GROUP BY 1, 2, 3
-),
-ranked AS (
-  SELECT t1, t2, t3, n,
-         CAST(sum(n) OVER (PARTITION BY t1, t2) AS BIGINT) AS tot,
-         row_number() OVER (PARTITION BY t1, t2 ORDER BY n DESC, t3) AS rn
-  FROM cnt
-)
-SELECT t1, t2, tot, t3 AS next_tok, n AS n_next
-FROM ranked WHERE rn = 1 AND tot >= {min_total}
-ORDER BY t1, t2
-"""
-
-
-TRIGRAM_NEXT_TOKEN_SQL = trigram_next_token_sql()
-
-
-def dedup_rate_by_source(sf_dir: str) -> pd.DataFrame:
-    """Per-source DUPLICATION-RATE report: docs, exact-hash distinct
-    texts, and the dup fraction — the corpus-health summary a curation
-    run prints before/after dedup (the monitoring face of
-    :func:`ocr_analytics.dedup.dedup_exact`). Per-batch
-    md5 partials dedup inside ONE (source, hash)-bucketed shuffle;
-    only per-source scalar counts reach the driver."""
-    import hashlib
-
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "documents", columns=["source", "text"])
-
-    def _hashes(df: pd.DataFrame) -> pd.DataFrame:
-        h = [hashlib.md5(s.encode("utf-8")).hexdigest() for s in df["text"]]
-        d = pd.DataFrame({"source": df["source"], "h": h})
-        d["n"] = 1
-        # pre-dedup within the batch; exact dedup happens per bucket
-        return d.groupby(["source", "h"], as_index=False)["n"].sum()
-
-    per_hash = bucketed_aggregate(
-        ds.map_batches(_hashes, batch_format="pandas"),
-        ["source", "h"],
-        {"n": ("n", "sum")},
-        num_buckets=16,
-    )
-
-    def _per_source(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__bucket", errors="ignore")
-        return df.groupby("source", as_index=False).agg(
-            n_docs=("n", "sum"), n_distinct=("n", "size")
-        )
-
-    parts = per_hash.map_batches(_per_source, batch_format="pandas").to_pandas()
-    out = parts.groupby("source", as_index=False)[["n_docs", "n_distinct"]].sum()
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["n_distinct"] = out["n_distinct"].astype("int64")
-    out["dup_frac"] = (1.0 - out["n_distinct"] / out["n_docs"]).round(6)
-    return out.sort_values("source").reset_index(drop=True)
-
-
-DEDUP_RATE_BY_SOURCE_SQL = """
-SELECT source, CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(count(DISTINCT md5(text)) AS BIGINT) AS n_distinct,
-       round(1.0 - count(DISTINCT md5(text))
-                   / CAST(count(*) AS DOUBLE), 6) AS dup_frac
-FROM documents GROUP BY source ORDER BY source
-"""
-
-
 def ttr_by_source(sf_dir: str) -> pd.DataFrame:
     """Type-token ratio per source (distinct terms / total tokens —
     the lexical-diversity signal quality filters threshold on).
@@ -3559,7 +2540,7 @@ def ttr_by_source(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -3624,7 +2605,7 @@ def hapax_stats(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -3694,7 +2675,7 @@ def dup_cluster_size_hist(sf_dir: str) -> pd.DataFrame:
     """
     import hashlib
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -3744,7 +2725,7 @@ def cramers_v_lang_source(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "source"])
     ct = bucketed_aggregate(
@@ -3806,7 +2787,7 @@ def mixed_format_union(sf_dir: str) -> pd.DataFrame:
     """
     import shutil as _shutil
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     root = "/tmp/ocr_ray_mixed_union"
     _shutil.rmtree(root, ignore_errors=True)
@@ -3864,7 +2845,7 @@ def heaps_law_fit(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     lo = ds.min("doc_id")
@@ -3963,7 +2944,7 @@ def train_test_split_audit(sf_dir: str) -> pd.DataFrame:
 
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -4030,7 +3011,7 @@ def vocab_coverage_curve(sf_dir: str) -> pd.DataFrame:
     """
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -4101,7 +3082,7 @@ def pii_redact_audit(sf_dir: str) -> pd.DataFrame:
     """
     import re
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
 
@@ -4208,7 +3189,7 @@ def dsir_selection(sf_dir: str, target_lang: str = "en", k: int = 100) -> pd.Dat
     ``ln(p_target(w) / p_raw(w))`` with add-1 smoothing over the joint
     vocabulary.
 
-    Distributed shape (mirrors :func:`tfidf_top_term`'s df map):
+    Distributed shape:
 
     1. ONE pass emits per-batch partial (term, c_raw, c_tgt) counts;
        the vocabulary key domain rides the high-cardinality-safe
@@ -4224,7 +3205,7 @@ def dsir_selection(sf_dir: str, target_lang: str = "en", k: int = 100) -> pd.Dat
     """
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
 
@@ -4365,7 +3346,7 @@ def _qc_feature_matrix(texts: list[str]) -> "np.ndarray":
     English-stopword ratio, alpha ratio)."""
     import numpy as np
 
-    from ocr_analytics.textstats import STOPWORDS
+    from ocr_pipeline_ray.functions.textstats import STOPWORDS
 
     en_stop = STOPWORDS["en"]
     rows = np.zeros((len(texts), 5), dtype=np.float64)
@@ -4480,8 +3461,8 @@ def quality_classifier_first_step(sf_dir: str, target_lang: str = "en") -> pd.Da
     more aggregate over ``sign(x_std . w)``. ALL three distributed
     passes run for real (feature-moment partials, one gradient-partial
     round, the scoring pass); only the iteration count collapses the
-    math into SQL. Features/standardization mirror the oracled
-    quality_scores entry's SQL building blocks."""
+    math into SQL. Features/standardization are
+    :func:`quality_classifier`'s."""
     return quality_classifier(sf_dir, target_lang=target_lang, iters=1)
 
 
@@ -4577,11 +3558,11 @@ def mixture_rebalance_plan(sf_dir: str) -> pd.DataFrame:
     under-represented cells keep everything (upsampling is a repeat
     factor decided elsewhere).
 
-    Distributed: per-batch token counts (same [A-Za-z0-9_]+ tokenizer
-    as token_counts) partial-aggregate per cell inside the batch, one
+    Distributed: per-batch token counts (the [A-Za-z0-9_]+
+    tokenizer) partial-aggregate per cell inside the batch, one
     coarse bucketed shuffle combines the ~G cell rows; the plan math
     runs on the G-row result."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang", "source"])
 
@@ -4651,7 +3632,7 @@ def auc_length_english(sf_dir: str, n_range_buckets: int = 64) -> pd.DataFrame:
     (relational._rank_sum_stats: range-bucket histogram partials +
     O(buckets) prefix offsets). The model-eval primitive every
     quality-classifier gate needs, with a trivial scorer."""
-    from ocr_analytics.relational import _rank_sum_stats
+    from ocr_pipeline_ray.pipelines.relational import _rank_sum_stats
 
     ds = _read(sf_dir, "documents", columns=["n_chars", "lang"])
     lo = float(ds.min("n_chars"))
@@ -4859,7 +3840,7 @@ def wasserstein_length_sources(sf_dir: str, src_a: str = "src0", src_b: str = "s
     source reduce through one bucketed aggregate (the value DOMAIN,
     not the row count, bounds the result); the CDF walk runs on that
     result-sized support."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "n_chars"]).map_batches(
         lambda df: df[df["source"].isin([src_a, src_b])], batch_format="pandas"
@@ -4995,7 +3976,7 @@ def dedup_token_savings(sf_dir: str) -> pd.DataFrame:
     rate. ONE md5-bucket shuffle resolves winners AND sums survivor
     tokens in place; per-source totals ride along as per-batch
     partials."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
     import hashlib
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
@@ -5082,7 +4063,7 @@ def yules_k_by_lang(sf_dir: str) -> pd.DataFrame:
     the vocabulary-keyed bucketed aggregate; inside the SAME combine
     each bucket collapses straight to (lang, sum m^2, sum m, n_types)
     partials, so the freq-of-freq table never materializes anywhere."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
@@ -5215,7 +4196,7 @@ def term_dispersion_top(sf_dir: str, k: int = 10) -> pd.DataFrame:
     aggregate + partial top-k, same as vocab_top_terms); the winners
     broadcast and pass 2 reduces (term, source) counts for them plus
     per-source token totals in the same scan."""
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -5434,7 +4415,7 @@ def term_keyness_g2(sf_dir: str, k: int = 20) -> pd.DataFrame:
     (what words mark this sub-corpus?). Per-batch (term, en?, count)
     partials reduce through the vocabulary-keyed bucketed aggregate;
     G2 needs only the term row plus two corpus totals."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
@@ -5526,7 +4507,7 @@ def naive_bayes_lang(sf_dir: str) -> pd.DataFrame:
     (model broadcast — the standard NB serving shape).
     Ties in the argmax break toward the lexicographically smaller
     language on both engines."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "text"])
 
@@ -5655,7 +4636,7 @@ def char_trigram_entropy_by_lang(sf_dir: str) -> pd.DataFrame:
     more predictable orthography). Per-batch (lang, trigram) count
     partials reduce through the bucketed aggregate; bigram marginals
     come from the same table by prefix."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "text"])
 
@@ -5900,7 +4881,7 @@ def burrows_delta_sources(sf_dir: str, k: int = 20) -> pd.DataFrame:
     (vocab-scale, << corpus); per-source token totals and the top-k
     term selection are scalar/partial-topk passes over that grid, and
     only the k x n_sources cell matrix reaches the driver."""
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text", "source"])
 
@@ -6128,408 +5109,6 @@ FROM v
 """
 
 
-def average_precision_length_english(sf_dir: str) -> pd.DataFrame:
-    """Average precision (area under the precision-recall curve) of
-    ranking documents by length to find English ones — the PR-space
-    companion of the existing ROC AUC query (auc_length_english),
-    sharper when positives are rare. Ties are handled by threshold
-    groups: scanning distinct lengths descending,
-    AP = SUM_t (tp_t / P) * (cumTP_t / cumN_t).
-
-    Exact from ONE (n_chars -> n, n_pos) value-domain histogram via
-    the bucketed aggregate; the threshold scan runs on the
-    result-sized grid with integer cumulative sums."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
-
-    def _grid(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.assign(pos=(df["lang"] == "en").astype("int64")).groupby(
-            "n_chars", as_index=False
-        ).agg(n=("pos", "size"), n_pos=("pos", "sum"))
-        return out
-
-    grid = (
-        bucketed_aggregate(
-            ds.map_batches(_grid, batch_format="pandas"),
-            "n_chars",
-            {"n": ("n", "sum"), "n_pos": ("n_pos", "sum")},
-            num_buckets=16,
-        )
-        .to_pandas()
-        .sort_values("n_chars", ascending=False)
-        .reset_index(drop=True)
-    )
-    n = grid["n"].to_numpy("int64")
-    tp = grid["n_pos"].to_numpy("int64")
-    cum_n = np.cumsum(n)
-    cum_tp = np.cumsum(tp)
-    p_total = int(tp.sum())
-    ap = float(((tp * 1.0 / p_total) * (cum_tp * 1.0 / cum_n)).sum())
-    return pd.DataFrame(
-        {
-            "n_pos": pd.Series([p_total], dtype="int64"),
-            "n_total": pd.Series([int(n.sum())], dtype="int64"),
-            "avg_precision": [round(ap, 6)],
-        }
-    )
-
-
-AVERAGE_PRECISION_LENGTH_ENGLISH_SQL = """
-WITH g AS (
-  SELECT n_chars, count(*) AS n,
-         sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS tp
-  FROM documents GROUP BY 1
-),
-c AS (
-  SELECT tp,
-         sum(n) OVER (ORDER BY n_chars DESC) AS cum_n,
-         sum(tp) OVER (ORDER BY n_chars DESC) AS cum_tp,
-         (SELECT sum(tp) FROM g) AS p_total
-  FROM g
-)
-SELECT (SELECT CAST(sum(tp) AS BIGINT) FROM g) AS n_pos,
-       (SELECT CAST(sum(n) AS BIGINT) FROM g) AS n_total,
-       round(sum((tp * 1.0 / p_total) * (cum_tp * 1.0 / cum_n)), 6) AS avg_precision
-FROM c
-"""
-
-
-def brier_calibration_length_english(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame:
-    """Leakage-safe Brier-score calibration eval: TRAIN (even doc_id)
-    learns per-length-bucket English rates; TEST (odd doc_id) scores
-    each doc with its bucket's trained rate (global train rate for
-    unseen buckets). Reports the Brier score and the skill score
-    vs always-predicting the global train rate — the proper-scoring
-    companion of the hit-rate / AUC eval queries, with the same
-    train/test split discipline as markov_heldout_perplexity.
-
-    ONE (bucket, split) grid of exact integer (n, n_en) counts leaves
-    the cluster; every probability is a ratio of those integers so the
-    engines agree to the final rounding."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
-
-    def _grid(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.assign(
-            b=(df["n_chars"] // bucket_chars).astype("int64"),
-            train=(df["doc_id"] % 2 == 0).astype("int64"),
-            en=(df["lang"] == "en").astype("int64"),
-        ).groupby(["b", "train"], as_index=False).agg(n=("en", "size"), n_en=("en", "sum"))
-        return out
-
-    grid = (
-        bucketed_aggregate(
-            ds.map_batches(_grid, batch_format="pandas"),
-            ["b", "train"],
-            {"n": ("n", "sum"), "n_en": ("n_en", "sum")},
-            num_buckets=8,
-        )
-        .to_pandas()
-        .sort_values(["b", "train"])
-    )
-    tr = grid[grid["train"] == 1].set_index("b")
-    te = grid[grid["train"] == 0].set_index("b")
-    g_rate = tr["n_en"].sum() * 1.0 / tr["n"].sum()
-    p_hat = (tr["n_en"] * 1.0 / tr["n"]).reindex(te.index)
-    p_hat = p_hat.fillna(g_rate).to_numpy("float64")
-    n_te = te["n"].to_numpy("int64")
-    en_te = te["n_en"].to_numpy("int64")
-    n_test = int(n_te.sum())
-    brier = float((n_te * p_hat * p_hat - 2.0 * p_hat * en_te + en_te).sum()) / n_test
-    brier_base = float((n_te * g_rate * g_rate - 2.0 * g_rate * en_te + en_te).sum()) / n_test
-    return pd.DataFrame(
-        {
-            "n_test": pd.Series([n_test], dtype="int64"),
-            "brier": [round(brier, 6)],
-            "skill": [round(1 - brier / brier_base, 6)],
-        }
-    )
-
-
-BRIER_CALIBRATION_LENGTH_ENGLISH_SQL = """
-WITH g AS (
-  SELECT n_chars // 200 AS b, doc_id % 2 = 0 AS train,
-         count(*) AS n, sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS n_en
-  FROM documents GROUP BY 1, 2
-),
-gr AS (
-  SELECT sum(CASE WHEN train THEN n_en ELSE 0 END) * 1.0
-         / sum(CASE WHEN train THEN n ELSE 0 END) AS g_rate
-  FROM g
-),
-te AS (
-  SELECT t.b, t.n, t.n_en,
-         coalesce(tr.n_en * 1.0 / tr.n, gr.g_rate) AS p_hat, gr.g_rate
-  FROM (SELECT * FROM g WHERE NOT train) t
-  LEFT JOIN (SELECT * FROM g WHERE train) tr ON tr.b = t.b, gr
-),
-agg AS (
-  SELECT sum(n) AS n_test,
-         sum(n * p_hat * p_hat - 2.0 * p_hat * n_en + n_en) AS num,
-         sum(n * g_rate * g_rate - 2.0 * g_rate * n_en + n_en) AS num_base
-  FROM te
-)
-SELECT CAST(n_test AS BIGINT) AS n_test,
-       round(num / n_test, 6) AS brier,
-       round(1 - (num / n_test) / (num_base / n_test), 6) AS skill
-FROM agg
-"""
-
-
-def logodds_keyness_english(sf_dir: str, k: int = 10, alpha0: float = 100.0) -> pd.DataFrame:
-    """Monroe-Colaresi-Quinn log-odds keyness with an informative
-    Dirichlet prior: which terms mark ENGLISH documents against the
-    rest of the corpus, shrunk toward the corpus-wide term
-    distribution so rare terms don't dominate (the Bayesian upgrade of
-    the G2 keyness query). z_w = delta_w / sqrt(1/(y1+a) + 1/(y2+a))
-    with a_w = alpha0 * corpus_freq_w; top-k by z desc.
-
-    Scale shape: ONE vocabulary-keyed (term, en/other) count grid;
-    corpus totals are scalar partials; z is computed vectorized
-    INSIDE map_batches over the grid (the prior needs only the row's
-    own counts plus broadcast totals) and only the partial top-k
-    reaches the driver."""
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
-
-    ds = _read(sf_dir, "documents", columns=["text", "lang"])
-
-    def count_batch(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for lang, s in zip(df["lang"], df["text"]):
-            en = 1 if lang == "en" else 0
-            for tok in TOKEN_RE.findall(s.lower()):
-                rows.append((tok, en))
-        if not rows:
-            return pd.DataFrame(
-                {"term": pd.Series(dtype=object), "y1": pd.Series(dtype="int64"),
-                 "y2": pd.Series(dtype="int64")}
-            )
-        out = pd.DataFrame(rows, columns=["term", "en"])
-        g = out.groupby("term", as_index=False).agg(y1=("en", "sum"), y2=("en", "size"))
-        g["y2"] = g["y2"] - g["y1"]
-        return g
-
-    grid = bucketed_aggregate(
-        ds.map_batches(count_batch, batch_format="pandas"),
-        "term",
-        {"y1": ("y1", "sum"), "y2": ("y2", "sum")},
-        num_buckets=16,
-    ).materialize()
-    tot = (
-        grid.map_batches(
-            lambda df: pd.DataFrame(
-                {"n1": [np.int64(df["y1"].sum())], "n2": [np.int64(df["y2"].sum())]}
-            ),
-            batch_format="pandas",
-        )
-        .to_pandas()
-        .sum()
-    )
-    n1, n2 = int(tot["n1"]), int(tot["n2"])
-    total = n1 + n2
-
-    def _z(df: pd.DataFrame) -> pd.DataFrame:
-        y1 = df["y1"].to_numpy("int64").astype("float64")
-        y2 = df["y2"].to_numpy("int64").astype("float64")
-        a = alpha0 * (y1 + y2) / total
-        d = (
-            np.log((y1 + a) / (n1 + alpha0 - y1 - a))
-            - np.log((y2 + a) / (n2 + alpha0 - y2 - a))
-        )
-        z = d / np.sqrt(1.0 / (y1 + a) + 1.0 / (y2 + a))
-        return pd.DataFrame({"term": df["term"], "z": np.round(z, 6)})
-
-    out = partial_topk(
-        grid.map_batches(_z, batch_format="pandas"), by=["z", "term"], ascending=[False, True], k=k
-    )
-    return out[["term", "z"]].reset_index(drop=True)
-
-
-def logodds_keyness_english_sql(k: int = 10, alpha0: float = 100.0) -> str:
-    return f"""
-WITH toks AS (
-  SELECT CASE WHEN lang = 'en' THEN 1 ELSE 0 END AS en, t.term
-  FROM documents, unnest(regexp_extract_all(lower(text), '[a-z0-9_]+')) AS t(term)
-),
-g AS (
-  SELECT term, sum(en) AS y1, count(*) - sum(en) AS y2
-  FROM toks GROUP BY term
-),
-tot AS (SELECT sum(y1) AS n1, sum(y2) AS n2 FROM g),
-z AS (
-  SELECT term,
-         round((ln((y1 + {alpha0} * (y1 + y2) / (n1 + n2))
-                / (n1 + {alpha0} - y1 - {alpha0} * (y1 + y2) / (n1 + n2)))
-            - ln((y2 + {alpha0} * (y1 + y2) / (n1 + n2))
-                / (n2 + {alpha0} - y2 - {alpha0} * (y1 + y2) / (n1 + n2))))
-           / sqrt(1.0 / (y1 + {alpha0} * (y1 + y2) / (n1 + n2))
-                  + 1.0 / (y2 + {alpha0} * (y1 + y2) / (n1 + n2))), 6) AS z
-  FROM g, tot
-)
-SELECT term, z FROM z ORDER BY z DESC, term LIMIT {k}
-"""
-
-
-LOGODDS_KEYNESS_ENGLISH_SQL = logodds_keyness_english_sql()
-
-
-def youden_threshold_length_english(sf_dir: str) -> pd.DataFrame:
-    """Youden-J optimal operating point for the length->English
-    classifier: scanning thresholds over the n_chars value domain
-    (predict English when n_chars >= t), J(t) = TPR - FPR is
-    maximized and the Matthews correlation coefficient at that
-    threshold is reported — the threshold-SELECTION companion of the
-    AUC / average-precision ranking metrics (lowest threshold wins
-    ties, exact integer confusion counts).
-
-    Same ONE value-domain histogram as the AUC query; the threshold
-    scan is a cumulative walk over the result-sized grid."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
-
-    def _grid(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(pos=(df["lang"] == "en").astype("int64")).groupby(
-            "n_chars", as_index=False
-        ).agg(n=("pos", "size"), n_pos=("pos", "sum"))
-
-    grid = (
-        bucketed_aggregate(
-            ds.map_batches(_grid, batch_format="pandas"),
-            "n_chars",
-            {"n": ("n", "sum"), "n_pos": ("n_pos", "sum")},
-            num_buckets=16,
-        )
-        .to_pandas()
-        .sort_values("n_chars", ascending=False)
-        .reset_index(drop=True)
-    )
-    n = grid["n"].to_numpy("int64")
-    pos = grid["n_pos"].to_numpy("int64")
-    p_tot = int(pos.sum())
-    n_tot = int(n.sum())
-    neg_tot = n_tot - p_tot
-    tp = np.cumsum(pos)
-    fp = np.cumsum(n - pos)
-    j = tp * 1.0 / p_tot - fp * 1.0 / neg_tot
-    # ties -> LOWEST threshold = last index among maxima (descending scan)
-    best = len(j) - 1 - int(np.argmax(j[::-1]))
-    thr = int(grid["n_chars"].iloc[best])
-    tpb, fpb = int(tp[best]), int(fp[best])
-    fnb, tnb = p_tot - tpb, neg_tot - fpb
-    mcc_den = np.sqrt(
-        (tpb + fpb) * 1.0 * (tpb + fnb) * (tnb + fpb) * (tnb + fnb)
-    )
-    mcc = (tpb * 1.0 * tnb - fpb * 1.0 * fnb) / mcc_den
-    return pd.DataFrame(
-        {
-            "threshold": pd.Series([thr], dtype="int64"),
-            "j_stat": [round(float(j[best]), 6)],
-            "mcc": [round(float(mcc), 6)],
-        }
-    )
-
-
-YOUDEN_THRESHOLD_LENGTH_ENGLISH_SQL = """
-WITH g AS (
-  SELECT n_chars, count(*) AS n,
-         sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS pos
-  FROM documents GROUP BY 1
-),
-tot AS (SELECT sum(pos) AS p_tot, sum(n) - sum(pos) AS neg_tot FROM g),
-c AS (
-  SELECT n_chars,
-         sum(pos) OVER (ORDER BY n_chars DESC) AS tp,
-         sum(n - pos) OVER (ORDER BY n_chars DESC) AS fp,
-         p_tot, neg_tot
-  FROM g, tot
-),
-j AS (
-  SELECT n_chars, tp, fp, p_tot, neg_tot,
-         tp * 1.0 / p_tot - fp * 1.0 / neg_tot AS j
-  FROM c
-),
-best AS (SELECT * FROM j ORDER BY j DESC, n_chars ASC LIMIT 1)
-SELECT CAST(n_chars AS BIGINT) AS threshold,
-       round(j, 6) AS j_stat,
-       round((tp * 1.0 * (neg_tot - fp) - fp * 1.0 * (p_tot - tp))
-             / sqrt((tp + fp) * 1.0 * p_tot * (neg_tot - fp + p_tot - tp) * neg_tot), 6) AS mcc
-FROM best
-"""
-
-
-def ece_length_english(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame:
-    """Expected calibration error of the length-bucket English
-    predictor under the same even/odd doc split as
-    brier_calibration_length_english: ECE = SUM_b (n_b / N) *
-    |p_hat_b - o_b| over TEST buckets (trained rate vs observed rate;
-    global train rate for unseen buckets) — the binned calibration
-    summary that Brier mixes with refinement.
-
-    Same ONE (bucket, split) integer grid; all probabilities are
-    ratios of those integers."""
-    from ocr_analytics.relational import bucketed_aggregate
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
-
-    def _grid(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(
-            b=(df["n_chars"] // bucket_chars).astype("int64"),
-            train=(df["doc_id"] % 2 == 0).astype("int64"),
-            en=(df["lang"] == "en").astype("int64"),
-        ).groupby(["b", "train"], as_index=False).agg(n=("en", "size"), n_en=("en", "sum"))
-
-    grid = (
-        bucketed_aggregate(
-            ds.map_batches(_grid, batch_format="pandas"),
-            ["b", "train"],
-            {"n": ("n", "sum"), "n_en": ("n_en", "sum")},
-            num_buckets=8,
-        )
-        .to_pandas()
-        .sort_values(["b", "train"])
-    )
-    tr = grid[grid["train"] == 1].set_index("b")
-    te = grid[grid["train"] == 0].set_index("b").sort_index()
-    g_rate = tr["n_en"].sum() * 1.0 / tr["n"].sum()
-    p_hat = (tr["n_en"] * 1.0 / tr["n"]).reindex(te.index).fillna(g_rate).to_numpy("float64")
-    n_te = te["n"].to_numpy("int64")
-    o = te["n_en"].to_numpy("int64") * 1.0 / n_te
-    n_test = int(n_te.sum())
-    ece = float((n_te * np.abs(p_hat - o)).sum()) / n_test
-    return pd.DataFrame(
-        {
-            "n_test": pd.Series([n_test], dtype="int64"),
-            "n_buckets": pd.Series([len(te)], dtype="int64"),
-            "ece": [round(ece, 6)],
-        }
-    )
-
-
-ECE_LENGTH_ENGLISH_SQL = """
-WITH g AS (
-  SELECT n_chars // 200 AS b, doc_id % 2 = 0 AS train,
-         count(*) AS n, sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END) AS n_en
-  FROM documents GROUP BY 1, 2
-),
-gr AS (
-  SELECT sum(CASE WHEN train THEN n_en ELSE 0 END) * 1.0
-         / sum(CASE WHEN train THEN n ELSE 0 END) AS g_rate
-  FROM g
-),
-te AS (
-  SELECT t.n, t.n_en, coalesce(tr.n_en * 1.0 / tr.n, gr.g_rate) AS p_hat
-  FROM (SELECT * FROM g WHERE NOT train) t
-  LEFT JOIN (SELECT * FROM g WHERE train) tr ON tr.b = t.b, gr
-)
-SELECT CAST(sum(n) AS BIGINT) AS n_test,
-       CAST(count(*) AS BIGINT) AS n_buckets,
-       round(sum(n * abs(p_hat - n_en * 1.0 / n)) / sum(n), 6) AS ece
-FROM te
-"""
-
 def logloss_length_english(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame:
     """Cross-entropy (log-loss) eval of the length-bucket English
     predictor under the same leakage-safe even/odd doc split as the
@@ -6542,7 +5121,7 @@ def logloss_length_english(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame
 
     Same ONE (bucket, split) integer grid; every probability is a
     ratio of exact integers."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
 
@@ -6623,7 +5202,7 @@ def chao1_vocab_richness(sf_dir: str) -> pd.DataFrame:
     vocabulary key domain; the frequency-of-frequency counts are
     per-batch partials over the totals — the vocabulary never reaches
     the driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -6700,7 +5279,7 @@ def good_turing_unseen_mass(sf_dir: str) -> pd.DataFrame:
 
     Same bucketed term-total reduce; only four integers reach the
     driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -7010,7 +5589,7 @@ def source_vocab_dice_overlap(sf_dir: str) -> pd.DataFrame:
     (source, term) pairs via a bucketed min-reduction over the term
     domain, in-bucket co-occurrence partials, |sources|^2 driver
     reduce."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -7245,7 +5824,7 @@ def _vocab_distribution_sums(sf_dir: str) -> tuple[float, float, float, float]:
     distribution — term counts stay distributed (bucketed aggregate
     over the vocabulary key domain, then per-batch scalar partials);
     only four numbers reach the driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -7358,7 +5937,7 @@ def gini_term_frequencies(sf_dir: str) -> pd.DataFrame:
     vocabulary is ever needed: SUM_{f,g} m_f m_g |f-g| over the tiny
     histogram cross join. Same [a-z0-9_]+ tokenization as the other
     vocab queries."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -7432,7 +6011,7 @@ def berger_parker_vocab(sf_dir: str, k: int = 10) -> pd.DataFrame:
     distributed; only the partial top-k and three scalars reach the
     driver. Tie-break: count desc, term asc (matches
     vocab_top_terms)."""
-    from ocr_analytics.relational import bucketed_aggregate, partial_topk
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -7585,7 +6164,7 @@ def _vocab_richness_scalars(sf_dir: str) -> tuple[int, int, int]:
     (n_tokens, vocab_size, hapax_count) — term totals reduce through
     the bucketed vocabulary aggregate, then per-batch partials over
     the totals; the vocabulary never reaches the driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -7699,7 +6278,7 @@ def _length_english_calibration_grid(sf_dir: str, bucket_chars: int = 200) -> pd
     (n, n_en, p_hat) per bucket with the global train rate for unseen
     buckets — same ONE (bucket, split) integer-count grid as the
     Brier/ECE/log-loss family."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
 
@@ -7844,7 +6423,7 @@ def ace_vocab_richness(sf_dir: str) -> pd.DataFrame:
     F1/C_ace * gamma^2 — the coverage-based companion of Chao1 on
     the SAME bucketed term-total reduction (the vocabulary never
     reaches the driver; the F_1..F_10 spectrum does)."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     totals = _term_totals(sf_dir)
 
@@ -7925,7 +6504,7 @@ def jackknife_vocab_richness(sf_dir: str) -> pd.DataFrame:
     jack2 = S + F1*(2n-3)/n - F2*(n-2)^2/(n*(n-1)) with n = total
     token count — the resampling-theory members beside Chao1 and ACE
     on the same bucketed term-total reduction."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     totals = _term_totals(sf_dir)
 
@@ -7983,7 +6562,7 @@ def _term_totals(sf_dir: str):
     machinery): tokenize per batch, unique-count locally, combine by
     term through the bucketed aggregate over the vocabulary key
     domain. Returns the totals dataset (term, n)."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -8015,7 +6594,7 @@ def _length_english_confusion(sf_dir: str):
     reaches ceil(n/2) from below) — one bucketed value-domain
     histogram, O(distinct lengths) driver walk. Returns
     (threshold, tp, fp, fn, tn)."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
 
@@ -8358,115 +6937,6 @@ FROM s
 """
 
 
-def coleman_liau_ari_scores(sf_dir: str) -> pd.DataFrame:
-    """Coleman-Liau index and Automated Readability Index per
-    document — the CHARACTER-based readability pair (no syllable
-    estimate needed, so they are exactly SQL-checkable): CLI =
-    0.0588 L - 0.296 S - 15.8 (L = letters per 100 words, S =
-    sentences per 100 words), ARI = 4.71 chars/word + 0.5
-    words/sentence - 21.43, with letters = [A-Za-z], words =
-    letter runs, sentences = [.!?]+ runs. Stateless vectorized
-    map, one pass."""
-    import re as _re
-
-    word_re = _re.compile(r"[A-Za-z]+")
-    sent_re = _re.compile(r"[.!?]+")
-    let_re = _re.compile(r"[A-Za-z]")
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def _score(df: pd.DataFrame) -> pd.DataFrame:
-        w = df["text"].str.count(word_re).to_numpy("int64")
-        s = np.maximum(df["text"].str.count(sent_re).to_numpy("int64"), 1)
-        l = df["text"].str.count(let_re).to_numpy("int64")
-        wc = np.maximum(w, 1)
-        cli = 0.0588 * (l * 100.0 / wc) - 0.296 * (s * 100.0 / wc) - 15.8
-        ari = 4.71 * (l * 1.0 / wc) + 0.5 * (wc * 1.0 / s) - 21.43
-        # explicit half-up rounding: the per-doc ratios hit exact
-        # decimal ties where numpy (half-even) and DuckDB (half-up)
-        # diverge — floor(x*1e4 + 0.5) is identical on both engines
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"],
-                "cli": np.floor(cli * 10000.0 + 0.5) / 10000.0,
-                "ari": np.floor(ari * 10000.0 + 0.5) / 10000.0,
-            }
-        )
-
-    return (
-        ds.map_batches(_score, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
-COLEMAN_LIAU_ARI_SCORES_SQL = """
-SELECT doc_id,
-       floor((0.0588 * (length(regexp_replace(text, '[^A-Za-z]', '', 'g')) * 100.0
-                       / greatest(len(regexp_extract_all(text, '[A-Za-z]+')), 1))
-             - 0.296 * (greatest(len(regexp_extract_all(text, '[.!?]+')), 1) * 100.0
-                        / greatest(len(regexp_extract_all(text, '[A-Za-z]+')), 1))
-             - 15.8) * 10000.0 + 0.5) / 10000.0 AS cli,
-       floor((4.71 * (length(regexp_replace(text, '[^A-Za-z]', '', 'g')) * 1.0
-                     / greatest(len(regexp_extract_all(text, '[A-Za-z]+')), 1))
-             + 0.5 * (greatest(len(regexp_extract_all(text, '[A-Za-z]+')), 1) * 1.0
-                      / greatest(len(regexp_extract_all(text, '[.!?]+')), 1))
-             - 21.43) * 10000.0 + 0.5) / 10000.0 AS ari
-FROM documents ORDER BY doc_id
-"""
-
-
-def lix_rix_scores(sf_dir: str) -> pd.DataFrame:
-    """LIX and RIX readability indices per document — the
-    long-word-based Scandinavian pair: LIX = words/sentences +
-    100 * longwords/words, RIX = longwords/sentences, with long
-    words = letter runs of 7+ characters. Exactly SQL-checkable
-    regex arithmetic; one stateless pass."""
-    import re as _re
-
-    word_re = _re.compile(r"[A-Za-z]+")
-    long_re = _re.compile(r"[A-Za-z]{7,}")
-    sent_re = _re.compile(r"[.!?]+")
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def _score(df: pd.DataFrame) -> pd.DataFrame:
-        w = np.maximum(df["text"].str.count(word_re).to_numpy("int64"), 1)
-        lw = df["text"].str.count(long_re).to_numpy("int64")
-        s = np.maximum(df["text"].str.count(sent_re).to_numpy("int64"), 1)
-        lix = w * 1.0 / s + 100.0 * lw / w
-        rix = lw * 1.0 / s
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"],
-                "lix": np.floor(lix * 10000.0 + 0.5) / 10000.0,
-                "rix": np.floor(rix * 10000.0 + 0.5) / 10000.0,
-            }
-        )
-
-    return (
-        ds.map_batches(_score, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-
-
-LIX_RIX_SCORES_SQL = """
-SELECT doc_id,
-       floor((greatest(len(regexp_extract_all(text, '[A-Za-z]+')), 1) * 1.0
-             / greatest(len(regexp_extract_all(text, '[.!?]+')), 1)
-             + 100.0 * len(regexp_extract_all(text, '[A-Za-z]{7,}'))
-               / greatest(len(regexp_extract_all(text, '[A-Za-z]+')), 1)) * 10000.0 + 0.5)
-         / 10000.0 AS lix,
-       floor((len(regexp_extract_all(text, '[A-Za-z]{7,}')) * 1.0
-             / greatest(len(regexp_extract_all(text, '[.!?]+')), 1)) * 10000.0 + 0.5)
-         / 10000.0 AS rix
-FROM documents ORDER BY doc_id
-"""
-
-
 def likelihood_ratios_length_english(sf_dir: str) -> pd.DataFrame:
     """Diagnostic likelihood ratios of the length->English classifier
     at the lower-median threshold: LR+ = sensitivity/(1-specificity)
@@ -8510,7 +6980,7 @@ def margalef_menhinick_vocab(sf_dir: str) -> pd.DataFrame:
     indices beside Chao1/ACE/jackknife, answering 'is vocabulary
     large FOR this corpus size'. Same bucketed term-total reduction;
     the vocabulary never reaches the driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -8575,7 +7045,7 @@ def _top_terms_doc_stats(sf_dir: str, k: int = 5):
     per top term, N docs, df (docs containing), df2 (docs with tf >=
     2) and cf — per-batch partials with the tiny term set in the
     closure. Returns (n_docs, DataFrame[term, cf, df, df2])."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["text"])
 
@@ -8765,7 +7235,7 @@ def _length_english_confusion_by_source(sf_dir: str) -> pd.DataFrame:
     threshold by marginalizing sources, then cuts each source's
     confusion at that same threshold. Returns per-source
     (source, n, npred, tp, fp, p, neg) exact integers."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "lang", "n_chars"])
 
@@ -8914,7 +7384,7 @@ def _freq_of_freq(sf_dir: str) -> pd.DataFrame:
     occupancy statistic, so the rarefaction math collapses from
     |vocab| to |distinct f| terms. The vocabulary never reaches the
     driver; only the (f, phi_f) rows do."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     totals = _term_totals(sf_dir)
 
@@ -9066,7 +7536,7 @@ def _len_en_hist(sf_dir: str) -> pd.DataFrame:
     """Shared (n_chars -> n, n_pos) histogram for the threshold-free
     ranking diagnostics — the same bucketed reduction as the
     confusion family, returned as the full grid."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["lang", "n_chars"])
 
@@ -9230,7 +7700,7 @@ def _df_incidence_hist(sf_dir: str) -> tuple[pd.DataFrame, int]:
     the result-sized count-of-counts table. Returns (hist, n_docs)."""
     import numpy as np
 
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -9402,7 +7872,7 @@ def _roc_value_hist(sf_dir: str) -> pd.DataFrame:
     the AUC-uncertainty pair — the same collapse the AUC/pAUC family
     uses: the score domain is result-sized, so placements and their
     variances are exact cumulative-sum algebra on the driver."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["n_chars", "lang"])
 
@@ -9747,7 +8217,7 @@ def _calibration_grid(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame:
     odd doc_id supplies outcomes. Exact integer (n, n_en) counts per
     (bucket, split); buckets unseen in training fall back to the
     global train rate."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
 
@@ -10095,7 +8565,7 @@ def item_analysis_labelers(sf_dir: str) -> pd.DataFrame:
         cij, cik, cjk = covs[i]
         j, k = rest[i]
         var_rest = v[j] + v[k] + 2.0 * cjk
-        # zero-variance convention (see adjusted_rand_label_signs note):
+        # zero-variance convention:
         # a constant labeler carries no covariation information -> r = 0
         if v[i] == 0.0 or var_rest == 0.0:
             r_ir = 0.0
@@ -10993,7 +9463,7 @@ def _two_model_cells(sf_dir: str, bucket_chars: int = 200) -> pd.DataFrame:
     (odd doc_id) cells are the (bucket, source) cross grid with
     exact integer (n, n_en) and both models' forecasts attached
     (global-train-rate fallback for unseen keys)."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "lang", "n_chars", "source"])
 
@@ -11179,7 +9649,7 @@ def vuong_source_vs_length(sf_dir: str) -> pd.DataFrame:
     s2 = float((en * lp * lp).sum() + ((n - en) * ln_ * ln_).sum())
     var = s2 / nn - (s1 / nn) ** 2
     z = s1 / float(np.sqrt(var * nn))
-    from ocr_analytics.relational import _norm_cdf_as
+    from ocr_pipeline_ray.pipelines.relational import _norm_cdf_as
 
     p2 = 2.0 * float(_norm_cdf_as(np.array([-abs(z)]))[0])
     return pd.DataFrame(
@@ -11306,7 +9776,7 @@ def _bigram_source_grid(sf_dir: str) -> pd.DataFrame:
     vocabulary token convention — the sufficient statistic of the
     coverage game (type-dimension result: bounded by the bigram
     type space, not the corpus)."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
 
@@ -11578,7 +10048,7 @@ def _source_term_matrix(sf_dir: str):
     token convention plus per-source totals and the global vocab
     size V — the sufficient statistic for every smoothed-LM
     cross-entropy."""
-    from ocr_analytics.relational import bucketed_aggregate
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
 
@@ -11829,7 +10299,7 @@ def _len_en_rates(sf_dir: str, thr: int):
     """Hit and false-alarm rates of 'call English when n_chars > thr'
     with the 1/(2n)-clamp convention so the normal quantiles stay
     finite, identical in both engines."""
-    from ocr_analytics.relational import bucketed_aggregate, _read as _r
+    from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, _read as _r
 
     ds = _r(sf_dir, "documents", columns=["lang", "n_chars"])
 
@@ -11993,7 +10463,7 @@ def _vdw_terms(sf_dir: str):
     partial sums for both the location (a) and scale (a^2)
     statistics — all off the (value, group) histogram so only cells
     leave the cluster."""
-    from ocr_analytics.relational import _price_cents_by_urgent
+    from ocr_pipeline_ray.pipelines.relational import _price_cents_by_urgent
 
     h = _price_cents_by_urgent(sf_dir)
     per_v = h.groupby("v", as_index=False).agg(c=("c", "sum")).sort_values("v")
@@ -12031,7 +10501,7 @@ def van_der_waerden_urgent_price(sf_dir: str) -> pd.DataFrame:
     mean1 = n1 * sa / n
     var1 = n1 * n2 / (n * (n - 1.0)) * (sa2 - sa * sa / n)
     z = (s1 - mean1) / float(np.sqrt(var1))
-    from ocr_analytics.relational import _norm_cdf_as
+    from ocr_pipeline_ray.pipelines.relational import _norm_cdf_as
 
     p2 = 2.0 * float(_norm_cdf_as(np.array([-abs(z)]))[0])
     return pd.DataFrame(
@@ -12131,7 +10601,7 @@ def klotz_scale_urgent_price(sf_dir: str) -> pd.DataFrame:
     mean1 = n1 * sa2 / n
     var1 = n1 * n2 / (n * (n - 1.0)) * (sa4 - sa2 * sa2 / n)
     z = (s1_sq - mean1) / float(np.sqrt(var1))
-    from ocr_analytics.relational import _norm_cdf_as
+    from ocr_pipeline_ray.pipelines.relational import _norm_cdf_as
 
     p2 = 2.0 * float(_norm_cdf_as(np.array([-abs(z)]))[0])
     return pd.DataFrame(
@@ -12185,7 +10655,7 @@ def _probit_fit_terms(sf_dir: str):
     w = n phi(z)^2 / (p(1-p)), WLS line — closed forms with the
     Acklam quantile, identical in both engines. Returns the 50-cell
     grid plus both links' fits."""
-    from ocr_analytics.relational import _return_quantity_grid
+    from ocr_pipeline_ray.pipelines.relational import _return_quantity_grid
 
     g = _return_quantity_grid(sf_dir)
     q = g["q"].to_numpy("int64").astype("float64")
@@ -12293,7 +10763,7 @@ def link_function_duel(sf_dir: str) -> pd.DataFrame:
     logit/probit beside the folk 1.6 — on a fat-middle grid like
     this the links differ only in the tails, which is exactly where
     the X^2 terms say so."""
-    from ocr_analytics.relational import _norm_cdf_as
+    from ocr_pipeline_ray.pipelines.relational import _norm_cdf_as
 
     q, n, r, a, b, al, bl = _probit_fit_terms(sf_dir)
     p_probit = _norm_cdf_as(a + b * q)
@@ -12369,7 +10839,7 @@ def _rankit_terms(sf_dir: str):
     """Shared rankit machinery: the sorted daily revenue series and
     Blom scores qnorm((i - 3/8)/(n + 1/4)) via the Acklam
     quantile — day-dimension arithmetic, identical in SQL."""
-    from ocr_analytics.relational import _daily_rev_cents
+    from ocr_pipeline_ray.pipelines.relational import _daily_rev_cents
 
     daily = _daily_rev_cents(sf_dir)
     y = np.sort(daily["rev_c"].to_numpy("int64").astype("float64")) / 100.0
@@ -12507,7 +10977,7 @@ def _wh_chi2_quantile(p: float, nu: float) -> float:
 
 
 def _price_moments(sf_dir: str):
-    from ocr_analytics.relational import _price_cents_hist
+    from ocr_pipeline_ray.pipelines.relational import _price_cents_hist
 
     h = _price_cents_hist(sf_dir)
     v = h["v"].to_numpy("int64").astype("float64") / 100.0
@@ -12650,7 +11120,7 @@ def _gh_terms(sf_dir: str):
     z_p, Hoaglin's per-p skew estimates g_p, their median g, and
     the log-spread regression that yields h and ln B — every step a
     closed form mirrored in SQL."""
-    from ocr_analytics.relational import _price_cents_hist
+    from ocr_pipeline_ray.pipelines.relational import _price_cents_hist
 
     h = _price_cents_hist(sf_dir)
     v = h["v"].to_numpy("int64")
@@ -12784,7 +11254,7 @@ def g_and_h_quantile_check(sf_dir: str) -> pd.DataFrame:
     hardest) is the whole point of the parameterization; where the
     relative error concentrates says which feature (skew vs tail)
     the data refuses to compress."""
-    from ocr_analytics.relational import _price_cents_hist
+    from ocr_pipeline_ray.pipelines.relational import _price_cents_hist
 
     n, med, g, hh, b = _gh_terms(sf_dir)
     h = _price_cents_hist(sf_dir)
@@ -12859,7 +11329,7 @@ def _johnson_terms(sf_dir: str):
     literals shared verbatim by both engines), and the spreads
     m = x4-x3, n = x2-x1, p = x3-x2 whose ratio mn/p^2 selects the
     Johnson family."""
-    from ocr_analytics.relational import _price_cents_hist
+    from ocr_pipeline_ray.pipelines.relational import _price_cents_hist
 
     h = _price_cents_hist(sf_dir)
     v = h["v"].to_numpy("int64")
@@ -13044,7 +11514,7 @@ def _vasicek_terms(sf_dir: str):
     m = floor(sqrt(n) + 0.5), spacings floored at one cent so tied
     blocks cannot produce ln 0 (documented, identical in both
     engines)."""
-    from ocr_analytics.relational import _price_cents_hist
+    from ocr_pipeline_ray.pipelines.relational import _price_cents_hist
 
     h = _price_cents_hist(sf_dir)
     v = h["v"].to_numpy("int64")

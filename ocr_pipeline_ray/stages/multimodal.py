@@ -25,18 +25,6 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
-MEDIA_META_SCHEMA = pa.schema(
-    [
-        pa.field("media_ref", pa.string()),
-        pa.field("modality", pa.string()),  # image | audio | video
-        pa.field("payload", pa.binary()),
-        pa.field("width", pa.int32()),
-        pa.field("height", pa.int32()),
-        pa.field("duration_ms", pa.int32()),
-    ]
-)
-
-
 def _try_import_pil():
     try:
         from PIL import Image  # noqa: F401
@@ -83,7 +71,7 @@ class ImageDecodeActor:
         from ocr_pipeline_ray.functions.jpeg import JPEG_MAGIC, decode_jpeg
         from ocr_pipeline_ray.functions.png import PNG_MAGIC, parse_png
         from ocr_pipeline_ray.functions.ppm_ocr import parse_ppm
-        from ocr_analytics.raster import resize_bilinear
+        from ocr_pipeline_ray.functions.raster import resize_bilinear
 
         feats, hs, ws, errs = [], [], [], []
         for payload in batch.column("payload").to_pylist():
@@ -204,7 +192,7 @@ class ImageDHashActor:
         from ocr_pipeline_ray.functions.jpeg import JPEG_MAGIC, decode_jpeg
         from ocr_pipeline_ray.functions.png import PNG_MAGIC, parse_png
         from ocr_pipeline_ray.functions.ppm_ocr import parse_ppm
-        from ocr_analytics.raster import resize_bilinear, to_grayscale
+        from ocr_pipeline_ray.functions.raster import resize_bilinear, to_grayscale
 
         hashes, errs = [], []
         for payload in batch.column("payload").to_pylist():

@@ -155,6 +155,46 @@ def default_num_buckets(
     return max(floor, -(-int(size) // target_bucket_bytes))
 
 
+def detect_hot_keys(
+    ds: "ray.data.Dataset",
+    col: str,
+    hot_fraction: float = 0.05,
+    sample_batches: int = 8,
+    exclude=None,
+) -> list:
+    """Sampled hot-key detection for shuffle salting: per-batch value
+    counts over the first ``sample_batches`` batches (streaming take —
+    the dataset is not fully executed), combined on the driver; keys
+    holding more than ``hot_fraction`` of sampled rows are hot.
+    Deterministic for a deterministic input order. Blind spot: only the
+    leading ``sample_batches`` x 4096 rows are counted, so on clustered
+    or key-sorted input a key that is hot overall but first appears
+    after that prefix is missed, and the join runs unsalted with that
+    key's rows in one bucket. ``exclude`` drops
+    one sentinel value BEFORE counting (it neither qualifies as hot nor
+    dilutes the fraction denominator) — the media join uses this for
+    the empty-ref text rows, which have their own deterministic spread.
+    This is the ONE hot-detection implementation in the repo: the media
+    join (``detect_hot_refs``) and the analytics joins
+    (``relational.shuffle_hash_join``) both call it."""
+    import itertools
+
+    counts: dict = {}
+    total = 0
+    it = ds.iter_batches(batch_size=4096, batch_format="pandas")
+    for df in itertools.islice(it, sample_batches):
+        s = df[col]
+        if exclude is not None:
+            s = s[s != exclude]
+        vc = s.value_counts()
+        total += int(vc.sum())
+        for k, n in vc.items():
+            counts[k] = counts.get(k, 0) + int(n)
+    if not total:
+        return []
+    return sorted(k for k, n in counts.items() if n / total > hot_fraction)
+
+
 def reassemble(span_rows_ds, num_buckets: int | None = None):
     """The ordered-reassembly shuffle, bucketized.
 

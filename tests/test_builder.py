@@ -6,7 +6,7 @@ def test_auto_join_routes_and_matches_pandas():
     fact sides, and both strategies produce the pandas-merge result."""
     import pandas as pd
 
-    from ocr_analytics.relational import _read, auto_join
+    from ocr_pipeline_ray.pipelines.relational import _read, auto_join
 
     sf = "/root/testdata/sf0.001"
     cust = _read(sf, "customer", columns=["c_custkey", "c_mktsegment"])

@@ -1,6 +1,6 @@
 import numpy as np
 
-from ocr_analytics.hashing import (
+from ocr_pipeline_ray.functions.hashing import (
     hamming64,
     jaccard,
     lsh_band_keys,
@@ -65,7 +65,7 @@ def test_connected_components_chain_and_islands():
     import pandas as pd
     import ray
 
-    from ocr_analytics.dedup import connected_components
+    from ocr_pipeline_ray.pipelines.dedup import connected_components
 
     edges = ray.data.from_pandas(
         pd.DataFrame({"a": [7, 2, 10, 30, 31], "b": [2, 9, 11, 31, 32]})
@@ -84,7 +84,7 @@ def test_connected_components_multiblock_dtype_stability():
     import pandas as pd
     import ray
 
-    from ocr_analytics.dedup import connected_components
+    from ocr_pipeline_ray.pipelines.dedup import connected_components
 
     # a path (several propagation rounds) spread over one-edge blocks
     # to force empty shuffle buckets (each round costs two shuffles,
@@ -106,8 +106,8 @@ def test_exact_jaccard_pairs_vs_bruteforce():
 
     import pyarrow.parquet as pq
 
-    from ocr_analytics.hashing import jaccard, shingles
-    from ocr_analytics.dedup import exact_jaccard_pairs
+    from ocr_pipeline_ray.functions.hashing import jaccard, shingles
+    from ocr_pipeline_ray.pipelines.dedup import exact_jaccard_pairs
 
     sf = "/root/testdata/sf0.001"
     got = exact_jaccard_pairs(sf, threshold=0.5)

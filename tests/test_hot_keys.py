@@ -127,9 +127,12 @@ def test_pinned_hot_refs_and_disabled_agree(ray_session):
 
 def test_extraction_path_imports_no_analytics_module(ray_session):
     """The extraction modules, and the media join's hot-ref detection,
-    import nothing from the analytics collection (``ocr_analytics``): a
-    cold ``ocr_analytics.relational`` import costs about half a second,
-    which the join's warm-up pass would pay."""
+    import nothing from the analytics collection: a cold
+    ``pipelines.relational`` import costs about half a second, which
+    the join's warm-up pass would pay. Afterwards every module of the
+    package and ``__ray_entry__`` must import, ``queries()`` must hold
+    the five extraction queries, and every ``oracle_sql()`` key must
+    name a query."""
     import os
     import subprocess
     import sys
@@ -144,7 +147,14 @@ def test_extraction_path_imports_no_analytics_module(ray_session):
         "spans = pa.table({'media_ref': ['a', 'a', 'a', 'b', '']})\n"
         "assert detect_hot_refs(ray.data.from_arrow(spans), hot_fraction=0.5) == ['a']\n"
         "ray.shutdown()\n"
-        "print(any(m.split('.')[0] == 'ocr_analytics' for m in sys.modules))\n"
+        "print('ocr_pipeline_ray.pipelines.relational' in sys.modules)\n"
+        "import importlib, pkgutil, ocr_pipeline_ray, __ray_entry__ as e\n"
+        "for m in pkgutil.walk_packages(ocr_pipeline_ray.__path__, 'ocr_pipeline_ray.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "q = set(e.queries())\n"
+        "assert {'extract_interleaved', 'extract_interleaved_ppm', 'extract_span_stats',\n"
+        "        'extract_error_audit', 'extract_split_kinds'} <= q\n"
+        "assert set(e.oracle_sql()) <= q, sorted(set(e.oracle_sql()) - q)\n"
     )
     env = {**os.environ, "PYTHONPATH": root,
            "RAY_ADDRESS": ray.get_runtime_context().gcs_address}

@@ -9,7 +9,7 @@ import pytest
 import ray.data
 from hypothesis import given, settings, strategies as st
 
-from ocr_analytics.relational import bucketed_aggregate, partial_topk
+from ocr_pipeline_ray.pipelines.relational import bucketed_aggregate, partial_topk
 
 
 def _make(seed, nk, n):
@@ -79,7 +79,7 @@ def test_partial_topk_grouped_matches_pandas(df, n_blocks, k):
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 2**31), st.integers(0, 40), st.integers(0, 40))
 def test_key_set_op_matches_python_sets(tmp_path_factory, seed, na, nb):
-    from ocr_analytics.relational import key_set_op
+    from ocr_pipeline_ray.pipelines.relational import key_set_op
 
     rng = np.random.default_rng(seed)
     a = np.unique(rng.integers(0, 60, na)) if na else np.array([], dtype=np.int64)
@@ -96,7 +96,7 @@ def test_key_set_op_matches_python_sets(tmp_path_factory, seed, na, nb):
 def test_shuffle_hash_join_salted_hot_key_matches_pandas():
     """A 90%-hot key salted across sub-buckets must produce exactly
     the unsalted/pandas join result (inner and left)."""
-    from ocr_analytics.relational import shuffle_hash_join
+    from ocr_pipeline_ray.pipelines.relational import shuffle_hash_join
 
     rng = np.random.default_rng(7)
     n = 4000
@@ -129,17 +129,16 @@ def test_shuffle_hash_join_salted_hot_key_matches_pandas():
 
 
 def test_detect_hot_keys_finds_planted_skew():
-    from ocr_pipeline_ray.pipelines.extract import detect_hot_refs
+    from ocr_pipeline_ray.stages.reassemble import detect_hot_keys
 
     rng = np.random.default_rng(9)
     keys = np.where(rng.random(20_000) < 0.4, 7, rng.integers(100, 5000, 20_000))
-    ds = _ds(pd.DataFrame({"media_ref": [f"m{k}" for k in keys]}), 4)
-    hot = detect_hot_refs(ds, hot_fraction=0.05)
-    assert hot == ["m7"]
+    ds = _ds(pd.DataFrame({"k": keys.astype("int64")}), 4)
+    hot = detect_hot_keys(ds, "k", hot_fraction=0.05)
+    assert hot == [7]
     # uniform keys -> nothing hot
-    uniform = rng.integers(0, 5000, 20_000)
-    ds2 = _ds(pd.DataFrame({"media_ref": [f"m{k}" for k in uniform]}), 4)
-    assert detect_hot_refs(ds2, hot_fraction=0.05) == []
+    ds2 = _ds(pd.DataFrame({"k": rng.integers(0, 5000, 20_000).astype("int64")}), 4)
+    assert detect_hot_keys(ds2, "k", hot_fraction=0.05) == []
 
 
 def test_rank_in_group_matches_pandas_window(ray_session):
@@ -149,7 +148,7 @@ def test_rank_in_group_matches_pandas_window(ray_session):
     import pandas as pd
     import ray.data
 
-    from ocr_analytics.relational import rank_in_group
+    from ocr_pipeline_ray.pipelines.relational import rank_in_group
 
     rng = np.random.default_rng(5)
     n = 5000
@@ -192,7 +191,7 @@ def test_segment_dedup_first_occurrence(ray_session, tmp_path):
     d.mkdir()
     docs.to_parquet(d / "documents.parquet")
 
-    from ocr_analytics.text import segment_dedup
+    from ocr_pipeline_ray.pipelines.text import segment_dedup
 
     out = segment_dedup(str(d))
     got = list(map(tuple, out[["doc_id", "seg_idx", "seg"]].values))
@@ -210,7 +209,7 @@ def test_global_rank_constant_column_is_exact(ray_session):
     import pandas as pd
     import ray
 
-    from ocr_analytics.relational import _global_rank
+    from ocr_pipeline_ray.pipelines.relational import _global_rank
 
     n = 5000
     df = pd.DataFrame({"k": np.arange(n)[::-1], "v": np.zeros(n)})
@@ -232,7 +231,7 @@ def test_global_rank_skewed_distribution_balances_buckets(ray_session):
     import pandas as pd
     import ray
 
-    from ocr_analytics.relational import _global_rank
+    from ocr_pipeline_ray.pipelines.relational import _global_rank
 
     rng = np.random.default_rng(3)
     n = 20_000
@@ -249,7 +248,7 @@ def test_global_rank_skewed_distribution_balances_buckets(ray_session):
     # balance, asserted on the partitioner core directly: sampled
     # boundaries isolate the 90%-mass tie value in ONE bucket and
     # still spread the tail across many buckets
-    from ocr_analytics.relational import _rank_boundaries
+    from ocr_pipeline_ray.pipelines.relational import _rank_boundaries
 
     sv = np.sort(v)[np.linspace(0, n - 1, 2048).astype(int)]
     b = _rank_boundaries(sv, np.full(len(sv), n / len(sv)), 32)
@@ -265,7 +264,7 @@ def test_shuffle_hash_join_auto_hot_keys(ray_session):
     """hot_keys='auto' detects the planted 90%-hot key from the left
     prefix sample and produces exactly the pandas join result — the
     analytics-kernel twin of join_media_spans' automatic guard."""
-    from ocr_analytics.relational import shuffle_hash_join
+    from ocr_pipeline_ray.pipelines.relational import shuffle_hash_join
 
     rng = np.random.default_rng(11)
     n = 6000

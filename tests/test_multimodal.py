@@ -6,7 +6,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from ocr_analytics.multimodal import (
+from ocr_pipeline_ray.stages.multimodal import (
     ImageDecodeActor,
     decode_images,
     sample_frames,
@@ -95,7 +95,7 @@ def test_frame_sampling_layout():
 
 def test_dhash_identical_payloads_collide_distinct_rasters_dont():
     from ocr_pipeline_ray.functions.ppm_ocr import render_text_ppm
-    from ocr_analytics.multimodal import dhash_images
+    from ocr_pipeline_ray.stages.multimodal import dhash_images
 
     p_a = render_text_ppm("spark join merge")
     p_b = render_text_ppm("zzzzz qqqqq wwwww")
@@ -120,7 +120,7 @@ def test_dhash_identical_payloads_collide_distinct_rasters_dont():
 
 
 def test_media_dhash_dupes_groups_prefix_sharing_docs():
-    from ocr_analytics.media import media_dhash_dupes
+    from ocr_pipeline_ray.pipelines.media import media_dhash_dupes
 
     out = media_dhash_dupes("/root/testdata/sf0.001")
     assert (out["n_docs"] >= 2).all()

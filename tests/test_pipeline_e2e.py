@@ -236,7 +236,7 @@ def test_incremental_hourly_equals_batch():
     one-shot batch aggregate, bit-for-bit (any cutoff)."""
     import pandas as pd
 
-    from ocr_analytics.events import events_hourly, events_hourly_incremental
+    from ocr_pipeline_ray.pipelines.events import events_hourly, events_hourly_incremental
 
     sf = "/root/testdata/sf0.001"
     batch = events_hourly(sf)

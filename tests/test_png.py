@@ -122,7 +122,7 @@ def test_decode_actor_handles_png(ray_session):
     import pyarrow as pa
     import ray.data
 
-    from ocr_analytics.multimodal import decode_images
+    from ocr_pipeline_ray.stages.multimodal import decode_images
 
     arrs = [_rand_rgb(7, 7, seed=s) for s in range(4)]
     t = pa.table(

@@ -102,7 +102,7 @@ def _c_index_brute(fr, tau=None):
 def test_c_index_rank_arithmetic_matches_pair_census():
     import pandas as pd
 
-    from ocr_analytics.relational import _c_index
+    from ocr_pipeline_ray.pipelines.relational import _c_index
 
     rng = np.random.default_rng(0)
     for trial in range(30):
@@ -121,7 +121,7 @@ def test_c_index_rank_arithmetic_matches_pair_census():
 def test_c_index_degenerate_sentinel():
     import pandas as pd
 
-    from ocr_analytics.relational import _c_index
+    from ocr_pipeline_ray.pipelines.relational import _c_index
 
     # no observed events, and all-equal times: comp == 0 -> c = 0.0
     fr = pd.DataFrame({"t": [1, 2, 3], "e": [0, 0, 0], "s": [1, 2, 3]})

@@ -3,7 +3,7 @@ channel fixups, and the PPM visualization render."""
 
 import numpy as np
 
-from ocr_analytics.raster import (
+from ocr_pipeline_ray.functions.raster import (
     IMAGENET_MEAN,
     IMAGENET_STD,
     normalize_tensor,

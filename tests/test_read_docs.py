@@ -148,7 +148,7 @@ def test_union_by_name_alignment(tmp_path):
     import pytest
     import ray.data
 
-    from ocr_analytics.evolve import (
+    from ocr_pipeline_ray.sources.evolve import (
         read_parquet_union_by_name,
         resolve_union_schema,
     )

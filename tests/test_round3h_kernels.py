@@ -10,7 +10,7 @@ import pandas as pd
 import pytest
 import ray.data
 
-from ocr_analytics.relational import _rank_sum_stats
+from ocr_pipeline_ray.pipelines.relational import _rank_sum_stats
 
 
 def _hist_ds(x: np.ndarray, is_a: np.ndarray, n_buckets: int, n_blocks: int = 7):
@@ -73,8 +73,8 @@ def test_rank_sum_stats_all_equal_single_bucket():
 
 def test_sorted_neighborhood_matches_bruteforce(tmp_path):
     """Pairs must not be lost or duplicated at rank-block boundaries."""
-    from ocr_analytics.dedup import sorted_neighborhood_dedup
-    from ocr_analytics.relational import _levenshtein
+    from ocr_pipeline_ray.pipelines.dedup import sorted_neighborhood_dedup
+    from ocr_pipeline_ray.pipelines.relational import _levenshtein
 
     rng = np.random.default_rng(7)
     n = 400
@@ -118,7 +118,7 @@ def test_sorted_neighborhood_matches_bruteforce(tmp_path):
 
 
 def test_percentile_cont_matches_numpy(tmp_path):
-    from ocr_analytics.relational import price_percentile_cont_by_flag
+    from ocr_pipeline_ray.pipelines.relational import price_percentile_cont_by_flag
 
     rng = np.random.default_rng(3)
     n = 3000
@@ -140,7 +140,7 @@ def test_percentile_cont_matches_numpy(tmp_path):
 
 
 def test_lcg_streams_are_deterministic():
-    from ocr_analytics.relational import bootstrap_mean_ci, permutation_test_price_by_segment
+    from ocr_pipeline_ray.pipelines.relational import bootstrap_mean_ci, permutation_test_price_by_segment
 
     sf = "/root/testdata/sf0.001"
     a = bootstrap_mean_ci(sf)

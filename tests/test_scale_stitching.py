@@ -35,7 +35,7 @@ def test_orderkey_gaps_cross_bucket_and_empty_buckets(tmp_path):
     """A gap spanning several WHOLE 4096-wide buckets must come out
     as ONE merged range from the summary stitch, alongside ordinary
     in-bucket gaps."""
-    from ocr_analytics.relational import orderkey_gaps
+    from ocr_pipeline_ray.pipelines.relational import orderkey_gaps
 
     keys = list(range(0, 11)) + [5, 7] + list(range(20000, 20011)) + [20005]
     keys.remove(3)  # in-bucket gap [3, 3]
@@ -48,7 +48,7 @@ def test_orderkey_gaps_cross_bucket_and_empty_buckets(tmp_path):
 
 
 def test_orderkey_gaps_ignores_non_f_status(tmp_path):
-    from ocr_analytics.relational import orderkey_gaps
+    from ocr_pipeline_ray.pipelines.relational import orderkey_gaps
 
     t = pa.table(
         {
@@ -87,7 +87,7 @@ def test_interarrival_max_gap_crosses_day_blocks(tmp_path):
     """The largest gap straddles a (type, day) block boundary — it
     only exists in the driver's cross-block stitch, never inside any
     single block."""
-    from ocr_analytics.events import interarrival_stats
+    from ocr_pipeline_ray.pipelines.events import interarrival_stats
 
     rows = [
         (1, "2024-01-01 10:00:00", 1, "view"),
@@ -107,7 +107,7 @@ def test_interarrival_max_gap_crosses_day_blocks(tmp_path):
 def test_streaks_and_stickiness_partials_add_across_users(tmp_path):
     """Distinct partials must add exactly because users are
     partitioned by bucket: two users with overlapping day sets."""
-    from ocr_analytics.events import (
+    from ocr_pipeline_ray.pipelines.events import (
         dau_mau_stickiness,
         user_activity_streaks,
     )

@@ -5,7 +5,7 @@ SF = "/root/testdata/sf0.001"
 
 
 def test_knn_lsh_recall_vs_brute_force():
-    from ocr_analytics.similarity import knn_brute_force, knn_lsh
+    from ocr_pipeline_ray.pipelines.similarity import knn_brute_force, knn_lsh
 
     exact = knn_brute_force(SF, k=5, n_queries=10)
     approx = knn_lsh(SF, k=5, n_queries=10)
@@ -37,7 +37,7 @@ def test_minhash_lsh_finds_near_identical_pairs(tmp_path):
     d = tmp_path / "mini"
     d.mkdir()
     docs.to_parquet(d / "documents.parquet")
-    from ocr_analytics.dedup import minhash_lsh_dedup
+    from ocr_pipeline_ray.pipelines.dedup import minhash_lsh_dedup
 
     pairs = minhash_lsh_dedup(str(d), threshold=0.5)
     got = {(r.a, r.b) for r in pairs.itertuples()}
@@ -59,7 +59,7 @@ def test_embedding_neardup_planted(tmp_path):
     d = tmp_path / "emb"
     d.mkdir()
     df.to_parquet(d / "embeddings.parquet")
-    from ocr_analytics.similarity import embedding_neardup, embedding_neardup_lsh
+    from ocr_pipeline_ray.pipelines.similarity import embedding_neardup, embedding_neardup_lsh
 
     pairs = embedding_neardup(str(d), threshold=0.95)
     got = {(r.a, r.b) for r in pairs.itertuples()}
@@ -88,7 +88,7 @@ def test_embedding_neardup_lsh_derives_dim(tmp_path):
     d = tmp_path / "emb32"
     d.mkdir()
     df.to_parquet(d / "embeddings.parquet")
-    from ocr_analytics.similarity import embedding_neardup_lsh
+    from ocr_pipeline_ray.pipelines.similarity import embedding_neardup_lsh
 
     pairs = embedding_neardup_lsh(str(d), threshold=0.95)
     assert {(r.a, r.b) for r in pairs.itertuples()} == {(0, 1)}
@@ -99,7 +99,7 @@ def test_embedding_neardup_exact_matches_duckdb(tmp_path):
     real testdata at the default (nonzero-yielding) threshold."""
     import duckdb
 
-    from ocr_analytics.similarity import EMBEDDING_NEARDUP_SQL, embedding_neardup
+    from ocr_pipeline_ray.pipelines.similarity import EMBEDDING_NEARDUP_SQL, embedding_neardup
 
     got = embedding_neardup(SF)
     con = duckdb.connect()
@@ -126,7 +126,7 @@ def test_simhash_neardup_planted(tmp_path):
     d = tmp_path / "mini2"
     d.mkdir()
     docs.to_parquet(d / "documents.parquet")
-    from ocr_analytics.dedup import simhash_neardup
+    from ocr_pipeline_ray.pipelines.dedup import simhash_neardup
 
     pairs = simhash_neardup(str(d), max_hamming=8)
     got = {(r.a, r.b) for r in pairs.itertuples()}
@@ -150,7 +150,7 @@ def test_label_centroids_recover_planted_clusters(tmp_path):
     d.mkdir()
     df.to_parquet(d / "embeddings.parquet")
 
-    from ocr_analytics.similarity import label_centroids
+    from ocr_pipeline_ray.pipelines.similarity import label_centroids
 
     cents = label_centroids(str(d))
     assert cents["n_vecs"].tolist() == [40, 40]
@@ -165,7 +165,7 @@ def test_knn_ivf_recall_and_full_probe_exactness():
     search — a structural identity, not a probabilistic bar)."""
     import pandas as pd
 
-    from ocr_analytics.similarity import knn_brute_force, knn_ivf
+    from ocr_pipeline_ray.pipelines.similarity import knn_brute_force, knn_ivf
 
     sf = "/root/testdata/sf0.001"
     bf = knn_brute_force(sf)
@@ -184,7 +184,7 @@ def test_knn_ivf_recall_and_full_probe_exactness():
 def test_kmeans_spherical_deterministic_and_separating():
     import numpy as np
 
-    from ocr_analytics.similarity import _kmeans_spherical, _normalize
+    from ocr_pipeline_ray.pipelines.similarity import _kmeans_spherical, _normalize
 
     rng = np.random.default_rng(3)
     mus = _normalize(rng.standard_normal((4, 32)))
@@ -204,7 +204,7 @@ def test_embedding_pca_top_matches_numpy():
     import numpy as np
     import pyarrow.parquet as pq
 
-    from ocr_analytics.similarity import embedding_pca_top
+    from ocr_pipeline_ray.pipelines.similarity import embedding_pca_top
 
     sf = "/root/testdata/sf0.001"
     got = embedding_pca_top(sf)
@@ -221,7 +221,7 @@ def test_kmeans_clusters_match_single_machine_reference():
     import numpy as np
     import pyarrow.parquet as pq
 
-    from ocr_analytics.similarity import kmeans_clusters, kmeans_reference
+    from ocr_pipeline_ray.pipelines.similarity import kmeans_clusters, kmeans_reference
 
     sf = "/root/testdata/sf0.001"
     got = kmeans_clusters(sf, k=4, iters=3)
@@ -239,7 +239,7 @@ def test_mmr_diverse_selection_matches_sequential_reference():
     import numpy as np
     import pyarrow.parquet as pq
 
-    from ocr_analytics.similarity import mmr_diverse_selection
+    from ocr_pipeline_ray.pipelines.similarity import mmr_diverse_selection
 
     sf = "/root/testdata/sf0.001"
     k, lam = 6, 0.5
@@ -273,7 +273,7 @@ def test_semdedup_matches_sequential_reference():
     """Pin the distributed SemDeDup (k-means partition + greedy
     within-cluster cosine prune) to the single-process reference:
     same quantizer sample, same prune order, exact equality."""
-    from ocr_analytics.similarity import (
+    from ocr_pipeline_ray.pipelines.similarity import (
         PLANT_OFFSET,
         semdedup,
         semdedup_reference,

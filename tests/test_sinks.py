@@ -49,7 +49,7 @@ def test_tar_shard_roundtrip_bytes(tmp_path):
     order) and the reader inverts the writer exactly."""
     import pandas as pd
 
-    from ocr_analytics.tarshard import read_tar_shards, write_tar_shards
+    from ocr_pipeline_ray.sources.tarshard import read_tar_shards, write_tar_shards
 
     df = pd.DataFrame(
         {"doc_id": list(range(20)), "text": [f"doc {i} bodyé" for i in range(20)]}

@@ -4,7 +4,7 @@ pipelines built on them."""
 
 import numpy as np
 
-from ocr_analytics.sketches import BloomFilter, HyperLogLog
+from ocr_pipeline_ray.functions.sketches import BloomFilter, HyperLogLog
 
 SF = "/root/testdata/sf0.001"
 
@@ -42,7 +42,7 @@ def test_hll_error_bound_and_merge():
 
 
 def test_hll_pipeline_close_to_exact():
-    from ocr_analytics.events import (
+    from ocr_pipeline_ray.pipelines.events import (
         distinct_users_hll,
         distinct_users_per_type,
     )
@@ -56,7 +56,7 @@ def test_hll_pipeline_close_to_exact():
 
 
 def test_bloom_semi_join_matches_exact():
-    from ocr_analytics.relational import (
+    from ocr_pipeline_ray.pipelines.relational import (
         parts_with_lineitems,
         parts_with_lineitems_bloom,
     )
@@ -74,7 +74,7 @@ def test_bloom_build_tree_reduced():
     import pyarrow.parquet as pq
     import ray.data
 
-    from ocr_analytics.relational import (
+    from ocr_pipeline_ray.pipelines.relational import (
         _bloom_partials_reduced,
         build_bloom,
     )
@@ -98,7 +98,7 @@ def test_bucketed_semi_anti_join_planted():
     import pandas as pd
     import ray.data
 
-    from ocr_analytics.relational import bucketed_semi_anti_join
+    from ocr_pipeline_ray.pipelines.relational import bucketed_semi_anti_join
 
     probe = pd.DataFrame({"k": np.arange(100, dtype=np.int64), "name": [f"n{i}" for i in range(100)]})
     keys = pd.DataFrame({"fk": np.repeat(np.arange(0, 100, 3, dtype=np.int64), 5)})
@@ -137,7 +137,7 @@ def test_kll_pipeline_close_to_exact():
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from ocr_analytics.relational import order_price_quantiles_sketch
+    from ocr_pipeline_ray.pipelines.relational import order_price_quantiles_sketch
 
     got = order_price_quantiles_sketch(SF)
     prices = pq.read_table(f"{SF}/orders.parquet", columns=["o_totalprice"])["o_totalprice"].to_numpy()
@@ -147,7 +147,7 @@ def test_kll_pipeline_close_to_exact():
 
 
 def test_cms_never_underestimates_and_merge_linear():
-    from ocr_analytics.sketches import CountMinSketch
+    from ocr_pipeline_ray.functions.sketches import CountMinSketch
 
     rng = np.random.default_rng(3)
     keys = rng.integers(0, 1 << 62, 5_000, dtype=np.int64).astype(np.uint64)
@@ -171,8 +171,8 @@ def test_heavy_hitters_exact_vs_pandas():
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from ocr_analytics.textstats import TOKEN_RE
-    from ocr_analytics.text import heavy_hitter_terms
+    from ocr_pipeline_ray.functions.textstats import TOKEN_RE
+    from ocr_pipeline_ray.pipelines.text import heavy_hitter_terms
 
     got = heavy_hitter_terms(SF, min_frac=0.02)
     texts = pq.read_table(f"{SF}/documents.parquet", columns=["text"])["text"].to_pylist()
@@ -192,7 +192,7 @@ def test_grouped_kll_close_to_exact():
     import numpy as np
     import pyarrow.parquet as pq
 
-    from ocr_analytics.relational import price_quantiles_by_flag_sketch
+    from ocr_pipeline_ray.pipelines.relational import price_quantiles_by_flag_sketch
 
     got = price_quantiles_by_flag_sketch(SF)
     t = pq.read_table(f"{SF}/lineitem.parquet", columns=["l_returnflag", "l_extendedprice"]).to_pandas()
@@ -210,7 +210,7 @@ def test_exactcap_regime_guard_raises_out_of_regime():
     oracle into a confusing sweep hash mismatch."""
     import pytest
 
-    from ocr_analytics.relational import (
+    from ocr_pipeline_ray.pipelines.relational import (
         order_price_quantiles_sketch,
         order_price_quantiles_sketch_exactcap,
         price_quantiles_by_flag_sketch,

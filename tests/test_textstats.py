@@ -1,4 +1,4 @@
-from ocr_analytics.textstats import (
+from ocr_pipeline_ray.functions.textstats import (
     detect_language,
     fingerprint_md5,
     quality_stats,
@@ -69,7 +69,7 @@ def test_curate_corpus_composition(tmp_path):
     d = tmp_path / "cur"
     d.mkdir()
     docs.to_parquet(d / "documents.parquet")
-    from ocr_analytics.text import curate_corpus
+    from ocr_pipeline_ray.pipelines.text import curate_corpus
 
     out = curate_corpus(str(d))
     assert out["doc_id"].tolist() == [0, 3]
@@ -91,7 +91,7 @@ def test_repetition_stats_planted(tmp_path):
     d = tmp_path / "rep"
     d.mkdir()
     docs.to_parquet(d / "documents.parquet")
-    from ocr_analytics.text import repetition_stats
+    from ocr_pipeline_ray.pipelines.text import repetition_stats
 
     out = repetition_stats(str(d)).set_index("doc_id")
     assert out.loc[0, "dup_line_frac"] == 0.0 and out.loc[0, "top_bigram_frac"] < 0.2
@@ -107,8 +107,8 @@ def test_bpe_learn_merges_vs_reference():
 
     import pyarrow.parquet as pq
 
-    from ocr_analytics.textstats import TOKEN_RE
-    from ocr_analytics.text import bpe_learn_merges
+    from ocr_pipeline_ray.functions.textstats import TOKEN_RE
+    from ocr_pipeline_ray.pipelines.text import bpe_learn_merges
 
     sf = "/root/testdata/sf0.001"
     got = bpe_learn_merges(sf, n_merges=6)
@@ -147,7 +147,7 @@ def test_bpe_learn_merges_vs_reference():
 def test_duplicate_ngram_spans_hash_path_equals_string_path():
     """The 100 TB hash-gram shuffle knob must not change the profile
     on real corpora (u64 collisions are vanishingly unlikely here)."""
-    from ocr_analytics.text import duplicate_ngram_spans
+    from ocr_pipeline_ray.pipelines.text import duplicate_ngram_spans
 
     sf = "/root/testdata/sf0.001"
     a = duplicate_ngram_spans(sf, hash_grams=False)
@@ -160,7 +160,7 @@ def test_duplicate_ngram_spans_hash_path_equals_string_path():
 def test_compression_ratio_known_answers():
     """Repetitive text compresses harder than high-entropy text, every
     doc emits one row, ratios are in (0, ~1.1]."""
-    from ocr_analytics.text import compression_ratio
+    from ocr_pipeline_ray.pipelines.text import compression_ratio
 
     out = compression_ratio("/root/testdata/sf0.001")
     assert len(out) == 500
@@ -176,7 +176,7 @@ def test_compression_ratio_known_answers():
 def test_bpe_apply_tokenize_matches_local_reference():
     import pyarrow.parquet as pq
 
-    from ocr_analytics.text import (
+    from ocr_pipeline_ray.pipelines.text import (
         TOKEN_RE,
         _apply_merges,
         bpe_apply_tokenize,
@@ -204,7 +204,7 @@ def test_quality_classifier_matches_sequential_reference():
     single-process numpy reference: identical weights (the gradient is
     a sum over docs, so batch partials must add exactly) and a
     better-than-chance train accuracy."""
-    from ocr_analytics.text import (
+    from ocr_pipeline_ray.pipelines.text import (
         quality_classifier,
         quality_classifier_reference,
     )
