@@ -10,7 +10,8 @@ same input and report both throughputs +
 scaling efficiency (the sandbox stand-in for the north rule's N vs 4N
 node criterion).
 
-Env: RAY_GRAFT_CPUS (default 32), BENCH_DOCS (default 100000).
+Env: RAY_GRAFT_CPUS (default: this host's CPU count, ``os.cpu_count()``),
+BENCH_DOCS (default 100000).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import subprocess
 import sys
 import time
 
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count()))
 BENCH_DOCS = int(os.environ.get("BENCH_DOCS", "100000"))
 # min-of-N per pipeline: the shared sandbox host has ±2-4x co-tenant
 # load spikes; a single sample can quadruple a 3 s query (measured)

@@ -158,14 +158,3 @@ def parse_png(payload: bytes) -> np.ndarray:
     if color_type == 4:
         return np.repeat(px[:, :, :1], 3, axis=2)
     return px[:, :, :3]  # 6: RGBA -> drop alpha
-
-
-def sniff_decode(payload: bytes) -> np.ndarray:
-    """Format-sniffing decode: P6 PPM or PNG -> (h, w, 3) uint8."""
-    if payload[:2] == b"P6":
-        from ocr_pipeline_ray.functions.ppm_ocr import parse_ppm
-
-        return parse_ppm(payload)
-    if payload.startswith(PNG_MAGIC):
-        return parse_png(payload)
-    raise ValueError("unknown image format")

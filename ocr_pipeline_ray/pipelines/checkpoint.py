@@ -107,8 +107,6 @@ def valid_committed_partitions(out_dir: str, parts: list[list[str]]) -> set[int]
 def _doc_locality_error(pipeline_kwargs: dict) -> str | None:
     """Why these pipeline options cannot run under per-partition commit
     (every doc's rows must stay in its input block), or None."""
-    if pipeline_kwargs.get("split_kinds") or pipeline_kwargs.get("stage_dir"):
-        return "split_kinds/stage_dir re-partition span rows across kind branches"
     if pipeline_kwargs.get("media_mode", "broadcast") == "join":
         return 'media_mode="join" shuffles span rows by media_ref'
     return None

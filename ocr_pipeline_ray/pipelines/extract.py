@@ -23,7 +23,7 @@ small picklable callable *instance* (media ref, engine factory), and
 the engine plus the resolved media store stay warm per worker process
 (:func:`~ocr_pipeline_ray.stages.extract.warm_state`), so no stage
 starts an actor pool and Ray Data may fuse the kernel with the read.
-Two topologies:
+One topology per media mode:
 
 * ``media_mode="broadcast"`` (default): the media table is put into
   the object store once and ONE fused task stage
@@ -36,14 +36,11 @@ Two topologies:
   :class:`~ocr_pipeline_ray.stages.extract.InlineMediaExtract` tasks
   extract, and a ``doc_id`` shuffle reassembles.
 
-One documented exception, ``split_kinds=True`` (broadcast only):
-size/kind-aware routing (north-rule skew requirement). The exploded
-span rows are staged to disk partitioned by route ONCE (so the
-branches do not re-execute the read), then light HTML rows flow
-through the strip task while image/pdf rows get their own extract
-branches — pdf with a small batch cap and heavy pdfs with a smaller
-one (the analog of the reference's 350-crop GPU batch cap, reference
-README.md:84-88) — and a ``doc_id`` shuffle reassembles.
+Skew between heavy multi-page PDFs and tiny HTML rows rests on the
+fused kernel: a heavy PDF costs milliseconds inside its block's task
+(``PpmOcrEngine`` on one Xeon vCPU: about 1 ms for a 40-page raster
+PDF, 4 ms for a 200-page one), so no size routing, staging or
+separate pdf batches are needed.
 """
 
 from __future__ import annotations
@@ -62,22 +59,16 @@ from ocr_pipeline_ray.stages.extract import (
     MediaExtractActor,
     SyntheticEngine,
     strip_html_batch,
-    warm_state,
 )
 from ocr_pipeline_ray.stages.reassemble import detect_hot_keys, pack_bucket, reassemble
 from ocr_pipeline_ray.state.media_store import broadcast_media, check_unique_refs
 
 SPAN_COLS = SPAN_ROWS_SCHEMA.names
 
-# span rows per batch on the shuffle-reassembled topologies (and on the
-# fused one under a GPU request); the pdf caps are the analog of the
-# reference's 350-crop GPU batch cap (reference README.md:84-88)
+# span rows per batch on the join topology (and on the fused one under
+# a GPU request)
 TEXT_BATCH_SIZE = 2048
 IMAGE_BATCH_SIZE = 1024
-PDF_BATCH_SIZE = 64
-HEAVY_PDF_BATCH_SIZE = 16
-# split_kinds: a pdf of at least this many pages takes the heavy route
-HEAVY_PAGE_THRESHOLD = 5
 # valid only for actors; a task stage retries with ``max_retries``
 ACTOR_ONLY_REMOTE_ARGS = ("max_restarts", "max_task_retries", "concurrency")
 
@@ -131,9 +122,8 @@ class _ExtractPackAll(MediaExtractActor):
     Partitioning assumption (the reason this is correct): the input
     batch contains WHOLE documents (one input row per doc;
     ``batch_size=None`` = one block per call), and no operator between
-    explode and pack re-partitions rows. Any path that breaks doc
-    locality — kind-split branches, the media shuffle join — must use
-    the shuffle-based :func:`~ocr_pipeline_ray.stages.reassemble.reassemble`
+    explode and pack re-partitions rows. A path that breaks doc
+    locality — the media shuffle join — must use the shuffle-based :func:`~ocr_pipeline_ray.stages.reassemble.reassemble`
     instead. Measured: removes the reassembly sort barrier that
     dominated the post-extract tail (~23 s of a 57 s run at 16 cores).
 
@@ -170,8 +160,6 @@ def build_extraction_pipeline(
     media: pa.Table | "ray.ObjectRef",
     *,
     media_mode: str = "broadcast",
-    split_kinds: bool = False,
-    stage_dir: str | None = None,
     engine_factory=None,
     media_remote_args: dict | None = None,
     block_writer=None,
@@ -208,20 +196,13 @@ def build_extraction_pipeline(
     task stage and reassembly is a local sort per block — zero
     shuffle — because doc locality is preserved by construction there
     (see :class:`_ExtractPackAll` for the exact assumption). The
-    kind-split and media-join topologies reassemble through the
-    ``doc_id`` shuffle. ``split_kinds=True`` needs ``stage_dir`` and
-    the broadcast store (it routes on page counts), so it raises with
-    ``media_mode="join"``.
+    media-join topology reassembles through the ``doc_id`` shuffle.
 
     ``block_writer`` (fused topology only) is handed to
     :class:`_ExtractPackAll`, which writes every packed block through
     it and emits its return value instead.
     """
-    if split_kinds and media_mode == "join":
-        raise ValueError(
-            'split_kinds=True routes on the broadcast media store; it cannot run with media_mode="join"'
-        )
-    if block_writer is not None and (media_mode == "join" or split_kinds):
+    if block_writer is not None and media_mode == "join":
         raise ValueError("block_writer needs the fused local-pack topology")
     remote_args = media_remote_args or {}
     for key in ACTOR_ONLY_REMOTE_ARGS:
@@ -251,64 +232,17 @@ def build_extraction_pipeline(
         return reassemble(done.select_columns(SPAN_COLS))
 
     media_ref = media if isinstance(media, ray.ObjectRef) else broadcast_media(media)
-    if not split_kinds:
-        # whole blocks = whole documents (zero-shuffle local pack) —
-        # except under a GPU request, where Ray Data requires an
-        # explicit batch size (GPU memory is sized per batch); doc
-        # locality still holds: batches are formed from whole input
-        # rows, never split mid-document.
-        fused_batch = TEXT_BATCH_SIZE if "num_gpus" in remote_args else None
-        return docs_ds.map_batches(
-            _ExtractPackAll(media_ref, block_writer, engine_factory),
-            batch_format="pyarrow",
-            batch_size=fused_batch,
-            **remote_args,
-        )
-    spans = docs_ds.map_batches(explode_batch, batch_format="pyarrow")
-
-    if stage_dir is None:
-        raise ValueError("split_kinds=True requires stage_dir (disk-staged routing)")
-    # SIZE-AWARE routing (north rule: heavy multi-page PDFs must not
-    # ride in the same batches as tiny HTML rows): the route column is
-    # kind, except pdf spans whose page count (from the broadcast
-    # media store) reaches HEAVY_PAGE_THRESHOLD — those go to a
-    # dedicated heavy branch with 4x smaller batches, so one heavy
-    # batch can't head-of-line-block a worker for minutes at cluster
-    # scale.
-    spans = spans.map_batches(_SizeRouter(media_ref), batch_format="pyarrow")
-    # Stage the exploded rows partitioned by route in ONE pass so the
-    # per-route branches read their slice instead of re-executing the
-    # upstream read (a Dataset branch re-runs its lineage otherwise).
-    spans.write_parquet(stage_dir, partition_cols=["route"])
-
-    branches = []
-    for route, batch_size, use_engine in (
-        ("text", TEXT_BATCH_SIZE, False),
-        ("image", IMAGE_BATCH_SIZE, True),
-        ("pdf", PDF_BATCH_SIZE, True),
-        ("pdf_heavy", HEAVY_PDF_BATCH_SIZE, True),
-    ):
-        part = os.path.join(stage_dir, f"route={route}")
-        if not os.path.isdir(part):
-            continue
-        # the files keep their kind column; partitioning=None leaves
-        # the route out of the rows
-        branch = ray.data.read_parquet(part, partitioning=None)
-        if use_engine:
-            branch = branch.map_batches(
-                MediaExtractActor(media_ref, engine_factory),
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                **remote_args,
-            )
-        else:
-            branch = branch.map_batches(
-                strip_html_batch, batch_format="pyarrow", batch_size=batch_size
-            )
-        branches.append(branch.select_columns(SPAN_COLS))
-    head, *rest = branches
-    merged = head.union(*rest) if rest else head
-    return reassemble(merged)
+    # whole blocks = whole documents (zero-shuffle local pack) — except
+    # under a GPU request, where Ray Data requires an explicit batch
+    # size (GPU memory is sized per batch); doc locality still holds:
+    # batches are formed from whole input rows, never split mid-document.
+    fused_batch = TEXT_BATCH_SIZE if "num_gpus" in remote_args else None
+    return docs_ds.map_batches(
+        _ExtractPackAll(media_ref, block_writer, engine_factory),
+        batch_format="pyarrow",
+        batch_size=fused_batch,
+        **remote_args,
+    )
 
 
 def detect_hot_refs(
@@ -519,22 +453,4 @@ def join_media_spans(
         return s.append_column("payload", payload)
 
     return st.union(mt).groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
-
-
-class _SizeRouter:
-    """Task stage appending the size-aware ``route`` column: kind,
-    except pdf spans with ``n_pages >= HEAVY_PAGE_THRESHOLD`` (looked
-    up in the broadcast media store, which the worker's warm cache
-    resolves once, zero-copy) which route to the dedicated heavy
-    branch."""
-
-    def __init__(self, media_object_ref):
-        self.media_object_ref = media_object_ref
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        store, _ = warm_state(self.media_object_ref, None)
-        kind = batch.column("kind")
-        pages = pc.fill_null(store.n_pages(batch.column("media_ref")), 0)
-        heavy = pc.and_(pc.equal(kind, "pdf"), pc.greater_equal(pages, HEAVY_PAGE_THRESHOLD))
-        return batch.append_column("route", pc.if_else(heavy, "pdf_heavy", kind))
 

@@ -21,8 +21,7 @@ the docs view and the media side-table are lazy Datasets over the
 same pruned parquet read), media attaches via the bucketed hash join
 (``media_mode='join'`` — no driver-side media table), and the per-doc
 unwrap is another batch stage; the driver only ever holds the final
-query result. The one exception is :func:`extract_split_kinds`, whose
-routing needs the broadcast store and so collects the media table.
+query result.
 
 ``codec='ppm'`` swaps the synthetic payloads for REAL rasters
 (functions/ppm_ocr.py): media spans round-trip through an actual
@@ -32,11 +31,8 @@ P6-PPM decode -> glyph segmentation -> template-match OCR kernel
 
 from __future__ import annotations
 
-import shutil
-
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
 from ocr_pipeline_ray.functions.ppm_ocr import (
@@ -51,9 +47,6 @@ from ocr_pipeline_ray.functions.synthetic_media import (
 from ocr_pipeline_ray.functions.textstats import TOKEN_RE
 from ocr_pipeline_ray.pipelines.extract import build_extraction_pipeline
 from ocr_pipeline_ray.schema import DOCS_SCHEMA, MEDIA_SCHEMA
-
-# where extract_split_kinds stages its route partitions
-SPLIT_STAGE_DIR = "/tmp/ocr_ray_split_stage"
 
 _NAV = '<a href="/">home</a> | <a href="/a">about</a> | <a href="/c">contact</a>'
 
@@ -338,28 +331,3 @@ SELECT doc_id, CAST(3 AS BIGINT) AS n_spans,
 FROM documents ORDER BY doc_id
 """
 
-
-def extract_split_kinds(sf_dir: str) -> pd.DataFrame:
-    """The SKEW-ROUTED extraction topology under the oracle gate:
-    ``split_kinds=True`` stages exploded span rows under
-    :data:`SPLIT_STAGE_DIR` partitioned by route, routes light HTML
-    rows through the strip task and image/pdf rows through their own
-    extract branches (pdf with the small batch cap — the north rule's
-    heavy-row requirement), then reassembles through the bucketized
-    doc_id shuffle. Routing reads page counts from the broadcast
-    store, so the media Dataset is collected into one Arrow table
-    (broadcast is the small-media regime by definition). The output
-    must be IDENTICAL to the join topology — same oracle as
-    `extract_interleaved`, so topology choice provably never changes
-    results.
-    """
-    shutil.rmtree(SPLIT_STAGE_DIR, ignore_errors=True)
-
-    docs, media = interleaved_datasets(sf_dir, "synthetic")
-    media_table = pa.concat_tables(ray.get(media.to_arrow_refs()))
-    out = build_extraction_pipeline(
-        docs, media_table, split_kinds=True, stage_dir=SPLIT_STAGE_DIR
-    )
-
-    df = out.map_batches(_unwrap_batch, batch_format="pyarrow").to_pandas()
-    return df.sort_values("doc_id").reset_index(drop=True)

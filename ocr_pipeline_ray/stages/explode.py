@@ -6,9 +6,11 @@ replaces the reference's per-region fan-out where region identity is
 packed into a composite string key (reference std-detection/api.py:108,
 parsed back at pipeline/file_utils.py:17-22) with explicit columns.
 
-Exploding *early* is the wide-row defense (SURVEY.md §7 step 9): a
-heavy doc with 128 spans becomes 128 independent rows that spread
-across blocks instead of one straggler row.
+On the fused broadcast topology explode runs inside the block's own
+task, so a wide doc's span rows stay in that block (whole documents
+per block is what lets the pack skip the shuffle). Only the join
+topology spreads them: its span rows are bucketed by ``media_ref``
+across blocks before extraction.
 """
 
 from __future__ import annotations

@@ -79,9 +79,9 @@ _warm = None
 def warm_state(media_object_ref, engine_factory):
     """This worker process's ``(store, engine)``: the resolved
     :class:`BroadcastMediaStore` of ``media_object_ref`` (``None``: no
-    store) and ``engine_factory()`` (``None``: no engine), built on the
-    first call and reused by every later batch and Ray Data execution
-    the process runs.
+    store) and ``engine_factory()``, built on the first call and
+    reused by every later batch and Ray Data execution the process
+    runs.
 
     One entry, keyed by value: the ref's hex and the pickled factory.
     Each task unpickles its own copy of the stage callable, so a
@@ -99,8 +99,7 @@ def warm_state(media_object_ref, engine_factory):
         if key != _warm_key:
             _warm_key = _warm = None
             store = None if media_object_ref is None else BroadcastMediaStore(media_object_ref)
-            engine = None if engine_factory is None else engine_factory()
-            _warm_key, _warm = key, (store, engine)
+            _warm_key, _warm = key, (store, engine_factory())
         return _warm
 
 

@@ -75,7 +75,6 @@ class BroadcastMediaStore:
             self._table = table.take(order)
             self._refs = self._refs[order]
         self._payload_col = self._table["payload"].combine_chunks()
-        self._pages_col = self._table["n_pages"].combine_chunks()
 
     def _index(self, media_ref: str) -> int:
         i = int(np.searchsorted(self._refs, media_ref))
@@ -87,20 +86,12 @@ class BroadcastMediaStore:
         i = self._index(media_ref)
         return self._payload_col[i].as_py() if i >= 0 else None
 
-    def _rows(self, media_refs) -> pa.Array:
-        """Row of every ref in ``media_refs``, null where the store has
-        none: one ``searchsorted`` over the sorted refs and an equality
-        check, vectorized over the batch."""
+    def payloads(self, media_refs) -> pa.Array:
+        """The payload of every ref in ``media_refs``, null where the
+        store has none: one ``searchsorted`` over the sorted refs and an
+        equality check, vectorized over the batch."""
         refs = pc.fill_null(media_refs, "").to_numpy(zero_copy_only=False)
         if not len(self._refs):
-            return pa.nulls(len(refs), pa.int64())
+            return pa.nulls(len(refs), self._payload_col.type)
         idx = np.minimum(np.searchsorted(self._refs, refs), len(self._refs) - 1)
-        return pa.array(idx, mask=self._refs[idx] != refs)
-
-    def payloads(self, media_refs) -> pa.Array:
-        """The payload of every ref (null where the store has none)."""
-        return self._payload_col.take(self._rows(media_refs))
-
-    def n_pages(self, media_refs) -> pa.Array:
-        """The page count of every ref (null where the store has none)."""
-        return self._pages_col.take(self._rows(media_refs))
+        return self._payload_col.take(pa.array(idx, mask=self._refs[idx] != refs))

@@ -153,7 +153,7 @@ def test_extraction_path_imports_no_analytics_module(ray_session):
         "    importlib.import_module(m.name)\n"
         "q = set(e.queries())\n"
         "assert {'extract_interleaved', 'extract_interleaved_ppm', 'extract_span_stats',\n"
-        "        'extract_error_audit', 'extract_split_kinds'} <= q\n"
+        "        'extract_error_audit'} <= q\n"
         "assert set(e.oracle_sql()) <= q, sorted(set(e.oracle_sql()) - q)\n"
     )
     env = {**os.environ, "PYTHONPATH": root,

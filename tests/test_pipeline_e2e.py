@@ -39,23 +39,6 @@ def test_shuffled_input_partitions_still_ordered(small_corpus):
     assert _spans_map(out) == _golden_map(golden)
 
 
-def test_split_kinds_pipeline_matches_golden(small_corpus, tmp_path):
-    """Kind+size routing: the corpus has 2-8 page pdfs, so the
-    heavy route (n_pages >= 5 -> dedicated small-batch pool) engages,
-    and the output must still be golden-identical."""
-    import os
-
-    docs, media, golden = small_corpus
-    ds = ray.data.from_arrow(docs).repartition(4)
-    stage = str(tmp_path / "stage")
-    out = build_extraction_pipeline(ds, media, split_kinds=True, stage_dir=stage)
-    result = _spans_map(out)
-    # size-aware routing actually split the pdfs into light and heavy
-    assert os.path.isdir(os.path.join(stage, "route=pdf"))
-    assert os.path.isdir(os.path.join(stage, "route=pdf_heavy"))
-    assert result == _golden_map(golden)
-
-
 def test_join_media_mode_matches_golden(small_corpus):
     """The at-scale media path (bucketed hash join instead of
     broadcast) must produce identical output — including the
@@ -101,33 +84,20 @@ def test_wide_row_doc(small_corpus):
     assert got[4999]["text"].endswith("span 4999 text")
 
 
-@pytest.mark.parametrize("topology", ["fused", "join", "split_kinds"])
-def test_partitioning_invariance(small_corpus, topology, tmp_path):
+@pytest.mark.parametrize("topology", ["fused", "join"])
+def test_partitioning_invariance(small_corpus, topology):
     """The same docs as 1 input block and as 40 give equal output on
     every topology (the property the reference asserts informally at
     str-recognition/processor.py:137)."""
     docs, media, _ = small_corpus
     small = docs.slice(0, 40)
-    kwargs = {"fused": {}, "join": {"media_mode": "join"}, "split_kinds": {"split_kinds": True}}
+    kwargs = {"fused": {}, "join": {"media_mode": "join"}}
     outs = []
     for n_blocks in (1, 40):
-        if topology == "split_kinds":
-            kwargs["split_kinds"]["stage_dir"] = str(tmp_path / f"stage{n_blocks}")
         ds = ray.data.from_arrow(small).repartition(n_blocks)
         outs.append(_spans_map(build_extraction_pipeline(ds, media, **kwargs[topology])))
     assert len(outs[0]) == 40
     assert outs[0] == outs[1]
-
-
-def test_split_kinds_with_join_raises(small_corpus, tmp_path):
-    """The split topology routes on the broadcast store's page counts;
-    combined with the join it used to fall through to the join alone."""
-    docs, media, _ = small_corpus
-    with pytest.raises(ValueError, match="split_kinds"):
-        build_extraction_pipeline(
-            ray.data.from_arrow(docs), media, media_mode="join",
-            split_kinds=True, stage_dir=str(tmp_path / "stage"),
-        )
 
 
 def _with_duplicate_ref(media):
@@ -253,10 +223,10 @@ def _oracle_map(docs, media) -> dict[str, list[tuple]]:
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{}, {"media_mode": "join"}, {"split_kinds": True}],
-    ids=["fused", "join", "split_kinds"],
+    [{}, {"media_mode": "join"}],
+    ids=["fused", "join"],
 )
-def test_zero_span_doc_kept(kwargs, tmp_path):
+def test_zero_span_doc_kept(kwargs):
     """A doc whose span list is empty stays in the output with
     ``n_spans = 0`` on every topology, as the oracle keeps it."""
     import pyarrow as pa
@@ -268,8 +238,6 @@ def test_zero_span_doc_kept(kwargs, tmp_path):
     rows = docs.to_pylist()
     rows[3]["spans"] = []
     docs = pa.Table.from_pylist(rows, schema=DOCS_SCHEMA)
-    if kwargs.get("split_kinds"):
-        kwargs = {**kwargs, "stage_dir": str(tmp_path / "stage")}
     out = build_extraction_pipeline(ray.data.from_arrow(docs).repartition(3), media, **kwargs)
     got = pa.concat_tables(ray.get(out.to_arrow_refs()))
     assert _golden_map(got) == _oracle_map(docs, media)
@@ -293,10 +261,12 @@ def test_empty_block_packs_to_typed_empty_table(small_corpus):
 
 def test_fused_broadcast_runs_the_raster_engine():
     """The fused broadcast topology with ``PpmOcrEngine``: real rasters
-    decode to their golden texts, and a corrupt image and a truncated
-    pdf stay in the output with empty text and one error each. The
-    packed rows carry only ``n_errors``, so the in-band error values
-    are read from the same extract stage run over the exploded spans."""
+    decode to their golden texts, a 48-page pdf stored in reverse page
+    order comes back in reading order, and a corrupt image and a
+    truncated pdf stay in the output with empty text and one error
+    each. The packed rows carry only ``n_errors``, so the in-band error
+    values are read from the same extract stage run over the exploded
+    spans."""
     import pyarrow as pa
 
     from ocr_pipeline_ray.functions.ppm_ocr import PpmOcrEngine, encode_pdf_ppm, render_text_ppm
@@ -306,6 +276,8 @@ def test_fused_broadcast_runs_the_raster_engine():
     from ocr_pipeline_ray.state.media_store import broadcast_media
 
     pdf = encode_pdf_ppm([(5, 0, "second block"), (0, 9, "first 2"), (0, 0, "first 1")])
+    n_heavy = 48
+    heavy = encode_pdf_ppm([(p, 0, f"page {p} of {n_heavy}") for p in reversed(range(n_heavy))])
     media = {
         "mem://d0/1": ("image", render_text_ppm("Hello raster 42")),
         "mem://d0/2": ("pdf", pdf),
@@ -313,11 +285,14 @@ def test_fused_broadcast_runs_the_raster_engine():
         "mem://d2/0": ("image", b"P6\n-6 7 255\n" + bytes(126)),
         "mem://d2/1": ("pdf", pdf[:-10]),
         "mem://d2/2": ("image", render_text_ppm("after the bad ones")),
+        "mem://d3/0": ("pdf", heavy),
     }
+    n_pages = {"mem://d3/0": n_heavy}
     layout = {
         "doc-0": [("text", "plain words"), ("image", "mem://d0/1"), ("pdf", "mem://d0/2")],
         "doc-1": [("image", "mem://d1/0"), ("text", "tail text")],
         "doc-2": [("image", "mem://d2/0"), ("pdf", "mem://d2/1"), ("image", "mem://d2/2")],
+        "doc-3": [("pdf", "mem://d3/0")],
     }
     docs = pa.Table.from_pylist(
         [
@@ -335,13 +310,17 @@ def test_fused_broadcast_runs_the_raster_engine():
         schema=DOCS_SCHEMA,
     )
     media_t = pa.Table.from_pylist(
-        [{"media_ref": r, "kind": k, "payload": p, "n_pages": 1} for r, (k, p) in media.items()],
+        [
+            {"media_ref": r, "kind": k, "payload": p, "n_pages": n_pages.get(r, 1)}
+            for r, (k, p) in media.items()
+        ],
         schema=MEDIA_SCHEMA,
     )
     golden = {
         "doc-0": ["plain words", "HELLO RASTER 42", "FIRST 1 FIRST 2 SECOND BLOCK"],
         "doc-1": ["UNDER_SCORE OK", "tail text"],
         "doc-2": ["", "", "AFTER THE BAD ONES"],
+        "doc-3": [" ".join(f"PAGE {p} OF {n_heavy}" for p in range(n_heavy))],
     }
 
     out = build_extraction_pipeline(
@@ -350,7 +329,9 @@ def test_fused_broadcast_runs_the_raster_engine():
     rows = {r["doc_id"]: r for r in out.iter_rows()}
     assert {d: [s["text"] for s in r["spans"]] for d, r in rows.items()} == golden
     assert {d: r["n_spans"] for d, r in rows.items()} == {d: len(s) for d, s in layout.items()}
-    assert {d: r["n_errors"] for d, r in rows.items()} == {"doc-0": 0, "doc-1": 0, "doc-2": 2}
+    assert {d: r["n_errors"] for d, r in rows.items()} == {
+        "doc-0": 0, "doc-1": 0, "doc-2": 2, "doc-3": 0
+    }
 
     stage = MediaExtractActor(broadcast_media(media_t), engine_factory=PpmOcrEngine)
     spans = stage(strip_html_batch(explode_batch(docs)))
@@ -358,7 +339,7 @@ def test_fused_broadcast_runs_the_raster_engine():
         (d, o): e
         for d, o, e in zip(*(spans.column(c).to_pylist() for c in ("doc_id", "offset", "error")))
     }
-    assert len(errors) == 8
+    assert len(errors) == 9
     assert errors.pop(("doc-2", 0)) == "extract failed: negative PPM size -6x7"
     assert errors.pop(("doc-2", 1)).startswith(
         "extract failed: PPMPDF block 2 runs past the payload"

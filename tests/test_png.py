@@ -12,9 +12,7 @@ from ocr_pipeline_ray.functions.png import (
     _chunk,
     encode_png,
     parse_png,
-    sniff_decode,
 )
-from ocr_pipeline_ray.functions.ppm_ocr import parse_ppm, render_text_ppm
 
 
 def _rand_rgb(h, w, seed=0):
@@ -107,15 +105,6 @@ def test_rejects_non_png_and_bad_depth():
     bad = PNG_MAGIC + _chunk(b"IHDR", ihdr) + _chunk(b"IEND", b"")
     with pytest.raises(ValueError):
         parse_png(bad)
-
-
-def test_sniff_decode_routes_both_formats():
-    ppm = render_text_ppm("HI")
-    arr = parse_ppm(ppm)
-    assert np.array_equal(sniff_decode(ppm), arr)
-    assert np.array_equal(sniff_decode(encode_png(arr, filter_type=2)), arr)
-    with pytest.raises(ValueError):
-        sniff_decode(b"\x00\x01rubbish")
 
 
 def test_decode_actor_handles_png(ray_session):
