@@ -32,9 +32,11 @@ def encode_bmp(arr: np.ndarray) -> bytes:
     return header + dib + pixel_data
 
 
-def parse_bmp(payload: bytes) -> np.ndarray:
+def parse_bmp(payload: bytes | memoryview) -> np.ndarray:
     """24-bit BI_RGB BMP bytes -> (h, w, 3) uint8 RGB. Handles both
-    bottom-up (positive height) and top-down (negative height) DIBs."""
+    bottom-up (positive height) and top-down (negative height) DIBs.
+    ``payload`` is any byte buffer (``bytes`` or a ``"B"``-format
+    ``memoryview``); it is read in place."""
     if payload[:2] != BMP_MAGIC:
         raise ValueError("not a BMP payload")
     off = struct.unpack_from("<I", payload, 10)[0]

@@ -39,7 +39,7 @@ class KillOnceEngine(SyntheticEngine):
     kill-flag file exists; the flag is consumed atomically, so exactly
     one crash happens per armed run."""
 
-    def extract(self, kind: str, media_ref: str, payload: bytes) -> str:
+    def extract(self, kind: str, media_ref: str, payload: bytes | memoryview) -> str:
         try:
             os.remove(KILL_FLAG)
         except FileNotFoundError:

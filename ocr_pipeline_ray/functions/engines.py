@@ -8,7 +8,10 @@ implements by loading ``craft_mlt_25k.pth`` once per process
 (reference std-detection/api.py:40-60) and the TPS-ResNet recognizer
 once per process (reference str-recognition/api.py:97-124) — and whose
 ``extract(kind, media_ref, payload) -> str`` matches
-:class:`~ocr_pipeline_ray.stages.extract.SyntheticEngine`, so it drops
+:class:`~ocr_pipeline_ray.stages.extract.SyntheticEngine`: ``payload``
+is a read-only bytes-like buffer (a ``memoryview`` of the Arrow
+payload buffer), and an adapter whose library needs ``bytes``
+converts at its own door. So it drops
 into ``build_extraction_pipeline(..., engine_factory=...)`` (add
 ``media_remote_args={"num_gpus": ...}`` to give each extract task a
 GPU share). Every topology calls it from the one engine loop,
@@ -31,9 +34,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def decode_raster(payload: bytes) -> np.ndarray:
+def decode_raster(payload: bytes | memoryview) -> np.ndarray:
     """Format-sniffing decode of any supported wire format to an
-    ``(h, w, 3)`` uint8 RGB array (PPM, PNG, BMP, JPEG)."""
+    ``(h, w, 3)`` uint8 RGB array (PPM, PNG, BMP, JPEG). ``payload`` is
+    any bytes-like buffer: PPM decodes in place, the other parsers
+    take ``bytes`` at their door."""
     if payload[:2] == b"P6":
         from ocr_pipeline_ray.functions.ppm_ocr import parse_ppm
 
@@ -80,7 +85,7 @@ class PaddleOCREngine:
             ) from e
         self._ocr = PaddleOCR(lang=lang, use_angle_cls=False, **ocr_kwargs)
 
-    def extract(self, kind: str, media_ref: str, payload: bytes) -> str:
+    def extract(self, kind: str, media_ref: str, payload: bytes | memoryview) -> str:
         if kind != "image":
             raise ValueError(
                 "PaddleOCREngine handles image spans; compose with "
@@ -113,7 +118,7 @@ class TesseractEngine:
         self._tess = pytesseract
         self._lang = lang
 
-    def extract(self, kind: str, media_ref: str, payload: bytes) -> str:
+    def extract(self, kind: str, media_ref: str, payload: bytes | memoryview) -> str:
         if kind != "image":
             raise ValueError("TesseractEngine handles image spans only")
         text = self._tess.image_to_string(decode_raster(payload), lang=self._lang)
@@ -134,10 +139,10 @@ class PdfiumEngine:
         self._pdfium = pdfium
         self._image_engine = image_engine
 
-    def extract(self, kind: str, media_ref: str, payload: bytes) -> str:
+    def extract(self, kind: str, media_ref: str, payload: bytes | memoryview) -> str:
         if kind != "pdf":
             raise ValueError("PdfiumEngine handles pdf spans only")
-        doc = self._pdfium.PdfDocument(payload)
+        doc = self._pdfium.PdfDocument(bytes(payload))
         try:
             pages = []
             for page in doc:
@@ -178,7 +183,7 @@ class CompositeEngine:
         self._image = image_factory() if image_factory is not None else None
         self._pdf = pdf_factory() if pdf_factory is not None else None
 
-    def extract(self, kind: str, media_ref: str, payload: bytes) -> str:
+    def extract(self, kind: str, media_ref: str, payload: bytes | memoryview) -> str:
         engine = self._image if kind == "image" else self._pdf if kind == "pdf" else None
         if engine is None:
             raise ValueError(f"no engine configured for media kind: {kind}")

@@ -453,8 +453,11 @@ def _extend(v: int, size: int) -> int:
     return v if v >= (1 << (size - 1)) else v - (1 << size) + 1
 
 
-def decode_jpeg(data: bytes) -> np.ndarray:
-    """Decode a baseline sequential JPEG to (H, W, 3) RGB uint8."""
+def decode_jpeg(data: bytes | memoryview) -> np.ndarray:
+    """Decode a baseline sequential JPEG to (H, W, 3) RGB uint8.
+    ``data`` is any bytes-like buffer; the marker walk needs ``bytes``,
+    so a view is copied here."""
+    data = bytes(data)
     if not data.startswith(b"\xff\xd8"):
         raise ValueError("not a JPEG (no SOI)")
     qts: dict[int, np.ndarray] = {}

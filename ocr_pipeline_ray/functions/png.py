@@ -87,9 +87,11 @@ def _paeth(a: int, b: int, c: int) -> int:
     return c
 
 
-def parse_png(payload: bytes) -> np.ndarray:
+def parse_png(payload: bytes | memoryview) -> np.ndarray:
     """Decode a PNG into an (h, w, 3) uint8 RGB array (alpha dropped,
-    gray broadcast, palette mapped)."""
+    gray broadcast, palette mapped). ``payload`` is any bytes-like
+    buffer; the chunk walk needs ``bytes``, so a view is copied here."""
+    payload = bytes(payload)
     if not payload.startswith(PNG_MAGIC):
         raise ValueError("not a PNG")
     i = len(PNG_MAGIC)

@@ -345,30 +345,31 @@ def encode_pdf_ppm(blocks: list[tuple[int, int, str]]) -> bytes:
     return b"".join(out)
 
 
-def decode_pdf_ppm(payload: bytes) -> str:
+def decode_pdf_ppm(payload: bytes | memoryview) -> str:
     """Decode each block's raster, then join texts in READING ORDER
     (sort by (y, x)) — the layout-parse contract (reference pdf page
-    render -> block ordering -> OCR). Blocks decode in place (memoryview
-    slices); a truncated container or a block running past the payload
-    raises ``ValueError``."""
-    if not payload.startswith(_PDF_MAGIC):
+    render -> block ordering -> OCR). ``payload`` is any bytes-like
+    buffer; blocks decode in place (memoryview slices). A truncated
+    container or a block running past the payload raises
+    ``ValueError``."""
+    view = memoryview(payload).cast("B")
+    if view[: len(_PDF_MAGIC)] != _PDF_MAGIC:
         raise ValueError("not a PPMPDF container")
-    view = memoryview(payload)
     i = len(_PDF_MAGIC)
-    if len(payload) < i + 4:
-        raise ValueError(f"truncated PPMPDF container: {len(payload)} bytes, no block count")
-    (n,) = struct.unpack_from("<I", payload, i)
+    if len(view) < i + 4:
+        raise ValueError(f"truncated PPMPDF container: {len(view)} bytes, no block count")
+    (n,) = struct.unpack_from("<I", view, i)
     i += 4
     blocks = []
     for k in range(n):
-        if len(payload) < i + 12:
+        if len(view) < i + 12:
             raise ValueError(f"truncated PPMPDF container: block {k} of {n} has no header")
-        y, x, ln = struct.unpack_from("<iiI", payload, i)
+        y, x, ln = struct.unpack_from("<iiI", view, i)
         i += 12
-        if i + ln > len(payload):
+        if i + ln > len(view):
             raise ValueError(
                 f"PPMPDF block {k} runs past the payload "
-                f"({ln} bytes at offset {i} of {len(payload)})"
+                f"({ln} bytes at offset {i} of {len(view)})"
             )
         blocks.append((y, x, decode_text_ppm(view[i : i + ln])))
         i += ln
@@ -379,9 +380,10 @@ def decode_pdf_ppm(payload: bytes) -> str:
 class PpmOcrEngine:
     """Real-kernel ``engine_factory`` for MediaExtractActor — same
     interface as SyntheticEngine, but every span decodes an actual
-    raster (parse -> binarize -> segment -> template-match)."""
+    raster (parse -> binarize -> segment -> template-match), read in
+    place from the payload buffer."""
 
-    def extract(self, kind: str, media_ref: str, payload: bytes) -> str:
+    def extract(self, kind: str, media_ref: str, payload: bytes | memoryview) -> str:
         if kind == "image":
             return decode_text_ppm(payload)
         if kind == "pdf":

@@ -44,12 +44,14 @@ def encode_image_payload(media_ref: str, text: str) -> bytes:
     return IMG_MAGIC + bytes(a ^ b for a, b in zip(raw, key))
 
 
-def decode_image_payload(media_ref: str, payload: bytes) -> str:
-    """Synthetic OCR: invert :func:`encode_image_payload`.
+def decode_image_payload(media_ref: str, payload: bytes | memoryview) -> str:
+    """Synthetic OCR: invert :func:`encode_image_payload`. ``payload``
+    is any bytes-like buffer.
 
     Raises ``ValueError`` on a corrupt payload — callers keep the span
     and record the error in-band (reference str-recognition/api.py:216-224).
     """
+    payload = bytes(payload)
     if not payload.startswith(IMG_MAGIC):
         raise ValueError("bad image payload magic")
     body = payload[len(IMG_MAGIC):]
@@ -64,11 +66,13 @@ def encode_pdf_payload(pages: list[list[dict]]) -> bytes:
     return PDF_MAGIC + json.dumps(pages, separators=(",", ":")).encode("utf-8")
 
 
-def decode_pdf_payload(payload: bytes) -> str:
+def decode_pdf_payload(payload: bytes | memoryview) -> str:
     """Synthetic layout parse: page render -> block ordering -> text.
+    ``payload`` is any bytes-like buffer.
 
     Reading order is (page, y, x) — top-to-bottom, left-to-right.
     """
+    payload = bytes(payload)
     if not payload.startswith(PDF_MAGIC):
         raise ValueError("bad pdf payload magic")
     pages = json.loads(payload[len(PDF_MAGIC):].decode("utf-8"))

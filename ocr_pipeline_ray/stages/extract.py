@@ -18,6 +18,11 @@ re-expressed as Ray Data ``map_batches`` task stages:
 * :class:`InlineMediaExtract` — the same loop over rows whose
   ``payload`` the media join already attached (no store).
 
+The engine seam: ``engine.extract(kind, media_ref, payload) -> str``,
+where ``payload`` is a read-only bytes-like buffer — a ``memoryview``
+of the Arrow payload buffer, never a copy of it. An engine that needs
+``bytes`` converts at its own door (``bytes(payload)``).
+
 Error semantics: every input span row stays in the output; failures set
 ``text=""`` and put the message in the ``error`` column
 (reference str-recognition/api.py:216-224 keeps failed regions with an
@@ -36,7 +41,7 @@ from ocr_pipeline_ray.functions.synthetic_media import (
     decode_image_payload,
     decode_pdf_payload,
 )
-from ocr_pipeline_ray.state.media_store import BroadcastMediaStore
+from ocr_pipeline_ray.state.media_store import BroadcastMediaStore, payload_views
 
 
 def strip_html_batch(batch: pa.Table) -> pa.Table:
@@ -58,10 +63,11 @@ class SyntheticEngine:
     Holds "loaded state" (nothing real here — a real engine loads
     weights; the reference loads craft_mlt_25k.pth once per process,
     std-detection/api.py:40-60). The interface is the plug point for
-    PaddleOCR / Tesseract / pdfium wrappers.
+    PaddleOCR / Tesseract / pdfium wrappers: ``payload`` is a
+    read-only bytes-like buffer (see the module docstring).
     """
 
-    def extract(self, kind: str, media_ref: str, payload: bytes) -> str:
+    def extract(self, kind: str, media_ref: str, payload: bytes | memoryview) -> str:
         if kind == "image":
             return decode_image_payload(media_ref, payload)
         if kind == "pdf":
@@ -115,10 +121,12 @@ class MediaExtractActor:
 
     The instance holds only the media ref and the factory, so it is
     cheap to pickle into every task. ``__call__`` takes the store and
-    the engine from :func:`warm_state` and runs per batch: a batch
-    without a ``payload`` column gets one from the store (one
-    vectorized lookup per batch), the engine extracts every media span,
-    and ``payload`` is dropped from the output.
+    the engine from :func:`warm_state` and runs per batch: each media
+    span's payload is a read-only view of an Arrow buffer — of the
+    batch's own ``payload`` column when it has one (the join), else
+    of the broadcast table in the object store (one vectorized lookup
+    per batch) — the engine extracts every media span, and the output
+    has the input's columns without ``payload``.
     """
 
     def __init__(self, media_object_ref, engine_factory=SyntheticEngine):
@@ -127,11 +135,13 @@ class MediaExtractActor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         store, engine = warm_state(self.media_object_ref, self.engine_factory)
-        if "payload" not in batch.column_names:
-            batch = batch.append_column("payload", store.payloads(batch.column("media_ref")))
+        if "payload" in batch.column_names:
+            payloads = payload_views(batch.column("payload"))
+            batch = batch.drop_columns(["payload"])
+        else:
+            payloads = store.payloads(batch.column("media_ref"))
         kinds = batch.column("kind").to_pylist()
         refs = batch.column("media_ref").to_pylist()
-        payloads = batch.column("payload").to_pylist()
         texts = batch.column("text").to_pylist()
         errors = batch.column("error").to_pylist()
         for j, (k, ref, payload) in enumerate(zip(kinds, refs, payloads)):
@@ -147,10 +157,9 @@ class MediaExtractActor:
         out = batch.set_column(
             batch.schema.get_field_index("text"), "text", pa.array(texts, pa.string())
         )
-        out = out.set_column(
+        return out.set_column(
             out.schema.get_field_index("error"), "error", pa.array(errors, pa.string())
         )
-        return out.drop_columns(["payload"])
 
 
 class InlineMediaExtract(MediaExtractActor):

@@ -25,6 +25,9 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from ocr_pipeline_ray.state.media_store import payload_views
+
+
 def _try_import_pil():
     try:
         from PIL import Image  # noqa: F401
@@ -74,24 +77,24 @@ class ImageDecodeActor:
         from ocr_pipeline_ray.functions.raster import resize_bilinear
 
         feats, hs, ws, errs = [], [], [], []
-        for payload in batch.column("payload").to_pylist():
+        for payload in payload_views(batch.column("payload")):
             try:
                 if payload[:2] == b"P6":
                     # real decode + real resize, no codec library
                     arr = parse_ppm(payload)
                     if self.target is not None:
                         arr = resize_bilinear(arr, self.target, self.target)
-                elif payload.startswith(PNG_MAGIC):
+                elif payload[: len(PNG_MAGIC)] == PNG_MAGIC:
                     # real wire format: stdlib zlib inflate + unfilter
                     arr = parse_png(payload)
                     if self.target is not None:
                         arr = resize_bilinear(arr, self.target, self.target)
-                elif payload.startswith(JPEG_MAGIC):
+                elif payload[: len(JPEG_MAGIC)] == JPEG_MAGIC:
                     # real wire format: baseline T.81 Huffman+IDCT
                     arr = decode_jpeg(payload)
                     if self.target is not None:
                         arr = resize_bilinear(arr, self.target, self.target)
-                elif payload.startswith(BMP_MAGIC):
+                elif payload[: len(BMP_MAGIC)] == BMP_MAGIC:
                     # real wire format: 24-bit DIB, padded BGR rows
                     arr = parse_bmp(payload)
                     if self.target is not None:
@@ -195,15 +198,15 @@ class ImageDHashActor:
         from ocr_pipeline_ray.functions.raster import resize_bilinear, to_grayscale
 
         hashes, errs = [], []
-        for payload in batch.column("payload").to_pylist():
+        for payload in payload_views(batch.column("payload")):
             try:
                 if payload[:2] == b"P6":
                     arr = parse_ppm(payload)
-                elif payload.startswith(PNG_MAGIC):
+                elif payload[: len(PNG_MAGIC)] == PNG_MAGIC:
                     arr = parse_png(payload)
-                elif payload.startswith(JPEG_MAGIC):
+                elif payload[: len(JPEG_MAGIC)] == JPEG_MAGIC:
                     arr = decode_jpeg(payload)
-                elif payload.startswith(BMP_MAGIC):
+                elif payload[: len(BMP_MAGIC)] == BMP_MAGIC:
                     arr = parse_bmp(payload)
                 elif self.pil is not None:
                     import io

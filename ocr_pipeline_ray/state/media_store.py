@@ -3,16 +3,21 @@
 Two scale regimes:
 
 * **BroadcastMediaStore** — the small-side-lookup pattern: the media
-  table is ``ray.put`` ONCE on the driver and each actor ``ray.get``\\ s
-  the shared object in ``__init__`` (zero-copy from the local object
-  store on each node; never re-shipped per batch). Right when media
-  fits in object-store memory (tests, dimension-table-sized media).
+  table is ``ray.put`` ONCE on the driver, and each worker process that
+  runs an extract task ``ray.get``\\ s it once into its warm cache. The
+  payload buffers stay where ``ray.get`` put them (the node's shared
+  object store): the store keeps a sorted ref index and hands the
+  engine read-only views of those buffers, so a node holds one copy of
+  the payloads, however many worker processes read them. Right when
+  media fits in object-store memory (tests, dimension-table-sized
+  media).
 
 * **Bucketed join** — at 100 TB media does NOT fit: span rows and
   media rows are hash-partitioned on ``media_ref`` and joined
   per-bucket (see
   :func:`ocr_pipeline_ray.pipelines.extract.join_media_spans`), then
-  extraction runs on the joined rows with the payload inline.
+  extraction runs on the joined rows with the payload inline, read
+  through the same views (:func:`payload_views`).
   ``build_extraction_pipeline(media_mode="join")`` wires this.
 
 Both regimes require ``media_ref`` to be unique in the media table
@@ -45,7 +50,9 @@ def check_unique_refs(media_refs) -> None:
 def broadcast_media(media: pa.Table) -> "ray.ObjectRef":
     """Put the media table into the object store once (driver-side).
     This is where broadcast payloads enter, so the table is checked
-    here: it must be a ``pa.Table`` with unique ``media_ref``."""
+    here: it must be a ``pa.Table`` with unique ``media_ref``. It is
+    put as given, unsorted: sorting it here would copy every payload
+    on the driver, and the store sorts its ref index instead."""
     if not isinstance(media, pa.Table):
         raise ValueError(
             f"broadcast media must be a pyarrow.Table, not {type(media).__name__} "
@@ -55,43 +62,91 @@ def broadcast_media(media: pa.Table) -> "ray.ObjectRef":
     return ray.put(media)
 
 
-class BroadcastMediaStore:
-    """Actor-side view over a broadcast media table.
+def _payload_slices(column) -> tuple[list[memoryview], np.ndarray, np.ndarray, np.ndarray]:
+    """Where each value of a ``binary`` or ``large_binary`` column lies
+    in its chunks' data buffers, read from their offsets buffers:
+    ``(buffers, chunk, start, end)`` — one read-only byte view per
+    chunk, and per row the index of its chunk's view (``-1`` for a
+    null) and its ``[start, end)`` there. Honours each chunk's slice
+    offset and validity bitmap; copies no value."""
+    chunks = column.chunks if isinstance(column, pa.ChunkedArray) else [column]
+    bufs = []
+    chunk, start, end = [np.empty(0, np.int32)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for k, c in enumerate(chunks):
+        if pa.types.is_binary(c.type):
+            width = np.int32
+        elif pa.types.is_large_binary(c.type):
+            width = np.int64
+        else:
+            raise TypeError(f"payload column must be binary or large_binary, not {c.type}")
+        validity, offsets, data = c.buffers()
+        bufs.append(memoryview(data if data is not None else b"").cast("B").toreadonly())
+        n = len(c)
+        if n == 0:
+            continue
+        off = np.frombuffer(offsets, width)[c.offset : c.offset + n + 1].astype(np.int64)
+        ids = np.full(n, k, np.int32)
+        if c.null_count:
+            bits = np.unpackbits(np.frombuffer(validity, np.uint8), bitorder="little")
+            ids[bits[c.offset : c.offset + n] == 0] = -1
+        chunk.append(ids)
+        start.append(off[:-1])
+        end.append(off[1:])
+    return bufs, np.concatenate(chunk), np.concatenate(start), np.concatenate(end)
 
-    Lookup is binary search over the ref column (the broadcaster sorts
-    it once); payload bytes are materialized lazily per hit. Building
-    eager dicts here would copy every payload into every actor — an
-    O(media x pool_size) anti-scaling init cost and a heap copy of the
-    whole media table per worker; the sorted-search view keeps actor
-    init ~free and the payload column shared in the object store.
+
+def _slice_views(bufs, chunk, start, end) -> list[memoryview | None]:
+    """The read-only view of each row that :func:`_payload_slices`
+    located; ``None`` where ``chunk`` is ``-1``."""
+    return [
+        bufs[c][s:e] if c >= 0 else None
+        for c, s, e in zip(chunk.tolist(), start.tolist(), end.tolist())
+    ]
+
+
+def payload_views(column) -> list[memoryview | None]:
+    """Every value of a ``binary``/``large_binary`` column as a
+    read-only ``memoryview`` of its buffer (``None`` for a null): the
+    column's values without a copy."""
+    return _slice_views(*_payload_slices(column))
+
+
+class BroadcastMediaStore:
+    """Per-process view over a broadcast media table.
+
+    Keeps the table exactly as ``ray.get`` returned it — chunked,
+    unsorted, its payloads in the object store — and builds only a
+    lookup index: the refs (sorted here when the table is not) and,
+    in the same order, where each payload lies in the payload buffers
+    (:func:`_payload_slices`). A lookup is one ``searchsorted`` over the
+    refs and returns views of the object-store buffers, so building
+    the store and looking payloads up copy no payload.
     """
 
     def __init__(self, media_object_ref: "ray.ObjectRef"):
-        table: pa.Table = ray.get(media_object_ref)  # zero-copy, node-local
-        self._table = table
-        self._refs = np.asarray(table["media_ref"].to_pandas(), dtype=object)
-        if len(self._refs) > 1 and not bool((self._refs[:-1] <= self._refs[1:]).all()):
-            order = np.argsort(self._refs)
-            self._table = table.take(order)
-            self._refs = self._refs[order]
-        self._payload_col = self._table["payload"].combine_chunks()
-
-    def _index(self, media_ref: str) -> int:
-        i = int(np.searchsorted(self._refs, media_ref))
-        if i < len(self._refs) and self._refs[i] == media_ref:
-            return i
-        return -1
+        self._table: pa.Table = ray.get(media_object_ref)
+        refs = np.asarray(self._table["media_ref"].to_pandas(), dtype=object)
+        self._bufs, chunk, start, end = _payload_slices(self._table["payload"])
+        if len(refs) > 1 and not bool((refs[:-1] <= refs[1:]).all()):
+            order = np.argsort(refs)
+            refs, chunk, start, end = refs[order], chunk[order], start[order], end[order]
+        self._refs, self._chunk, self._start, self._end = refs, chunk, start, end
 
     def get(self, media_ref: str) -> bytes | None:
-        i = self._index(media_ref)
-        return self._payload_col[i].as_py() if i >= 0 else None
+        """One ref's payload as ``bytes`` (``None``: not in the store)."""
+        i = int(np.searchsorted(self._refs, media_ref))
+        if i == len(self._refs) or self._refs[i] != media_ref or self._chunk[i] < 0:
+            return None
+        return bytes(self._bufs[self._chunk[i]][self._start[i] : self._end[i]])
 
-    def payloads(self, media_refs) -> pa.Array:
-        """The payload of every ref in ``media_refs``, null where the
-        store has none: one ``searchsorted`` over the sorted refs and an
-        equality check, vectorized over the batch."""
+    def payloads(self, media_refs) -> list[memoryview | None]:
+        """The payload of every ref in ``media_refs`` as a read-only
+        view of the object-store buffer, ``None`` where the store has
+        none: one ``searchsorted`` over the sorted refs and an equality
+        check, vectorized over the batch."""
         refs = pc.fill_null(media_refs, "").to_numpy(zero_copy_only=False)
         if not len(self._refs):
-            return pa.nulls(len(refs), self._payload_col.type)
+            return [None] * len(refs)
         idx = np.minimum(np.searchsorted(self._refs, refs), len(self._refs) - 1)
-        return self._payload_col.take(pa.array(idx, mask=self._refs[idx] != refs))
+        chunk = np.where(self._refs[idx] == refs, self._chunk[idx], -1)
+        return _slice_views(self._bufs, chunk, self._start[idx], self._end[idx])

@@ -30,3 +30,17 @@ def small_corpus():
     from ocr_pipeline_ray.sources.gen import generate_corpus
 
     return generate_corpus(200, seed=42, edge_fixtures=True)
+
+
+@pytest.fixture(params=["bytes", "memoryview"])
+def as_payload(request):
+    """The test runs once per payload form an engine may receive:
+    ``bytes``, and what the extract stages hand it — a read-only
+    ``memoryview`` of an Arrow payload buffer, at a non-zero offset."""
+    if request.param == "bytes":
+        return lambda payload: payload
+    import pyarrow as pa
+
+    from ocr_pipeline_ray.state.media_store import payload_views
+
+    return lambda payload: payload_views(pa.array([b"pad", payload], pa.binary()))[1]

@@ -169,25 +169,25 @@ def _no_scanner(payload):
     raise AssertionError("general header scanner called")
 
 
-@pytest.mark.parametrize(
-    "payload,via_scanner,match",
-    [
-        (b"P6\n-6 7 255\n" + bytes(126), True, "negative PPM size -6x7"),
-        (b"P6\n6 -7 255\n" + bytes(126), True, "negative PPM size 6x-7"),
-        (b"P6\n6 7 0\n" + bytes(126), False, "maxval 0 outside 1..255"),
-        (b"P6\n# c\n6 7 0\n" + bytes(126), True, "maxval 0 outside 1..255"),
-        (b"P6\n6 7 256\n" + bytes(252), False, "maxval 256 outside 1..255"),
-        (b"P6\n6 7 255\n" + bytes(125), False, "raster truncated: 125 of 126 bytes"),
-        (b"P6\n# c\n6 7 255\n" + bytes(10), True, "raster truncated: 10 of 126 bytes"),
-        (b"P6\n6 7", True, "truncated PPM header"),
-        (b"P6\n6 x 255\n", True, "are not integers"),
-        (b"P5\n6 7 255\n" + bytes(42), True, "not a P6 PPM"),
-    ],
-    ids=[
-        "negative-width", "negative-height", "maxval-0", "maxval-0-commented", "maxval-256",
-        "short-raster", "short-raster-commented", "cut-header", "non-integer", "not-p6",
-    ],
-)
+MALFORMED_PPM = [
+    (b"P6\n-6 7 255\n" + bytes(126), True, "negative PPM size -6x7"),
+    (b"P6\n6 -7 255\n" + bytes(126), True, "negative PPM size 6x-7"),
+    (b"P6\n6 7 0\n" + bytes(126), False, "maxval 0 outside 1..255"),
+    (b"P6\n# c\n6 7 0\n" + bytes(126), True, "maxval 0 outside 1..255"),
+    (b"P6\n6 7 256\n" + bytes(252), False, "maxval 256 outside 1..255"),
+    (b"P6\n6 7 255\n" + bytes(125), False, "raster truncated: 125 of 126 bytes"),
+    (b"P6\n# c\n6 7 255\n" + bytes(10), True, "raster truncated: 10 of 126 bytes"),
+    (b"P6\n6 7", True, "truncated PPM header"),
+    (b"P6\n6 x 255\n", True, "are not integers"),
+    (b"P5\n6 7 255\n" + bytes(42), True, "not a P6 PPM"),
+]
+MALFORMED_PPM_IDS = [
+    "negative-width", "negative-height", "maxval-0", "maxval-0-commented", "maxval-256",
+    "short-raster", "short-raster-commented", "cut-header", "non-integer", "not-p6",
+]
+
+
+@pytest.mark.parametrize("payload,via_scanner,match", MALFORMED_PPM, ids=MALFORMED_PPM_IDS)
 def test_parse_ppm_rejects_invalid_headers(monkeypatch, payload, via_scanner, match):
     """Each problem raises a ValueError naming it, on the regex fast
     path (scanner patched out) and on the general scanner alike."""
@@ -209,23 +209,41 @@ def test_canonical_header_skips_the_general_scanner(monkeypatch):
         parse_ppm(b"P6\n# a comment\n2 1\n255\n" + bytes(6))
 
 
-def test_decode_pdf_ppm_rejects_malformed_containers():
+def _malformed_pdf_ppm() -> list[tuple[bytes, str]]:
+    """Truncated and overrunning PPMPDF containers, each with the
+    ``ValueError`` message it must raise."""
     import struct
 
     pdf = encode_pdf_ppm([(0, 0, "AB"), (1, 0, "CD")])
-    with pytest.raises(ValueError, match="truncated PPMPDF container: 10 bytes, no block count"):
-        decode_pdf_ppm(pdf[:10])
-    with pytest.raises(ValueError, match="truncated PPMPDF container: block 0 of 2 has no header"):
-        decode_pdf_ppm(pdf[:17])
-    with pytest.raises(ValueError, match="PPMPDF block 1 runs past the payload"):
-        decode_pdf_ppm(pdf[:-1])
     # a length field past the end, with every raster byte still there
     first_len = struct.unpack_from("<I", pdf, 12 + 8)[0]
     second = 12 + 12 + first_len
     y, x, ln = struct.unpack_from("<iiI", pdf, second)
     longer = pdf[:second] + struct.pack("<iiI", y, x, ln + 100) + pdf[second + 12 :]
-    with pytest.raises(ValueError, match="PPMPDF block 1 runs past the payload"):
-        decode_pdf_ppm(longer)
+    return [
+        (pdf[:10], "truncated PPMPDF container: 10 bytes, no block count"),
+        (pdf[:17], "truncated PPMPDF container: block 0 of 2 has no header"),
+        (pdf[:-1], "PPMPDF block 1 runs past the payload"),
+        (longer, "PPMPDF block 1 runs past the payload"),
+    ]
+
+
+def test_decode_pdf_ppm_rejects_malformed_containers():
+    for payload, match in _malformed_pdf_ppm():
+        with pytest.raises(ValueError, match=match):
+            decode_pdf_ppm(payload)
+
+
+def test_engine_raises_the_same_error_for_a_view(as_payload):
+    """The engine seam hands ``PpmOcrEngine`` read-only views of the
+    Arrow payload buffer; malformed input raises the same named
+    ``ValueError`` through a view as through ``bytes``."""
+    cases = [("image", p, m) for p, _, m in MALFORMED_PPM]
+    cases += [("pdf", p, m) for p, m in _malformed_pdf_ppm()]
+    cases.append(("pdf", b"P6\n1 1 255\n\0\0\0", "not a PPMPDF container"))
+    for kind, payload, match in cases:
+        with pytest.raises(ValueError, match=match):
+            PpmOcrEngine().extract(kind, "m", as_payload(payload))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ a new media table replaces it. Runs in-process: no Ray scheduling."""
 import functools
 import sys
 import threading
+import weakref
 
+import numpy as np
 import pyarrow as pa
+import ray
 from ray import cloudpickle
 
 from ocr_pipeline_ray.functions.engines import CompositeEngine
@@ -100,3 +103,36 @@ def test_concurrent_callers_build_one_engine(small_corpus, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(got) == 16 and len(BUILT_ENGINES) == 1
     assert all(e is BUILT_ENGINES[0] for e in got)
+
+
+def test_alternating_media_tables_keep_the_heap_flat(monkeypatch):
+    """Twenty alternations between two broadcast media tables in one
+    process: every replaced store dies with its entry, and the Arrow
+    heap never holds a payload copy, so it ends where it started."""
+    monkeypatch.setattr(stages, "_warm_key", None)
+    monkeypatch.setattr(stages, "_warm", None)
+    rng = np.random.default_rng(5)
+    tables = [
+        pa.table(
+            {
+                "media_ref": [f"t{t}-{i:04d}" for i in range(500)],
+                "payload": pa.array([rng.bytes(600) for _ in range(500)], pa.binary()),
+            }
+        )
+        for t in range(2)
+    ]
+    refs = [ray.put(t) for t in tables]
+    baseline = pa.total_allocated_bytes()
+    replaced = None
+    for i in range(40):
+        t = i % 2
+        store = stages.warm_state(refs[t], stages.SyntheticEngine)[0]
+        assert store.get(f"t{t}-0007") == tables[t]["payload"][7].as_py()
+        assert stages._warm[0]._table.num_rows == 500
+        assert replaced is None or replaced() is None
+        replaced = weakref.ref(store)
+        del store
+        assert pa.total_allocated_bytes() - baseline < tables[t]["media_ref"].nbytes
+    stages._warm_key = stages._warm = None  # monkeypatch restores both
+    assert replaced() is None
+    assert pa.total_allocated_bytes() == baseline
