@@ -20,9 +20,10 @@ Two scale regimes:
   through the same views (:func:`payload_views`).
   ``build_extraction_pipeline(media_mode="join")`` wires this.
 
-Both regimes require ``media_ref`` to be unique in the media table
-(:func:`check_unique_refs`): a lookup over a duplicated ref would
-silently keep one of its payloads.
+Both regimes require ``media_ref`` to be non-null and unique in the
+media table (:func:`check_unique_refs`): a lookup over a duplicated ref
+would silently keep one of its payloads, and a null ref would never
+match.
 
 The reference's analog is each service holding its model/files in
 process memory, loaded once at import (reference std-detection/api.py:40-60).
@@ -37,7 +38,13 @@ import ray
 
 
 def check_unique_refs(media_refs) -> None:
-    """Raise ``ValueError`` naming a ``media_ref`` that occurs twice."""
+    """Raise ``ValueError`` on a null ``media_ref``, or naming one that
+    occurs twice."""
+    if media_refs.null_count:
+        raise ValueError(
+            f"null media_ref in {media_refs.null_count} row(s) of the media table: "
+            "each payload must be named by a ref"
+        )
     counts = pc.value_counts(media_refs)
     dup = counts.filter(pc.greater(counts.field("counts"), 1))
     if len(dup):

@@ -131,7 +131,7 @@ def test_extraction_path_imports_no_analytics_module(ray_session):
     ``pipelines.relational`` import costs about half a second, which
     the join's warm-up pass would pay. Afterwards every module of the
     package and ``__ray_entry__`` must import, ``queries()`` must hold
-    the five extraction queries, and every ``oracle_sql()`` key must
+    the four extraction queries, and every ``oracle_sql()`` key must
     name a query."""
     import os
     import subprocess

@@ -1,13 +1,14 @@
-"""Spot-check a representative subset of queries() against oracle_sql()
-via DuckDB at sf0.001 (the driver does the full sweep at sf0.01;
-tools/driver_sim.py runs everything)."""
+"""Check every queries() entry against its oracle_sql() twin via DuckDB
+at sf0.001. ``SUBSET`` names the whole registry, once each, and
+``test_subset_is_the_registry`` keeps it so; tools/driver_sim.py runs
+the same sweep at sf0.01."""
 
 import duckdb
 import pandas as pd
 import pytest
 
 SF = "/root/testdata/sf0.001"
-TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+TABLES = "region nation customer supplier part orders lineitem events documents".split()
 
 SUBSET = [
     "extract_interleaved",
@@ -18,158 +19,63 @@ SUBSET = [
     "supplier_balance_by_nation",
     "top3_orders_per_segment",
     "union_all_keys",
-    "props_k_by_type",
-    "sessionize",
-    "asof_latest_order",
-    "dedup_exact",
-    "knn_brute_force",
-    "fingerprints",
     "q13_customer_distribution",
     "q18_large_volume_orders",
-    "segment_dedup",
     "order_rank_in_segment",
-    "media_word_boxes",
-    # round-3 additions
-    "heavy_hitter_terms",
-    "neardup_clusters",
-    "events_hopping",
-    "event_value_moments",
     "balance_rollup",
-    "funnel_signup_purchase",
     "fuzzy_name_pairs",
-    "nearest_centroid_assign",
-    "stratified_sample",
-    "media_dimensions_jpeg",
-    "media_lit_stats",
-    "label_centroid_norms",
-    # round-3b additions
     "q7_volume_shipping",
     "q11_important_parts",
     "q16_supplier_counts",
     "q17_small_quantity_revenue",
     "q2_min_cost_supplier",
-    "events_hourly_delta",
-    "user_value_anomalies",
-    "pivot_user_event_values",
     "part_triangle_counts",
     "part_pagerank",
-    "events_hourly_filled",
-    "filtered_knn",
     "repeat_orders_within_week",
-    "embedding_dim_variance",
-    "cohort_retention",
-    "user_behavior_profile",
-    "media_frame_sample",
     "profile_lineitem",
-    "session_concurrency",
-    "event_transitions",
     "median_extendedprice",
-    "source_term_divergence",
-    # round-3c additions
     "price_quantity_regression",
     "order_price_cube",
     "price_skew_kurtosis",
-    "doc_perplexity",
-    "benchmark_contamination",
-    "duplicate_ngram_spans",
     "order_window_stats",
     "user_order_full_outer",
-    "pii_counts",
     "winsorized_quantity_mean",
     "order_part_list",
-    "latest_event_state",
     "quantity_mad",
     "nation_balance_share",
-    # round-3d additions
-    "pack_sequences",
-    "chunk_documents",
-    "char_entropy",
-    "bm25_scores",
-    "mixture_sample",
     "spearman_price_discount",
-    "media_dimensions_bmp",
     "intersect_all_keys",
     "price_deciles",
-    "pmi_collocations",
-    "inverted_index_sample",
-    "dedup_keep_longest",
     "lineitem_unpivot_stats",
     "multivar_ols_price",
-    "rolling_distinct_types",
-    "table_checksum",
-    # round-3e additions
     "except_all_keys",
     "table_diff",
-    "scd2_state_dwell",
     "lineitem_corr_matrix",
-    "sentence_stats",
-    "extract_numbers",
-    "events_dow_profile",
     "copurchase_bfs_hops",
     "weighted_median_price",
-    "state_as_of",
-    "dedup_normalized",
-    "interval_union_coverage",
-    "top_terms_per_source",
-    "source_vocab_jaccard",
     "part_skyline",
     "uniqueness_profile",
     "referential_integrity",
     "star_join_checksum",
-    "events_time_rollup",
-    "embedding_norm_stats",
     "median_price_by_flag",
-    "chi2_type_dow",
-    "length_psi_by_source",
-    "decayed_user_value",
-    "rolling_median_value",
     "order_gap_by_segment",
-    "type_cooccurrence_matrix",
-    "hourly_value_bands",
-    "dedup_events_window",
     "geo_mean_price_by_flag",
     "order_value_gini",
-    "boolean_and_search",
-    "partitioned_write_roundtrip",
     "top_orders_with_ties",
-    "bucketed_checksums",
-    "time_weighted_avg_value",
-    "ks_length_sources",
-    "cumulative_unique_users",
-    "zipf_slope",
-    "transition_entropy",
     "copurchase_lift",
     "top1pct_revenue_share",
-    "bounce_rate",
-    "asof_next_order",
-    "centered_moving_avg",
-    "doc_length_percentile",
-    "user_type_bitmask",
     "price_percentiles_exact",
-    "top_session_paths",
     "systematic_sample_orders",
-    "partition_skew_report",
-    # round-3g additions
-    "user_activity_streaks",
-    "interarrival_stats",
     "orderkey_gaps",
     "orders_wow_change",
-    "welch_ttest_value",
-    "rolling_corr_daily",
-    "time_to_nth_purchase",
     "revenue_increase_runs",
     "brand_target_encoding",
     "changepoint_cusum",
     "hhi_revenue_by_segment",
-    "dau_mau_stickiness",
     "grouped_regression_by_flag",
     "theil_sen_daily_slope",
     "neyman_allocation",
     "suspect_duplicate_orders",
-    "ttr_by_source",
-    "hapax_stats",
-    "dup_cluster_size_hist",
-    "embedding_quantization_error",
     "extract_error_audit",
     "priority_transition_counts",
     "anova_price_by_segment",
@@ -183,98 +89,52 @@ SUBSET = [
     "pseudonymize_roundtrip",
     "histogram2d_price_quantity",
     "sorted_export_verify",
-    "cramers_v_lang_source",
-    "mixed_format_union",
     "supplier_part_breadth_hist",
     "seasonal_index_monthly",
-    "heaps_law_fit",
     "constraint_check_report",
-    "train_test_split_audit",
-    "vocab_coverage_curve",
-    "trailing_7d_active_users",
     "single_source_parts",
     "seasonal_naive_backtest",
-    "pii_redact_audit",
     "range_partition_plan",
-    "dsir_selection",
-    # round-3h additions
     "kaplan_meier_repurchase",
     "ewma_daily_revenue",
     "item_item_cosine",
     "bootstrap_mean_ci",
-    "cuped_value_adjustment",
-    "sorted_neighborhood_dedup",
     "permutation_test_price_by_segment",
     "jackknife_mean_se",
     "dow_adjusted_revenue_anomalies",
     "mann_whitney_price",
     "holt_linear_daily",
-    "mixture_rebalance_plan",
-    "auc_length_english",
-    "wilcoxon_signed_rank_prepost",
-    "two_proportion_conversion",
-    "hard_negative_mining",
-    "reciprocal_rank_fusion",
     "price_percentile_cont_by_flag",
     "part_name_clusters",
     "segment_influence",
-    "view_then_purchase_days",
-    "cohens_kappa_labelers",
-    "score_decile_lift",
     "ljung_box_daily",
     "selfjoin_size_stats",
     "binned_mutual_information",
-    "fano_factor_hourly_by_type",
-    "wasserstein_length_sources",
     "conformal_price_interval",
     "fold_balance_audit",
-    "latency_sla_by_type",
-    "view_purchase_lag_xcorr",
-    "blocklist_filter_report",
     "laspeyres_price_index",
     "simpsons_paradox_check",
-    "diff_in_diff_value",
-    "dedup_token_savings",
     "mahalanobis_outliers",
-    "ab_power_mde",
-    "yules_k_by_lang",
     "copurchase_assortativity",
-    "intrinsic_dimension_twonn",
-    "peak_user_rate",
     "poisson_gof_linecount",
-    "contingency_residuals",
-    "routine_users_entropy",
     "revenue_decomposition_mom",
     "customer_value_migration",
     "negative_samples_cf",
     "price_stickiness_monthly",
-    "erasure_audit",
-    "fisher_ratio_labels",
     "copurchase_rich_club",
     "return_rate_wilson_by_brand",
-    "markov_order_test",
-    "term_dispersion_top",
-    "embedding_clip_calibration",
-    "purchase_attribution",
     "reorder_gap_by_index",
-    "label_silhouette_centroid",
     "analyze_all_tables",
     "seasonality_strength",
     "cohort_ltv_curve",
     "customer_trend_slopes",
     "brand_attach_rates",
     "two_way_anova_price",
-    "source_ngram_overlap",
-    "quantile_treatment_effect",
-    "matched_att_value",
     "avg_neighbor_degree_curve",
     "rdd_discount_at_quantity",
     "hill_tail_index",
-    "burst_minutes",
-    "term_keyness_g2",
     "eb_shrunk_return_rates",
     "lorenz_curve_orders",
-    "msprt_crossing_day",
     "price_cents_histogram",
     "iqr_outlier_fences_by_segment",
     "brand_modularity",
@@ -282,26 +142,15 @@ SUBSET = [
     "partial_corr_price_qty_given_discount",
     "spectral_peaks_daily",
     "decision_stump_returnflag",
-    "lognormal_fit_user_value",
-    "naive_bayes_lang",
-    "knn1_label_accuracy",
-    "char_trigram_entropy_by_lang",
     "discount_waterfall",
     "popularity_hitrate_at10",
-    "cvm_arm_event_counts",
     "sort_key_advisor",
     "part_active_months_hist",
-    "similar_docs_by_shingles",
-    "user_sequence_edit_distance",
     "best_split_changepoint",
     "top3_customer_share_by_nation",
-    "jl_projection_distortion",
-    "markov_heldout_perplexity",
     "fixed_effects_elasticity",
     "triangle_excess_ratio",
     "huber_one_step_price",
-    "user_day_surprise",
-    "capture_recapture_users",
     "retention_decay_fit",
     "shift_share_decomposition",
     "feature_info_gain",
@@ -309,17 +158,12 @@ SUBSET = [
     "order_gap_lognormal_by_segment",
     "brand_repeat_rate",
     "order_brand_diversity",
-    "post_error_intensity",
-    "token_stutter_top",
     "forecast_leaderboard",
     "gap_acceleration_sign_test",
     "revenue_half_count",
-    "mcnemar_labelers",
     "topk_customer_stability",
-    # round-3j additions
     "kruskal_wallis_quantity",
     "kendall_tau_daily",
-    "cochran_q_labelers",
     "friedman_segment_monthly",
     "logrank_repurchase_by_segment",
     "mantel_haenszel_urgent_status",
@@ -327,13 +171,8 @@ SUBSET = [
     "runs_test_daily_revenue",
     "durbin_watson_daily_trend",
     "theil_index_customer_revenue",
-    "burrows_delta_sources",
     "hypergeom_enrichment_discount_returns",
-    "fleiss_kappa_labelers",
-    "first_before_first_support",
     "ordinal_assoc_quantity_discount",
-    "cronbach_alpha_labelers",
-    # round-3k additions
     "atkinson_index_customer_revenue",
     "hoover_index_customer_revenue",
     "jonckheere_quantity_by_discount",
@@ -343,29 +182,21 @@ SUBSET = [
     "permutation_entropy_daily_revenue",
     "hurst_exponent_daily_revenue",
     "t_closeness_audit",
-    "logloss_length_english",
     "bartlett_quantity_by_flag",
     "brown_forsythe_quantity_by_flag",
-    "chao1_vocab_richness",
-    "good_turing_unseen_mass",
     "newey_west_daily_trend",
     "cochrane_orcutt_daily_trend",
     "mrr_popularity_at10",
     "simpson_diversity_parts",
-    "krippendorff_alpha_labelers",
-    "gwet_ac1_labelers",
     "gamma_fit_order_gaps",
     "negbin_fit_daily_orders",
     "yuen_trimmed_t_quantity",
     "cvm_two_sample_quantity",
     "spectral_entropy_daily_revenue",
-    # round-3f additions
     "kendall_tau_b_quantity_discount",
     "stuart_tau_c_quantity_discount",
     "breusch_pagan_price_quantity",
     "white_test_price_quantity",
-    "brunet_w_vocab",
-    "honore_h_vocab",
     "gehan_breslow_repurchase_by_segment",
     "tarone_ware_repurchase_by_segment",
     "anova_omega_epsilon_price_segment",
@@ -380,8 +211,6 @@ SUBSET = [
     "obrien_quantity_by_flag",
     "theil_decomposition_by_nation",
     "mld_decomposition_by_nation",
-    "hosmer_lemeshow_length_english",
-    "spiegelhalter_z_length_english",
     "bhattacharyya_quantity",
     "total_variation_quantity",
     "mase_seasonal_naive_monthly",
@@ -390,19 +219,14 @@ SUBSET = [
     "pearson_contingency_priority_status",
     "hartley_fmax_price_by_segment",
     "cochran_c_price_by_segment",
-    # round-3g additions
     "woolf_or_heterogeneity_urgent_finished",
     "peto_or_urgent_finished",
     "goldfeld_quandt_price_quantity",
     "glejser_price_quantity",
-    "laplace_trend_events",
-    "crow_amsaa_events",
     "rosenbluth_index_brand_revenue",
     "concentration_ratios_brand_revenue",
     "palma_ratio_customer_revenue",
     "quintile_share_ratio_customer_revenue",
-    "transfer_entropy_views_purchases",
-    "variation_of_information_label_signs",
     "western_electric_daily_revenue",
     "nelson_trend_rules_daily_revenue",
     "siegel_tukey_quantity",
@@ -411,14 +235,8 @@ SUBSET = [
     "higuchi_fd_daily_revenue",
     "l_moments_order_price",
     "gev_pwm_yearly_max_revenue",
-    "confusion_metrics_length_english",
-    "fowlkes_mallows_length_english",
     "getis_ord_g_customer_revenue",
     "join_counts_balance_sign",
-    "ace_vocab_richness",
-    "jackknife_vocab_richness",
-    "lexical_richness_indices",
-    "sichel_s_vocab",
     "marshall_edgeworth_walsh_index",
     "geometric_price_indexes",
     "brown_mood_median_quantity_by_linenumber",
@@ -431,14 +249,10 @@ SUBSET = [
     "variance_ratio_pre_post_break",
     "mcleod_li_daily_revenue",
     "engle_ng_sign_bias_daily_revenue",
-    "ripley_k_events",
-    "pair_correlation_events",
     "process_capability_quantity",
     "taguchi_cpm_quantity",
     "biweight_price",
     "hampel_m_price",
-    "hill_numbers_vocab",
-    "evenness_profile_vocab",
     "fishers_g_daily_revenue",
     "bartlett_cumulative_periodogram_daily_revenue",
     "hotelling_t2_returned_kept",
@@ -453,41 +267,24 @@ SUBSET = [
     "g2_priority_status_given_segment",
     "welch_anova_price_segment",
     "brown_forsythe_anova_price_segment",
-    "v_test_noon_events",
-    "circular_moments_events",
-    "watson_williams_event_types",
-    "peak_hour_by_event_type",
     "ancova_parallelism_retail_size_brand",
     "ancova_adjusted_means_retail_size_brand",
     "scheirer_ray_hare_quantity",
     "did_median_quantity_flag_status",
     "kendall_w_segment_monthly",
-    "deming_views_purchases",
-    "rma_views_purchases",
     "pielou_evenness_parts",
     "berger_parker_parts",
     "diffsign_runs_daily_revenue",
     "turning_points_daily_revenue",
-    "icc_labelers",
-    "scott_pi_labelers",
-    "js_divergence_hourly_profiles",
-    "hellinger_hourly_profiles",
-    "lin_ccc_views_purchases",
-    "bland_altman_views_purchases",
     "seasonal_mann_kendall_monthly_revenue",
     "cox_stuart_trend_daily_revenue",
     "grubbs_max_daily_revenue",
     "dixon_q_daily_revenue",
-    "hourly_profile_stability",
-    "weekday_weekend_hourly_js",
     "kpss_daily_revenue",
     "variance_ratio_daily_revenue",
     "cohens_d_price_returned",
     "f_test_price_returned",
     "weibull_fit_order_gaps",
-    "source_vocab_dice_overlap",
-    "participation_ratio_embeddings",
-    "embedding_isotropy_offdiag",
     "goodman_kruskal_lambda_priority_status",
     "theil_u_priority_status",
     "monetary_unit_sample_orders",
@@ -502,8 +299,6 @@ SUBSET = [
     "footrule_nation_revenue_yoy",
     "risk_measures_urgent_return",
     "cohens_h_urgent_return",
-    "allan_variance_event_rate",
-    "variance_time_curve_events",
     "ks_balance_customer_supplier",
     "cochran_armitage_urgent_trend",
     "lorenz_asymmetry_customer_revenue",
@@ -519,12 +314,9 @@ SUBSET = [
     "ar1_half_life_daily_revenue",
     "expected_shortfall_order_price",
     "trimmed_mean_order_price",
-    "rate_ratio_weekend_events",
-    "binomial_exact_weekend_purchases",
     "anderson_darling_two_sample_quantity",
     "kuiper_two_sample_quantity",
     "tail_dependence_quantity_price",
-    "event_id_time_inversions",
     "winsorized_corr_price_quantity",
     "point_biserial_return_price",
     "ridge_price_model",
@@ -534,7 +326,6 @@ SUBSET = [
     "basket_size_entropy",
     "nation_hhi_trend",
     "nation_share_turbulence",
-    # round-3c additions
     "energy_distance_quantity",
     "brunner_munzel_quantity",
     "ansari_bradley_quantity",
@@ -547,49 +338,30 @@ SUBSET = [
     "hoeffding_d_quantity_discount",
     "cmh_test_urgent_finished",
     "breslow_day_urgent_finished",
-    "stuart_maxwell_raters",
-    "bhapkar_raters",
     "pickands_tail_index",
     "moment_tail_index",
     "quade_segment_monthly",
     "page_trend_segment_yearly",
-    "embedding_coordinate_kurtosis",
-    "embedding_spectral_moments",
-    # round-3d additions
     "conover_squared_ranks_quantity",
     "dunn_pairwise_quantity_by_flag",
-    "simpson_diversity_vocab",
-    "shannon_entropy_vocab",
     "epps_pulley_daily_revenue",
     "dagostino_k2_daily_revenue",
     "bartels_rank_daily_revenue",
     "cucconi_quantity",
-    "gumbel_fit_daily_max_value",
     "gpd_pot_fit_order_price",
     "morans_i_customer_balance",
     "gearys_c_customer_balance",
     "negbin_fit_lines_per_order",
     "bohning_dispersion_lines_per_order",
-    "ledoit_wolf_shrinkage",
-    "oas_shrinkage",
-    # round-3e additions
     "siegel_slope_daily_revenue",
     "mad_outliers_daily_revenue",
-    "cochrane_orcutt_daily_trend",
     "newey_west_trend_se",
-    "gini_term_frequencies",
-    "berger_parker_vocab",
     "friedman_aligned_ranks_segment_monthly",
     "tukey_nonadditivity_segment_monthly",
     "mantel_nations_balance_price",
     "anosim_region_balance",
-    "circular_linear_corr_time_value",
-    "kuiper_dow_uniformity",
     "cramers_v_corrected_priority_status",
     "tschuprow_t_priority_status",
-    "weighted_kappa_raters",
-    "bangdiwala_b_raters",
-    # round-3h additions (this session)
     "mardia_skewness_quantity_discount",
     "mardia_kurtosis_quantity_discount",
     "sample_entropy_daily_revenue",
@@ -597,7 +369,6 @@ SUBSET = [
     "sato_vartia_index",
     "montgomery_vartia_index",
     "attributable_fractions_urgent_return",
-    "likelihood_ratios_length_english",
     "c_chart_daily_orders",
     "u_chart_lines_per_order_daily",
     "snht_daily_revenue",
@@ -612,7 +383,6 @@ SUBSET = [
     "dfbetas_slope_outliers_price_quantity",
     "gumbel_return_levels_daily_max",
     "inverse_gaussian_fit_order_gaps",
-    "margalef_menhinick_vocab",
     "err_popularity_at10",
     "croston_sba_part_demand",
     "tsb_part_demand",
@@ -622,8 +392,6 @@ SUBSET = [
     "robbins_eb_order_counts",
     "gini_correlation_quantity_price",
     "gini_mean_difference_price",
-    "cross_k_views_purchases",
-    "cross_pcf_views_purchases",
     "hl_shift_ci_quantity_returned",
     "shift_function_deciles_quantity_returned",
     "weibull_median_rank_regression_gaps",
@@ -632,27 +400,18 @@ SUBSET = [
     "factor_reversal_audit",
     "lorenz_dominance_segments",
     "generalized_lorenz_segments",
-    "katz_k_mixture_top_term",
-    "term_adaptation_top_terms",
-    "embedding_resultant_uniformity",
-    "embedding_mean_pairwise_cosine",
     "copurchase_conviction_leverage",
     "copurchase_null_invariant_measures",
     "fsd_check_segments",
     "ssd_check_segments",
     "post_stratified_revenue_estimate",
     "hajek_vs_ht_revenue",
-    # round-3i additions (this session)
     "random_effects_meta_urgent_finished",
     "funnel_asymmetry_urgent_finished",
     "elementary_price_indexes",
     "carli_jevons_formula_effect",
-    "fairness_rates_by_source",
-    "fairness_gaps_by_source",
     "brand_return_prr_ror",
     "brand_return_bcpnn_ic",
-    "weekly_cross_spectrum_views_purchases",
-    "weekly_band_coherence_views_purchases",
     "kernel_return_rate_by_quantity",
     "kernel_return_rate_derivative",
     "revenue_retention_customers",
@@ -673,20 +432,12 @@ SUBSET = [
     "downside_risk_daily_revenue",
     "fd_g3_errors",
     "fd_lattice_pruning",
-    "watson_u2_time_of_day",
-    "rao_spacing_time_of_day",
     "ratio_metric_delta_ci",
     "ratio_metric_fieller_ci",
     "mean_excess_order_price",
     "mean_excess_linearity",
-    "interaction_information_events",
-    "o_information_events",
-    "vocab_rarefaction_curve",
-    "vocab_expected_singletons",
     "harmonic_seasonality_monthly_orders",
     "hewitt_seasonality_monthly_orders",
-    "partial_auc_length_english",
-    "somers_d_length_english",
     "kish_cluster_deff_orders",
     "kish_weighting_deff_pps",
     "rbg_variance_mh_or",
@@ -699,15 +450,10 @@ SUBSET = [
     "gnedenko_f_gaps",
     "last_two_digit_uniformity",
     "round_number_bias_prices",
-    "erlang_c_staffing",
-    "erlang_b_blocking",
-    "engle_granger_views_purchases",
-    "error_correction_model_views_purchases",
     "hhi_decomposition_region_brand",
     "entropy_decomposition_region_brand",
     "newsvendor_stock_level",
     "stock_service_levels",
-    # round-3j additions
     "bayes_ab_urgent_finished",
     "bayes_ab_expected_loss",
     "lotka_law_customer_orders",
@@ -718,8 +464,6 @@ SUBSET = [
     "lda_accuracy_returned",
     "bass_diffusion_fit",
     "bass_model_implied",
-    "competing_risks_cif",
-    "km_vs_cif_fallacy",
     "mediation_sobel_discount",
     "mediation_proportion_discount",
     "linear_spline_price_quantity",
@@ -728,10 +472,6 @@ SUBSET = [
     "sen_poverty_customers",
     "press_predicted_r2_price_quantity",
     "information_criteria_price_quantity",
-    "srm_check_user_buckets",
-    "aa_bucket_conversion_homogeneity",
-    "mcf_recurrent_purchases",
-    "mcf_vs_naive_bias",
     "copurchase_adamic_adar_topk",
     "linkpred_precision_at_k",
     "yule_tetrachoric_urgent_return",
@@ -740,46 +480,26 @@ SUBSET = [
     "young_price_index_3period",
     "cox_score_test_repurchase_value",
     "weighted_trend_tests_repurchase_value",
-    # round-3k additions
     "grouped_iv_2sls_price_quantity",
     "sargan_overid_price_quantity",
-    "embedding_hubness",
-    "knn_symmetry_ratio",
-    "chao2_vocab_richness",
-    "ice_vocab_richness",
-    "t_chart_error_gaps",
-    "g_chart_error_counts",
     "eoq_top_part",
     "reorder_point_top_part",
     "diebold_mariano_monthly",
     "forecast_encompassing_monthly",
-    "delong_auc_ci_length_english",
-    "hanley_mcneil_se_length_english",
-    "guttman_lambda2_labelers",
-    "spearman_brown_labelers",
     "demand_classification_parts",
     "demand_classification_top_parts",
-    "markov_stationarity_g2",
-    "transition_matrix_drift",
     "wilks_tolerance_interval_price",
     "prediction_interval_price",
     "shapley_r2_price_quantity_discount",
     "commonality_analysis_price",
     "fisk_fit_order_price",
     "fisk_ks_gof_order_price",
-    "murphy_brier_decomposition",
-    "calibration_slope_length_english",
     "block_jackknife_se_daily_revenue",
     "jackknife_inflation_daily_revenue",
-    "cost_optimal_thresholds_length_english",
-    "precision_target_threshold_length_english",
     "unit_price_dispersion_parts",
     "price_variance_decomposition_parts",
-    # round-3l additions
     "compound_risk_decomposition_customers",
     "frequency_severity_correlation",
-    "containment_pairs",
-    "subset_duplicates",
     "berkson_logit_return_by_quantity",
     "berkson_logit_gof",
     "sign_test_spend_prepost",
@@ -796,11 +516,8 @@ SUBSET = [
     "arriaga_identity_check",
     "hedonic_time_dummy_price_index",
     "hedonic_vs_jevons_gap",
-    "purchase_depth_ladder",
-    "nbd_fit_purchase_counts",
     "brand_revenue_beta",
     "brand_systematic_risk_decomposition",
-    # round-3m additions
     "geks_fisher_index",
     "geks_vs_bilateral_gap",
     "pesaran_timmermann_direction",
@@ -809,10 +526,6 @@ SUBSET = [
     "exceedance_clusters_daily_revenue",
     "duncan_dissimilarity_region_brand",
     "isolation_interaction_region_brand",
-    "passing_bablok_views_purchases",
-    "passing_bablok_cusum_linearity",
-    "item_analysis_labelers",
-    "mcdonald_omega_labelers",
     "fisher_combined_p_segments",
     "tippett_minp_segments",
     "ww_runs_urgent_price",
@@ -829,32 +542,18 @@ SUBSET = [
     "sainte_lague_brand_table",
     "aitchison_geometry_regions",
     "aitchison_variation_regions",
-    # round-3n additions
-    "cosinor_hourly_profile",
-    "cosinor_two_harmonic_hourly",
     "alexander_govern_price_segment",
     "alexander_govern_z_table",
-    "latent_class_labelers",
-    "latent_class_majority_vote",
     "km_quartiles_bc_ci_repurchase",
     "km_horizon_loglog_ci_repurchase",
-    "zipf_mandelbrot_fit",
-    "zipf_break_detection",
     "bartlett_sphericity_lineitem",
     "kmo_lineitem",
     "pca_eigenvalues_lineitem",
     "pca_first_component_lineitem",
     "mundlak_within_between_price",
     "panel_icc_price_quantity",
-    "lloyd_morisita_daily_by_type",
-    "negbin_k_aggregation_by_type",
-    "lin_agreement_decomposition",
-    "tdi_coverage_views_purchases",
-    # round-3o additions
     "bennet_decomposition_yearly",
     "bennet_top_part_contributors",
-    "menzerath_fit_documents",
-    "menzerath_profile_documents",
     "engel_curves_brands",
     "engel_adding_up_check",
     "pi_coverage_backtest_monthly",
@@ -871,12 +570,6 @@ SUBSET = [
     "sbg_projection_check",
     "evalue_urgent_finished",
     "bias_factor_grid_urgent_finished",
-    "decision_curve_length_english",
-    "decision_curve_advantage",
-    "nri_source_vs_length",
-    "idi_source_vs_length",
-    "vuong_source_vs_length",
-    "clarke_sign_test_models",
     "longest_run_daily_direction",
     "run_length_spectrum_daily",
     "block_entropy_direction_tape",
@@ -885,23 +578,14 @@ SUBSET = [
     "two_part_gap_decomposition_segments",
     "lloyd_moulton_index",
     "implied_substitution_elasticity",
-    # round-3p additions
     "growth_incidence_deciles",
     "pro_poor_growth_summary",
     "ellison_glaeser_brands",
     "maurel_sedillot_brands",
-    "entropy_estimators_users",
-    "entropy_estimators_vocab",
     "mccrary_density_jump_quantity",
     "rdd_placebo_cutoffs_quantity",
     "oster_delta_price_quantity",
     "oster_beta_star_grid",
-    "did_event_study_daily",
-    "did_pretrend_placebo",
-    "shapley_source_coverage",
-    "coverage_game_summary",
-    "banzhaf_source_coverage",
-    "power_index_disagreement",
     "harrell_c_repurchase_by_value",
     "truncated_c_repurchase",
     "benford_second_order_prices",
@@ -910,19 +594,14 @@ SUBSET = [
     "duration_dependence_wls",
     "quartile_exact_ci_price",
     "tail_quantile_exact_ci_price",
-    "crow_amsaa_cvm_gof",
-    "duane_mtbf_projection",
     "hotelling_t2_chart_daily",
     "t2_myt_decomposition_worst_day",
     "two_way_clustered_se_trend",
     "clustering_choice_ladder",
     "gamma_poisson_posterior_daily",
     "posterior_predictive_max_ppc",
-    "source_lm_cross_entropy",
-    "lm_divergence_extremes",
     "dp_noise_calibration",
     "dp_budget_requirement",
-    # round-3q additions
     "newsvendor_cost_curve",
     "newsvendor_asymmetry",
     "bullwhip_variance_ratio",
@@ -937,37 +616,18 @@ SUBSET = [
     "rca_matrix_nestedness",
     "product_space_proximity_top",
     "next_brand_recommendation",
-    "signal_detection_dprime",
-    "sdt_isosensitivity_check",
-    "van_der_waerden_urgent_price",
-    "klotz_scale_urgent_price",
-    "berkson_probit_return_by_quantity",
-    "link_function_duel",
-    "shapiro_francia_daily_revenue",
-    "qq_plot_fit_daily_revenue",
-    "variance_ci_daily_price",
-    "normal_tolerance_vs_wilks",
     "tost_equivalence_price_segments",
     "equivalence_margin_threshold",
     "bayes_factor_two_segments",
     "minimum_bayes_factor_audit",
     "finite_sample_mean_cis_price",
     "sample_size_for_precision_price",
-    # round-3s additions
-    "g_and_h_fit_price",
-    "g_and_h_quantile_check",
-    "johnson_family_selector",
-    "johnson_fit_price",
-    "vasicek_entropy_price",
-    "entropy_normality_price",
     "bloom_sizing_advisor",
     "bloom_fpp_tradeoff",
     "hll_precision_advisor",
     "sketch_discount_table",
     "balls_in_bins_check",
     "bucket_count_advisor",
-    "slo_burn_rate_windows",
-    "error_budget_remaining",
     "basket_allometry",
     "basket_scaling_profile",
     "priority_queue_waits",
@@ -978,39 +638,25 @@ SUBSET = [
     "filter_pushdown_payoff",
     "pinball_loss_monthly",
     "quantile_calibration_monthly",
-    # round-4 additions: planted-clone anchors for every approximate
-    # dedup/ANN family, the T4 link-refiner oracle, the minimax
-    # isotonic oracle, and the rank-arithmetic C-index pair
-    "minhash_lsh_planted_clones",
-    "simhash_planted_clones",
-    "knn_lsh_planted",
-    "knn_ivf_planted",
-    "media_line_boxes",
     "isotonic_return_rate_by_quantity",
-    "harrell_c_repurchase_by_value",
-    "truncated_c_repurchase",
     "kcore_planted_clique",
     "order_price_quantiles_sketch_exactcap",
     "price_quantiles_by_flag_sketch_exactcap",
-    "media_dhash_planted_clones",
-    "bpe_first_merge",
-    # round-5 additions: planted/degenerate exact anchors for the nine
-    # remaining rows-only families (r4 verdict item 4) — greedy MMR at
-    # lam=1, k-means on planted separated clusters, PCA's closed-form
-    # power half-step, the normalized HITS loop on a planted dominant
-    # star, first-iterate logistic GD, zero-merge BPE apply, and
-    # planted verbatim clones for zlib / channel-stats / 0.5-threshold
-    # Jaccard
-    "mmr_relevance_anchor",
-    "kmeans_planted_clusters",
-    "embedding_pca_power_anchor",
     "hits_planted_star",
-    "quality_classifier_first_step",
-    "bpe_apply_zero_merges",
-    "compression_ratio_planted_clones",
-    "media_channel_stats_planted_clones",
-    "ngram_jaccard_planted_clones",
 ]
+
+
+def test_subset_is_the_registry():
+    """The sweep runs each registry entry exactly once, and every entry
+    has an oracle."""
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    import __ray_entry__ as entrymod
+
+    assert len(SUBSET) == len(set(SUBSET))
+    assert set(SUBSET) == set(entrymod.queries()) == set(entrymod.oracle_sql())
 
 
 @pytest.fixture(scope="module")

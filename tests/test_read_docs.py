@@ -141,33 +141,6 @@ def test_csv_docs_round_trip_golden(tmp_path):
     assert res == gold
 
 
-def test_union_by_name_alignment(tmp_path):
-    """Schema-evolution reader: blocks align to the union schema with
-    typed nulls; divergent TYPES for a same-named column raise."""
-    import pandas as pd
-    import pytest
-    import ray.data
-
-    from ocr_pipeline_ray.sources.evolve import (
-        read_parquet_union_by_name,
-        resolve_union_schema,
-    )
-
-    d = tmp_path / "evo"
-    d.mkdir()
-    pd.DataFrame({"a": [1, 2], "b": ["x", "y"]}).to_parquet(d / "v1.parquet")
-    pd.DataFrame({"a": [3], "b": ["z"], "c": [1.5]}).to_parquet(d / "v2.parquet")
-
-    ds = read_parquet_union_by_name(str(d))
-    df = ds.to_pandas().sort_values("a").reset_index(drop=True)
-    assert list(df.columns) == ["a", "b", "c"]
-    assert df["c"].isna().sum() == 2 and df["c"].iloc[2] == 1.5
-
-    pd.DataFrame({"a": ["oops"]}).to_parquet(d / "v3.parquet")
-    with pytest.raises(TypeError, match="divergent types"):
-        resolve_union_schema([str(d / "v1.parquet"), str(d / "v3.parquet")])
-
-
 def test_restriped_shards_golden_equality(tmp_path):
     """The 100 TB-shaped read path (r4 verdict item 7): the flagship
     consumes a DIRECTORY of parquet shards, and the extracted output
@@ -224,4 +197,3 @@ def test_restriped_shards_golden_equality(tmp_path):
             [b for b in out.iter_batches(batch_format="pyarrow") for b in b.to_batches()]
         ))
         assert got == gold, f"re-striping {name} broke golden equality"
-
