@@ -4,9 +4,9 @@ A brand-new engine (NOT a port) with the query and data-processing
 capabilities of the reference ``watanka/ocr-pipeline``: per-document
 ordered span extraction (HTML boilerplate strip for text spans, warm
 OCR / PDF-layout engines for media spans), re-expressed as a streaming
-``ray.data.Dataset`` pipeline over Arrow batches. Beside the engine,
-``pipelines/relational.py`` holds a collection of relational analytics
-queries over TPC-H-shaped tables, each with a DuckDB oracle.
+``ray.data.Dataset`` pipeline over Arrow batches, plus the relational /
+dedup / similarity / text-analysis operators a large-scale
+training-data pipeline needs.
 
 Reference semantics preserved (see SURVEY.md):
   * per document, an ordered list of extracted spans

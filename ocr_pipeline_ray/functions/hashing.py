@@ -1,7 +1,7 @@
-"""Stable, vectorized string hashes: ``hash_string_column`` buckets the
-extraction path's shuffle keys, ``_stable_hash64`` is a per-string
-64-bit hash for the analytics queries. Deterministic across processes
-and runs.
+"""Hashing / sketching primitives for dedup & similarity: shingles,
+MinHash, SimHash, exact Jaccard. Vectorized with numpy where the math
+allows; all seeded/deterministic (mergeable-sketch discipline — one
+signature per row, combinable across batches).
 """
 
 from __future__ import annotations
@@ -11,9 +11,100 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from ocr_pipeline_ray.functions.textstats import tokenize
+
+_MERSENNE = (1 << 61) - 1
+_MAX_HASH = np.uint64((1 << 32) - 1)
+
 
 def _stable_hash64(s: str) -> int:
     return int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big")
+
+
+_TOKEN_CACHE: dict[str, int] = {}
+_TOKEN_CACHE_MAX = 1_000_000
+# odd constants for the k-gram positional combine (wraparound uint64
+# multiply-add — a stable vectorized polynomial hash over token hashes)
+_GRAM_C = np.array(
+    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5, 0x85EBCA77C2B2AE63],
+    dtype=np.uint64,
+)
+
+
+def _token_hashes(toks: list[str]) -> np.ndarray:
+    """Stable 64-bit hash per token, memoized per process (vocabulary
+    is tiny relative to token stream — this removes the per-shingle
+    cryptographic hash from the hot path)."""
+    out = np.empty(len(toks), dtype=np.uint64)
+    cache = _TOKEN_CACHE
+    for i, t in enumerate(toks):
+        h = cache.get(t)
+        if h is None:
+            h = _stable_hash64(t)
+            if len(cache) < _TOKEN_CACHE_MAX:
+                cache[t] = h
+        out[i] = h
+    return out
+
+
+def shingles(text: str, k: int = 3) -> np.ndarray:
+    """Word k-gram shingle hashes (uint64, unique, sorted) — token
+    hashes memoized, k-gram combination vectorized."""
+    toks = tokenize(text.lower())
+    if not toks:
+        return np.empty(0, dtype=np.uint64)
+    x = _token_hashes(toks)
+    if len(x) < k:
+        k = len(x)
+    n_grams = len(x) - k + 1
+    with np.errstate(over="ignore"):
+        acc = np.zeros(n_grams, dtype=np.uint64)
+        for j in range(k):
+            acc = acc * np.uint64(0x100000001B3) + x[j : j + n_grams] * _GRAM_C[j % len(_GRAM_C)]
+    return np.unique(acc)
+
+
+def minhash_params(num_perm: int = 128, seed: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Universal-hash coefficients (a*x + b) mod p, sized so uint64
+    arithmetic never overflows (a < 2^29, x < 2^32, b < p=2^61-1)."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, 1 << 29, num_perm, dtype=np.uint64)
+    b = rng.integers(0, _MERSENNE, num_perm, dtype=np.uint64)
+    return a, b
+
+
+def minhash_signature(sh: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """MinHash signature (uint64[num_perm], values < 2^32).
+
+    Broder's min-wise permutation estimate: the fraction of matching
+    signature slots between two docs estimates their Jaccard.
+    """
+    if sh.size == 0:
+        return np.full(a.shape[0], _MAX_HASH, dtype=np.uint64)
+    x = sh.astype(np.uint64) & _MAX_HASH  # 32-bit domain, no overflow
+    phv = (np.outer(a, x) + b[:, None]) % _MERSENNE
+    return (phv & _MAX_HASH).min(axis=1)
+
+
+def lsh_band_keys(sig: np.ndarray, bands: int, rows: int) -> list[int]:
+    """Split a signature into ``bands`` bands of ``rows`` and hash each
+    band — docs sharing any band key become LSH candidates."""
+    assert bands * rows <= sig.shape[0]
+    keys = []
+    for band in range(bands):
+        chunk = sig[band * rows : (band + 1) * rows]
+        h = hashlib.blake2b(chunk.tobytes(), digest_size=8).digest()
+        keys.append(int.from_bytes(h, "big") >> 1)  # fit int64
+    return keys
+
+
+def jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """Exact Jaccard over two sorted-unique uint64 shingle sets."""
+    if a.size == 0 and b.size == 0:
+        return 1.0
+    inter = np.intersect1d(a, b, assume_unique=True).size
+    union = a.size + b.size - inter
+    return inter / union if union else 0.0
 
 
 _INV31 = np.uint64(pow(31, -1, 1 << 64))  # modular inverse of 31 mod 2^64
@@ -80,3 +171,27 @@ def hash_string_column(col) -> np.ndarray:
         null_mask = col.is_null().to_numpy(zero_copy_only=False)
         h[null_mask] = np.uint64(0)
     return h
+
+
+def simhash64(text: str) -> int:
+    """64-bit SimHash (Charikar) over token hashes: sign-sum of bits."""
+    toks = tokenize(text.lower())
+    if not toks:
+        return 0
+    hs = np.fromiter((_stable_hash64(t) for t in toks), dtype=np.uint64)
+    bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & 1).astype(np.int32)
+    v = (2 * bits - 1).sum(axis=0)
+    return int(((v > 0).astype(np.uint64) << np.arange(64, dtype=np.uint64)).sum())
+
+
+def hamming64(x: int, y: int) -> int:
+    return bin(x ^ y).count("1")
+
+
+def simhash_band_keys(h: int, bands: int = 4) -> list[tuple[int, int]]:
+    """Split a 64-bit simhash into ``bands`` equal bit-blocks; docs
+    sharing any block are candidates (catches hamming distance <
+    bands by pigeonhole)."""
+    width = 64 // bands
+    mask = (1 << width) - 1
+    return [(i, (h >> (i * width)) & mask) for i in range(bands)]

@@ -1,5 +1,5 @@
 """Pure stdlib+numpy baseline JPEG (ITU-T T.81) codec — the second
-real wire format behind the raster decode seam (the reference
+real wire format behind the multimodal decode seam (the reference
 decodes JPEG via cv2/skimage, std-detection/file_utils.py:12-27;
 this container ships no codec library).
 
@@ -27,6 +27,8 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+
+JPEG_MAGIC = b"\xff\xd8\xff"
 
 # ---------------------------------------------------------------------------
 # shared math

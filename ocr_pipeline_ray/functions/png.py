@@ -1,6 +1,5 @@
 """Pure-stdlib PNG codec (zlib inflate + numpy unfilter) — makes the
-raster decode seam (:func:`~ocr_pipeline_ray.functions.engines.decode_raster`)
-real for an actual wire format.
+multimodal decode seam real for an actual wire format.
 
 The reference decodes real image files via cv2/skimage
 (reference std-detection/file_utils.py:12-27, imgproc.py:11-18); this
@@ -12,13 +11,14 @@ unfilter (all 5 filter types), color-type expansion to (H, W, 3).
 Supported: 8-bit depth, color types 0 (gray), 2 (RGB), 3 (palette),
 4 (gray+alpha), 6 (RGBA), non-interlaced. That covers everything the
 companion :func:`encode_png` writes and the common web cases; exotic
-inputs (16-bit, Adam7) raise ``ValueError`` into the extract stage's
+inputs (16-bit, Adam7) raise ``ValueError`` into the decode stage's
 in-band error channel.
 
 Performance: filters 0/1/2 unfilter fully vectorized (cumsum /
 row-delta); filters 3/4 (Average/Paeth) have a sequential
 left-neighbor dependence, so those scanlines fall back to a per-pixel
-loop.
+loop — the cost profile to size ``batch_size`` against in
+:func:`~ocr_pipeline_ray.stages.multimodal.decode_images`.
 """
 
 from __future__ import annotations

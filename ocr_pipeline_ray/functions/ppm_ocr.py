@@ -209,6 +209,124 @@ def decode_text_ppm(payload: bytes | memoryview) -> str:
 
 
 # ---------------------------------------------------------------------------
+# detection boxes + polygon refinement (reference T1-T3)
+# ---------------------------------------------------------------------------
+
+
+def _refine_polygon(mask: np.ndarray, x_off: int) -> list[list[int]] | None:
+    """T3 analog of CRAFT's ``getPoly_core``
+    (std-detection/craft_utils.py:81-225): trace a 14-point polygon
+    from the region's binary mask by splitting the box into 7 x
+    segments and taking the top/bottom foreground contour of each —
+    7 top points left->right then 7 bottom points right->left, the
+    same vertex convention as the reference. Returns ``None`` (caller
+    keeps the rectangle) when the box is too narrow or a segment has
+    no foreground — the reference's small-box / low-confidence
+    fallbacks (craft_utils.py:87-89,118-120)."""
+    h, w = mask.shape
+    if w < 2 * PITCH:  # polygon not beneficial for small boxes
+        return None
+    edges = np.linspace(0, w, 8).astype(int)
+    top: list[list[int]] = []
+    bot: list[list[int]] = []
+    for s in range(7):
+        seg = mask[:, edges[s] : edges[s + 1]]
+        rows = np.nonzero(seg.any(axis=1))[0]
+        if rows.size == 0:  # blank segment -> no reliable contour
+            return None
+        xc = x_off + int(edges[s] + edges[s + 1] - 1) // 2
+        top.append([xc, int(rows[0])])
+        bot.append([xc, int(rows[-1])])
+    return top + bot[::-1]
+
+
+def detect_boxes_ppm(
+    payload: bytes,
+    poly: bool = False,
+    link_refine: bool = False,
+    link_gap_cells: int = 1,
+) -> list[dict]:
+    """T1-T2(+T3,+T4) analog: word-level detection over the raster.
+
+    Binarize, segment fixed-pitch glyph cells, group contiguous
+    occupied cells into word regions (the detector), classify each
+    cell by template match (the recognizer), and — when ``poly=True``,
+    off by default exactly like the reference (``poly=False``
+    std-detection/test.py:53, api.py:87) — refine each rectangle to a
+    14-point polygon via :func:`_refine_polygon`.
+
+    ``link_refine=True`` is the T4 LinkRefiner analog (reference
+    std-detection/refinenet.py:14-64, wiring test.py:140-153 — shipped
+    commented out there, off by default here): the refiner strengthens
+    inter-word links so whole TEXT LINES group as one region. Here the
+    link score between adjacent word regions is their cell gap — gaps
+    of at most ``link_gap_cells`` (a single inter-word space) link
+    into one line-level region whose text preserves the gap spaces;
+    wider gaps (column breaks) stay separate. Like the reference,
+    enabling the refiner forces ``poly=True`` (test.py:153
+    ``args.poly = True``).
+
+    Returns one dict per (word or linked line) region:
+    ``{text, x0, y0, x1, y1, confidence, polygon}`` with pixel
+    coordinates snapped to the cell grid (x1/y1 exclusive, i.e. the
+    box spans columns ``x0..x1-1``) and confidence = matched-pixel
+    fraction of the winning templates over the region's glyph cells.
+    """
+    if link_refine:
+        poly = True  # the reference forces poly under the refiner
+    bits, cells = _glyph_cells(payload)
+    n_cells = len(cells)
+    lit = cells.any(axis=1)
+    best, dist = _match_cells(cells)
+    best_d = dist[np.arange(n_cells), best]
+    chars = _CHAR_CODES[best].tobytes().decode("ascii")
+    # word runs of contiguous lit cells
+    runs: list[tuple[int, int]] = []
+    c = 0
+    while c < n_cells:
+        if not lit[c]:
+            c += 1
+            continue
+        c0 = c
+        while c < n_cells and lit[c]:
+            c += 1
+        runs.append((c0, c))
+    # T4 linking: merge runs whose gap is within the link threshold
+    groups: list[list[tuple[int, int]]] = []
+    for run in runs:
+        if link_refine and groups and run[0] - groups[-1][-1][1] <= link_gap_cells:
+            groups[-1].append(run)
+        else:
+            groups.append([run])
+    regions: list[dict] = []
+    for grp in groups:
+        text = ""
+        tot_d = 0
+        tot_px = 0
+        for i, (c0, c1) in enumerate(grp):
+            if i:
+                text += " " * (c0 - grp[i - 1][1])
+            text += chars[c0:c1]
+            tot_d += int(best_d[c0:c1].sum())
+            tot_px += GLYPH_W * GLYPH_H * (c1 - c0)
+        x0 = PITCH * grp[0][0]
+        x1 = PITCH * (grp[-1][1] - 1) + GLYPH_W
+        conf = 1.0 - tot_d / tot_px
+        regions.append(
+            {
+                "text": text,
+                "x0": x0,
+                "y0": 0,
+                "x1": x1,
+                "y1": GLYPH_H,
+                "confidence": round(conf, 4),
+                "polygon": _refine_polygon(bits[:, x0:x1], x0) if poly else None,
+            }
+        )
+    return regions
+
+
+# ---------------------------------------------------------------------------
 # pdf-analog container: blocks with layout coords, reading-order decode
 # ---------------------------------------------------------------------------
 

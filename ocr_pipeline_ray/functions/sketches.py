@@ -1,7 +1,7 @@
-"""Mergeable sketches for scale-path set membership and quantiles:
-Bloom filter and KLL, pure numpy, combinable across batches (partial
-sketch per batch -> fixed-size reduce on the driver or in a tree —
-the classic sketch-aggregation shape).
+"""Mergeable sketches for scale-path set membership and cardinality:
+Bloom filter and HyperLogLog, pure numpy, combinable across batches
+(partial sketch per batch -> fixed-size OR/max reduce on the driver
+or in a tree — the classic sketch-aggregation shape).
 
 Used where exact structures stop scaling:
 
@@ -9,8 +9,10 @@ Used where exact structures stop scaling:
   too large to ship exactly (10^9+ keys). False positives possible ->
   always followed by an exact verify join; false negatives impossible
   (property-tested).
-* KLL: approximate quantiles with O(1/k) rank error and ~2k items of
-  state per group instead of O(n).
+* HLL: approximate count-distinct with ~1.04/sqrt(2^p) relative error
+  — the same partial/combine shape as the exact
+  ``distinct_users_per_type`` but with O(2^p) state per group instead
+  of O(n).
 """
 
 from __future__ import annotations
@@ -81,6 +83,54 @@ class BloomFilter:
         return float((1 - np.exp(-self.k * n_keys / self.n_bits)) ** self.k)
 
 
+class HyperLogLog:
+    """HLL with 2^p registers; ``add`` vectorized, ``merge`` = max.
+
+    Standard bias-corrected estimate with linear counting for the
+    small range (Flajolet et al. 2007).
+    """
+
+    def __init__(self, p: int = 12):
+        self.p = p
+        self.m = 1 << p
+        self.registers = np.zeros(self.m, dtype=np.uint8)
+
+    def add(self, keys) -> "HyperLogLog":
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return self
+        h = _mix64(keys)
+        idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
+        # window = remaining 64-p bits shifted to the top; the sentinel
+        # bit bounds rho at (64-p)+1 when the window is all zeros
+        with np.errstate(over="ignore"):
+            v = (h << np.uint64(self.p)) | np.uint64(1 << (self.p - 1))
+        # rho = leading zeros of v + 1, by binary-search probes
+        shift = np.uint64(32)
+        cur = np.zeros(keys.size, dtype=np.uint64)
+        while shift > 0:
+            probe = (v >> (np.uint64(64) - (cur + shift))) == 0
+            cur = np.where(probe, cur + shift, cur)
+            shift >>= np.uint64(1)
+        rho = cur.astype(np.uint8) + 1
+        np.maximum.at(self.registers, idx, rho)
+        return self
+
+    def merge(self, other: "HyperLogLog") -> "HyperLogLog":
+        assert self.p == other.p
+        np.maximum(self.registers, other.registers, out=self.registers)
+        return self
+
+    def estimate(self) -> float:
+        m = self.m
+        alpha = 0.7213 / (1 + 1.079 / m)
+        est = alpha * m * m / np.sum(2.0 ** (-self.registers.astype(np.float64)))
+        zeros = int((self.registers == 0).sum())
+        if est <= 2.5 * m and zeros:
+            return float(m * np.log(m / zeros))  # linear counting
+        return float(est)
+
+
 class KLLSketch:
     """KLL-style mergeable quantile sketch (Karnin-Lang-Liberty 2016
     family): a hierarchy of compactors; level i items carry weight
@@ -144,3 +194,47 @@ class KLLSketch:
 
     def quantiles(self, qs) -> list[float]:
         return [self.quantile(q) for q in qs]
+
+
+class CountMinSketch:
+    """Count-min sketch over uint64 keys: ``depth`` rows x ``width``
+    counters; ``add`` is vectorized (per-row seeded remix of the key),
+    ``estimate`` takes the row-wise min (never underestimates),
+    ``merge`` is elementwise + (counts are linear, so partial sketches
+    built per batch/partition combine associatively — same
+    tree-reduce shape as the Bloom build). Used as the heavy-hitter
+    PRE-filter: candidates the sketch keeps are exact-verified with a
+    counting pass, so overestimates cost work, never correctness."""
+
+    def __init__(self, width: int = 1 << 14, depth: int = 4):
+        self.width = width
+        self.depth = depth
+        self.table = np.zeros((depth, width), dtype=np.int64)
+
+    def _pos(self, keys: np.ndarray) -> np.ndarray:
+        rows = []
+        for d in range(self.depth):
+            rows.append(_mix64(keys ^ _mix64(np.uint64(d + 1))) % np.uint64(self.width))
+        return np.stack(rows).astype(np.int64)  # (depth, n)
+
+    def add(self, keys, counts) -> "CountMinSketch":
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return self
+        counts = np.asarray(counts, dtype=np.int64)
+        pos = self._pos(keys)
+        for d in range(self.depth):
+            np.add.at(self.table[d], pos[d], counts)
+        return self
+
+    def estimate(self, keys) -> np.ndarray:
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        pos = self._pos(keys)
+        return np.stack([self.table[d][pos[d]] for d in range(self.depth)]).min(axis=0)
+
+    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
+        assert self.width == other.width and self.depth == other.depth
+        self.table += other.table
+        return self

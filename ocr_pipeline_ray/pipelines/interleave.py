@@ -31,8 +31,6 @@ P6-PPM decode -> glyph segmentation -> template-match OCR kernel
 
 from __future__ import annotations
 
-import re
-
 import pandas as pd
 import pyarrow as pa
 import ray.data
@@ -46,11 +44,9 @@ from ocr_pipeline_ray.functions.synthetic_media import (
     encode_image_payload,
     encode_pdf_payload,
 )
+from ocr_pipeline_ray.functions.textstats import TOKEN_RE
 from ocr_pipeline_ray.pipelines.extract import build_extraction_pipeline
 from ocr_pipeline_ray.schema import DOCS_SCHEMA, MEDIA_SCHEMA
-
-# the oracle's ``regexp_extract_all(text, '[A-Za-z0-9_]+')`` token stream
-TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
 _NAV = '<a href="/">home</a> | <a href="/a">about</a> | <a href="/c">contact</a>'
 

@@ -1,5 +1,63 @@
 import numpy as np
 
+from ocr_pipeline_ray.functions.hashing import (
+    hamming64,
+    jaccard,
+    lsh_band_keys,
+    minhash_params,
+    minhash_signature,
+    shingles,
+    simhash64,
+)
+
+
+def test_jaccard_exact():
+    a = np.array([1, 2, 3, 4], dtype=np.uint64)
+    b = np.array([3, 4, 5, 6], dtype=np.uint64)
+    assert jaccard(a, b) == 2 / 6
+    assert jaccard(a, a) == 1.0
+    assert jaccard(np.empty(0, np.uint64), np.empty(0, np.uint64)) == 1.0
+
+
+def test_minhash_estimates_jaccard():
+    rng = np.random.default_rng(0)
+    a_set = np.unique(rng.integers(0, 1 << 32, 400).astype(np.uint64))
+    # 80% overlap
+    b_set = np.unique(
+        np.concatenate([a_set[: int(len(a_set) * 0.8)], rng.integers(1 << 33, 1 << 34, 80).astype(np.uint64)])
+    )
+    true_j = jaccard(np.unique(a_set), np.unique(b_set))
+    a, b = minhash_params(256)
+    sa = minhash_signature(a_set, a, b)
+    sb = minhash_signature(b_set, a, b)
+    est = (sa == sb).mean()
+    assert abs(est - true_j) < 0.12  # 256 perms -> stderr ~ sqrt(j(1-j)/256) ~ 0.03
+
+
+def test_minhash_deterministic():
+    a, b = minhash_params(64)
+    s = shingles("the quick brown fox jumps over the lazy dog", k=3)
+    assert (minhash_signature(s, a, b) == minhash_signature(s, a, b)).all()
+
+
+def test_lsh_identical_docs_collide():
+    a, b = minhash_params(128)
+    s = shingles("identical document text for lsh collision", k=2)
+    k1 = lsh_band_keys(minhash_signature(s, a, b), 32, 4)
+    k2 = lsh_band_keys(minhash_signature(s.copy(), a, b), 32, 4)
+    assert k1 == k2
+
+
+def test_simhash_similar_texts_close():
+    t1 = "the quick brown fox jumps over the lazy dog near the river bank today"
+    t2 = "the quick brown fox jumps over the lazy dog near the river bank tonight"
+    t3 = "completely different words about quantum tensor lattice shard computing"
+    d_sim = hamming64(simhash64(t1), simhash64(t2))
+    d_diff = hamming64(simhash64(t1), simhash64(t3))
+    assert d_sim < d_diff
+    assert d_sim <= 12
+    assert simhash64(t1) == simhash64(t1)
+
 
 def test_connected_components_chain_and_islands():
     """A chain a-b-c clusters transitively; disjoint pairs stay apart;
@@ -7,7 +65,7 @@ def test_connected_components_chain_and_islands():
     import pandas as pd
     import ray
 
-    from ocr_pipeline_ray.pipelines.relational import connected_components
+    from ocr_pipeline_ray.pipelines.dedup import connected_components
 
     edges = ray.data.from_pandas(
         pd.DataFrame({"a": [7, 2, 10, 30, 31], "b": [2, 9, 11, 31, 32]})
@@ -26,7 +84,7 @@ def test_connected_components_multiblock_dtype_stability():
     import pandas as pd
     import ray
 
-    from ocr_pipeline_ray.pipelines.relational import connected_components
+    from ocr_pipeline_ray.pipelines.dedup import connected_components
 
     # a path (several propagation rounds) spread over one-edge blocks
     # to force empty shuffle buckets (each round costs two shuffles,
@@ -40,6 +98,27 @@ def test_connected_components_multiblock_dtype_stability():
     assert got["doc_id"].is_unique, "node split into duplicate label rows"
     assert len(got) == n
     assert (got["cluster_id"] == 100).all()
+
+
+def test_exact_jaccard_pairs_vs_bruteforce():
+    """The inverted-index pairs equal the all-pairs O(n^2) scan."""
+    import itertools
+
+    import pyarrow.parquet as pq
+
+    from ocr_pipeline_ray.functions.hashing import jaccard, shingles
+    from ocr_pipeline_ray.pipelines.dedup import exact_jaccard_pairs
+
+    sf = "/root/testdata/sf0.001"
+    got = exact_jaccard_pairs(sf, threshold=0.5)
+    t = pq.read_table(f"{sf}/documents.parquet", columns=["doc_id", "text"])
+    sh = {d: shingles(s, 3) for d, s in zip(t["doc_id"].to_pylist(), t["text"].to_pylist())}
+    want = sorted(
+        (a, b, round(jaccard(sh[a], sh[b]), 4))
+        for a, b in itertools.combinations(sorted(sh), 2)
+        if jaccard(sh[a], sh[b]) >= 0.5
+    )
+    assert [tuple(r) for r in got.itertuples(index=False)] == want
 
 
 def test_hash_string_column_deterministic_and_slicing_invariant():

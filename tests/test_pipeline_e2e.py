@@ -100,38 +100,57 @@ def test_partitioning_invariance(small_corpus, topology):
     assert outs[0] == outs[1]
 
 
-def _with_bad_ref(media, bad):
-    """The media table plus one row: a second row for its first
-    media_ref carrying a different payload (``"duplicate"``), or a row
-    with a null media_ref (``"null"``). Returns the table and the
-    message the check must raise."""
+def _with_duplicate_ref(media):
+    """The media table plus a second row for its first media_ref,
+    carrying a different payload."""
     import pyarrow as pa
 
-    row = media.slice(0, 1)
-    if bad == "duplicate":
-        col, value = "payload", pa.array([b"other"], pa.binary())
-        match = f"duplicate media_ref '{media.column('media_ref')[0].as_py()}'"
-    else:
-        col, value = "media_ref", pa.array([None], pa.string())
-        match = "null media_ref"
-    row = row.set_column(row.schema.get_field_index(col), col, value)
-    return pa.concat_tables([media, row]), match
+    dup = media.slice(0, 1)
+    dup = dup.set_column(
+        dup.schema.get_field_index("payload"), "payload", pa.array([b"other"], pa.binary())
+    )
+    return pa.concat_tables([media, dup]), media.column("media_ref")[0].as_py()
 
 
-@pytest.mark.parametrize("bad", ["duplicate", "null"])
-def test_duplicate_media_ref_fails_fused(small_corpus, bad):
+def test_duplicate_media_ref_fails_fused(small_corpus):
     docs, media, _ = small_corpus
-    media, match = _with_bad_ref(media, bad)
-    with pytest.raises(ValueError, match=match):
+    media, ref = _with_duplicate_ref(media)
+    with pytest.raises(ValueError, match=f"duplicate media_ref '{ref}'"):
         build_extraction_pipeline(ray.data.from_arrow(docs), media)
 
 
-@pytest.mark.parametrize("bad", ["duplicate", "null"])
-def test_duplicate_media_ref_fails_join(small_corpus, bad):
+def test_duplicate_media_ref_fails_join(small_corpus):
     docs, media, _ = small_corpus
-    media, match = _with_bad_ref(media, bad)
+    media, ref = _with_duplicate_ref(media)
     out = build_extraction_pipeline(ray.data.from_arrow(docs), media, media_mode="join")
-    with pytest.raises(Exception, match=match):
+    with pytest.raises(Exception, match=f"duplicate media_ref '{ref}'"):
+        out.materialize()
+
+
+def _with_null_ref(media):
+    """The media table plus a copy of its first row whose media_ref is
+    null."""
+    import pyarrow as pa
+
+    row = media.slice(0, 1)
+    row = row.set_column(
+        row.schema.get_field_index("media_ref"), "media_ref", pa.array([None], pa.string())
+    )
+    return pa.concat_tables([media, row])
+
+
+def test_null_media_ref_fails_fused(small_corpus):
+    docs, media, _ = small_corpus
+    with pytest.raises(ValueError, match="null media_ref"):
+        build_extraction_pipeline(ray.data.from_arrow(docs), _with_null_ref(media))
+
+
+def test_null_media_ref_fails_join(small_corpus):
+    docs, media, _ = small_corpus
+    out = build_extraction_pipeline(
+        ray.data.from_arrow(docs), _with_null_ref(media), media_mode="join"
+    )
+    with pytest.raises(Exception, match="null media_ref"):
         out.materialize()
 
 
@@ -207,6 +226,20 @@ def test_gpu_request_reaches_the_fused_task_with_text_batches(small_corpus, monk
     (kwargs,) = [kw for name, kw in seen if "ExtractPackAll" in name]
     assert kwargs["num_gpus"] == 1 and kwargs["batch_size"] == TEXT_BATCH_SIZE
     assert "concurrency" not in kwargs
+
+
+def test_incremental_hourly_equals_batch():
+    """Incremental maintenance contract: base run + delta merge ==
+    one-shot batch aggregate, bit-for-bit (any cutoff)."""
+    import pandas as pd
+
+    from ocr_pipeline_ray.pipelines.events import events_hourly, events_hourly_incremental
+
+    sf = "/root/testdata/sf0.001"
+    batch = events_hourly(sf)
+    for frac in (0.3, 0.6, 0.95):
+        inc = events_hourly_incremental(sf, cutoff_frac=frac)
+        pd.testing.assert_frame_equal(inc, batch)
 
 
 def _oracle_map(docs, media) -> dict[str, list[tuple]]:

@@ -105,3 +105,29 @@ def test_rejects_non_png_and_bad_depth():
     bad = PNG_MAGIC + _chunk(b"IHDR", ihdr) + _chunk(b"IEND", b"")
     with pytest.raises(ValueError):
         parse_png(bad)
+
+
+def test_decode_actor_handles_png(ray_session):
+    import pyarrow as pa
+    import ray.data
+
+    from ocr_pipeline_ray.stages.multimodal import decode_images
+
+    arrs = [_rand_rgb(7, 7, seed=s) for s in range(4)]
+    t = pa.table(
+        {
+            "media_ref": pa.array([str(i) for i in range(4)]),
+            "modality": pa.array(["image"] * 4),
+            "payload": pa.array([bytes(encode_png(a)) for a in arrs], pa.binary()),
+            "width": pa.array([0] * 4, pa.int32()),
+            "height": pa.array([0] * 4, pa.int32()),
+            "duration_ms": pa.array([0] * 4, pa.int32()),
+        }
+    )
+    out = decode_images(ray.data.from_arrow(t), target_size=None, concurrency=(1, 2)).to_pandas()
+    assert list(out["error"]) == [""] * 4
+    assert list(out["width"]) == [7] * 4 and list(out["height"]) == [7] * 4
+    expect = [np.round(a.mean(axis=(0, 1)), 3) for a in arrs]
+    got = {r: np.round(v, 3) for r, v in zip(out["media_ref"], out["channel_means"])}
+    for i, e in enumerate(expect):
+        assert np.allclose(got[str(i)], e, atol=0.01)

@@ -65,6 +65,102 @@ def test_engine_interface():
 
 
 # ---------------------------------------------------------------------------
+# detection boxes + T3 polygon refinement
+# ---------------------------------------------------------------------------
+
+
+def test_detect_boxes_words_and_geometry():
+    from ocr_pipeline_ray.functions.ppm_ocr import detect_boxes_ppm
+
+    regs = detect_boxes_ppm(render_text_ppm("HELLO WORLD X"))
+    assert [r["text"] for r in regs] == ["HELLO", "WORLD", "X"]
+    # cell-grid geometry: word i starts at 6*sum(len+1) of prior words
+    assert [(r["x0"], r["x1"]) for r in regs] == [(0, 29), (36, 65), (72, 77)]
+    assert all(r["y0"] == 0 and r["y1"] == 7 for r in regs)
+    # exact rendering -> perfect template match
+    assert all(r["confidence"] == 1.0 for r in regs)
+    # poly defaults off, like the reference (std-detection/test.py:53)
+    assert all(r["polygon"] is None for r in regs)
+    assert detect_boxes_ppm(render_text_ppm("")) == []
+
+
+def test_detect_boxes_noise_confidence():
+    from ocr_pipeline_ray.functions.ppm_ocr import detect_boxes_ppm
+
+    payload = bytearray(render_text_ppm("WALKS"))
+    header_len = len(b"P6\n30 7\n255\n")
+    # flip one pixel (3 bytes RGB) of the first glyph
+    for b in range(3):
+        payload[header_len + b] = 255 - payload[header_len + b]
+    (reg,) = detect_boxes_ppm(bytes(payload))
+    assert reg["text"] == "WALKS"  # still nearest glyph
+    assert 0.9 < reg["confidence"] < 1.0  # but no longer a perfect match
+
+
+def test_polygon_golden_from_font():
+    """The 14-point polygon must equal the contour computed directly
+    from the font bitmaps (independent reimplementation)."""
+    import numpy as np
+
+    from ocr_pipeline_ray.functions.ppm_ocr import _FONT, _FONT_CHARS, detect_boxes_ppm
+
+    word = "TAIL"
+    (reg,) = detect_boxes_ppm(render_text_ppm(word), poly=True)
+    # reassemble the word's mask from font bitmaps: 6px pitch, 5px glyphs
+    w = 6 * (len(word) - 1) + 5
+    mask = np.zeros((7, w), dtype=np.uint8)
+    for i, ch in enumerate(word):
+        mask[:, 6 * i : 6 * i + 5] = _FONT[_FONT_CHARS.index(ch)]
+    edges = np.linspace(0, w, 8).astype(int)
+    top, bot = [], []
+    for s in range(7):
+        rows = np.nonzero(mask[:, edges[s] : edges[s + 1]].any(axis=1))[0]
+        xc = int(edges[s] + edges[s + 1] - 1) // 2
+        top.append([xc, int(rows[0])])
+        bot.append([xc, int(rows[-1])])
+    assert reg["polygon"] == top + bot[::-1]
+    assert len(reg["polygon"]) == 14
+
+
+def test_polygon_small_box_fallback():
+    from ocr_pipeline_ray.functions.ppm_ocr import detect_boxes_ppm
+
+    # words narrower than 2 glyph pitches keep the rectangle (polygon
+    # None), mirroring the reference's small-box fallback
+    regs = detect_boxes_ppm(render_text_ppm("A BC DEF"), poly=True)
+    assert [r["text"] for r in regs] == ["A", "BC", "DEF"]
+    assert regs[0]["polygon"] is None and regs[1]["polygon"] is None
+    assert regs[2]["polygon"] is not None
+
+
+def test_link_refiner_links_single_space_words():
+    """T4 LinkRefiner analog (reference refinenet.py:14-64, wiring
+    test.py:140-153): single-space gaps link adjacent words into one
+    line-level region; wider gaps (column breaks) stay separate; the
+    refiner forces poly=True exactly like the reference test.py:153."""
+    from ocr_pipeline_ray.functions.ppm_ocr import detect_boxes_ppm, render_text_ppm
+
+    regs = detect_boxes_ppm(render_text_ppm("HELLO WORLD  NEXT"), link_refine=True)
+    assert [r["text"] for r in regs] == ["HELLO WORLD", "NEXT"]
+    # linked box spans both words
+    words = detect_boxes_ppm(render_text_ppm("HELLO WORLD  NEXT"))
+    assert regs[0]["x0"] == words[0]["x0"] and regs[0]["x1"] == words[1]["x1"]
+    # poly forced on: the wide linked region gets a 14-point polygon
+    assert regs[0]["polygon"] is not None and len(regs[0]["polygon"]) == 14
+    # confidence counts only glyph cells (gap cells carry no glyph):
+    # both words decode cleanly, so the linked region stays perfect
+    assert regs[0]["confidence"] == 1.0
+
+
+def test_link_refiner_off_is_unchanged():
+    from ocr_pipeline_ray.functions.ppm_ocr import detect_boxes_ppm, render_text_ppm
+
+    p = render_text_ppm("HELLO WORLD X")
+    assert detect_boxes_ppm(p) == detect_boxes_ppm(p, link_refine=False)
+    assert [r["text"] for r in detect_boxes_ppm(p)] == ["HELLO", "WORLD", "X"]
+
+
+# ---------------------------------------------------------------------------
 # malformed input: headers and containers fail with a named ValueError
 # ---------------------------------------------------------------------------
 
@@ -187,6 +283,23 @@ def _raster_of(cells, rng, tail=0):
     return f"P6\n{img.shape[1]} 7\n255\n".encode("ascii") + img.tobytes()
 
 
+def _reference_boxes(ref):
+    """Word regions of the reference classification: runs of lit cells
+    with their text and matched-pixel confidence."""
+    regions, c = [], 0
+    while c < len(ref):
+        if not ref[c][3]:
+            c += 1
+            continue
+        c0 = c
+        while c < len(ref) and ref[c][3]:
+            c += 1
+        run = ref[c0:c]
+        conf = 1.0 - sum(r[1] for r in run) / (35 * len(run))
+        regions.append(("".join(r[0] for r in run), round(conf, 4)))
+    return regions
+
+
 def _cell_sets():
     """Random binary cells, noisy renders of every glyph, and cells
     built halfway between two glyphs (a tie at equal distance)."""
@@ -220,14 +333,18 @@ def _cell_sets():
 def test_matcher_equals_brute_force_reference():
     import numpy as np
 
+    from ocr_pipeline_ray.functions.ppm_ocr import detect_boxes_ppm
+
     rng = np.random.default_rng(11)
     tied = 0
     for tail, cells in enumerate(_cell_sets()):
         tail %= 6
         payload = _raster_of(cells, rng, tail=tail)
-        ref = _reference_classify(cells)
+        ref = [(*r, bool(c.any())) for r, c in zip(_reference_classify(cells), cells)]
         tied += sum(r[2] > 1 for r in ref)
         assert decode_text_ppm(payload) == "".join(r[0] for r in ref).rstrip()
+        got = [(r["text"], r["confidence"]) for r in detect_boxes_ppm(payload)]
+        assert got == _reference_boxes(ref)
     # the tie set really exercises the first-index tie-break
     assert tied >= 50
     # a raster narrower than one cell decodes to nothing

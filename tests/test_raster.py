@@ -1,5 +1,5 @@
 """Real numpy raster kernels: resize / normalize / tensorize /
-channel fixups, and the PPM visualization render."""
+channel fixups."""
 
 import numpy as np
 
@@ -66,21 +66,3 @@ def test_ppm_decode_resize_roundtrip():
     out = resize_bilinear(img, 32, 32)
     assert out.shape == (32, 32, 3)
     assert out.max() > 0  # glyph pixels survived
-
-
-def test_render_doc_ppm_visual_sink():
-    from ocr_pipeline_ray.functions.ppm_ocr import parse_ppm
-    from ocr_pipeline_ray.stages.sinks import render_doc_ppm
-
-    spans = [
-        {"kind": "text", "text": "x" * 200, "media_ref": "", "offset": 0},
-        {"kind": "image", "text": "short", "media_ref": "m", "offset": 1},
-        {"kind": "pdf", "text": "", "media_ref": "p", "offset": 2},
-    ]
-    img = parse_ppm(render_doc_ppm("doc-00000001", spans))
-    assert img.shape[1] == 256
-    # three bars + glyph header; text bar longer than image bar
-    assert img.shape[0] == 7 + 2 + 8 * 3
-    blue_run = (img[10, :, 2] == 255).sum()
-    green_run = (img[18, :, 1] == 220).sum()
-    assert blue_run > green_run > 0

@@ -197,3 +197,4 @@ def test_restriped_shards_golden_equality(tmp_path):
             [b for b in out.iter_batches(batch_format="pyarrow") for b in b.to_batches()]
         ))
         assert got == gold, f"re-striping {name} broke golden equality"
+

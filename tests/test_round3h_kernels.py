@@ -71,6 +71,52 @@ def test_rank_sum_stats_all_equal_single_bucket():
     assert s["ties"] == 100**3 - 100
 
 
+def test_sorted_neighborhood_matches_bruteforce(tmp_path):
+    """Pairs must not be lost or duplicated at rank-block boundaries."""
+    from ocr_pipeline_ray.pipelines.dedup import sorted_neighborhood_dedup
+    from ocr_pipeline_ray.pipelines.relational import _levenshtein
+
+    rng = np.random.default_rng(7)
+    n = 400
+    base = "the quick brown fox jumps over the lazy dog and runs away fast"
+    texts = []
+    for i in range(n):
+        t = base[: 20 + int(rng.integers(0, 20))] + "x" * int(rng.integers(0, 3))
+        texts.append(t + " " * int(rng.integers(0, 2)))
+    df = pd.DataFrame(
+        {
+            "doc_id": np.arange(n, dtype="int64"),
+            "text": texts,
+            "lang": "en",
+            "source": "s",
+        }
+    )
+    df["n_chars"] = df["text"].str.len().astype("int64")
+    d = tmp_path / "documents.parquet"
+    df.to_parquet(d)
+    # tiny block size forces many boundary replications
+    got = sorted_neighborhood_dedup(str(tmp_path), window=5, max_dist=3, block=16)
+
+    # brute-force reference
+    srt = df.sort_values(["n_chars", "doc_id"]).reset_index(drop=True)
+    want = []
+    for i in range(len(srt)):
+        for d2 in range(1, 5):
+            j = i + d2
+            if j >= len(srt):
+                break
+            dist = _levenshtein(srt["text"].iloc[i][:32], srt["text"].iloc[j][:32])
+            if dist <= 3:
+                want.append((int(srt["doc_id"].iloc[i]), int(srt["doc_id"].iloc[j]), dist))
+    want_df = (
+        pd.DataFrame(want, columns=["doc_a", "doc_b", "dist"])
+        .sort_values(["doc_a", "doc_b"])
+        .reset_index(drop=True)
+    )
+    assert len(want_df) > 50  # the fixture must actually exercise pairs
+    pd.testing.assert_frame_equal(got, want_df, check_dtype=False)
+
+
 def test_percentile_cont_matches_numpy(tmp_path):
     from ocr_pipeline_ray.pipelines.relational import price_percentile_cont_by_flag
 

@@ -1,11 +1,14 @@
-"""Adversarial tests for a summary-stitching kernel: ``orderkey_gaps``,
-whose scale safety rests on combining per-bucket summaries on the
-driver. Synthetic tables are written to tmp dirs shaped like the
-testdata schema so the SAME query entrypoint runs.
+"""Adversarial tests for the summary-stitching kernels: the round-3g
+queries whose scale safety rests on combining per-bucket/per-block
+summaries on the driver (orderkey_gaps, interarrival_stats) and on
+per-bucket distinct partials adding exactly (dau_mau_stickiness,
+user_activity_streaks). Synthetic tables are written to tmp dirs
+shaped like the testdata schema so the SAME query entrypoints run.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -62,3 +65,69 @@ def test_orderkey_gaps_ignores_non_f_status(tmp_path):
     pq.write_table(t, str(tmp_path / "orders.parquet"))
     out = orderkey_gaps(str(tmp_path))
     assert list(zip(out["gap_start"], out["gap_end"])) == [(1, 2)]
+
+
+def _write_events(tmp_path, rows):
+    df = pd.DataFrame(rows, columns=["event_id", "ts", "user_id", "event_type"])
+    t = pa.table(
+        {
+            "event_id": pa.array(df["event_id"], pa.int64()),
+            "ts": pa.array(pd.to_datetime(df["ts"]), pa.timestamp("us")),
+            "user_id": pa.array(df["user_id"], pa.int64()),
+            "event_type": pa.array(df["event_type"], pa.string()),
+            "value": pa.array([1.0] * len(df), pa.float64()),
+            "props": pa.array(['{"k": 1}'] * len(df), pa.string()),
+        }
+    )
+    pq.write_table(t, str(tmp_path / "events.parquet"))
+    return str(tmp_path)
+
+
+def test_interarrival_max_gap_crosses_day_blocks(tmp_path):
+    """The largest gap straddles a (type, day) block boundary — it
+    only exists in the driver's cross-block stitch, never inside any
+    single block."""
+    from ocr_pipeline_ray.pipelines.events import interarrival_stats
+
+    rows = [
+        (1, "2024-01-01 10:00:00", 1, "view"),
+        (2, "2024-01-01 11:00:00", 1, "view"),  # in-block gap 1h
+        (3, "2024-01-03 09:00:00", 1, "view"),  # cross-block gap 46h
+        (4, "2024-01-03 09:30:00", 1, "view"),
+    ]
+    sf = _write_events(tmp_path, rows)
+    out = interarrival_stats(sf)
+    r = out[out["event_type"] == "view"].iloc[0]
+    assert r["n_gaps"] == 3
+    assert r["max_gap_s"] == 46 * 3600.0
+    # telescoping mean: (last - first) / (n - 1)
+    assert r["mean_gap_s"] == round((47.5 * 3600.0) / 3, 6)
+
+
+def test_streaks_and_stickiness_partials_add_across_users(tmp_path):
+    """Distinct partials must add exactly because users are
+    partitioned by bucket: two users with overlapping day sets."""
+    from ocr_pipeline_ray.pipelines.events import (
+        dau_mau_stickiness,
+        user_activity_streaks,
+    )
+
+    rows = []
+    eid = 0
+    for day in ["2024-01-01", "2024-01-02", "2024-01-03", "2024-01-05"]:
+        for u in (7, 71):  # 7 and 71 land in different %64 buckets
+            eid += 1
+            rows.append((eid, f"{day} 12:00:00", u, "view"))
+            eid += 1
+            rows.append((eid, f"{day} 13:00:00", u, "view"))  # dup day
+    sf = _write_events(tmp_path, rows)
+
+    st = user_activity_streaks(sf)
+    assert st["n_active_days"].tolist() == [4, 4]
+    assert st["longest_streak"].tolist() == [3, 3]
+
+    dm = dau_mau_stickiness(sf)
+    assert len(dm) == 1
+    assert dm["mau"].iloc[0] == 2
+    # 8 user-day pairs over 31 calendar days
+    assert dm["avg_dau"].iloc[0] == round(8 / 31, 6)

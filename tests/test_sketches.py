@@ -1,10 +1,10 @@
 """Mergeable sketches: Bloom (no false negatives, FP near theory,
-OR-merge associativity) and KLL (rank error bound, merge), plus the
+OR-merge associativity) and HLL (error bound, max-merge), plus the
 pipelines built on them."""
 
 import numpy as np
 
-from ocr_pipeline_ray.functions.sketches import BloomFilter
+from ocr_pipeline_ray.functions.sketches import BloomFilter, HyperLogLog
 
 SF = "/root/testdata/sf0.001"
 
@@ -29,6 +29,30 @@ def test_bloom_merge_equals_single_build():
         BloomFilter(1 << 18, 4).add(keys[5000:])
     )
     assert (whole.words == merged.words).all()
+
+
+def test_hll_error_bound_and_merge():
+    rng = np.random.default_rng(2)
+    for n in (500, 50_000):
+        ks = rng.integers(0, 1 << 62, n, dtype=np.int64).astype(np.uint64)
+        true = len(np.unique(ks))
+        h = HyperLogLog(12).add(ks[: n // 2]).merge(HyperLogLog(12).add(ks[n // 2 :]))
+        err = abs(h.estimate() - true) / true
+        assert err < 0.08  # 1.04/sqrt(4096) ~ 1.6%; 5-sigma headroom
+
+
+def test_hll_pipeline_close_to_exact():
+    from ocr_pipeline_ray.pipelines.events import (
+        distinct_users_hll,
+        distinct_users_per_type,
+    )
+
+    exact = distinct_users_per_type(SF).set_index("event_type")["n_users"]
+    approx = distinct_users_hll(SF).set_index("event_type")["n_users_approx"]
+    assert set(exact.index) == set(approx.index)
+    for etype in exact.index:
+        err = abs(int(approx[etype]) - int(exact[etype])) / max(1, int(exact[etype]))
+        assert err < 0.08, (etype, int(exact[etype]), int(approx[etype]))
 
 
 def test_bloom_semi_join_matches_exact():
@@ -120,6 +144,48 @@ def test_kll_pipeline_close_to_exact():
     for _, row in got.iterrows():
         est_rank = (prices <= row["value"]).mean()
         assert abs(est_rank - row["p"]) < 0.05, (row["p"], est_rank)
+
+
+def test_cms_never_underestimates_and_merge_linear():
+    from ocr_pipeline_ray.functions.sketches import CountMinSketch
+
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 1 << 62, 5_000, dtype=np.int64).astype(np.uint64)
+    counts = rng.integers(1, 100, keys.size).astype(np.int64)
+    whole = CountMinSketch(1 << 12, 4).add(keys, counts)
+    uniq = np.unique(keys)
+    true = np.zeros(uniq.size, dtype=np.int64)
+    for i, k in enumerate(uniq):
+        true[i] = counts[keys == k].sum()
+    est = whole.estimate(uniq)
+    assert (est >= true).all()  # point-query estimate NEVER under-counts
+    # error bound: e/width * total with prob 1 - e^-depth; generous slack
+    assert (est - true).max() <= 8 * counts.sum() / (1 << 12)
+    merged = CountMinSketch(1 << 12, 4).add(keys[:2500], counts[:2500]).merge(
+        CountMinSketch(1 << 12, 4).add(keys[2500:], counts[2500:])
+    )
+    assert (whole.table == merged.table).all()
+
+
+def test_heavy_hitters_exact_vs_pandas():
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from ocr_pipeline_ray.functions.textstats import TOKEN_RE
+    from ocr_pipeline_ray.pipelines.text import heavy_hitter_terms
+
+    got = heavy_hitter_terms(SF, min_frac=0.02)
+    texts = pq.read_table(f"{SF}/documents.parquet", columns=["text"])["text"].to_pylist()
+    toks = pd.Series([w for s in texts for w in TOKEN_RE.findall(s.lower())])
+    vc = toks.value_counts()
+    import math
+
+    thresh = math.ceil(0.02 * len(toks))
+    want = vc[vc >= thresh].rename_axis("term").reset_index(name="n")
+    want = want.sort_values(["n", "term"], ascending=[False, True]).reset_index(drop=True)
+    want["n"] = want["n"].astype("int64")
+    assert len(got) > 0
+    pd.testing.assert_frame_equal(got.reset_index(drop=True), want)
 
 
 def test_grouped_kll_close_to_exact():
